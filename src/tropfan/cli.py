@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import evalmap as _evalmap
 from . import fan as _fan
@@ -22,7 +21,7 @@ from . import intlat as _intlat
 from . import laurent as _laurent
 from . import morphism as _morphism
 from .errors import DimensionMismatch, ParseError, TropfanError
-from .semiring import NEG_INF
+from .semiring import NEG_INF, as_int
 
 DEFAULT_MEMBER_BOUND = 64
 
@@ -33,7 +32,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, undecodable bytes, a NUL in the path, or nesting too deep
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -168,7 +168,8 @@ def _cmd_poly_germ(args) -> dict:
 # ------------------------------------------------------------ morphism
 
 
-def _load_morphism(path: str) -> _morphism.FanMorphism:
+def _load_morphism(path: str) -> tuple[_fan.WeightedFan, _fan.WeightedFan, _intlat.IntMatrix]:
+    """The source fan, target fan and matrix of a morphism file."""
     obj = _load_json(path)
     base = os.path.dirname(os.path.abspath(path))
     try:
@@ -176,25 +177,17 @@ def _load_morphism(path: str) -> _morphism.FanMorphism:
         src, tgt = obj["source"], obj["target"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"morphism file needs matrix/source/target: {exc}") from exc
-    X = _fan_ref(src, base)
-    Y = _fan_ref(tgt, base)
-    return _morphism.FanMorphism(X, Y, _intlat.IntMatrix.from_json({"data": matrix}))
+    T = _intlat.IntMatrix.from_json({"data": matrix})
+    return _fan_ref(src, base), _fan_ref(tgt, base), T
 
 
 def _cmd_morphism_check(args) -> dict:
-    obj = _load_json(args.morphism)
-    base = os.path.dirname(os.path.abspath(args.morphism))
-    try:
-        T = _intlat.IntMatrix.from_json({"data": obj["matrix"]})
-        X = _fan_ref(obj["source"], base)
-        Y = _fan_ref(obj["target"], base)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"morphism file needs matrix/source/target: {exc}") from exc
+    X, Y, T = _load_morphism(args.morphism)
     return {"valid": _morphism.validate_morphism(T, X, Y)}
 
 
 def _cmd_morphism_pullback(args) -> dict:
-    mu = _load_morphism(args.morphism)
+    mu = _morphism.FanMorphism(*_load_morphism(args.morphism))
     Q = _laurent.parse_poly_text(args.poly, mu.target.ambient_dim)
     return _laurent.poly_to_json(_morphism.pullback_poly(mu, Q))
 
@@ -205,7 +198,7 @@ def _cmd_morphism_realize(args) -> dict:
     try:
         src = _fan_ref(obj["source"], base)
         tgt = _fan_ref(obj["target"], base)
-        raw_images = obj["images"]
+        raw_images = list(obj["images"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"homspec file needs source/target/images: {exc}") from exc
     images = tuple(
@@ -253,10 +246,12 @@ def _cmd_member(args) -> dict:
     X = _load_fan(args.fan)
     raw = [p.strip() for p in args.values.split(",")]
     G = _evalmap.RayFunction.from_json(X, {"values": raw})
-    if args.bound is not None:
-        bound = args.bound
-    else:
-        bound = int(os.environ.get("TROPFAN_MEMBER_BOUND", DEFAULT_MEMBER_BOUND))
+    bound = args.bound
+    if bound is None:
+        try:
+            bound = as_int(os.environ.get("TROPFAN_MEMBER_BOUND", DEFAULT_MEMBER_BOUND))
+        except ValueError as exc:
+            raise ParseError(f"bad TROPFAN_MEMBER_BOUND: {exc}") from exc
     witness = _evalmap.image_membership(X, G, bound=bound)
     if witness is None:
         return {"member": False}
@@ -300,22 +295,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = poly.add_parser("eval", help="value at a rational point")
     p.add_argument("poly")
     p.add_argument("--point", required=True)
-    p.add_argument("--vars", type=int)
+    p.add_argument("--vars", type=as_int)
     p.set_defaults(fn=_cmd_poly_eval)
     p = poly.add_parser("initial", help="initial form at a rational point")
     p.add_argument("poly")
     p.add_argument("--point", required=True)
-    p.add_argument("--vars", type=int)
+    p.add_argument("--vars", type=as_int)
     p.set_defaults(fn=_cmd_poly_initial)
     p = poly.add_parser("eq", help="equality as functions, with witness")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--vars", type=int)
+    p.add_argument("--vars", type=as_int)
     p.set_defaults(fn=_cmd_poly_eq)
     p = poly.add_parser("germ", help="local germ at a rational point")
     p.add_argument("poly")
     p.add_argument("--point", required=True)
-    p.add_argument("--vars", type=int)
+    p.add_argument("--vars", type=as_int)
     p.set_defaults(fn=_cmd_poly_germ)
 
     mor = sub.add_parser("morphism", help="fan morphism operations").add_subparsers(
@@ -346,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="is a ray function a weighted evaluation?")
     p.add_argument("fan")
     p.add_argument("--values", required=True, help="comma-separated values, one per sorted ray")
-    p.add_argument("--bound", type=int, default=None, help="search box half-width")
+    p.add_argument("--bound", type=as_int, default=None, help="search box half-width")
     p.set_defaults(fn=_cmd_member)
 
     return top

@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Union
 
 from . import _lp
 from .errors import (
+    BadParameters,
     DimensionMismatch,
     Inconclusive,
     NonBooleanInput,
@@ -27,7 +28,7 @@ from .errors import (
 from .fan import WeightedFan, check_balancing, primitive
 from .intlat import IntMatrix, snf
 from .laurent import LaurentPoly
-from .semiring import NEG_INF, TropValue
+from .semiring import NEG_INF, TropValue, as_int
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class RayFunction:
         if any(bottoms):
             raise ParseError("-inf entries are only allowed when every entry is -inf")
         try:
-            return cls(fan, tuple(int(v) for v in values))
+            return cls(fan, tuple(map(as_int, values)))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad ray function values: {exc}") from exc
 
@@ -173,8 +174,7 @@ def is_smooth(X: WeightedFan) -> SmoothReport:
         if ray.weight != 1:
             return SmoothReport(False, f"weight {ray.weight} on ray {ray.label()}")
     k = len(X.rays)
-    gens = [ray.generator for ray in X.rays[:-1]]
-    M = IntMatrix.from_rows([[g[i] for g in gens] for i in range(X.ambient_dim)])
+    M = IntMatrix.from_rows([row[:-1] for row in generator_matrix(X).data])
     _, D, _ = snf(M)
     factors = [D.data[i][i] for i in range(min(D.rows, D.cols)) if D.data[i][i] != 0]
     if len(factors) < k - 1:
@@ -199,6 +199,8 @@ def image_membership(
     a miss without clamping (or rational infeasibility) is a proof, a miss
     after clamping raises Inconclusive.
     """
+    if bound < 0:
+        raise BadParameters(f"search bound must be nonnegative, got {bound}")
     if G.fan != X:
         raise DimensionMismatch("ray function belongs to a different fan")
     if G.is_bottom:

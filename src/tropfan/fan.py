@@ -9,16 +9,18 @@ set equality and every downstream matrix/output ordering is deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BadParameters, DimensionMismatch, ParseError, ZeroVector
+from .semiring import as_int
 
 
 def primitive(v: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Factor a nonzero integer vector as weight * primitive direction."""
-    v = tuple(int(x) for x in v)
+    v = tuple(map(operator.index, v))
     if not any(v):
         raise ZeroVector("the zero vector has no direction")
     g = math.gcd(*(abs(x) for x in v))
@@ -33,13 +35,13 @@ class Ray:
     weight: int
 
     def __post_init__(self):
-        d = tuple(int(x) for x in self.direction)
+        d = tuple(map(operator.index, self.direction))
         object.__setattr__(self, "direction", d)
         if not any(d):
             raise ZeroVector("ray direction may not be zero")
         if math.gcd(*(abs(x) for x in d)) != 1:
             raise BadParameters(f"direction {d} is not primitive")
-        if not isinstance(self.weight, int) or self.weight < 1:
+        if not isinstance(self.weight, int) or isinstance(self.weight, bool) or self.weight < 1:
             raise BadParameters(f"weight must be a positive integer, got {self.weight!r}")
 
     @property
@@ -80,7 +82,7 @@ class WeightedFan:
         rays = []
         seen = {}
         for vec, w in items:
-            w = int(w)
+            w = operator.index(w)
             if w < 1:
                 raise BadParameters(f"weight must be positive, got {w}")
             g, d = primitive(vec)
@@ -106,9 +108,9 @@ class WeightedFan:
     @classmethod
     def from_json(cls, obj: dict) -> "WeightedFan":
         try:
-            n = int(obj["ambient_dim"])
+            n = as_int(obj["ambient_dim"])
             items = [
-                (tuple(int(x) for x in entry["direction"]), int(entry["weight"]))
+                (tuple(map(as_int, entry["direction"])), as_int(entry["weight"]))
                 for entry in obj["rays"]
             ]
         except (KeyError, TypeError, ValueError) as exc:
@@ -145,23 +147,20 @@ def support_contains(X: WeightedFan, v: Sequence) -> bool:
     if len(v) != X.ambient_dim:
         raise DimensionMismatch(f"vector of length {len(v)} in dimension {X.ambient_dim}")
     v = [Fraction(x) for x in v]
-    if not any(v):
-        return True
-    for ray in X.rays:
-        t = None
-        ok = True
-        for vi, di in zip(v, ray.direction):
-            if di == 0:
-                if vi != 0:
-                    ok = False
-                    break
-            else:
-                ratio = vi / di
-                if t is None:
-                    t = ratio
-                elif ratio != t:
-                    ok = False
-                    break
-        if ok and t is not None and t > 0:
-            return True
-    return False
+    return not any(v) or any(positive_multiple(v, ray.direction) for ray in X.rays)
+
+
+def positive_multiple(v: Sequence, d: Sequence[int]) -> bool:
+    """True iff v = t * d for some rational t > 0."""
+    t = None
+    for vi, di in zip(v, d):
+        if di == 0:
+            if vi != 0:
+                return False
+        else:
+            ratio = Fraction(vi, di)
+            if t is None:
+                t = ratio
+            elif ratio != t:
+                return False
+    return t is not None and t > 0

@@ -17,7 +17,9 @@ from .errors import (
     DimensionMismatch,
     NoMutualFactorization,
     NotLeftInvertible,
+    ParseError,
 )
+from .semiring import as_int
 
 
 @dataclass(frozen=True)
@@ -83,25 +85,14 @@ class IntMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntMatrix":
-        from .errors import ParseError
-
-        def entry(x):
-            # ints or decimal strings; floats would truncate silently
-            if isinstance(x, int) and not isinstance(x, bool):
-                return x
-            if isinstance(x, str):
-                return int(x)
-            raise ValueError(f"non-integer entry {x!r}")
-
         try:
-            data = obj["data"]
-            m = cls.from_rows([[entry(x) for x in row] for row in data])
+            m = cls.from_rows([[as_int(x) for x in row] for row in obj["data"]])
+            shape = {key: as_int(obj[key]) for key in ("rows", "cols") if key in obj}
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix object: {exc}") from exc
-        if "rows" in obj and int(obj["rows"]) != m.rows:
-            raise ParseError("matrix 'rows' field disagrees with data")
-        if "cols" in obj and int(obj["cols"]) != m.cols:
-            raise ParseError("matrix 'cols' field disagrees with data")
+        for key, size in (("rows", m.rows), ("cols", m.cols)):
+            if shape.get(key, size) != size:
+                raise ParseError(f"matrix '{key}' field disagrees with data")
         return m
 
 

@@ -17,6 +17,7 @@ makes CanonicalFn a usable semiring carrier for germs.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .errors import (
     EmptyPolynomial,
     ParseError,
 )
-from .semiring import NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_trop
+from .semiring import NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_int, as_trop
 
 Term = tuple[tuple[int, ...], Fraction]
 
@@ -66,7 +67,7 @@ class LaurentPoly:
         bottom coefficients."""
         acc: dict[tuple[int, ...], Fraction] = {}
         for u, c in items:
-            u = tuple(int(e) for e in u)
+            u = tuple(map(operator.index, u))
             if len(u) != num_vars:
                 raise DimensionMismatch(f"exponent {u} in {num_vars} variables")
             c = as_trop(c)
@@ -109,7 +110,7 @@ class LaurentPoly:
         return tuple(u for u, _ in self.terms)
 
     def coeff(self, exp: Sequence[int]) -> TropValue:
-        exp = tuple(int(e) for e in exp)
+        exp = tuple(map(operator.index, exp))
         for u, c in self.terms:
             if u == exp:
                 return c
@@ -329,7 +330,7 @@ def _var_index(name: str) -> int:
     if m:
         base, digits = m.groups()
         if base == "x" and digits:
-            idx = int(digits)
+            idx = as_int(digits)
             if idx < 1:
                 raise ParseError(f"variable indices start at 1, got {name!r}")
             return idx
@@ -347,6 +348,8 @@ def _var_name(i: int, num_vars: int) -> str:
 def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
     """Parse ``c*x1^e1*...`` terms joined by '+'; '-inf' is the bottom
     polynomial.  An omitted coefficient means the tropical one (0)."""
+    if num_vars is not None and num_vars < 0:
+        raise BadParameters(f"negative variable count {num_vars}")
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial text")
@@ -365,12 +368,15 @@ def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
             if not factor:
                 raise ParseError(f"empty factor in term {piece!r}")
             if _RATIONAL_RE.match(factor):
-                coeff += Fraction(factor)
+                try:
+                    coeff += Fraction(factor)
+                except ZeroDivisionError as exc:
+                    raise ParseError(f"zero denominator in {factor!r}") from exc
                 continue
-            name, _, power = factor.partition("^")
+            name, caret, power = factor.partition("^")
             idx = _var_index(name.strip())
             try:
-                e = int(power.strip()) if power else 1
+                e = as_int(power) if caret else 1
             except ValueError as exc:
                 raise ParseError(f"bad exponent in factor {factor!r}") from exc
             exps[idx] = exps.get(idx, 0) + e
@@ -413,14 +419,14 @@ def poly_to_json(P: LaurentPoly) -> dict:
 
 def poly_from_json(obj: dict) -> LaurentPoly:
     try:
-        n = int(obj["vars"])
+        n = as_int(obj["vars"])
         items = []
         for t in obj["terms"]:
             raw = t["coeff"]
             if isinstance(raw, str) and raw.strip() == "-inf":
                 continue
-            items.append((tuple(int(e) for e in t["exp"]), Fraction(str(raw))))
-    except (KeyError, TypeError, ValueError) as exc:
+            items.append((tuple(map(as_int, t["exp"])), as_trop(raw)))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad polynomial object: {exc}") from exc
     try:
         return LaurentPoly.make(n, items)

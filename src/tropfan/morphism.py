@@ -12,7 +12,6 @@ pullback(Q) at p equals Q at T.p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -24,8 +23,8 @@ from .errors import (
     NotGeometric,
     SupportViolation,
 )
-from .evalmap import RayFunction, eval_map, generator_matrix
-from .fan import WeightedFan, support_contains
+from .evalmap import RayFunction, _require_boolean
+from .fan import WeightedFan, positive_multiple, support_contains
 from .intlat import IntMatrix, lattice_solve
 from .laurent import LaurentPoly
 
@@ -76,14 +75,7 @@ def pullback_poly(mu: FanMorphism, Q: LaurentPoly) -> LaurentPoly:
 def pullback_evalmap(mu: FanMorphism, f: LaurentPoly) -> RayFunction:
     """Pull the weighted evaluation of f on the target back to the source:
     rho |-> w_rho * f(T d_rho).  Equals eval_map of pullback_poly."""
-    if f.num_vars != mu.target.ambient_dim:
-        raise DimensionMismatch(
-            f"polynomial in {f.num_vars} variables on a target of dimension {mu.target.ambient_dim}"
-        )
-    if not f.is_boolean:
-        from .errors import NonBooleanInput
-
-        raise NonBooleanInput("weighted evaluation needs every coefficient equal to 0")
+    _require_boolean(f, mu.target)
     if not f:
         return RayFunction(mu.source, None)
     return RayFunction(
@@ -145,24 +137,9 @@ def check_geometric(h: HomSpec) -> bool:
         vec = [h.images[i].values[idx] for i in range(m)]
         if not any(vec):
             continue
-        if not any(_positive_multiple(vec, gen) for gen in source_gens):
+        if not any(positive_multiple(vec, gen) for gen in source_gens):
             return False
     return True
-
-
-def _positive_multiple(vec, gen) -> bool:
-    t = None
-    for v, g in zip(vec, gen):
-        if g == 0:
-            if v != 0:
-                return False
-        else:
-            ratio = Fraction(v, g)
-            if t is None:
-                t = ratio
-            elif ratio != t:
-                return False
-    return t is not None and t > 0
 
 
 def realize_morphism(h: HomSpec) -> FanMorphism:
@@ -198,11 +175,6 @@ def realize_morphism(h: HomSpec) -> FanMorphism:
     return mu
 
 
-def morphism_from_json(obj: dict, X: WeightedFan, Y: WeightedFan) -> FanMorphism:
-    T = IntMatrix.from_json({"data": obj["matrix"]})
-    return FanMorphism(X, Y, T)
-
-
 def extract_ray_map(mu: FanMorphism) -> dict[str, Optional[str]]:
     """For each source ray, the label of the target ray its image lies on
     (None when it collapses to the origin)."""
@@ -213,7 +185,7 @@ def extract_ray_map(mu: FanMorphism) -> dict[str, Optional[str]]:
             out[ray.label()] = None
             continue
         for tray in mu.target.rays:
-            if _positive_multiple(list(img), tray.direction):
+            if positive_multiple(img, tray.direction):
                 out[ray.label()] = tray.label()
                 break
     return out

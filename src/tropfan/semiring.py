@@ -16,6 +16,7 @@ carrier elements must be nonzero.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Union
@@ -71,7 +72,20 @@ def as_trop(v) -> TropValue:
     if isinstance(v, float):
         # 0.1 would silently become 3602879701896397/36028797018963968
         raise TypeError("floats are not exact; pass Fraction, int, or a rational string")
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not a number")
     return Fraction(v)
+
+
+def as_int(v) -> int:
+    """Coerce outside input to an integer: an int or a decimal-integer
+    string.  Floats (NaN and infinities included) and booleans raise
+    TypeError and other strings ValueError, rather than being truncated."""
+    if isinstance(v, str):
+        return int(v)
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not an integer")
+    return operator.index(v)
 
 
 def trop_add(a: TropValue, b: TropValue) -> TropValue:

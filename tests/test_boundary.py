@@ -1,0 +1,221 @@
+"""Strict integer input at the outside boundary: every loader accepts ints
+and decimal-integer strings, and rejects floats, booleans, NaN and the
+infinities with a structured error instead of truncating them."""
+
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from tropfan import (
+    BadParameters,
+    IntMatrix,
+    LaurentPoly,
+    ParseError,
+    Ray,
+    RayFunction,
+    WeightedFan,
+    image_membership,
+    parse_poly_text,
+    poly_from_json,
+    primitive,
+    standard_model,
+)
+from tropfan.cli import run
+from tropfan.semiring import as_int, as_trop
+
+ROOT = Path(__file__).resolve().parent.parent
+FIX = ROOT / "fixtures"
+INF = float("inf")
+
+
+def invoke(capsys, *argv):
+    code = run([str(a) for a in argv])
+    return code, capsys.readouterr().out
+
+
+def error_of(capsys, *argv):
+    code, out = invoke(capsys, *argv)
+    assert code == 1
+    return json.loads(out)["error"]
+
+
+class TestAsInt:
+    @pytest.mark.parametrize("v, want", [(3, 3), (-12, -12), ("7", 7), ("-40", -40), (10**30, 10**30)])
+    def test_accepts_ints_and_integer_strings(self, v, want):
+        assert as_int(v) == want
+
+    @pytest.mark.parametrize("v", [1.9, 2.0, math.nan, INF, -INF, True, False, None, [1], Fraction(1)])
+    def test_type_errors(self, v):
+        with pytest.raises(TypeError):
+            as_int(v)
+
+    @pytest.mark.parametrize("v", ["1.9", "abc", "", "inf", "NaN", "1/2"])
+    def test_value_errors(self, v):
+        with pytest.raises(ValueError):
+            as_int(v)
+
+    def test_as_trop_rejects_booleans(self):
+        with pytest.raises(TypeError):
+            as_trop(True)
+
+
+def _fan(**ray):
+    entry = {"direction": [1, 0], "weight": 1}
+    entry.update(ray)
+    return {"ambient_dim": 2, "rays": [entry, {"direction": [-1, 0], "weight": 1}]}
+
+
+BAD_FANS = {
+    "ambient_dim float": dict(_fan(), ambient_dim=2.7),
+    "direction float": _fan(direction=[1.5, 0]),
+    "weight float": _fan(weight=1.9),
+    "weight bool": _fan(weight=True),
+    "weight Infinity": _fan(weight=INF),
+    "direction Infinity": _fan(direction=[INF, 0]),
+}
+
+
+class TestFanJson:
+    @pytest.mark.parametrize("name", sorted(BAD_FANS))
+    def test_library_rejects(self, name):
+        with pytest.raises(ParseError):
+            WeightedFan.from_json(BAD_FANS[name])
+
+    @pytest.mark.parametrize("name", sorted(BAD_FANS))
+    def test_cli_rejects(self, capsys, tmp_path, name):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(BAD_FANS[name]))  # writes Infinity/NaN tokens
+        assert error_of(capsys, "fan", "check", path) == "parse_error"
+
+    def test_integer_strings_still_accepted(self):
+        X = WeightedFan.from_json(
+            {"ambient_dim": "2", "rays": [{"direction": ["2", "0"], "weight": "1"},
+                                          {"direction": [-1, 0], "weight": 2}]}
+        )
+        assert X == WeightedFan.build(2, [((1, 0), 2), ((-1, 0), 2)])
+
+
+class TestMatrixJson:
+    @pytest.mark.parametrize("field", [{"rows": INF}, {"rows": "a"}, {"rows": True}, {"cols": 2.0}])
+    def test_bad_shape_fields(self, capsys, tmp_path, field):
+        obj = dict({"data": [[-1, 1]]}, **field)
+        with pytest.raises(ParseError):
+            IntMatrix.from_json(obj)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        assert error_of(capsys, "snf", path) == "parse_error"
+        assert error_of(capsys, "fan", "reconstruct", path) == "parse_error"
+
+    def test_integer_strings_still_accepted(self):
+        m = IntMatrix.from_json({"rows": "1", "cols": 2, "data": [["-3", 4]]})
+        assert m == IntMatrix.from_rows([[-3, 4]])
+
+
+class TestPolyJson:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"vars": 1, "terms": [{"coeff": 0.1, "exp": [1]}]},
+            {"vars": 1, "terms": [{"coeff": True, "exp": [1]}]},
+            {"vars": 1, "terms": [{"coeff": "1/0", "exp": [1]}]},
+            {"vars": 1, "terms": [{"coeff": 0, "exp": [1.9]}]},
+            {"vars": 1, "terms": [{"coeff": 0, "exp": [INF]}]},
+            {"vars": 1.5, "terms": [{"coeff": 0, "exp": [1]}]},
+        ],
+    )
+    def test_rejects(self, obj):
+        with pytest.raises(ParseError):
+            poly_from_json(obj)
+
+    def test_integer_strings_still_accepted(self):
+        P = poly_from_json({"vars": "1", "terms": [{"coeff": "1/2", "exp": ["2"]}, {"coeff": 3, "exp": [0]}]})
+        assert P == LaurentPoly.make(1, [((2,), Fraction(1, 2)), ((0,), 3)])
+
+
+class TestPolyText:
+    @pytest.mark.parametrize("text", ["x^", "y^ ", "x*y^", "1/0 + x"])
+    def test_rejects(self, text):
+        with pytest.raises(ParseError):
+            parse_poly_text(text)
+
+    def test_negative_variable_count(self, capsys):
+        with pytest.raises(BadParameters):
+            parse_poly_text("x", -3)
+        assert error_of(capsys, "poly", "eval", "x", "--point", "1", "--vars", "-3") == "bad_parameters"
+
+    def test_dangling_caret_through_cli(self, capsys):
+        assert error_of(capsys, "poly", "eval", "x^", "--point", "1") == "parse_error"
+
+
+class TestRayValues:
+    L23 = standard_model(2, 3)
+
+    def test_library_rejects_float_value(self):
+        with pytest.raises(ParseError):
+            RayFunction.from_json(self.L23, {"values": [1.9, 0, 0]})
+        with pytest.raises(ParseError):
+            RayFunction.from_json(self.L23, {"values": ["1", True, 0]})
+
+    def test_integer_strings_still_accepted(self):
+        G = RayFunction.from_json(self.L23, {"values": ["1", "0", 0]})
+        assert G == RayFunction(self.L23, (1, 0, 0))
+
+    def test_homspec_float_image(self, capsys, tmp_path):
+        hs = tmp_path / "hs.json"
+        hs.write_text(json.dumps({"source": str(FIX / "Y.json"), "target": str(FIX / "L23.json"),
+                                  "images": [[-4, 3, 1], [-3, 1.9, 2]]}))
+        assert error_of(capsys, "morphism", "realize", hs) == "parse_error"
+
+    def test_homspec_images_not_a_list(self, capsys, tmp_path):
+        hs = tmp_path / "hs.json"
+        hs.write_text(json.dumps({"source": str(FIX / "Y.json"), "target": str(FIX / "L23.json"),
+                                  "images": 5}))
+        assert error_of(capsys, "morphism", "realize", hs) == "parse_error"
+
+
+class TestMemberBound:
+    def test_negative_bound_flag(self, capsys):
+        assert error_of(capsys, "member", FIX / "Y.json", "--values", "1,0,-1", "--bound", "-1") == "bad_parameters"
+
+    def test_negative_bound_library(self):
+        X = standard_model(2, 3)
+        with pytest.raises(BadParameters):
+            image_membership(X, RayFunction(X, (1, 0, 0)), bound=-1)
+
+    @pytest.mark.parametrize("env, code", [("abc", "parse_error"), ("1.5", "parse_error"), ("-1", "bad_parameters")])
+    def test_bad_environment_bound(self, capsys, monkeypatch, env, code):
+        monkeypatch.setenv("TROPFAN_MEMBER_BOUND", env)
+        assert error_of(capsys, "member", FIX / "Y.json", "--values", "1,0,-1") == code
+
+
+class TestUnreadableFiles:
+    def test_undecodable_bytes(self, capsys, tmp_path):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert error_of(capsys, "fan", "check", path) == "parse_error"
+
+    def test_nul_in_path(self, capsys):
+        assert error_of(capsys, "fan", "check", "fan\x00.json") == "parse_error"
+
+
+class TestLibraryConstructors:
+    def test_float_exponent(self):
+        with pytest.raises(TypeError):
+            LaurentPoly.make(1, [((1.5,), 0)])
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(2, (1.0, 0))
+
+    def test_float_direction_and_weight(self):
+        with pytest.raises(TypeError):
+            primitive((1.5, 0))
+        with pytest.raises(TypeError):
+            Ray((1.0, 0), 1)
+        with pytest.raises(TypeError):
+            WeightedFan.build(1, [((1,), 1.5), ((-1,), 1)])
+
+    def test_boolean_weight(self):
+        with pytest.raises(BadParameters):
+            Ray((1, 0), True)
