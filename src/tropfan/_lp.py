@@ -1,13 +1,22 @@
-"""Exact rational linear feasibility and elimination over Fraction.
+"""Exact rational linear feasibility, projection and integer search.
 
 A constraint on k variables is a triple ``(coeffs, rhs, strict)`` read as
 ``coeffs . x < rhs`` when ``strict`` else ``coeffs . x <= rhs``.
 
-Low-dimensional systems (the common case: ambient dimension of a fan or a
-polynomial's variable count) are decided by Fourier-Motzkin elimination,
-which also yields exact per-variable bounds for witness extraction and
-integer enumeration.  Systems in more variables fall back to an exact
-two-phase simplex maximizing a slack margin.
+:func:`find_point` decides a system in any number of variables with one
+exact LP.  The margin LP ``max mu  s.t.  a_i . x + s_i mu <= b_i,  mu <= 1``
+(``s_i`` = 1 on strict rows, 0 on the others) has a point with ``mu > 0``
+iff the system has a solution.  It is solved as its Farkas dual
+
+    min  sum b_i y_i + y_0   s.t.   sum y_i a_i = 0,   sum s_i y_i + y_0 = 1,   y >= 0
+
+by Bland's rule on an integer-preserving (Bareiss) tableau of nvars + 1
+rows.  ``y_0 = 1`` is always dual feasible, so the dual ends optimal, or
+unbounded when the non-strict rows alone are infeasible.  At the optimum
+the simplex multipliers are a primal optimum ``(x, mu)``.
+
+:func:`integer_point_search` enumerates integer points between the exact
+per-variable bounds of a Fourier-Motzkin projection chain.
 """
 
 from __future__ import annotations
@@ -18,7 +27,88 @@ from typing import Optional, Sequence
 
 Constraint = tuple[tuple, Fraction, bool]
 
+# The benchmark labels find_point calls in at most this many variables as
+# low dimensional; nothing in the program branches on it any more.
 FM_MAX_VARS = 4
+
+
+def _integral(c, r) -> tuple[list[int], int]:
+    """The row (c, r) times the least positive integer making it integral."""
+    if type(r) in (int, Fraction) and all(type(x) is int for x in c):
+        d = r.denominator
+        return ([x * d for x in c] if d != 1 else list(c)), r.numerator
+    c = [Fraction(x) for x in c]
+    r = Fraction(r)
+    d = math.lcm(r.denominator, *(x.denominator for x in c))
+    return [x.numerator * (d // x.denominator) for x in c], r.numerator * (d // r.denominator)
+
+
+def find_point(cons: Sequence[Constraint], nvars: int) -> Optional[tuple]:
+    """A rational point satisfying every constraint, or None."""
+    m, n = len(cons), nvars
+    A, b, s = [], [], []
+    for coeffs, rhs, strict in cons:
+        a, rhs = _integral(coeffs, rhs)
+        A.append(a)
+        b.append(rhs)
+        s.append(1 if strict else 0)
+    # Columns: y_1..y_m, y_0, one artificial per row of sum y_i a_i = 0, rhs.
+    # T holds D times the true tableau, D the |determinant| of the basis;
+    # its last row holds the reduced costs and minus the dual value.
+    T = [[a[j] for a in A] + [0] + [int(k == j) for k in range(n)] + [0] for j in range(n)]
+    T.append(s + [1] + [0] * n + [1])
+    T.append([bi - si for bi, si in zip(b, s)] + [0] * (n + 1) + [-1])
+    basis = [m + 1 + j for j in range(n)] + [m]
+    D = 1
+
+    def pivot(r: int, c: int):
+        nonlocal D
+        p, pr = T[r][c], T[r]
+        for i, row in enumerate(T):
+            if i != r:
+                f = row[c]
+                T[i] = [(p * x - f * y) // D for x, y in zip(row, pr)]
+        if p < 0:
+            T[:] = [[-x for x in row] for row in T]
+        D = abs(p)
+        basis[r] = c
+
+    # Pivot each artificial out of the basis.  Its row's rhs is 0, so the
+    # basis stays feasible whatever the pivot's sign.  A row left with no y
+    # entry is redundant and keeps its artificial basic at 0.
+    for j in range(n):
+        c = next((k for k in range(m) if T[j][k]), None)
+        if c is not None:
+            pivot(j, c)
+    while True:
+        obj = T[-1]
+        if obj[-1] >= 0:
+            return None  # the dual value bounds mu from above and is <= 0
+        # Bland's rule: the first column that lowers the dual value enters ...
+        c = next((k for k in range(m + 1) if obj[k] < 0), None)
+        if c is None:
+            break
+        # ... and the ratio test breaks ties by the smallest basic column.
+        r = None
+        for i in range(n + 1):
+            a = T[i][c]
+            if a > 0:
+                if r is None:
+                    r = i
+                    continue
+                key = T[i][-1] * T[r][c] - T[r][-1] * a
+                if key < 0 or (key == 0 and basis[i] < basis[r]):
+                    r = i
+        if r is None:
+            return None  # an unbounded dual: the non-strict rows alone are infeasible
+        pivot(r, c)
+    # The multiplier x_j of row j is minus the reduced cost of its artificial.
+    return tuple(Fraction(-x, D) for x in obj[m + 1 : m + 1 + n])
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin projection, for the exact bounds of the integer search.
+# ---------------------------------------------------------------------------
 
 
 def _normalize(con: Constraint) -> Constraint:
@@ -116,43 +206,6 @@ def _interval(cons: Sequence[Constraint], prefix: Sequence[Fraction], k: int):
     return (lo, lo_s, hi, hi_s)
 
 
-def _pick(lo, lo_s, hi, hi_s) -> Optional[Fraction]:
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi - 1
-    if hi is None:
-        return lo + 1
-    if lo > hi:
-        return None
-    if lo == hi:
-        return None if (lo_s or hi_s) else lo
-    return (lo + hi) / 2
-
-
-def _fm_point(cons: Sequence[Constraint], nvars: int) -> Optional[tuple]:
-    systems = _build_chain(cons, nvars)
-    if systems is None:
-        return None
-    point: list[Fraction] = []
-    for k in range(1, nvars + 1):
-        iv = _interval(systems[k], point, k)
-        if iv is None:
-            return None
-        v = _pick(*iv)
-        if v is None:
-            return None
-        point.append(v)
-    return tuple(point)
-
-
-def find_point(cons: Sequence[Constraint], nvars: int) -> Optional[tuple]:
-    """A rational point satisfying every constraint, or None."""
-    if nvars <= FM_MAX_VARS:
-        return _fm_point(cons, nvars)
-    return _margin_point(cons, nvars)
-
-
 def integer_point_search(cons: Sequence[Constraint], nvars: int, bound: int):
     """Search for an integer solution with every |x_i| <= bound.
 
@@ -207,133 +260,6 @@ def integer_point_search(cons: Sequence[Constraint], nvars: int, bound: int):
         return None
 
     return dfs(1, []), truncated
-
-
-# ---------------------------------------------------------------------------
-# Exact two-phase simplex (Bland's rule) used as the feasibility fallback
-# when the variable count makes Fourier-Motzkin blow up.
-# ---------------------------------------------------------------------------
-
-
-def _simplex_max(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
-    """max c.w  s.t.  A w <= b, w >= 0, exact arithmetic.
-
-    Returns (status, w, value) with status in {"optimal", "unbounded",
-    "infeasible"}.
-    """
-    m, n = len(A), len(c)
-    # columns: n structural + m slacks + artificials (appended as needed)
-    rows = []
-    basis = []
-    art_cols = []
-    ncols = n + m
-    for i in range(m):
-        row = [Fraction(x) for x in A[i]] + [Fraction(0)] * m + [Fraction(b[i])]
-        row[n + i] = Fraction(1)
-        if row[-1] < 0:
-            row = [-x for x in row]
-        rows.append(row)
-    for i in range(m):
-        if rows[i][n + i] == 1:
-            basis.append(n + i)
-        else:  # slack became -1 after negation: add an artificial
-            for r in rows:
-                r.insert(-1, Fraction(0))
-            rows[i][-2] = Fraction(1)
-            basis.append(ncols)
-            art_cols.append(ncols)
-            ncols += 1
-
-    def pivot(r, col):
-        piv = rows[r][col]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        basis[r] = col
-
-    def optimize(obj):
-        # obj: cost vector over all columns (maximization); rhs entry ignored
-        while True:
-            # reduced costs: obj_j - sum over basic rows
-            z = [Fraction(0)] * (ncols + 1)
-            for i, bi in enumerate(basis):
-                cb = obj[bi]
-                if cb != 0:
-                    z = [zi + cb * xi for zi, xi in zip(z, rows[i])]
-            entering = None
-            for j in range(ncols):
-                if j not in basis and obj[j] - z[j] > 0:
-                    entering = j  # Bland: smallest index
-                    break
-            if entering is None:
-                return "optimal", z[-1]
-            leaving = None
-            best = None
-            for i in range(m):
-                a = rows[i][entering]
-                if a > 0:
-                    ratio = rows[i][-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                        best, leaving = ratio, i
-            if leaving is None:
-                return "unbounded", None
-            pivot(leaving, entering)
-
-    if art_cols:
-        phase1 = [Fraction(0)] * (ncols + 1)
-        for j in art_cols:
-            phase1[j] = Fraction(-1)
-        status, val = optimize(phase1)
-        if val != 0:
-            return "infeasible", None, None
-        # drive leftover artificials out of the basis
-        for i in range(m):
-            if basis[i] in art_cols:
-                for j in range(ncols):
-                    if j not in art_cols and rows[i][j] != 0:
-                        pivot(i, j)
-                        break
-        art = set(art_cols)
-    else:
-        art = set()
-
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(n):
-        obj[j] = Fraction(c[j])
-    for j in art:
-        obj[j] = Fraction(-10 ** 12)  # keep artificials out
-    status, val = optimize(obj)
-    if status != "optimal":
-        return status, None, None
-    w = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            w[bi] = rows[i][-1]
-    return "optimal", w, val
-
-
-def _margin_point(cons: Sequence[Constraint], nvars: int) -> Optional[tuple]:
-    """Strict-system feasibility by maximizing a margin eps in [0, 1].
-
-    Free variables are split x = u - v with u, v >= 0; strict constraints
-    get +eps on the left.  The system admits a point satisfying every
-    (strict) constraint iff the optimum margin is positive.
-    """
-    A = []
-    b = []
-    for c, r, s in cons:
-        c = [Fraction(x) for x in c]
-        A.append(c + [-x for x in c] + [Fraction(1 if s else 0)])
-        b.append(Fraction(r))
-    A.append([Fraction(0)] * (2 * nvars) + [Fraction(1)])
-    b.append(Fraction(1))
-    obj = [Fraction(0)] * (2 * nvars) + [Fraction(1)]
-    status, w, val = _simplex_max(A, b, obj)
-    if status != "optimal" or val <= 0:
-        return None
-    return tuple(w[i] - w[nvars + i] for i in range(nvars))
 
 
 # ---------------------------------------------------------------------------

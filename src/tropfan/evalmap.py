@@ -11,6 +11,7 @@ fan's generator matrix, from which the fan itself is recoverable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -45,7 +46,9 @@ class RayFunction:
                 raise DimensionMismatch(
                     f"{len(self.values)} values for {len(self.fan.rays)} rays"
                 )
-            object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+            if any(isinstance(v, bool) for v in self.values):
+                raise TypeError("ray values are integers, not booleans")
+            object.__setattr__(self, "values", tuple(map(operator.index, self.values)))
 
     @property
     def is_bottom(self) -> bool:

@@ -222,10 +222,8 @@ class CanonicalFn:
 def _beats_all(term: Term, rivals: Iterable[Term], num_vars: int) -> Optional[tuple]:
     """A point where ``term`` strictly exceeds every rival term, or None."""
     u, a = term
-    cons = []
-    for v, b in rivals:
-        # a + u.p > b + v.p  <=>  (v - u).p < a - b
-        cons.append((tuple(x - y for x, y in zip(v, u)), Fraction(a) - Fraction(b), True))
+    # a + u.p > b + v.p  <=>  (v - u).p < a - b
+    cons = [(tuple(map(operator.sub, v, u)), a - b, True) for v, b in rivals]
     return _lp.find_point(cons, num_vars)
 
 

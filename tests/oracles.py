@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from tropfan import IntMatrix, LaurentPoly, WeightedFan
+from tropfan import IntMatrix, LaurentPoly, WeightedFan, _lp
 
 
 # ----------------------------------------------------------- exact det
@@ -272,3 +272,36 @@ def rand_morphism(rng: random.Random, max_dim=3):
             return FanMorphism(X, Y, T)
         except Exception:
             continue
+
+
+# ---------------------------------------------- Fourier-Motzkin point
+
+
+def _fm_pick(lo, lo_s, hi, hi_s):
+    if lo is None and hi is None:
+        return Fraction(0)
+    if lo is None:
+        return hi - 1
+    if hi is None:
+        return lo + 1
+    if lo > hi:
+        return None
+    if lo == hi:
+        return None if (lo_s or hi_s) else lo
+    return (lo + hi) / 2
+
+
+def fm_point(cons, nvars):
+    """A point of a strict/non-strict system by Fourier-Motzkin
+    elimination and back-substitution, or None when there is none."""
+    systems = _lp._build_chain(cons, nvars)
+    if systems is None:
+        return None
+    point = []
+    for k in range(1, nvars + 1):
+        iv = _lp._interval(systems[k], point, k)
+        v = None if iv is None else _fm_pick(*iv)
+        if v is None:
+            return None
+        point.append(v)
+    return tuple(point)

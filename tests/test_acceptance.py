@@ -1,4 +1,4 @@
-"""The thirteen stand-alone acceptance checks, one test each, every one
+"""The fourteen stand-alone acceptance checks, one test each, every one
 printing a single ``ACCEPTANCE n: PASS (t s)`` line (run with ``-s`` to
 see them).  Budgets are wall-clock upper bounds on this suite's scale.
 """
@@ -303,3 +303,21 @@ def test_criterion_13_image_membership():
         # the lattice obstruction on Y: (1, 0, -1) in sorted-ray order is
         # degree 0 but needs the fractional exponent (-2/5, 1/5)
         assert image_membership(Y_FAN, RayFunction(Y_FAN, (1, 0, -1))) is None
+
+
+def test_criterion_14_canonicalization_of_many_vertices():
+    # 32 distinct exponents in [-2, 2]^4 on the strictly concave lift
+    # -|u|^2 + c.u + c0: every term is a vertex of the lifted point set,
+    # so all 32 survive, and each term's LP has 31 rows in 4 variables.
+    # Fourier-Motzkin elimination took over 20 s on this instance.
+    with _Timer(14, budget=5.0):
+        rng = random.Random(1017)
+        c = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]
+        c0 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        exps = set()
+        while len(exps) < 32:
+            exps.add(tuple(rng.randint(-2, 2) for _ in range(4)))
+        P = LaurentPoly.make(
+            4, [(u, -sum(x * x for x in u) + sum(a * x for a, x in zip(c, u)) + c0) for u in exps]
+        )
+        assert len(canonicalize(P).terms) == 32

@@ -163,6 +163,14 @@ class TestRayValues:
         G = RayFunction.from_json(self.L23, {"values": ["1", "0", 0]})
         assert G == RayFunction(self.L23, (1, 0, 0))
 
+    @pytest.mark.parametrize("values", [(1.9, 0, 0), (1, 0.0, 0), (True, 0, 0), (0, 0, False)])
+    def test_constructor_rejects_floats_and_booleans(self, values):
+        with pytest.raises(TypeError):
+            RayFunction(self.L23, values)
+
+    def test_constructor_accepts_ints(self):
+        assert RayFunction(self.L23, (1, -2, 10**30)).values == (1, -2, 10**30)
+
     def test_homspec_float_image(self, capsys, tmp_path):
         hs = tmp_path / "hs.json"
         hs.write_text(json.dumps({"source": str(FIX / "Y.json"), "target": str(FIX / "L23.json"),

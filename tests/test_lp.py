@@ -1,0 +1,129 @@
+"""Differential tests of the exact LP behind ``find_point``: the same
+feasibility as Fourier-Motzkin elimination (``oracles.fm_point``) on random
+strict and non-strict systems, and every returned point checked against
+every constraint in exact arithmetic."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import fm_point
+from tropfan._lp import find_point
+
+
+def satisfies(cons, x):
+    for c, r, strict in cons:
+        v = sum(Fraction(a) * b for a, b in zip(c, x))
+        if not (v < r if strict else v <= r):
+            return False
+    return True
+
+
+def check(cons, nvars):
+    """find_point agrees with the oracle; a point it returns is verified."""
+    got = find_point(cons, nvars)
+    assert (got is None) == (fm_point(cons, nvars) is None), (cons, nvars, got)
+    if got is not None:
+        assert len(got) == nvars and all(isinstance(x, Fraction) for x in got)
+        assert satisfies(cons, got), (cons, nvars, got)
+    return got
+
+
+def rand_system(rng: random.Random, nvars: int):
+    """Mixed strict and non-strict rows with int and Fraction entries, some
+    repeated as parallel or opposite copies with a nearby rhs."""
+    cons = []
+    for _ in range(rng.randint(0, 7 if nvars < 4 else 5)):
+        c = tuple(
+            rng.randint(-3, 3) if rng.random() < 0.7 else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in range(nvars)
+        )
+        r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        cons.append((c, r, rng.random() < 0.6))
+        if rng.random() < 0.25:
+            k = rng.choice([1, 2, -1, -3])
+            cons.append((tuple(k * x for x in c), k * r + rng.randint(-1, 1), rng.random() < 0.5))
+    rng.shuffle(cons)
+    return cons
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    row = st.tuples(st.tuples(*[entry] * n), st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                    st.booleans())
+    cons = draw(st.lists(row, max_size=6 if n < 4 else 4))
+    copies = draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from([1, 2, -1, -2]),
+                                     st.integers(-1, 1), st.booleans()), max_size=2))
+    for i, k, dr, strict in copies:
+        if cons:
+            c, r, _ = cons[i % len(cons)]
+            cons.append((tuple(k * x for x in c), k * r + dr, strict))
+    return cons, n
+
+
+@given(systems())
+def test_matches_oracle(system):
+    check(*system)
+
+
+def test_fixed_seed_sweep():
+    rng = random.Random(4040)
+    found = 0
+    for _ in range(1500):
+        n = rng.randint(0, 5)
+        found += check(rand_system(rng, n), n) is not None
+    assert 300 < found < 1200  # both answers are well represented
+
+
+class TestEdgeCases:
+    def test_no_variables(self):
+        assert find_point([], 0) == ()
+        assert find_point([((), 1, True), ((), 0, False)], 0) == ()
+        assert find_point([((), Fraction(-1, 2), False)], 0) is None
+
+    def test_empty_system(self):
+        x = find_point([], 3)
+        assert len(x) == 3
+
+    def test_constant_contradiction(self):
+        assert check([((0, 0), 0, True)], 2) is None
+        assert check([((0, 0), 0, True), ((1, 0), 5, False)], 2) is None
+        assert check([((0, 0), 0, False)], 2) is not None
+
+    def test_no_strict_rows(self):
+        assert check([((1,), 0, False), ((-1,), 0, False)], 1) == (0,)
+        assert check([((1, 1), -1, False), ((-1, 0), 0, False), ((0, -1), 0, False)], 2) is None
+        assert check([((1, 2), 3, False), ((-2, -4), -6, False)], 2) is not None
+
+    def test_strict_rows_with_no_interior(self):
+        assert check([((1,), 0, True), ((-1,), 0, True)], 1) is None
+        assert check([((1,), 0, False), ((-1,), 0, True)], 1) is None
+        assert check([((1, 0), 0, False), ((-1, 0), 0, False), ((0, 1), 0, True)], 2) is not None
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_rows_spanning_fewer_dimensions(self, n):
+        e1 = (1,) + (0,) * (n - 1)
+        e12 = (1, 1) + (0,) * (n - 2)
+        cons = [(e1, 1, True), (tuple(-x for x in e1), 0, True), (e12, 2, True),
+                (tuple(3 * x for x in e12), 6, True)]
+        x = check(cons, n)
+        assert 0 < x[0] < 1
+        assert check(cons + [(tuple(-x for x in e12), -2, False)], n) is None
+
+    def test_unbounded_regions(self):
+        assert check([((1, 1), 0, True)], 2) is not None
+        assert check([((-1, 0, 0), -5, True), ((0, -1, 0), -7, True)], 3) is not None
+        x = check([((1, -1), Fraction(-1, 3), True), ((-1, 1), 1, True)], 2)
+        assert Fraction(1, 3) < x[1] - x[0] < 1
+
+    def test_thin_slab_far_from_the_origin(self):
+        cons = [((1, 0, 0, 0, 0), Fraction(1000001, 1000), True),
+                ((-1, 0, 0, 0, 0), -1000, True),
+                ((1, 1, 1, 1, 1), -10**6, False)]
+        x = check(cons, 5)
+        assert 1000 < x[0] < Fraction(1000001, 1000)
