@@ -15,13 +15,21 @@ rows.  ``y_0 = 1`` is always dual feasible, so the dual ends optimal, or
 unbounded when the non-strict rows alone are infeasible.  At the optimum
 the simplex multipliers are a primal optimum ``(x, mu)``.
 
-:func:`integer_point_search` enumerates integer points between the exact
-per-variable bounds of a Fourier-Motzkin projection chain.
+:func:`integer_point_search` enumerates integer points depth first between
+the exact per-variable bounds of a Fourier-Motzkin projection chain, in
+Python ints only.  Each row is scaled to integers and divided by the gcd of
+its entries; of the rows with the same primitive direction and strictness
+only the tightest is kept.  Eliminating a variable adds ``|a_l| * upper +
+a_u * lower`` for each pair of a lower and an upper row, strict if either
+is, which keeps the rows integral without dividing (Schrijver, *Theory of
+Linear and Integer Programming*, 1986, section 12.2).  At a search node the
+bound a row puts on the next variable is a floor division of its residual.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -107,103 +115,75 @@ def find_point(cons: Sequence[Constraint], nvars: int) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin projection, for the exact bounds of the integer search.
+# Fraction-free Fourier-Motzkin projection and the integer search.
 # ---------------------------------------------------------------------------
 
 
-def _normalize(con: Constraint) -> Constraint:
-    """Scale so coefficients are coprime integers (rhs stays a Fraction)."""
-    c, r, s = con
-    c = tuple(Fraction(x) for x in c)
-    r = Fraction(r)
-    scale = math.lcm(*(x.denominator for x in c), r.denominator) if c else r.denominator
-    c = tuple(x * scale for x in c)
-    r = r * scale
-    g = math.gcd(*(abs(int(x)) for x in c)) if c else 0
-    if g > 1:
-        c = tuple(x / g for x in c)
-        r = r / g
-    return (tuple(int(x) for x in c), r, s)
-
-
-def _dedupe(cons: Sequence[Constraint]) -> Optional[list[Constraint]]:
-    """Drop duplicates/tautologies; return None on a constant contradiction."""
-    best: dict[tuple, Fraction] = {}
-    for con in cons:
-        c, r, s = _normalize(con)
-        if not any(c):
+def _primitive_rows(cons) -> Optional[list[tuple[tuple, int, bool]]]:
+    """The integer rows ``(c, r, strict)`` with each primitive direction and
+    strictness kept once, with its tightest bound, and divided by the gcd
+    of its entries; None on a constant contradiction.  A row ``c . x <= r``
+    with ``g = gcd(c)`` bounds the primitive direction ``c / g`` by ``r / g``."""
+    best: dict[tuple, tuple] = {}
+    for c, r, s in cons:
+        g = math.gcd(*c)
+        if g == 0:
             # constant constraint: 0 < r or 0 <= r
             if r < 0 or (s and r == 0):
                 return None
             continue
-        key = (c, s)
-        if key not in best or r < best[key]:
-            best[key] = r
-    return [(c, r, s) for (c, s), r in best.items()]
+        key = (tuple(x // g for x in c) if g > 1 else c, s)
+        old = best.get(key)
+        # r / g < r' / g' with g, g' > 0
+        if old is None or r * old[2] < old[1] * g:
+            best[key] = (c, r, g)
+    rows = []
+    for (_, s), (c, r, g) in best.items():
+        h = math.gcd(g, r)
+        rows.append((tuple(x // h for x in c), r // h, s) if h > 1 else (c, r, s))
+    return rows
 
 
-def _eliminate(cons: Sequence[Constraint], k: int) -> list[Constraint]:
-    """Project out variable k-1 from a system on k variables."""
-    lowers = []  # x >= rhs - coeffs.y   (strictness recorded)
-    uppers = []  # x <= rhs - coeffs.y
-    rest = []
+def _levels(cons, nvars: int):
+    """The Fourier-Motzkin chain for the search: ``levels[k]`` splits the
+    projection onto the first k variables by the sign of the coefficient
+    ``a`` of variable k-1 into ``(zeros, uppers, lowers)``: rows ``(c, r')``
+    and ``(c, r', |a|)`` where ``c . x <= r'`` has the same integer points as
+    the row (``r' = r - 1`` on a strict row).  None if the system is
+    rationally infeasible.
+    """
+    cur = []
     for c, r, s in cons:
-        a = c[k - 1]
-        head = c[: k - 1]
-        if a == 0:
-            rest.append((head, r, s))
-        else:
-            scaled = (tuple(Fraction(x, a) for x in head), Fraction(r, a), s)
-            (uppers if a > 0 else lowers).append(scaled)
-    for cl, rl, sl in lowers:
-        for cu, ru, su in uppers:
-            # rl - cl.y (<|<=) ru - cu.y
-            rest.append((tuple(u - l for u, l in zip(cu, cl)), ru - rl, sl or su))
-    return rest
-
-
-def _build_chain(cons: Sequence[Constraint], nvars: int) -> Optional[list[list[Constraint]]]:
-    """systems[k] = exact projection onto the first k variables, or None if infeasible."""
-    cur = _dedupe(cons)
+        c, r = _integral(c, r)
+        cur.append((tuple(c), r, s))
+    cur = _primitive_rows(cur)
     if cur is None:
         return None
-    systems: list = [None] * (nvars + 1)
-    systems[nvars] = cur
+    levels = [None] * (nvars + 1)
     for k in range(nvars, 0, -1):
-        cur = _dedupe(_eliminate(cur, k))
+        j = k - 1
+        zeros, uppers, lowers, nxt = [], [], [], []
+        for c, r, s in cur:
+            a = c[j]
+            if a == 0:
+                zeros.append((c, r - s))
+                nxt.append((c[:j], r, s))
+            else:
+                (uppers if a > 0 else lowers).append((c, r, s))
+        for cl, rl, sl in lowers:
+            al = -cl[j]
+            for cu, ru, su in uppers:
+                au = cu[j]
+                nxt.append((tuple([al * u + au * l for u, l in zip(cu[:j], cl)]), al * ru + au * rl, sl or su))
+        levels[k] = (
+            zeros,
+            [(c, r - s, c[j]) for c, r, s in uppers],
+            [(c, r - s, -c[j]) for c, r, s in lowers],
+        )
+        cur = _primitive_rows(nxt)
         if cur is None:
             return None
-        systems[k - 1] = cur
-    return systems
-
-
-def _interval(cons: Sequence[Constraint], prefix: Sequence[Fraction], k: int):
-    """Bounds for variable k-1 given values for variables 0..k-2.
-
-    Returns (lo, lo_strict, hi, hi_strict) with None for an absent bound,
-    or None if a constraint not involving variable k-1 is violated.
-    """
-    lo = hi = None
-    lo_s = hi_s = False
-    for c, r, s in cons:
-        a = c[k - 1]
-        rest = r - sum(ci * pi for ci, pi in zip(c[: k - 1], prefix))
-        if a == 0:
-            if rest < 0 or (s and rest == 0):
-                return None
-        elif a > 0:
-            bound = Fraction(rest, a)
-            if hi is None or bound < hi:
-                hi, hi_s = bound, s
-            elif bound == hi:
-                hi_s = hi_s or s
-        else:
-            bound = Fraction(rest, a)
-            if lo is None or bound > lo:
-                lo, lo_s = bound, s
-            elif bound == lo:
-                lo_s = lo_s or s
-    return (lo, lo_s, hi, hi_s)
+    return levels
 
 
 def integer_point_search(cons: Sequence[Constraint], nvars: int, bound: int):
@@ -214,44 +194,39 @@ def integer_point_search(cons: Sequence[Constraint], nvars: int, bound: int):
     bound, so a miss does not certify integer-infeasibility; a miss with
     ``truncated`` False (including rational infeasibility) does.
     """
-    systems = _build_chain(cons, nvars)
-    if systems is None:
+    levels = _levels(cons, nvars)
+    if levels is None:
         return None, False
     truncated = False
-
-    def int_range(iv):
-        nonlocal truncated
-        lo, lo_s, hi, hi_s = iv
-        if lo is None:
-            lo_i = -bound
-            truncated = True
-        else:
-            lo_i = math.ceil(lo)
-            if lo_s and lo_i == lo:
-                lo_i += 1
-            if lo_i < -bound:
-                lo_i = -bound
-                truncated = True
-        if hi is None:
-            hi_i = bound
-            truncated = True
-        else:
-            hi_i = math.floor(hi)
-            if hi_s and hi_i == hi:
-                hi_i -= 1
-            if hi_i > bound:
-                hi_i = bound
-                truncated = True
-        return lo_i, hi_i
+    mul = operator.mul
 
     def dfs(k: int, prefix: list[int]):
+        nonlocal truncated
         if k > nvars:
             return tuple(prefix)
-        iv = _interval(systems[k], prefix, k)
-        if iv is None:
-            return None
-        lo_i, hi_i = int_range(iv)
-        for z in range(lo_i, hi_i + 1):
+        zeros, uppers, lowers = levels[k]
+        # c . prefix + a z <= r gives z <= (r - c . prefix) // a on an upper
+        # row, and c . prefix - a z <= r gives z >= -((r - c . prefix) // a)
+        # on a lower row.
+        for c, r in zeros:
+            if sum(map(mul, c, prefix)) > r:
+                return None
+        hi = lo = None
+        for c, r, a in uppers:
+            z = (r - sum(map(mul, c, prefix))) // a
+            if hi is None or z < hi:
+                hi = z
+        for c, r, a in lowers:
+            z = -((r - sum(map(mul, c, prefix))) // a)
+            if lo is None or z > lo:
+                lo = z
+        if lo is None or lo < -bound:
+            lo = -bound
+            truncated = True
+        if hi is None or hi > bound:
+            hi = bound
+            truncated = True
+        for z in range(lo, hi + 1):
             prefix.append(z)
             found = dfs(k + 1, prefix)
             prefix.pop()

@@ -210,15 +210,11 @@ def image_membership(
         return LaurentPoly.zero(X.ambient_dim)
     n = X.ambient_dim
     gens = [ray.generator for ray in X.rays]
+    rows = [(gen, value, False) for gen, value in zip(gens, G.values)]
     exponents = []
     unknown = False
-    for a in range(len(X.rays)):
-        cons = []
-        for b, gen in enumerate(gens):
-            cons.append((tuple(Fraction(x) for x in gen), Fraction(G.values[b]), False))
-        cons.append(
-            (tuple(Fraction(-x) for x in gens[a]), Fraction(-G.values[a]), False)
-        )
+    for gen, value in zip(gens, G.values):
+        cons = rows + [(tuple(-x for x in gen), -value, False)]
         z, truncated = _lp.integer_point_search(cons, n, bound)
         if z is None:
             if truncated:

@@ -318,6 +318,11 @@ def germ_safe_radius(P: LaurentPoly, p: Sequence) -> Fraction:
 # Text and JSON formats.
 # ---------------------------------------------------------------------------
 
+# The most variables polynomial text may name or ask for: every term holds
+# an exponent tuple this long, so a larger count would cost memory in
+# proportion to a number read from the input.
+MAX_TEXT_VARS = 1024
+
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 _NAME_RE = re.compile(r"^([a-z]+?)(\d*)$")
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
@@ -331,6 +336,8 @@ def _var_index(name: str) -> int:
             idx = as_int(digits)
             if idx < 1:
                 raise ParseError(f"variable indices start at 1, got {name!r}")
+            if idx > MAX_TEXT_VARS:
+                raise ParseError(f"variable index {idx} above the limit {MAX_TEXT_VARS}")
             return idx
         if not digits and base in _ALIASES:
             return _ALIASES[base]
@@ -348,6 +355,8 @@ def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
     polynomial.  An omitted coefficient means the tropical one (0)."""
     if num_vars is not None and num_vars < 0:
         raise BadParameters(f"negative variable count {num_vars}")
+    if num_vars is not None and num_vars > MAX_TEXT_VARS:
+        raise BadParameters(f"variable count {num_vars} above the limit {MAX_TEXT_VARS}")
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial text")

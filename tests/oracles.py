@@ -1,7 +1,8 @@
 """Independent oracles and random-input generators shared by the test
 modules.  Everything here is deliberately written from first principles
-(Gaussian elimination over Fraction, determinantal divisors, Caratheodory
-hull membership) so that agreement with the library is meaningful.
+(Gaussian elimination and Fourier-Motzkin elimination over Fraction,
+determinantal divisors, Caratheodory hull membership) so that agreement
+with the library is meaningful.
 """
 
 import math
@@ -9,7 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from tropfan import IntMatrix, LaurentPoly, WeightedFan, _lp
+from tropfan import IntMatrix, LaurentPoly, WeightedFan
 
 
 # ----------------------------------------------------------- exact det
@@ -274,7 +275,153 @@ def rand_morphism(rng: random.Random, max_dim=3):
             continue
 
 
-# ---------------------------------------------- Fourier-Motzkin point
+# ------------------------------------------ Fourier-Motzkin over Fraction
+
+
+def _fm_normalize(con):
+    """Scale so coefficients are coprime integers (rhs stays a Fraction)."""
+    c, r, s = con
+    c = tuple(Fraction(x) for x in c)
+    r = Fraction(r)
+    scale = math.lcm(*(x.denominator for x in c), r.denominator) if c else r.denominator
+    c = tuple(x * scale for x in c)
+    r = r * scale
+    g = math.gcd(*(abs(int(x)) for x in c)) if c else 0
+    if g > 1:
+        c = tuple(x / g for x in c)
+        r = r / g
+    return (tuple(int(x) for x in c), r, s)
+
+
+def _fm_dedupe(cons):
+    """Drop duplicates/tautologies; return None on a constant contradiction."""
+    best = {}
+    for con in cons:
+        c, r, s = _fm_normalize(con)
+        if not any(c):
+            # constant constraint: 0 < r or 0 <= r
+            if r < 0 or (s and r == 0):
+                return None
+            continue
+        key = (c, s)
+        if key not in best or r < best[key]:
+            best[key] = r
+    return [(c, r, s) for (c, s), r in best.items()]
+
+
+def _fm_eliminate(cons, k):
+    """Project out variable k-1 from a system on k variables."""
+    lowers = []  # x >= rhs - coeffs.y   (strictness recorded)
+    uppers = []  # x <= rhs - coeffs.y
+    rest = []
+    for c, r, s in cons:
+        a = c[k - 1]
+        head = c[: k - 1]
+        if a == 0:
+            rest.append((head, r, s))
+        else:
+            scaled = (tuple(Fraction(x, a) for x in head), Fraction(r, a), s)
+            (uppers if a > 0 else lowers).append(scaled)
+    for cl, rl, sl in lowers:
+        for cu, ru, su in uppers:
+            # rl - cl.y (<|<=) ru - cu.y
+            rest.append((tuple(u - l for u, l in zip(cu, cl)), ru - rl, sl or su))
+    return rest
+
+
+def fm_chain(cons, nvars):
+    """systems[k] = exact projection onto the first k variables, or None if infeasible."""
+    cur = _fm_dedupe(cons)
+    if cur is None:
+        return None
+    systems = [None] * (nvars + 1)
+    systems[nvars] = cur
+    for k in range(nvars, 0, -1):
+        cur = _fm_dedupe(_fm_eliminate(cur, k))
+        if cur is None:
+            return None
+        systems[k - 1] = cur
+    return systems
+
+
+def fm_interval(cons, prefix, k):
+    """Bounds for variable k-1 given values for variables 0..k-2.
+
+    Returns (lo, lo_strict, hi, hi_strict) with None for an absent bound,
+    or None if a constraint not involving variable k-1 is violated.
+    """
+    lo = hi = None
+    lo_s = hi_s = False
+    for c, r, s in cons:
+        a = c[k - 1]
+        rest = r - sum(ci * pi for ci, pi in zip(c[: k - 1], prefix))
+        if a == 0:
+            if rest < 0 or (s and rest == 0):
+                return None
+        elif a > 0:
+            bound = Fraction(rest, a)
+            if hi is None or bound < hi:
+                hi, hi_s = bound, s
+            elif bound == hi:
+                hi_s = hi_s or s
+        else:
+            bound = Fraction(rest, a)
+            if lo is None or bound > lo:
+                lo, lo_s = bound, s
+            elif bound == lo:
+                lo_s = lo_s or s
+    return (lo, lo_s, hi, hi_s)
+
+
+def fm_integer_point_search(cons, nvars, bound):
+    """The integer search over the Fraction chain: (point, truncated), with
+    the points enumerated in the same order as ``_lp.integer_point_search``."""
+    systems = fm_chain(cons, nvars)
+    if systems is None:
+        return None, False
+    truncated = False
+
+    def int_range(iv):
+        nonlocal truncated
+        lo, lo_s, hi, hi_s = iv
+        if lo is None:
+            lo_i = -bound
+            truncated = True
+        else:
+            lo_i = math.ceil(lo)
+            if lo_s and lo_i == lo:
+                lo_i += 1
+            if lo_i < -bound:
+                lo_i = -bound
+                truncated = True
+        if hi is None:
+            hi_i = bound
+            truncated = True
+        else:
+            hi_i = math.floor(hi)
+            if hi_s and hi_i == hi:
+                hi_i -= 1
+            if hi_i > bound:
+                hi_i = bound
+                truncated = True
+        return lo_i, hi_i
+
+    def dfs(k, prefix):
+        if k > nvars:
+            return tuple(prefix)
+        iv = fm_interval(systems[k], prefix, k)
+        if iv is None:
+            return None
+        lo_i, hi_i = int_range(iv)
+        for z in range(lo_i, hi_i + 1):
+            prefix.append(z)
+            found = dfs(k + 1, prefix)
+            prefix.pop()
+            if found is not None:
+                return found
+        return None
+
+    return dfs(1, []), truncated
 
 
 def _fm_pick(lo, lo_s, hi, hi_s):
@@ -294,12 +441,12 @@ def _fm_pick(lo, lo_s, hi, hi_s):
 def fm_point(cons, nvars):
     """A point of a strict/non-strict system by Fourier-Motzkin
     elimination and back-substitution, or None when there is none."""
-    systems = _lp._build_chain(cons, nvars)
+    systems = fm_chain(cons, nvars)
     if systems is None:
         return None
     point = []
     for k in range(1, nvars + 1):
-        iv = _lp._interval(systems[k], point, k)
+        iv = fm_interval(systems[k], point, k)
         v = None if iv is None else _fm_pick(*iv)
         if v is None:
             return None

@@ -24,6 +24,7 @@ from tropfan import (
     standard_model,
 )
 from tropfan.cli import run
+from tropfan.laurent import MAX_TEXT_VARS
 from tropfan.semiring import as_int, as_trop
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -148,6 +149,18 @@ class TestPolyText:
 
     def test_dangling_caret_through_cli(self, capsys):
         assert error_of(capsys, "poly", "eval", "x^", "--point", "1") == "parse_error"
+
+    def test_variable_index_above_the_limit(self, capsys):
+        with pytest.raises(ParseError):
+            parse_poly_text(f"x{MAX_TEXT_VARS + 1}")
+        assert parse_poly_text(f"x{MAX_TEXT_VARS}").num_vars == MAX_TEXT_VARS
+        assert error_of(capsys, "poly", "eval", "x1000000", "--point", "1") == "parse_error"
+
+    def test_variable_count_above_the_limit(self, capsys):
+        with pytest.raises(BadParameters):
+            parse_poly_text("x", MAX_TEXT_VARS + 1)
+        assert parse_poly_text("x", MAX_TEXT_VARS).num_vars == MAX_TEXT_VARS
+        assert error_of(capsys, "poly", "eval", "x", "--point", "1", "--vars", "100000000") == "bad_parameters"
 
 
 class TestRayValues:

@@ -1,7 +1,9 @@
-"""Differential tests of the exact LP behind ``find_point``: the same
-feasibility as Fourier-Motzkin elimination (``oracles.fm_point``) on random
-strict and non-strict systems, and every returned point checked against
-every constraint in exact arithmetic."""
+"""Differential tests of ``_lp``.  ``find_point`` has the same feasibility
+as Fourier-Motzkin elimination over Fraction (``oracles.fm_point``) on
+random strict and non-strict systems, and every point it returns is checked
+against every constraint in exact arithmetic.  The integer-only
+``integer_point_search`` returns the same point and ``truncated`` flag as
+the search over the Fraction chain (``oracles.fm_integer_point_search``)."""
 
 import random
 from fractions import Fraction
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import fm_point
-from tropfan._lp import find_point
+from oracles import fm_integer_point_search, fm_point
+from tropfan._lp import find_point, integer_point_search
 
 
 def satisfies(cons, x):
@@ -127,3 +129,103 @@ class TestEdgeCases:
                 ((1, 1, 1, 1, 1), -10**6, False)]
         x = check(cons, 5)
         assert 1000 < x[0] < Fraction(1000001, 1000)
+
+
+# ------------------------------------------------------- integer search
+
+
+def check_search(cons, nvars, bound):
+    """integer_point_search gives the oracle's (point, truncated); a point
+    it returns is an integer point in the box satisfying every row."""
+    got = integer_point_search(cons, nvars, bound)
+    assert got == fm_integer_point_search(cons, nvars, bound), (cons, nvars, bound, got)
+    point, _ = got
+    if point is not None:
+        assert len(point) == nvars and all(type(z) is int and abs(z) <= bound for z in point)
+        assert satisfies(cons, point), (cons, nvars, bound, point)
+    return got
+
+
+def rand_search_system(rng: random.Random, nvars: int):
+    """Mixed strict and non-strict rows with int and Fraction entries, some
+    repeated as positive multiples with a nearby rhs."""
+    cons = []
+    for _ in range(rng.randint(0, 7)):
+        c = tuple(
+            rng.randint(-3, 3) if rng.random() < 0.7 else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in range(nvars)
+        )
+        r = rng.randint(-6, 6) if rng.random() < 0.5 else Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        cons.append((c, r, rng.random() < 0.4))
+        if rng.random() < 0.3:
+            k = rng.choice([1, 2, 3, Fraction(1, 2)])
+            cons.append((tuple(k * x for x in c), k * r + rng.choice([0, 0, 1, -1]), rng.random() < 0.5))
+    rng.shuffle(cons)
+    return cons
+
+
+@st.composite
+def search_systems(draw):
+    n = draw(st.integers(0, 4))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    rhs = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=3))
+    row = st.tuples(st.tuples(*[entry] * n), rhs, st.booleans())
+    cons = draw(st.lists(row, max_size=6))
+    copies = draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from([1, 2, 3, Fraction(1, 2)]),
+                                     st.integers(-1, 1), st.booleans()), max_size=2))
+    for i, k, dr, strict in copies:
+        if cons:
+            c, r, _ = cons[i % len(cons)]
+            cons.append((tuple(k * x for x in c), k * r + dr, strict))
+    return cons, n, draw(st.sampled_from([0, 1, 3, 8]))
+
+
+@given(search_systems())
+def test_search_matches_oracle(system):
+    check_search(*system)
+
+
+def test_search_fixed_seed_sweep():
+    rng = random.Random(5050)
+    seen = set()
+    for _ in range(5000):
+        n = rng.randint(0, 4)
+        point, truncated = check_search(rand_search_system(rng, n), n, rng.choice([0, 1, 3, 8]))
+        seen.add((point is not None, truncated))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestSearchEdgeCases:
+    def test_free_variable(self):
+        assert check_search([], 1, 3) == ((-3,), True)
+        assert check_search([((1, 0), 2, False), ((-1, 0), -2, False)], 2, 5) == ((2, -5), True)
+
+    def test_lower_bound_above_the_box(self):
+        assert check_search([((-1,), -5, False)], 1, 3) == (None, True)
+        assert check_search([((-1,), -5, False), ((1,), 6, False)], 1, 3) == (None, True)
+
+    def test_strict_integer_edge(self):
+        # 2x < 4 leaves x <= 1 among the integers
+        assert check_search([((2,), 4, True), ((-2,), -2, False)], 1, 8) == ((1,), False)
+        assert check_search([((2,), 4, True), ((-2,), -3, False)], 1, 8) == (None, False)
+        assert check_search([((-2,), -4, True), ((1,), 3, False)], 1, 8) == ((3,), False)
+        assert check_search([((Fraction(2, 3),), Fraction(4, 3), True), ((-1,), -1, False)], 1, 8) == ((1,), False)
+
+    def test_no_variables(self):
+        assert check_search([], 0, 5) == ((), False)
+        assert check_search([((), 1, False), ((), 0, False)], 0, 0) == ((), False)
+        assert check_search([((), Fraction(-1, 2), False)], 0, 5) == (None, False)
+
+    def test_empty_system(self):
+        assert check_search([], 2, 0) == ((0, 0), True)
+        assert check_search([], 3, 1) == ((-1, -1, -1), True)
+
+    def test_zero_less_than_zero(self):
+        assert check_search([((0, 0), 0, True)], 2, 3) == (None, False)
+        assert check_search([((0, 0), 0, True), ((1, 0), 5, False)], 2, 3) == (None, False)
+        assert check_search([((0, 0), 0, False), ((1, 0), 0, False), ((-1, 0), 0, False),
+                             ((0, 1), 1, False), ((0, -1), 0, False)], 2, 3) == ((0, 0), False)
+
+    def test_rational_infeasibility_is_not_truncated(self):
+        # x + y <= 0 and x + y >= 1 leave no bound on x alone
+        assert check_search([((1, 1), 0, False), ((-1, -1), -1, False)], 2, 8) == (None, False)

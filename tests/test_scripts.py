@@ -1,0 +1,48 @@
+"""Smoke tests of the survey scripts: each runs to exit 0 on a small trial
+count, and the counts it prints add up to the trials."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+COUNT = re.compile(r"^  (\S.*?)\s+(\d+)  \(\d+\.\d%\)$")
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def counts(lines):
+    """{label: count} of the ``  label  count  (pct%)`` lines."""
+    return {m[1]: int(m[2]) for m in map(COUNT.match, lines) if m}
+
+
+@pytest.mark.parametrize("fan", [None, "fixtures/L34.json"])
+def test_membership_probe(fan):
+    out = run_script("membership_probe.py", "--trials", 30, "--seed", 1, *(["--fan", fan] if fan else []))
+    tally = counts(out.splitlines())
+    assert set(tally) == {"member", "non-member", "inconclusive"}
+    assert sum(tally.values()) == 30
+
+
+def test_smoothness_survey():
+    out = run_script("smoothness_survey.py", "--trials", 20)
+    head, *sections = out.split("\nambient dimension ")
+    assert head.count("all smooth") == 4
+    assert [s.split(" ", 1)[0] for s in sections] == ["2", "3", "4"]
+    for section in sections:
+        tally = counts(section.splitlines())
+        assert set(tally) <= {"smooth", "weight > 1", "rank deficit", "lattice index"}
+        assert sum(tally.values()) == 20
