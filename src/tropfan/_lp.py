@@ -235,48 +235,3 @@ def integer_point_search(cons: Sequence[Constraint], nvars: int, bound: int):
         return None
 
     return dfs(1, []), truncated
-
-
-# ---------------------------------------------------------------------------
-# Exact rational linear algebra helpers.
-# ---------------------------------------------------------------------------
-
-
-def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
-        return a, []
-    ncols = len(a[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == len(a):
-            break
-        sel = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        piv = a[r][col]
-        a[r] = [x / piv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    return a, pivots
-
-
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple]:
-    """Basis of {t : rows . t = 0} via the standard free-variable construction."""
-    a, pivots = rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -a[r][f]
-        basis.append(tuple(vec))
-    return basis

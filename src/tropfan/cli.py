@@ -10,6 +10,7 @@ rays are always in the fan's sorted order and key order is fixed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -261,6 +262,7 @@ def _cmd_member(args) -> dict:
 # ------------------------------------------------------------- wiring
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tropfan", description=__doc__)
     top.add_argument("--pretty", action="store_true", help="indent JSON output")

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import _lp
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .fan import WeightedFan, check_balancing, primitive
-from .intlat import IntMatrix, snf
+from .intlat import IntMatrix, hnf, invariant_factors, snf
 from .laurent import LaurentPoly
 from .semiring import NEG_INF, TropValue, as_int
 
@@ -149,10 +148,11 @@ def ker_eq(X: WeightedFan, f: LaurentPoly, g: LaurentPoly) -> bool:
     return all(f.eval(ray.direction) == g.eval(ray.direction) for ray in X.rays)
 
 
-def linear_relations(M: IntMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational relations among the columns of M."""
-    rows = [[Fraction(x) for x in row] for row in M.data]
-    return _lp.kernel_basis(rows, M.cols)
+def linear_relations(M: IntMatrix) -> list[tuple[int, ...]]:
+    """Basis of the integer relations among the columns of M: the columns
+    of the HNF transform U (M.U = H) that M sends to zero."""
+    H, U = hnf(M)
+    return [U.col(j) for j in range(M.cols) if not any(H.col(j))]
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,7 @@ def is_smooth(X: WeightedFan) -> SmoothReport:
             return SmoothReport(False, f"weight {ray.weight} on ray {ray.label()}")
     k = len(X.rays)
     M = IntMatrix.from_rows([row[:-1] for row in generator_matrix(X).data])
-    _, D, _ = snf(M)
-    factors = [D.data[i][i] for i in range(min(D.rows, D.cols)) if D.data[i][i] != 0]
+    factors = invariant_factors(snf(M)[1])
     if len(factors) < k - 1:
         return SmoothReport(False, f"rank {len(factors)} < {k - 1}")
     index = math.prod(factors)

@@ -58,6 +58,52 @@ def minor_divisor_factors(rows):
     return factors
 
 
+# ----------------------------------------------------- Hermite form
+
+
+def _xgcd(p, q):
+    """(g, x, y) with x*p + y*q = g = gcd(p, q) >= 0."""
+    r0, r1, x0, x1, y0, y1 = p, q, 1, 0, 0, 1
+    while r1:
+        t = r0 // r1
+        r0, r1, x0, x1, y0, y1 = r1, r0 - t * r1, x1, x0 - t * x1, y1, y0 - t * y1
+    return (r0, x0, y0) if r0 >= 0 else (-r0, -x0, -y0)
+
+
+def xgcd_hnf(rows):
+    """Column Hermite normal form by extended-gcd column pairs: each later
+    column is folded into the pivot column by the determinant-1 step
+    (col_c, col_j) -> (x col_c + y col_j, -q/g col_c + p/g col_j), then the
+    pivot is made positive and the entries left of it reduced into
+    [0, pivot).  H is unique, so any correct HNF must agree."""
+    a = [list(r) for r in rows]
+    n = len(a[0])
+    c = 0
+    for r in range(len(a)):
+        if c == n:
+            break
+        for j in range(c + 1, n):
+            p, q = a[r][c], a[r][j]
+            if q:
+                g, x, y = _xgcd(p, q)
+                for row in a:
+                    u, v = row[c], row[j]
+                    row[c], row[j] = x * u + y * v, (p // g) * v - (q // g) * u
+        piv = a[r][c]
+        if piv == 0:
+            continue
+        if piv < 0:
+            for row in a:
+                row[c] = -row[c]
+            piv = -piv
+        for j in range(c):
+            k = a[r][j] // piv
+            for row in a:
+                row[j] -= k * row[c]
+        c += 1
+    return a
+
+
 # -------------------------------------------------- hull vertex oracle
 
 

@@ -18,6 +18,7 @@ from tropfan import (
     RayFunction,
     WeightedFan,
     image_membership,
+    lattice_solve,
     parse_poly_text,
     poly_from_json,
     primitive,
@@ -240,3 +241,15 @@ class TestLibraryConstructors:
     def test_boolean_weight(self):
         with pytest.raises(BadParameters):
             Ray((1, 0), True)
+
+    @pytest.mark.parametrize("b", [[2.9], [2.0], [True], [Fraction(2)]])
+    def test_lattice_solve_rhs(self, b):
+        # 2.9 used to be truncated to 2, answering (1,)
+        with pytest.raises(TypeError):
+            lattice_solve(IntMatrix.from_rows([[2]]), b)
+
+    def test_lattice_solve_integer_rhs(self):
+        A = IntMatrix.from_rows([[2, 0], [0, 3]])
+        assert lattice_solve(A, [4, -9]) == (2, -3)
+        assert lattice_solve(A, (10**30, 3)) == (10**30 // 2, 1)
+        assert lattice_solve(A, [3, 0]) is None

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import rand_balanced_fan, rand_boolean_poly
+from oracles import minor_divisor_factors, rand_balanced_fan, rand_boolean_poly, rand_matrix
 from tropfan import (
     NEG_INF,
     DimensionMismatch,
@@ -16,6 +16,7 @@ from tropfan import (
     ParseError,
     RayFunction,
     WeightedFan,
+    complete_unimodular,
     eval_map,
     degree,
     fn_eq,
@@ -184,6 +185,23 @@ class TestKernel:
             for i in range(M.rows):
                 assert sum(Fraction(M.data[i][j]) * rel[j] for j in range(M.cols)) == 0
         assert len(rels) == 1  # 3 rays in rank-2 ambient
+
+    def test_linear_relations_are_an_integer_lattice_basis(self):
+        # 2a + 3b = 0: the relation lattice is Z(3, -2), not Q(-3/2, 1)
+        rels = linear_relations(IntMatrix.from_rows([[2, 3]]))
+        assert rels in ([(3, -2)], [(-3, 2)])
+        assert all(type(x) is int for x in rels[0])
+        assert linear_relations(IntMatrix.identity(3)) == []
+        rng = random.Random(47)
+        for _ in range(60):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            M = rand_matrix(rng, m, n, -3, 3)
+            rels = linear_relations(M)
+            assert all(M.apply(rel) == (0,) * m for rel in rels)
+            # saturated: the relations extend to a unimodular matrix
+            if rels:
+                complete_unimodular(IntMatrix.from_rows(list(zip(*rels))))
+            assert len(rels) == n - len(minor_divisor_factors([list(r) for r in M.data]))
 
 
 class TestSmoothness:

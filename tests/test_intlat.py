@@ -1,4 +1,6 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from oracles import (
     minor_divisor_factors,
     rand_matrix,
     rand_unimodular,
+    xgcd_hnf,
 )
 from tropfan import (
     DimensionMismatch,
@@ -25,6 +28,30 @@ from tropfan import (
     snf,
     unimodular_transport,
 )
+
+
+def rand_low_rank(rng, m, n):
+    """An m x n matrix of rank at most min(m, n) - 1, or zero for 1 x 1."""
+    r = rng.randint(0, min(m, n) - 1)
+    if r == 0:
+        return IntMatrix.from_rows([[0] * n for _ in range(m)])
+    return rand_matrix(rng, m, r, -4, 4) @ rand_matrix(rng, r, n, -4, 4)
+
+
+def frac_inverse(rows):
+    """Inverse over Q by the adjugate, from first principles."""
+    n = len(rows)
+    d = frac_det(rows)
+
+    def minor(r, c):
+        return [row[:c] + row[c + 1:] for i, row in enumerate(rows) if i != r]
+
+    return [[(-1) ** (i + j) * frac_det(minor(j, i)) / d for j in range(n)] for i in range(n)]
+
+
+def bits(M):
+    return max(abs(x).bit_length() for row in M.data for x in row)
+
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -128,6 +155,24 @@ class TestSNF:
             A = rand_matrix(rng, m, n, -25, 25)
             fac = self.check_contract(A)
             assert list(fac) == minor_divisor_factors([list(r) for r in A.data])
+        # rectangular and rank-deficient shapes up to 6 x 6
+        rng = random.Random(31)
+        for i in range(40):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            A = rand_low_rank(rng, m, n) if i % 2 else rand_matrix(rng, m, n)
+            fac = self.check_contract(A)
+            assert list(fac) == minor_divisor_factors([list(r) for r in A.data])
+
+    def test_transform_growth(self):
+        # the transforms stay within a small multiple of det's bit length
+        # (a global-pivot Smith reduction reaches about 12x here)
+        rng = random.Random(32)
+        for _ in range(3):
+            A = rand_matrix(rng, 24, 24)
+            P, D, Q = snf(A)
+            assert (P @ A @ Q) == D
+            d = abs(det(A))
+            assert d and max(bits(P), bits(Q)) <= 4 * d.bit_length()
 
     def test_unimodular_invariance(self):
         rng = random.Random(22)
@@ -178,6 +223,20 @@ class TestHNF:
         for _ in range(150):
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             self.check_contract(rand_matrix(rng, m, n))
+
+    def test_h_matches_oracle_and_pinned_digest(self):
+        # H is unique: it must agree with an independent extended-gcd
+        # reduction, and with the digest of the H's that the earlier
+        # two-engine intlat gave on this sweep
+        rng = random.Random(29)
+        digest = hashlib.sha256()
+        for i in range(300):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            A = rand_low_rank(rng, m, n) if i % 3 == 2 else rand_matrix(rng, m, n)
+            H = hnf(A)[0]
+            assert [list(row) for row in H.data] == xgcd_hnf(A.data)
+            digest.update(repr(H.data).encode())
+        assert digest.hexdigest() == "79e8f8bceae9eb37a9c5cee27297a5860f4e53e7e00b5852ea161b5d4e4edc26"
 
     def test_uniqueness_under_column_ops(self):
         # H is a lattice invariant: post-composing with a unimodular matrix
@@ -249,6 +308,27 @@ class TestCompleteUnimodular:
         assert abs(det(E)) == 1 and E.col(0) == (2, 1)
         assert complete_unimodular(IntMatrix.from_rows([[1], [0]])).col(0) == (1, 0)
 
+    def test_accepts_exactly_the_summands(self):
+        # columns span a direct summand iff m >= n and the n x n minors are
+        # coprime, i.e. n unit invariant factors
+        rng = random.Random(33)
+        accepted = rejected = 0
+        for _ in range(300):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            A = rand_matrix(rng, m, n, -2, 2)
+            summand = m >= n and minor_divisor_factors([list(r) for r in A.data]) == [1] * n
+            try:
+                E = complete_unimodular(A)
+            except NotLeftInvertible:
+                assert not summand
+                rejected += 1
+                continue
+            assert summand
+            accepted += 1
+            assert E.rows == E.cols == m and abs(det(E)) == 1
+            assert all(E.col(j) == A.col(j) for j in range(n))
+        assert accepted > 50 and rejected > 50
+
     def test_rejects_non_summand(self):
         with pytest.raises(NotLeftInvertible):
             complete_unimodular(IntMatrix.from_rows([[2], [4]]))
@@ -270,6 +350,45 @@ class TestTransport:
             T = unimodular_transport(A, B)
             assert (T @ A).data == B.data
             assert abs(det(T)) == 1
+        # rank-deficient inputs
+        rng = random.Random(34)
+        for _ in range(40):
+            m = rng.randint(1, 5)
+            A = rand_low_rank(rng, m, rng.randint(1, 5))
+            U = rand_unimodular(rng, m)
+            B = U @ A
+            T = unimodular_transport(A, B)
+            assert (T @ A).data == B.data
+            assert abs(det(T)) == 1
+
+    def test_equals_b_times_a_inverse(self):
+        # for invertible A the transport is unique
+        rng = random.Random(35)
+        checked = 0
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            A = rand_matrix(rng, n, n, -6, 6)
+            if det(A) == 0:
+                continue
+            B = rand_unimodular(rng, n) @ A
+            Ainv = frac_inverse([list(r) for r in A.data])
+            want = [[sum(Fraction(b) * x for b, x in zip(row, col)) for col in zip(*Ainv)] for row in B.data]
+            assert [list(r) for r in unimodular_transport(A, B).data] == want
+            checked += 1
+        assert checked > 80
+
+    @pytest.mark.parametrize("a, b", [
+        ([[1, 2], [2, 4], [0, 0]], [[0, 0], [1, 2], [3, 6]]),  # rank 1, 3 x 2
+        ([[2, 4, 6], [1, 2, 3]], [[1, 2, 3], [0, 0, 0]]),  # rank 1, 2 x 3
+        ([[1, 0], [0, 1], [1, 1]], [[1, 1], [0, 1], [1, 2]]),  # full column rank, 3 x 2
+        ([[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]]),  # zero
+        ([[3, 0, 1]], [[-3, 0, -1]]),  # one row
+    ])
+    def test_pinned_shapes(self, a, b):
+        A, B = IntMatrix.from_rows(a), IntMatrix.from_rows(b)
+        T = unimodular_transport(A, B)
+        assert T.rows == T.cols == A.rows and abs(det(T)) == 1
+        assert T @ A == B
 
     def test_errors(self):
         A = IntMatrix.from_rows([[1, 0], [0, 1]])
@@ -280,3 +399,10 @@ class TestTransport:
             unimodular_transport(A, IntMatrix.from_rows([[2, 0], [0, 2]]))
         with pytest.raises(NoMutualFactorization):
             unimodular_transport(IntMatrix.from_rows([[2, 0], [0, 2]]), A)
+        for a, b in [
+            ([[1, 2], [2, 4]], [[2, 4], [0, 0]]),  # Z(1,2) against 2Z(1,2)
+            ([[1, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 0]]),
+            ([[1, 0], [0, 1], [0, 0]], [[1, 0], [1, 0], [0, 0]]),  # rank 2 against rank 1
+        ]:
+            with pytest.raises(NoMutualFactorization):
+                unimodular_transport(IntMatrix.from_rows(a), IntMatrix.from_rows(b))
