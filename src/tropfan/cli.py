@@ -367,9 +367,19 @@ def run(argv=None) -> int:
     return 0
 
 
-def main():  # pragma: no cover - thin wrapper
-    sys.exit(run())
+def main():
+    """The console entry point: :func:`run` on ``sys.argv``, ending quietly
+    with exit 1 when the reader of stdout goes away (``tropfan ... | head``)."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at interpreter exit
+        # does not fail on the closed pipe a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(run())
+if __name__ == "__main__":
+    main()

@@ -7,16 +7,30 @@ coefficients, read as p |-> max_u (a_u + u . p).  The empty map is the
 bottom polynomial (the function identically NEG_INF); a stored coefficient
 is never NEG_INF.
 
+Evaluation is exact integer arithmetic: the point is scaled to its least
+common denominator d and the coefficients to theirs, L, so every term
+value L*d*(a_u + u.p) is an int, and only the answer becomes a Fraction.
+
 Canonicalization removes exactly the terms that never strictly attain the
-maximum anywhere: term (u, a_u) is kept iff the strict system
-a_u + u.p > a_v + v.p (over all other terms v) is feasible, decided in
-exact rational arithmetic.  Two polynomials define the same function on
-all of Q^n iff their canonical forms are structurally equal, which is what
-makes CanonicalFn a usable semiring carrier for germs.
+maximum anywhere.  It searches for these extreme terms output-sensitively
+(Clarkson, FOCS 1994), on the coefficients scaled to integers by L, which
+maps the witnesses p to L*p and leaves every answer unchanged.  It keeps
+E, the terms already known to be kept, and asks for each undecided term i
+whether the strict system a_i + u_i.p > a_v + v.p (v in E) is feasible.
+If not, i is dropped: E is part of the other terms.  If it is, every term
+is evaluated at the witness p; of the terms attaining the maximum there,
+the one with the lexicographically largest exponent strictly wins at
+p + (e, e^2, ..., e^n) for small e > 0, so it is kept.  If that is i, i is
+decided; otherwise that term joins E without an LP and i is asked again.
+It cannot already be in E, because i beats E strictly at p.  So every LP
+has at most as many rows as there are kept terms.  Two polynomials define
+the same function on all of Q^n iff their canonical forms are structurally
+equal, which is what makes CanonicalFn a usable semiring carrier for germs.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -35,8 +49,28 @@ from .semiring import NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_int, as_trop
 Term = tuple[tuple[int, ...], Fraction]
 
 
-def _dot(u: Sequence[int], p: Sequence[Fraction]):
-    return sum(a * b for a, b in zip(u, p))
+def _int_rows(terms: Sequence[Term]) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """The rows (u, L*a_u) and L, the least common denominator of the
+    coefficients."""
+    L = math.lcm(*(c.denominator for _, c in terms))
+    return [(u, c.numerator * (L // c.denominator)) for u, c in terms], L
+
+
+def _int_values(rows, L: int, p: Sequence) -> tuple[list[int], int]:
+    """For the rows (u, L*a_u) of :func:`_int_rows`, the integers
+    L*d*(a_u + u.p), one per row, and the scale L*d, where d is the least
+    common denominator of the point p."""
+    q = []
+    for v in p:
+        if type(v) not in (int, Fraction):
+            v = as_trop(v)
+            if v is NEG_INF:
+                raise TypeError("-inf is not a point coordinate; points are rational")
+        q.append(v)
+    d = math.lcm(*(v.denominator for v in q))
+    q = [v.numerator * (L * d // v.denominator) for v in q]
+    mul = operator.mul
+    return [d * a + sum(map(mul, u, q)) for u, a in rows], L * d
 
 
 @dataclass(frozen=True)
@@ -55,6 +89,8 @@ class LaurentPoly:
                 raise DimensionMismatch(f"exponent {u} in {self.num_vars} variables")
             if isinstance(c, type(NEG_INF)):
                 raise BadParameters("stored coefficient may not be bottom")
+            if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+                raise TypeError(f"coefficient {c!r} is not an exact rational")
             if prev is not None and not (prev < u):
                 raise BadParameters("terms must be strictly lex-sorted")
             prev = u
@@ -151,32 +187,30 @@ class LaurentPoly:
 
     def shift(self, a: Sequence) -> "LaurentPoly":
         """P(a + x): adds u.a to each coefficient."""
-        a = [as_trop(v) for v in a]
         if len(a) != self.num_vars:
             raise DimensionMismatch(f"shift vector of length {len(a)}")
-        return LaurentPoly.make(self.num_vars, [(u, c + _dot(u, a)) for u, c in self.terms])
+        vals, scale = _int_values(*_int_rows(self.terms), a)
+        return LaurentPoly(
+            self.num_vars, tuple((u, Fraction(v, scale)) for (u, _), v in zip(self.terms, vals))
+        )
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval(self, p: Sequence) -> TropValue:
+    def _values(self, p: Sequence) -> tuple[list[int], int]:
+        """The term values at p as integers over one common scale."""
         if len(p) != self.num_vars:
             raise DimensionMismatch(f"point of length {len(p)} in {self.num_vars} variables")
-        p = [as_trop(v) for v in p]
-        best: TropValue = NEG_INF
-        for u, c in self.terms:
-            v = c + _dot(u, p)
-            if v > best:
-                best = v
-        return best
+        return _int_values(*_int_rows(self.terms), p)
+
+    def eval(self, p: Sequence) -> TropValue:
+        vals, scale = self._values(p)
+        return Fraction(max(vals), scale) if vals else NEG_INF
 
     def initial_form(self, p: Sequence) -> "LaurentPoly":
         """Sub-polynomial of the terms attaining the maximum at p."""
         if not self.terms:
             raise EmptyPolynomial("the bottom polynomial has no initial form")
-        if len(p) != self.num_vars:
-            raise DimensionMismatch(f"point of length {len(p)} in {self.num_vars} variables")
-        p = [as_trop(v) for v in p]
-        vals = [c + _dot(u, p) for u, c in self.terms]
+        vals, _ = self._values(p)
         top = max(vals)
         kept = tuple(t for t, v in zip(self.terms, vals) if v == top)
         return LaurentPoly(self.num_vars, kept)
@@ -229,12 +263,24 @@ def _beats_all(term: Term, rivals: Iterable[Term], num_vars: int) -> Optional[tu
 
 def canonicalize(P: LaurentPoly) -> CanonicalFn:
     """Drop exactly the terms dominated everywhere by the max of the rest."""
-    kept = tuple(
-        t
-        for i, t in enumerate(P.terms)
-        if _beats_all(t, (s for j, s in enumerate(P.terms) if j != i), P.num_vars) is not None
-    )
-    return CanonicalFn(P.num_vars, kept)
+    # The scaled rows are a polynomial with integer coefficients, so its
+    # values are taken with L = 1.
+    rows, _ = _int_rows(P.terms)
+    kept = [False] * len(rows)
+    confirmed = []  # the rows known to be kept
+    sub = operator.sub
+    for i, (u, a) in enumerate(rows):
+        while not kept[i]:
+            # a + u.p > b + v.p  <=>  (v - u).p < a - b
+            p = _lp.find_point([(tuple(map(sub, v, u)), a - b, True) for v, b in confirmed], P.num_vars)
+            if p is None:
+                break
+            vals, _ = _int_values(rows, 1, p)
+            # The terms are lex-sorted: the last maximizer has the largest exponent.
+            w = len(vals) - 1 - vals[::-1].index(max(vals))
+            kept[w] = True
+            confirmed.append(rows[w])
+    return CanonicalFn(P.num_vars, tuple(t for t, k in zip(P.terms, kept) if k))
 
 
 def fn_eq(P: LaurentPoly, Q: LaurentPoly) -> bool:
@@ -278,7 +324,7 @@ def germ_localize(P: LaurentPoly, p: Sequence) -> TExt:
         raise DimensionMismatch(f"point of length {len(p)} in {P.num_vars} variables")
     if not P:
         return TEXT_BOTTOM
-    return TExt(canonicalize(P.initial_form(p).boolean_part()), as_trop(P.eval(p)))
+    return TExt(canonicalize(P.initial_form(p).boolean_part()), P.eval(p))
 
 
 def germ_eq(P: LaurentPoly, Q: LaurentPoly, p: Sequence) -> bool:
@@ -298,10 +344,7 @@ def germ_safe_radius(P: LaurentPoly, p: Sequence) -> Fraction:
     """
     if not P:
         raise EmptyPolynomial("the bottom polynomial has no localization radius")
-    if len(p) != P.num_vars:
-        raise DimensionMismatch(f"point of length {len(p)} in {P.num_vars} variables")
-    p = [as_trop(v) for v in p]
-    vals = [c + _dot(u, p) for u, c in P.terms]
+    vals, scale = P._values(p)
     top = max(vals)
     slacks = [top - v for v in vals if v < top]
     if not slacks:
@@ -311,7 +354,7 @@ def germ_safe_radius(P: LaurentPoly, p: Sequence) -> Fraction:
         for i, (u, _) in enumerate(P.terms)
         for v, _ in P.terms[i + 1 :]
     )
-    return min(slacks) / (1 + spread)
+    return Fraction(min(slacks), scale * (1 + spread))
 
 
 # ---------------------------------------------------------------------------

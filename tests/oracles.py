@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from tropfan import IntMatrix, LaurentPoly, WeightedFan
+from tropfan import NEG_INF, CanonicalFn, IntMatrix, LaurentPoly, WeightedFan, _lp
 
 
 # ----------------------------------------------------------- exact det
@@ -210,6 +210,74 @@ def grid_values(P, scale, span=10):
     C = np.array([int(Fraction(c) * 2 * scale) for _, c in P.terms], dtype=np.int64)
     vals = scale * (E @ pts.T) + C[:, None]
     return vals.max(axis=0)
+
+
+# ------------------------------------- polynomials over Fraction
+
+
+def frac_values(P, p):
+    """Each term's value a_u + u.p at the point p, in Fraction arithmetic."""
+    return [Fraction(c) + sum(e * Fraction(x) for e, x in zip(u, p)) for u, c in P.terms]
+
+
+def frac_eval(P, p):
+    return max(frac_values(P, p), default=NEG_INF)
+
+
+def frac_initial_form(P, p):
+    vals = frac_values(P, p)
+    top = max(vals)
+    return LaurentPoly(P.num_vars, tuple(t for t, v in zip(P.terms, vals) if v == top))
+
+
+def all_rivals_canonicalize(P):
+    """Keep term i iff a_i + u_i.p > a_j + u_j.p is feasible for every
+    other term j at once: one LP per term, against all the other terms.
+    The LP is the library's ``_lp.find_point``, which ``test_lp`` checks
+    against :func:`fm_point`; only the search around it is independent."""
+    kept = []
+    for i, (u, a) in enumerate(P.terms):
+        cons = [
+            (tuple(x - y for x, y in zip(v, u)), a - b, True)
+            for j, (v, b) in enumerate(P.terms)
+            if j != i
+        ]
+        if _lp.find_point(cons, P.num_vars) is not None:
+            kept.append((u, a))
+    return CanonicalFn(P.num_vars, tuple(kept))
+
+
+def rand_canon_case(rng: random.Random, n, kind, max_terms=8, exp=3):
+    """A polynomial in n variables of one of the shapes canonicalization
+    must get right: ``empty``, ``single``, ``boolean`` (every coefficient
+    0, so every value ties), ``collinear`` exponents, ``tied`` (few
+    distinct coefficient values), ``lifted`` (coefficients -|u|^2, every
+    term kept) and ``general``."""
+    k = rng.randint(2, max_terms)
+
+    def exps(count):
+        return [tuple(rng.randint(-exp, exp) for _ in range(n)) for _ in range(count)]
+
+    if kind == "empty":
+        return LaurentPoly.zero(n)
+    if kind == "single":
+        return rand_poly(rng, n, max_terms=1)
+    if kind == "boolean":
+        return LaurentPoly.make(n, [(u, 0) for u in exps(k)])
+    if kind == "collinear":
+        (base,), step = exps(1), tuple(rng.randint(-2, 2) for _ in range(n))
+        coeff = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)]
+        return LaurentPoly.make(n, [(tuple(b + t * s for b, s in zip(base, step)), c)
+                                    for t, c in zip(range(-k // 2, k), coeff)])
+    if kind == "tied":
+        values = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(2)]
+        return LaurentPoly.make(n, [(u, rng.choice(values)) for u in exps(k)])
+    if kind == "lifted":
+        return LaurentPoly.make(n, [(u, -sum(x * x for x in u)) for u in exps(k)])
+    return rand_poly(rng, n, max_terms=max_terms, exp=exp)
+
+
+CANON_KINDS = ("empty", "single", "boolean", "collinear", "tied", "lifted", "general")
 
 
 # ------------------------------------------------------- brute lattice

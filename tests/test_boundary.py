@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import tropfan
 from tropfan import (
+    NEG_INF,
     BadParameters,
     IntMatrix,
     LaurentPoly,
@@ -230,6 +232,12 @@ class TestLibraryConstructors:
         with pytest.raises(TypeError):
             LaurentPoly.monomial(2, (1.0, 0))
 
+    @pytest.mark.parametrize("c", [0.5, True, "1/2"])
+    def test_direct_construction_rejects_inexact_coefficients(self, c):
+        # a float used to be kept and evaluated in floating point
+        with pytest.raises(TypeError):
+            LaurentPoly(1, (((1,), c),))
+
     def test_float_direction_and_weight(self):
         with pytest.raises(TypeError):
             primitive((1.5, 0))
@@ -253,3 +261,21 @@ class TestLibraryConstructors:
         assert lattice_solve(A, [4, -9]) == (2, -3)
         assert lattice_solve(A, (10**30, 3)) == (10**30 // 2, 1)
         assert lattice_solve(A, [3, 0]) is None
+
+
+class TestBottomPointCoordinate:
+    """A point lies in Q^n: -inf as a coordinate is a TypeError, raised on
+    purpose rather than by the arithmetic."""
+
+    P = parse_poly_text("1 + x + 2*y")
+
+    @pytest.mark.parametrize("name", ["eval", "initial_form", "shift", "germ_localize", "germ_safe_radius"])
+    @pytest.mark.parametrize("point", [(NEG_INF, 0), (0, NEG_INF)])
+    def test_rejected(self, name, point):
+        call = getattr(self.P, name, None) or (lambda p: getattr(tropfan, name)(self.P, p))
+        with pytest.raises(TypeError, match="-inf is not a point coordinate"):
+            call(point)
+
+    def test_rejected_by_the_bottom_polynomial(self):
+        with pytest.raises(TypeError, match="-inf is not a point coordinate"):
+            LaurentPoly.zero(2).eval((NEG_INF, 0))

@@ -1,4 +1,8 @@
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -268,3 +272,34 @@ class TestPlotAndErrors:
         code, out = invoke(capsys, "fan", "smooth", str(fan))
         assert code == 1
         assert json.loads(out)["error"] == "not_balanced"
+
+
+class TestConsoleEntry:
+    """``python -m tropfan.cli`` through :func:`tropfan.cli.main`."""
+
+    def module(self, tmp_path, stdout):
+        mfile = tmp_path / "m.json"
+        rng = random.Random(12)
+        mfile.write_text(json.dumps({"data": [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "tropfan.cli", "--pretty", "snf", str(mfile)],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+
+    def test_writes_the_document(self, tmp_path):
+        proc = self.module(tmp_path, subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert len(json.loads(proc.stdout)["invariant_factors"]) == 12
+
+    def test_closed_pipe_exits_1_silently(self, tmp_path):
+        # The read end is closed before the command starts, as when
+        # ``| head`` has already exited: every write fails with EPIPE.
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = self.module(tmp_path, w)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (1, b"")

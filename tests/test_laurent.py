@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import grid_values, hull_vertices, joint_denominator, rand_point, rand_poly
+from oracles import (
+    CANON_KINDS,
+    all_rivals_canonicalize,
+    frac_eval,
+    frac_initial_form,
+    grid_values,
+    hull_vertices,
+    joint_denominator,
+    rand_canon_case,
+    rand_point,
+    rand_poly,
+)
 from tropfan import (
     NEG_INF,
     TEXT_BOTTOM,
@@ -45,6 +56,27 @@ def polys(draw, num_vars=None, boolean=False):
         )
     )
     return LaurentPoly.make(n, items)
+
+
+@st.composite
+def tie_prone_polys(draw, max_vars=5, max_terms=8):
+    """Polynomials in 0..max_vars variables whose coefficients come from a
+    few values, so that term values often tie."""
+    n = draw(st.integers(0, max_vars))
+    value = st.one_of(st.integers(-4, 4), st.fractions(max_denominator=3, min_value=-4, max_value=4))
+    values = draw(st.lists(value, min_size=1, max_size=3))
+    items = draw(
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(-3, 3) for _ in range(n)]), st.sampled_from(values)),
+            max_size=max_terms,
+        )
+    )
+    return LaurentPoly.make(n, items)
+
+
+def points(n):
+    coord = st.one_of(st.integers(-2, 2), st.fractions(max_denominator=4, min_value=-2, max_value=2))
+    return st.tuples(*[coord] * n)
 
 
 points2 = st.tuples(
@@ -171,6 +203,36 @@ class TestCanonicalization:
     def test_canonical_ops_match_poly_ops(self, P, Q):
         assert fn_eq((canonicalize(P) + canonicalize(Q)).poly, P + Q)
         assert fn_eq((canonicalize(P) * canonicalize(Q)).poly, P * Q)
+
+
+class TestCanonicalizeDifferential:
+    """The extreme-term search against the all-rivals oracle: the same
+    kept terms in the same order."""
+
+    @given(tie_prone_polys())
+    def test_matches_all_rivals(self, P):
+        assert canonicalize(P) == all_rivals_canonicalize(P)
+
+    def test_fixed_seed_sweep(self):
+        # every kind in every n = 0..5, 71 or 72 times each
+        rng = random.Random(20261018)
+        dropped = 0
+        for k in range(3000):
+            n, kind = k % 6, CANON_KINDS[k // 6 % len(CANON_KINDS)]
+            P = rand_canon_case(rng, n, kind)
+            got = canonicalize(P)
+            assert got == all_rivals_canonicalize(P), (kind, P)
+            dropped += len(got.terms) < len(P.terms)
+        assert dropped > 400
+
+
+class TestExactEvaluation:
+    @given(tie_prone_polys(max_vars=4).flatmap(lambda P: st.tuples(st.just(P), points(P.num_vars))))
+    def test_eval_and_initial_form_match_fraction_reference(self, case):
+        P, p = case
+        assert P.eval(p) == frac_eval(P, p)
+        if P:
+            assert P.initial_form(p) == frac_initial_form(P, p)
 
 
 class TestFunctionEquality:
