@@ -225,5 +225,6 @@ def image_membership(
     if unknown:
         raise Inconclusive(f"no decision within |z| <= {bound}; raise the bound")
     witness = LaurentPoly.make(n, [(z, 0) for z in exponents])
-    assert eval_map(X, witness).values == G.values, "witness must reproduce the input"
+    if eval_map(X, witness).values != G.values:
+        raise AssertionError("witness must reproduce the input")
     return witness

@@ -2,11 +2,16 @@
 completion and transport, and integer linear-system solving.
 
 All arithmetic is arbitrary-precision Python int, so entries never
-overflow, but their growth costs time.  Every normal form runs on one
-elimination core, the column HNF ``_hnf_core``, which reduces each row
-left of its pivot.  The Smith form alternates it on A and A^T, which keeps
-its transforms on random 24x24 matrices in [-9, 9] within about twice the
-bit length of the determinant; transport and completion read their
+overflow, but their growth costs time.  There are two elimination
+kernels.  Fraction-free (Bareiss) elimination ``_bareiss`` computes the
+determinant and solves systems of full column rank: it keeps every entry
+a minor of the input and builds no transform, and such a system has at
+most one solution, so nothing more is needed.  Everything else runs on
+the column HNF ``_hnf_core``, which reduces each row left of its pivot and
+keeps the unimodular transform that the answers are read from.  The
+Smith form alternates it on A and A^T, which keeps its transforms on
+random 24x24 matrices in [-9, 9] within about twice the bit length of the
+determinant; transport, completion and rank-deficient solves read their
 answers off HNF transforms.  Matrices are immutable values; every
 operation returns fresh objects.
 """
@@ -101,27 +106,46 @@ class IntMatrix:
         return m
 
 
+def _bareiss(a: list[list[int]], ncols: int) -> int:
+    """Fraction-free Gaussian elimination (Bareiss, Math. Comp. 22, 1968)
+    of the first ``ncols`` columns of ``a`` in place, swapping rows to
+    find pivots.  Returns the sign of the row permutation, or 0 as soon
+    as a column has no pivot (``a`` is then left half-eliminated).
+
+    After a full run, row k < ncols starts with k zeros and the pivot
+    a[k][k], the leading (k+1)-minor of the permuted rows; rows from
+    ``ncols`` on are zero in the first ``ncols`` columns.  Every entry is
+    a minor of the input, so each division is exact and entries grow no
+    further than minors do.  Columns past ``ncols`` (a right-hand side)
+    are carried along.
+    """
+    sign, prev = 1, 1
+    for k in range(ncols):
+        sel = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if sel is None:
+            return 0
+        if sel != k:
+            a[k], a[sel] = a[sel], a[k]
+            sign = -sign
+        pk = a[k]
+        piv = pk[k]
+        cols = range(k + 1, len(pk))
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in cols:
+                row[j] = (row[j] * piv - f * pk[j]) // prev
+            row[k] = 0
+        prev = piv
+    return sign
+
+
 def det(A: IntMatrix) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
     if A.rows != A.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
-    n = A.rows
     a = [list(row) for row in A.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            sel = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if sel is None:
-                return 0
-            a[k], a[sel] = a[sel], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    # a column without a pivot makes the sign, and so the product, 0
+    return _bareiss(a, A.cols) * a[-1][-1]
 
 
 def _ident_list(n: int) -> list[list[int]]:
@@ -235,14 +259,38 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def lattice_solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Some integer z with A.z = b, or None when no such z exists."""
+    """Some integer z with A.z = b, or None when no such z exists.
+
+    When A has full column rank the rational solution, if any, is unique,
+    so z is the only answer; it is found by fraction-free elimination of
+    [A | b], whose entries stay minors of [A | b].  Otherwise the column
+    HNF A.U = H answers: z = U.y with y solved on H by forward
+    substitution, the canonical Hermite solution.
+    """
     if len(b) != A.rows:
         raise DimensionMismatch(f"rhs of length {len(b)} against {A.rows}x{A.cols}")
     if any(isinstance(x, bool) for x in b):
         raise TypeError("right-hand side entries are integers, not booleans")
     resid = list(map(operator.index, b))
+    m, n = A.rows, A.cols
+    a = [list(row) + [x] for row, x in zip(A.data, resid)]
+    if m >= n and _bareiss(a, n):
+        # each row from n on now reads 0 = c, with c an (n+1)-minor of
+        # [A | b]; b lies in the column space of A iff every such c is 0
+        if any(row[n] for row in a[n:]):
+            return None
+        # the top rows are triangular with last pivot d, the determinant
+        # of the n rows used, so by Cramer's rule x = d.z is integral and
+        # back substitution divides exactly
+        d = a[n - 1][n - 1]
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            x[i] = (d * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))) // row[i]
+        if any(v % d for v in x):
+            return None
+        return tuple(v // d for v in x)
     a = [list(row) for row in A.data]
-    n = A.cols
     U = _ident_list(n)
     pivots = _hnf_core(a, U)
     y = [0] * n

@@ -313,7 +313,8 @@ def fn_witness(P: LaurentPoly, Q: LaurentPoly) -> Optional[tuple]:
     pt = scan(cp, cq)
     if pt is None:
         pt = scan(cq, cp)
-    assert pt is not None, "differing canonical forms must admit a separating point"
+    if pt is None:
+        raise AssertionError("differing canonical forms must admit a separating point")
     return pt
 
 

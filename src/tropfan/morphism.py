@@ -171,7 +171,8 @@ def realize_morphism(h: HomSpec) -> FanMorphism:
     for i, H in enumerate(h.images):
         got = tuple(sum(T.data[i][j] * gen[j] for j in range(X.ambient_dim)) for gen in
                     (ray.generator for ray in X.rays))
-        assert got == H.values, "lattice solve must reproduce the image on every ray"
+        if got != H.values:
+            raise AssertionError("lattice solve must reproduce the image on every ray")
     return mu
 
 

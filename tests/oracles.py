@@ -299,6 +299,27 @@ def brute_lattice_solve(A: IntMatrix, b, box):
     return rec([])
 
 
+def frac_unique_solve(rows, b):
+    """The unique rational z with rows.z = b, by Gauss-Jordan elimination
+    over Fraction; "rank-deficient" when the columns are dependent (checked
+    first), else "inconsistent" when there is no solution."""
+    n = len(rows[0])
+    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, b)]
+    for c in range(n):
+        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if piv is None:
+            return "rank-deficient"
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(len(a)):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    if any(row[n] for row in a[n:]):
+        return "inconsistent"
+    return tuple(a[c][n] for c in range(n))
+
+
 # ------------------------------------------------------------- random
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_lattice_solve,
     frac_det,
+    frac_unique_solve,
     minor_divisor_factors,
     rand_matrix,
     rand_unimodular,
@@ -259,8 +261,26 @@ class TestLatticeSolve:
         assert lattice_solve(A, (4, 9)) == (2, 3)
         assert lattice_solve(A, (1, 0)) is None  # 1 not a multiple of 2
         A = IntMatrix.from_rows([[1, 2], [2, 4]])  # rank 1
-        assert lattice_solve(A, (3, 6)) == (3, 0) or lattice_solve(A, (3, 6)) is not None
+        z = lattice_solve(A, (3, 6))
+        assert z is not None and A.apply(z) == (3, 6)
         assert lattice_solve(A, (3, 5)) is None  # inconsistent
+
+    @pytest.mark.parametrize("rows, b, want", [
+        ([[0, 2], [3, 1]], (4, 5), (1, 2)),  # zero leading entry: rows swap
+        ([[0, 2], [3, 1]], (1, 5), None),  # (3/2, 1/2)
+        ([[1, 2], [3, 4]], (5, 11), (1, 2)),  # determinant -2
+        ([[1, 2], [3, 4]], (1, 0), None),  # (-2, 3/2)
+        ([[-5]], (15,), (-3,)),  # 1 x 1
+        ([[2]], (1,), None),  # 2z = 1
+        ([[1, 0], [0, 1], [1, 1]], (1, 2, 3), (1, 2)),
+        ([[1, 0], [0, 1], [1, 1]], (1, 2, 4), None),  # inconsistent only in the last row
+        ([[2, 1], [4, 3], [6, 5], [2, 2]], (4, 10, 16, 6), (1, 2)),
+        ([[0, 0], [0, 0]], (0, 0), (0, 0)),  # zero matrix
+        ([[0, 0], [0, 0]], (0, 1), None),
+        ([[0, 3], [0, 6]], (3, 6), (0, 1)),  # zero column: the Hermite path answers
+    ])
+    def test_pinned(self, rows, b, want):
+        assert lattice_solve(IntMatrix.from_rows(rows), b) == want
 
     def test_against_brute_force(self):
         rng = random.Random(25)
@@ -277,6 +297,75 @@ class TestLatticeSolve:
                 misses += 1
                 assert brute_lattice_solve(A, b, 9) is None
         assert hits and misses
+
+    @staticmethod
+    def check_against_fractions(A, b, box=None):
+        """lattice_solve against Gauss-Jordan over Q: the unique rational
+        solution when the columns are independent, else a verified
+        solution or, when ``box`` is given, a brute-force miss."""
+        z = lattice_solve(A, b)
+        want = frac_unique_solve([list(r) for r in A.data], b)
+        if want == "rank-deficient":
+            if z is not None:
+                assert A.apply(z) == tuple(b)
+            elif box is not None:
+                assert brute_lattice_solve(A, b, box) is None
+        elif want == "inconsistent" or any(q.denominator != 1 for q in want):
+            assert z is None
+        else:
+            assert z == want
+        return z, want
+
+    @given(
+        st.integers(1, 4).flatmap(lambda m: st.integers(1, 3).flatmap(lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=m, max_size=m),
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+            st.lists(st.integers(-1, 1), min_size=m, max_size=m),
+        )))
+    )
+    def test_fraction_property(self, system):
+        rows, z0, shift = system
+        A = IntMatrix.from_rows(rows)
+        self.check_against_fractions(A, [v + e for v, e in zip(A.apply(z0), shift)], box=5)
+
+    def test_fraction_sweep(self):
+        # 3,000 systems up to 8 x 6, built so that each outcome occurs:
+        # integral, rational but not integral (a row or a column scaled by
+        # 3), inconsistent (tall, one entry of b moved) and rank-deficient.
+        # The digest pins the answers, Hermite ones included, of the
+        # single-engine lattice_solve that came before the Bareiss path.
+        rng = random.Random(36)
+        digest = hashlib.sha256()
+        seen = Counter()
+        kinds = ("integral", "row3", "col3", "inconsistent", "deficient")
+        for t in range(3000):
+            kind = kinds[t % len(kinds)]
+            n = rng.randint(1, 6)
+            m = rng.randint(1, 8) if kind == "deficient" else rng.randint(n + (kind == "inconsistent"), 8)
+            A = rand_low_rank(rng, m, n) if kind == "deficient" else rand_matrix(rng, m, n, -6, 6)
+            z0 = [rng.randint(-5, 5) for _ in range(n)]
+            a = [list(r) for r in A.data]
+            if kind == "row3":
+                i = rng.randrange(m)
+                a[i] = [3 * x for x in a[i]]
+            elif kind == "col3":
+                j = rng.randrange(n)
+                for row in a:
+                    row[j] *= 3
+            A = IntMatrix.from_rows(a)
+            b = list(A.apply(z0))
+            if kind == "row3":  # row i of A.z is a multiple of 3, b_i is not
+                b[i] += rng.choice((1, 2))
+            elif kind == "col3":  # b = A.(z0 + e_j / 3)
+                b = [v + row[j] // 3 for v, row in zip(b, a)]
+            elif kind == "inconsistent" or (kind == "deficient" and rng.random() < 0.5):
+                b[rng.randrange(m)] += rng.choice((-1, 1))
+            z, want = self.check_against_fractions(A, b, box=3 if n <= 3 else None)
+            seen["rational" if isinstance(want, tuple) else want, z is not None] += 1
+            digest.update(repr(z).encode())
+        # solved and unsolved, full rank or not; inconsistent is never solved
+        assert len(seen) == 5 and min(seen.values()) > 250, seen
+        assert digest.hexdigest() == "6edab4f7b8e1e8b8e375fbdaa0325496c84b84abdd706917becdd6b60881f660"
 
     def test_solution_verified(self):
         rng = random.Random(26)

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +257,29 @@ class TestRealize:
         )
         with pytest.raises(NotGeometric):
             realize_morphism(h)
+
+    def test_wrong_solve_caught_under_optimize(self):
+        # the check on the solve's answer must survive python -O, which
+        # strips assert statements
+        code = textwrap.dedent("""
+            from tropfan import FanMorphism, IntMatrix, induced_homspec, standard_model
+            from tropfan import morphism
+
+            morphism.lattice_solve = lambda A, b: (0,) * A.cols
+            L23 = standard_model(2, 3)
+            try:
+                morphism.realize_morphism(induced_homspec(FanMorphism(L23, L23, IntMatrix.identity(2))))
+            except AssertionError as exc:
+                print(exc)
+        """)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "lattice solve must reproduce the image on every ray\n"
 
     def test_no_integer_solution(self):
         # on Y the degree-0 function (1, 0, -1) needs the fractional
