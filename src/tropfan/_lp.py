@@ -22,8 +22,13 @@ its entries; of the rows with the same primitive direction and strictness
 only the tightest is kept.  Eliminating a variable adds ``|a_l| * upper +
 a_u * lower`` for each pair of a lower and an upper row, strict if either
 is, which keeps the rows integral without dividing (Schrijver, *Theory of
-Linear and Integer Programming*, 1986, section 12.2).  At a search node the
-bound a row puts on the next variable is a floor division of its residual.
+Linear and Integer Programming*, 1986, section 12.2).  When the rows hold
+an equality ``e . x = v`` in the variable, as a non-strict upper row and
+its exact negation, it is substituted instead: each other row ``c`` with
+``c_j != 0`` becomes ``e_j * c - c_j * e``, keeping its strictness.  The
+pairwise rows are implied by these, so each projection is the same
+polyhedron with fewer rows.  At a search node the bound a row puts on the
+next variable is a floor division of its residual.
 """
 
 from __future__ import annotations
@@ -170,11 +175,25 @@ def _levels(cons, nvars: int):
                 nxt.append((c[:j], r, s))
             else:
                 (uppers if a > 0 else lowers).append((c, r, s))
-        for cl, rl, sl in lowers:
-            al = -cl[j]
-            for cu, ru, su in uppers:
-                au = cu[j]
-                nxt.append((tuple([al * u + au * l for u, l in zip(cu[:j], cl)]), al * ru + au * rl, sl or su))
+        # A non-strict upper row whose exact negation is a non-strict lower
+        # row is an equality e . x = v with e_j > 0; both rows went through
+        # _primitive_rows the same way, so the negation is exact.
+        eqs = {(c, r) for c, r, s in lowers if not s}
+        eq = next(((c, r) for c, r, s in uppers if not s and (tuple([-x for x in c]), -r) in eqs), None)
+        if eq is not None:
+            # Substitute it into every other row: e_j c - c_j e has no x_j
+            # and the same strictness.  The pairwise rows are implied.
+            ec, ev = eq
+            ej = ec[j]
+            for c, r, s in uppers + lowers:
+                a = c[j]
+                nxt.append((tuple([ej * x - a * y for x, y in zip(c[:j], ec)]), ej * r - a * ev, s))
+        else:
+            for cl, rl, sl in lowers:
+                al = -cl[j]
+                for cu, ru, su in uppers:
+                    au = cu[j]
+                    nxt.append((tuple([al * u + au * l for u, l in zip(cu[:j], cl)]), al * ru + au * rl, sl or su))
         levels[k] = (
             zeros,
             [(c, r - s, c[j]) for c, r, s in uppers],

@@ -196,23 +196,37 @@ def image_membership(
 
     G is a member iff for every ray a some integer z satisfies
     z . F(b) <= G(b) at all rays b with equality at a; the witness is then
-    the max of the monomials x^z.  Each per-ray search enumerates integer
-    points inside the exact rational bounds, clamped to |z|_inf <= bound;
-    a miss without clamping (or rational infeasibility) is a proof, a miss
-    after clamping raises Inconclusive.
+    the max of the monomials x^z.  Every value w_rho * f(d_rho) is a
+    multiple of its ray's weight, so a value that is not is a proof of
+    non-membership before any search.  Each per-ray search enumerates
+    integer points inside the exact rational bounds, clamped to
+    |z|_inf <= bound; a miss without clamping (or rational infeasibility)
+    is a proof, a miss after clamping raises Inconclusive.  A ray is not
+    searched when an exponent already found is tight there, so the witness
+    has at most one term per ray, and possibly fewer.
     """
+    if isinstance(bound, bool):
+        raise TypeError("search bound is an integer, not a boolean")
+    try:
+        bound = operator.index(bound)
+    except TypeError:
+        raise TypeError(f"search bound is an integer, got {bound!r}") from None
     if bound < 0:
         raise BadParameters(f"search bound must be nonnegative, got {bound}")
     if G.fan != X:
         raise DimensionMismatch("ray function belongs to a different fan")
     if G.is_bottom:
         return LaurentPoly.zero(X.ambient_dim)
+    if any(value % ray.weight for ray, value in zip(X.rays, G.values)):
+        return None
     n = X.ambient_dim
     gens = [ray.generator for ray in X.rays]
     rows = [(gen, value, False) for gen, value in zip(gens, G.values)]
     exponents = []
     unknown = False
     for gen, value in zip(gens, G.values):
+        if any(sum(map(operator.mul, z, gen)) == value for z in exponents):
+            continue
         cons = rows + [(tuple(-x for x in gen), -value, False)]
         z, truncated = _lp.integer_point_search(cons, n, bound)
         if z is None:

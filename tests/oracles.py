@@ -587,3 +587,46 @@ def fm_point(cons, nvars):
             return None
         point.append(v)
     return tuple(point)
+
+
+# ------------------------------------------------ per-ray image membership
+
+
+def weighted_values(X, exponents):
+    """rho |-> max_u w_rho * (u . d_rho) for the Boolean polynomial with the
+    given exponents, in integers."""
+    return tuple(max(ray.weight * sum(u * d for u, d in zip(z, ray.direction)) for z in exponents)
+                 for ray in X.rays)
+
+
+def per_ray_membership(X, values, bound):
+    """Image membership by one exponent search per ray and nothing else:
+    ray a needs an integer z with z . g_b <= G(b) at every ray b and
+    equality at a (g the weighted directions), found by
+    :func:`fm_integer_point_search` in the box |z| <= bound.  Returns
+    ("member", exponents) with one exponent per ray, ("non-member", None)
+    at the first proven miss, or ("inconclusive", None) when a search was
+    clipped by the box and none proved a miss."""
+    gens = [tuple(ray.weight * x for x in ray.direction) for ray in X.rays]
+    rows = [(g, v, False) for g, v in zip(gens, values)]
+    exponents, unknown = [], False
+    for g, v in zip(gens, values):
+        z, truncated = fm_integer_point_search(rows + [(tuple(-x for x in g), -v, False)], X.ambient_dim, bound)
+        if z is not None:
+            exponents.append(z)
+        elif truncated:
+            unknown = True
+        else:
+            return "non-member", None
+    return ("inconclusive", None) if unknown else ("member", exponents)
+
+
+def rand_unbalanced_fan(rng: random.Random, n, max_rays=5, max_weight=3) -> WeightedFan:
+    """Rays in random directions and weights, balanced only by chance."""
+    while True:
+        rays = [(tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(1, max_weight))
+                for _ in range(rng.randint(1, max_rays))]
+        try:
+            return WeightedFan.build(n, rays)
+        except Exception:
+            continue

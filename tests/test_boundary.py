@@ -209,6 +209,16 @@ class TestMemberBound:
         with pytest.raises(BadParameters):
             image_membership(X, RayFunction(X, (1, 0, 0)), bound=-1)
 
+    @pytest.mark.parametrize("bound", [1.5, True, False, 2.0, Fraction(3)])
+    @pytest.mark.parametrize("fan, values", [
+        (standard_model(2, 3), (1, 0, 0)),
+        (WeightedFan.build(2, [((0, 1), 1), ((0, -1), 1)]), (1, -1)),
+    ])
+    def test_inexact_bound_library(self, fan, values, bound):
+        # 1.5 and True used to be accepted, and a float failed inside range()
+        with pytest.raises(TypeError, match="search bound is an integer"):
+            image_membership(fan, RayFunction(fan, values), bound=bound)
+
     @pytest.mark.parametrize("env, code", [("abc", "parse_error"), ("1.5", "parse_error"), ("-1", "bad_parameters")])
     def test_bad_environment_bound(self, capsys, monkeypatch, env, code):
         monkeypatch.setenv("TROPFAN_MEMBER_BOUND", env)

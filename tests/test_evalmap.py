@@ -2,10 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import minor_divisor_factors, rand_balanced_fan, rand_boolean_poly, rand_matrix
+from oracles import (
+    minor_divisor_factors,
+    per_ray_membership,
+    rand_balanced_fan,
+    rand_boolean_poly,
+    rand_matrix,
+    rand_unbalanced_fan,
+    weighted_values,
+)
+from tropfan import _lp
 from tropfan import (
     NEG_INF,
+    BadParameters,
     DimensionMismatch,
     Inconclusive,
     IntMatrix,
@@ -268,3 +280,105 @@ class TestMembership:
     def test_wrong_fan(self):
         with pytest.raises(DimensionMismatch):
             image_membership(L23, RayFunction(Y, (1, 0, -1)))
+
+    @pytest.mark.parametrize("n, rays, values, bound", [
+        (5, [((0, 0, 0, 0, 1), 2), ((0, 0, 0, 0, -1), 2)], (1, 1), 16),
+        (4, [((0, 0, 0, 1), 2), ((0, 0, 0, -1), 2)], (1, 1), 64),
+        (4, [((-5, 3, 2, -3), 1), ((0, -1, 2, 1), 1), ((0, 0, -1, -1), 3), ((1, -2, 1, 1), 3),
+             ((1, 2, -2, 1), 2)], (17, 5, 7, 12, 2), 64),
+    ])
+    def test_off_weight_values_are_proven_at_once(self, n, rays, values, bound, monkeypatch):
+        # these ran for seconds and ended Inconclusive before the weight test;
+        # now the answer comes before any search
+        def no_search(*args):
+            raise AssertionError("searched for an exponent")
+        monkeypatch.setattr(_lp, "integer_point_search", no_search)
+        X = WeightedFan.build(n, rays)
+        assert image_membership(X, RayFunction(X, values), bound=bound) is None
+
+    def test_witness_skips_rays_already_tight(self):
+        # x^0 is tight on every ray of L23 at the values 0, 0, 0
+        w = image_membership(L23, RayFunction(L23, (0, 0, 0)))
+        assert [u for u, _ in w.terms] == [(0, 0)]
+
+
+# ------------------------------------- membership against the per-ray search
+
+
+def check_membership(X, values, bound):
+    """image_membership decides wherever the per-ray reference does, the
+    same way; its witness reproduces the values with terms taken from the
+    reference's; Inconclusive becomes None only on a value off its weight.
+    Returns (reference outcome, outcome)."""
+    G = RayFunction(X, tuple(values))
+    ref, ref_exponents = per_ray_membership(X, G.values, bound)
+    try:
+        got = image_membership(X, G, bound=bound)
+    except Inconclusive:
+        got = "inconclusive"
+    if ref == "member":
+        assert isinstance(got, LaurentPoly) and got.is_boolean, (X, values, bound, got)
+        terms = [u for u, _ in got.terms]
+        assert weighted_values(X, terms) == G.values
+        assert set(terms) <= set(ref_exponents), (X, values, bound, terms, ref_exponents)
+    elif ref == "non-member":
+        assert got is None, (X, values, bound, got)
+    elif got != "inconclusive":
+        assert got is None and any(v % ray.weight for ray, v in zip(X.rays, G.values)), (X, values, bound, got)
+    return ref, "member" if isinstance(got, LaurentPoly) else "non-member" if got is None else got
+
+
+def rand_membership_values(rng: random.Random, X, kind):
+    """Values of ``kind`` on X: a member's, a member's with one value moved
+    off its ray's weight, a member's moved by a multiple of the weight to
+    negative degree, or random."""
+    n = X.ambient_dim
+    values = list(weighted_values(X, [tuple(rng.randint(-3, 3) for _ in range(n))
+                                      for _ in range(rng.randint(1, 4))]))
+    heavy = [j for j, ray in enumerate(X.rays) if ray.weight > 1]
+    if kind == "off_weight" and heavy:
+        j = rng.choice(heavy)
+        values[j] += rng.randint(1, X.rays[j].weight - 1)
+    elif kind == "negative":
+        j = rng.randrange(len(values))
+        w = X.rays[j].weight
+        values[j] -= w * (max(sum(values), 0) // w + rng.randint(1, 2))
+    elif kind == "random":
+        values = [rng.randint(-6, 6) for _ in values]
+    return values
+
+
+def test_membership_sweep():
+    rng = random.Random(7070)
+    seen = set()
+    for _ in range(1200):
+        n = rng.randint(1, 3)
+        X = rand_balanced_fan(rng, n, max_rays=5) if rng.random() < 0.6 else rand_unbalanced_fan(rng, n)
+        kind = rng.choice(["member", "off_weight", "negative", "random"])
+        seen.add(check_membership(X, rand_membership_values(rng, X, kind), rng.choice([0, 3, 6])))
+    assert {("member", "member"), ("non-member", "non-member"), ("inconclusive", "inconclusive"),
+            ("inconclusive", "non-member")} <= seen
+
+
+@st.composite
+def membership_cases(draw):
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    items = draw(st.lists(st.tuples(vec, st.integers(1, 3)), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        last = tuple(-sum(w * v[i] for v, w in items) for i in range(n))
+        if any(last):
+            items.append((last, 1))
+    try:
+        X = WeightedFan.build(n, items)
+    except BadParameters:
+        X = WeightedFan.build(n, items[:1])
+    exponents = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=3))
+    moves = draw(st.lists(st.integers(-3, 3), min_size=len(X.rays), max_size=len(X.rays)))
+    values = [v + m for v, m in zip(weighted_values(X, exponents), moves)]
+    return X, values, draw(st.sampled_from([0, 2, 5]))
+
+
+@given(membership_cases())
+def test_membership_matches_the_per_ray_search(case):
+    check_membership(*case)

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import fm_integer_point_search, fm_point
-from tropfan._lp import find_point, integer_point_search
+from tropfan._lp import _integral, _levels, _primitive_rows, find_point, integer_point_search
 
 
 def satisfies(cons, x):
@@ -229,3 +229,130 @@ class TestSearchEdgeCases:
     def test_rational_infeasibility_is_not_truncated(self):
         # x + y <= 0 and x + y >= 1 leave no bound on x alone
         assert check_search([((1, 1), 0, False), ((-1, -1), -1, False)], 2, 8) == (None, False)
+
+
+# ------------------------------------------- equality pairs in the search
+
+
+def _integer_rows(cons):
+    rows = []
+    for c, r, s in cons:
+        c, r = _integral(c, r)
+        rows.append((tuple(c), r, s))
+    return rows
+
+
+def equality_rows(cons, nvars):
+    """The primitive rows of the system when they hold a non-strict row
+    e . x <= v with e_{nvars-1} != 0 and its exact negation, found apart
+    from the search; else None."""
+    rows = _primitive_rows(_integer_rows(cons))
+    if rows is None or nvars == 0:
+        return None
+    nonstrict = {(c, r) for c, r, s in rows if not s}
+    if any(c[-1] and (tuple(-x for x in c), -r) in nonstrict for c, r in nonstrict):
+        return rows
+    return None
+
+
+def check_equality_search(cons, nvars, bound):
+    """check_search, and when the top level eliminates its variable by an
+    equality the next level has at most the other rows, with no pairwise
+    rows added."""
+    got = check_search(cons, nvars, bound)
+    rows = equality_rows(cons, nvars)
+    levels = _levels(cons, nvars)
+    if nvars >= 2 and rows is not None and levels is not None:
+        below = sum(map(len, levels[nvars - 1]))
+        assert below <= len(rows) - 2, (cons, nvars, below, len(rows))
+    return got
+
+
+def rand_equality(rng: random.Random, nvars: int, last: bool):
+    """A row c . x = r as ``<=`` and ``>=`` rows, each scaled by its own
+    positive factor; with ``last`` its last coefficient is nonzero, else 0.
+    In no variables it is the constant pair 0 <= r and 0 >= r."""
+    while True:
+        c = [rng.randint(-3, 3) if rng.random() < 0.8 else Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+             for _ in range(nvars)]
+        if nvars:
+            c[-1] = rng.choice([-2, -1, 1, 2, 3, Fraction(1, 2)]) if last else 0
+        if any(c) or not nvars:
+            break
+    r = rng.randint(-6, 6) if rng.random() < 0.7 else Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+    k, m = rng.choice([1, 1, 2, 3, Fraction(1, 2)]), rng.choice([1, 1, 2, Fraction(1, 3)])
+    return [(tuple(k * x for x in c), k * r, False), (tuple(-m * x for x in c), -m * r, False)]
+
+
+def rand_equality_system(rng: random.Random, nvars: int):
+    """A mixed system with 1-2 exact equality pairs: on the last variable or
+    not, sometimes with a strict row of the same direction, sometimes with
+    a gcd that does not divide the right-hand side."""
+    cons = [row for row in rand_search_system(rng, nvars) if rng.random() < 0.7]
+    for _ in range(rng.randint(1, 2)):
+        pair = rand_equality(rng, nvars, nvars == 1 or rng.random() < 0.75)
+        if rng.random() < 0.2:
+            (c, r, _), _ = pair
+            pair = [(tuple(2 * x for x in c), 2 * r + 1, False), (tuple(-2 * x for x in c), -2 * r - 1, False)]
+        if rng.random() < 0.25:
+            (c, r, _), _ = pair
+            pair.append((tuple(rng.choice([1, 2, -1]) * x for x in c), r + rng.randint(-1, 2), True))
+        cons += pair
+    rng.shuffle(cons)
+    return cons
+
+
+def test_equality_sweep():
+    rng = random.Random(6060)
+    seen, chained = set(), 0
+    for _ in range(3200):
+        n = rng.randint(0, 4)
+        cons = rand_equality_system(rng, n)
+        point, truncated = check_equality_search(cons, n, rng.choice([0, 1, 3, 8]))
+        seen.add((point is not None, truncated))
+        chained += equality_rows(cons, n) is not None
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert chained > 1000  # the substitution is exercised, not only the pairwise rows
+
+
+class TestEqualitySubstitution:
+    def test_equality_with_zero_last_coefficient_passes_down(self):
+        cons = [((1, 0), 2, False), ((-1, 0), -2, False), ((1, 1), 5, False), ((-1, 2), 3, True)]
+        assert check_equality_search(cons, 2, 8) == ((2, -8), True)
+        cons += [((0, -1), 0, False)]
+        assert check_equality_search(cons, 2, 8) == ((2, 0), False)
+
+    def test_two_equalities_on_the_same_variable(self):
+        cons = [((1, 1, 1), 3, False), ((-1, -1, -1), -3, False),
+                ((1, -1, 2), 1, False), ((-2, 2, -4), -2, False),
+                ((1, 0, 0), 4, False), ((-1, 0, 0), 4, False)]
+        assert check_equality_search(cons, 3, 8) == ((-4, 3, 4), False)
+        assert check_equality_search(cons[:4] + [((0, 1, 0), 0, True)], 3, 8) == ((8, -1, -4), True)
+
+    def test_equality_sharing_a_direction_with_a_strict_row(self):
+        eq = [((1, 2), 3, False), ((-1, -2), -3, False)]
+        assert check_equality_search(eq + [((2, 4), 6, True)], 2, 5) == (None, False)
+        assert check_equality_search(eq + [((-1, -2), -3, True)], 2, 5) == (None, False)
+        assert check_equality_search(eq + [((2, 4), 7, True)], 2, 5) == ((-5, 4), True)
+
+    def test_equality_whose_gcd_does_not_divide_its_rhs(self):
+        eq = [((2, 4), 1, False), ((-2, -4), -1, False)]
+        assert check_equality_search(eq, 2, 6) == (None, True)
+        assert check_equality_search(eq + [((1, 0), 1, False), ((-1, 0), 1, False)], 2, 6) == (None, False)
+        assert check_equality_search([((3,), 1, False), ((-6,), -2, False)], 1, 6) == (None, False)
+
+    def test_chain_is_smaller(self):
+        # x2 = x0 + x1 and eight rows on x2 in distinct directions: the
+        # substitution leaves eight rows, two of them the same, where
+        # pairing would add sixteen more
+        cons = [((-1, -1, 1), 0, False), ((1, 1, -1), 0, False)]
+        cons += [((a, b, 1), 9, False) for a, b in [(1, 0), (0, 1), (2, 1), (1, 3)]]
+        cons += [((a, b, -1), 9, True) for a, b in [(1, 2), (3, 0), (0, 3), (2, 2)]]
+        levels = _levels(cons, 3)
+        assert sum(map(len, levels[2])) == 7
+        check_equality_search(cons, 3, 4)
+
+    def test_empty_system(self):
+        assert check_equality_search([], 0, 3) == ((), False)
+        assert check_equality_search([], 2, 1) == ((-1, -1), True)
+        assert check_equality_search([((), 0, False), ((), 0, False)], 0, 3) == ((), False)
