@@ -10,7 +10,6 @@ import argparse
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 from tropfan import (
     Inconclusive,
@@ -20,37 +19,27 @@ from tropfan import (
     image_membership,
     standard_model,
 )
+from tropfan.evalmap import DEFAULT_MEMBER_BOUND
 
 
-@dataclass
-class ProbeConfig:
-    seed: int = 11
-    trials: int = 300
-    span: int = 8          # values drawn from [-span, span]
-    bound: int = 64        # |z|_inf cap for the per-ray exponent search
-    fan_path: str = ""     # JSON file; empty -> standard model L_{n,r}
-    n: int = 2
-    r: int = 3
-
-
-def load_fan(cfg: ProbeConfig) -> WeightedFan:
-    if cfg.fan_path:
-        with open(cfg.fan_path) as fh:
+def load_fan(cfg) -> WeightedFan:
+    if cfg.fan:
+        with open(cfg.fan) as fh:
             return WeightedFan.from_json(json.load(fh))
     return standard_model(cfg.n, cfg.r)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=ProbeConfig.seed)
-    ap.add_argument("--trials", type=int, default=ProbeConfig.trials)
-    ap.add_argument("--span", type=int, default=ProbeConfig.span)
-    ap.add_argument("--bound", type=int, default=ProbeConfig.bound)
-    ap.add_argument("--fan", default="", help="path to a fan JSON file")
-    ap.add_argument("-n", type=int, default=ProbeConfig.n)
-    ap.add_argument("-r", type=int, default=ProbeConfig.r)
-    a = ap.parse_args()
-    cfg = ProbeConfig(a.seed, a.trials, a.span, a.bound, a.fan, a.n, a.r)
+    ap.add_argument("--seed", type=int, default=11)
+    ap.add_argument("--trials", type=int, default=300)
+    ap.add_argument("--span", type=int, default=8, help="values drawn from [-span, span]")
+    ap.add_argument("--bound", type=int, default=DEFAULT_MEMBER_BOUND,
+                    help="|z|_inf cap for the per-ray exponent search")
+    ap.add_argument("--fan", default="", help="path to a fan JSON file; default the standard model L_{n,r}")
+    ap.add_argument("-n", type=int, default=2)
+    ap.add_argument("-r", type=int, default=3)
+    cfg = ap.parse_args()
 
     X = load_fan(cfg)
     rng = random.Random(cfg.seed)
@@ -74,7 +63,7 @@ def main():
             tally["member"] += 1
             witness_terms.append(len(w.terms))
 
-    print(f"fan: {cfg.fan_path or f'L_{{{cfg.n},{cfg.r}}}'}  rays={k}  bound={cfg.bound}")
+    print(f"fan: {cfg.fan or f'L_{{{cfg.n},{cfg.r}}}'}  rays={k}  bound={cfg.bound}")
     print(f"degree >= 0 samples: {cfg.trials}")
     for key in ("member", "non-member", "inconclusive"):
         print(f"  {key:12s} {tally[key]:5d}  ({100.0 * tally[key] / cfg.trials:.1f}%)")

@@ -11,18 +11,11 @@ standard models are checked first as a sanity row.
 import argparse
 import random
 from collections import Counter
-from dataclasses import dataclass
 
-from tropfan import is_smooth, standard_model, WeightedFan
+from tropfan import BadParameters, is_smooth, standard_model, WeightedFan
 
-
-@dataclass
-class SurveyConfig:
-    seed: int = 7
-    trials: int = 400
-    dims: tuple = (2, 3, 4)
-    max_rays: int = 6
-    max_weight: int = 3
+DIMS = (2, 3, 4)
+MAX_RAYS = 6
 
 
 def random_balanced_fan(rng, n, max_rays, max_weight):
@@ -47,7 +40,7 @@ def random_balanced_fan(rng, n, max_rays, max_weight):
         items.append(([-t for t in total], 1))
         try:
             return WeightedFan.build(n, items)
-        except Exception:
+        except BadParameters:  # two rays with one direction
             continue
 
 
@@ -61,11 +54,10 @@ def classify(reason: str) -> str:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=SurveyConfig.seed)
-    ap.add_argument("--trials", type=int, default=SurveyConfig.trials)
-    ap.add_argument("--max-weight", type=int, default=SurveyConfig.max_weight)
-    args = ap.parse_args()
-    cfg = SurveyConfig(seed=args.seed, trials=args.trials, max_weight=args.max_weight)
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--trials", type=int, default=400)
+    ap.add_argument("--max-weight", type=int, default=3)
+    cfg = ap.parse_args()
 
     print("standard models (all expected smooth):")
     for n in range(1, 5):
@@ -73,10 +65,10 @@ def main():
         print(f"  n={n}: {'all smooth' if all(verdicts) else 'FAILURE'}")
 
     rng = random.Random(cfg.seed)
-    for n in cfg.dims:
+    for n in DIMS:
         tally = Counter()
         for _ in range(cfg.trials):
-            X = random_balanced_fan(rng, n, cfg.max_rays, cfg.max_weight)
+            X = random_balanced_fan(rng, n, MAX_RAYS, cfg.max_weight)
             rep = is_smooth(X)
             tally["smooth" if rep.smooth else classify(rep.reason)] += 1
         print(f"\nambient dimension {n} ({cfg.trials} fans, weights <= {cfg.max_weight}):")

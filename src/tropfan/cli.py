@@ -22,9 +22,8 @@ from . import intlat as _intlat
 from . import laurent as _laurent
 from . import morphism as _morphism
 from .errors import DimensionMismatch, ParseError, TropfanError
+from .evalmap import DEFAULT_MEMBER_BOUND
 from .semiring import NEG_INF, as_int
-
-DEFAULT_MEMBER_BOUND = 64
 
 
 def _load_json(path: str):

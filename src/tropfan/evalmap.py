@@ -28,7 +28,10 @@ from .errors import (
 from .fan import WeightedFan, check_balancing, primitive
 from .intlat import IntMatrix, hnf, invariant_factors, snf
 from .laurent import LaurentPoly
-from .semiring import NEG_INF, TropValue, as_int
+from .semiring import NEG_INF, TropValue, as_index, as_int
+
+#: half-width of image_membership's default exponent search box
+DEFAULT_MEMBER_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,7 @@ class RayFunction:
                 raise DimensionMismatch(
                     f"{len(self.values)} values for {len(self.fan.rays)} rays"
                 )
-            if any(isinstance(v, bool) for v in self.values):
-                raise TypeError("ray values are integers, not booleans")
-            object.__setattr__(self, "values", tuple(map(operator.index, self.values)))
+            object.__setattr__(self, "values", tuple(map(as_index, self.values)))
 
     @property
     def is_bottom(self) -> bool:
@@ -188,7 +189,7 @@ def is_smooth(X: WeightedFan) -> SmoothReport:
 
 
 def image_membership(
-    X: WeightedFan, G: RayFunction, bound: int = 64
+    X: WeightedFan, G: RayFunction, bound: int = DEFAULT_MEMBER_BOUND
 ) -> Optional[LaurentPoly]:
     """Decide whether G is the weighted evaluation of some Boolean
     polynomial, returning such a polynomial or None for a proven
@@ -205,10 +206,8 @@ def image_membership(
     searched when an exponent already found is tight there, so the witness
     has at most one term per ray, and possibly fewer.
     """
-    if isinstance(bound, bool):
-        raise TypeError("search bound is an integer, not a boolean")
     try:
-        bound = operator.index(bound)
+        bound = as_index(bound)
     except TypeError:
         raise TypeError(f"search bound is an integer, got {bound!r}") from None
     if bound < 0:

@@ -9,18 +9,16 @@ set equality and every downstream matrix/output ordering is deterministic.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BadParameters, DimensionMismatch, ParseError, ZeroVector
-from .semiring import as_int
+from .semiring import NEG_INF, as_index, as_int, as_trop
 
 
 def primitive(v: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Factor a nonzero integer vector as weight * primitive direction."""
-    v = tuple(map(operator.index, v))
+    v = tuple(map(as_index, v))
     if not any(v):
         raise ZeroVector("the zero vector has no direction")
     g = math.gcd(*(abs(x) for x in v))
@@ -35,7 +33,7 @@ class Ray:
     weight: int
 
     def __post_init__(self):
-        d = tuple(map(operator.index, self.direction))
+        d = tuple(map(as_index, self.direction))
         object.__setattr__(self, "direction", d)
         if not any(d):
             raise ZeroVector("ray direction may not be zero")
@@ -61,6 +59,7 @@ class WeightedFan:
     rays: tuple[Ray, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "ambient_dim", as_index(self.ambient_dim))
         if self.ambient_dim < 1:
             raise BadParameters("ambient dimension must be at least 1")
         if not self.rays:
@@ -82,7 +81,7 @@ class WeightedFan:
         rays = []
         seen = {}
         for vec, w in items:
-            w = operator.index(w)
+            w = as_index(w)
             if w < 1:
                 raise BadParameters(f"weight must be positive, got {w}")
             g, d = primitive(vec)
@@ -92,6 +91,23 @@ class WeightedFan:
             rays.append(Ray(d, w * g))
         rays.sort(key=lambda r: r.direction)
         return cls(ambient_dim, tuple(rays))
+
+    def ray_of(self, v: Sequence) -> Optional[Ray]:
+        """The ray whose direction is a positive rational multiple of v, or
+        None when v is zero or lies on no ray.  The coordinates of v are
+        ints or exact rationals; floats, booleans and -inf raise TypeError.
+        v is scaled to integers and reduced by :func:`primitive`, so the
+        answer is the ray with that direction."""
+        if not all(type(x) is int for x in v):
+            q = [as_trop(x) for x in v]
+            if NEG_INF in q:
+                raise TypeError("-inf is not a vector coordinate; vectors are rational")
+            den = math.lcm(*(x.denominator for x in q))
+            v = [x.numerator * (den // x.denominator) for x in q]
+        if not any(v):
+            return None
+        d = primitive(v)[1]
+        return next((ray for ray in self.rays if ray.direction == d), None)
 
     def directions(self) -> tuple[tuple[int, ...], ...]:
         return tuple(r.direction for r in self.rays)
@@ -146,21 +162,5 @@ def support_contains(X: WeightedFan, v: Sequence) -> bool:
     direction."""
     if len(v) != X.ambient_dim:
         raise DimensionMismatch(f"vector of length {len(v)} in dimension {X.ambient_dim}")
-    v = [Fraction(x) for x in v]
-    return not any(v) or any(positive_multiple(v, ray.direction) for ray in X.rays)
-
-
-def positive_multiple(v: Sequence, d: Sequence[int]) -> bool:
-    """True iff v = t * d for some rational t > 0."""
-    t = None
-    for vi, di in zip(v, d):
-        if di == 0:
-            if vi != 0:
-                return False
-        else:
-            ratio = Fraction(vi, di)
-            if t is None:
-                t = ratio
-            elif ratio != t:
-                return False
-    return t is not None and t > 0
+    # ray_of first: it rejects floats before any() could read 0.0 as zero
+    return X.ray_of(v) is not None or not any(v)

@@ -18,8 +18,8 @@ operation returns fresh objects.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     NotLeftInvertible,
     ParseError,
 )
-from .semiring import as_int
+from .semiring import as_index, as_int
 
 
 @dataclass(frozen=True)
@@ -39,22 +39,22 @@ class IntMatrix:
     data: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.data or not self.data[0]:
+        try:
+            data = tuple(map(tuple, self.data))
+            if set(map(type, chain.from_iterable(data))) - {int}:
+                data = tuple(tuple(map(as_index, row)) for row in data)
+        except TypeError as exc:
+            raise BadParameters(f"non-integer matrix entry: {exc}") from exc
+        object.__setattr__(self, "data", data)
+        if not data or not data[0]:
             raise BadParameters("matrix must have at least one row and one column")
-        width = len(self.data[0])
-        for row in self.data:
-            if len(row) != width:
-                raise BadParameters("ragged matrix rows")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise BadParameters(f"non-integer matrix entry {x!r}")
+        width = len(data[0])
+        if any(len(row) != width for row in data):
+            raise BadParameters("ragged matrix rows")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        try:
-            return cls(tuple(tuple(operator.index(x) for x in row) for row in rows))
-        except TypeError as exc:
-            raise BadParameters(f"non-integer matrix entry: {exc}") from exc
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -269,9 +269,7 @@ def lattice_solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """
     if len(b) != A.rows:
         raise DimensionMismatch(f"rhs of length {len(b)} against {A.rows}x{A.cols}")
-    if any(isinstance(x, bool) for x in b):
-        raise TypeError("right-hand side entries are integers, not booleans")
-    resid = list(map(operator.index, b))
+    resid = list(map(as_index, b))
     m, n = A.rows, A.cols
     a = [list(row) + [x] for row, x in zip(A.data, resid)]
     if m >= n and _bareiss(a, n):

@@ -35,6 +35,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from . import _lp
@@ -44,7 +45,7 @@ from .errors import (
     EmptyPolynomial,
     ParseError,
 )
-from .semiring import NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_int, as_trop
+from .semiring import NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_trop
 
 Term = tuple[tuple[int, ...], Fraction]
 
@@ -81,8 +82,12 @@ class LaurentPoly:
     terms: tuple[Term, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "num_vars", as_index(self.num_vars))
         if self.num_vars < 0:
             raise BadParameters("negative variable count")
+        if set(map(type, chain.from_iterable(u for u, _ in self.terms))) - {int}:
+            terms = tuple((tuple(map(as_index, u)), c) for u, c in self.terms)
+            object.__setattr__(self, "terms", terms)
         prev = None
         for u, c in self.terms:
             if len(u) != self.num_vars:
@@ -103,7 +108,7 @@ class LaurentPoly:
         bottom coefficients."""
         acc: dict[tuple[int, ...], Fraction] = {}
         for u, c in items:
-            u = tuple(map(operator.index, u))
+            u = tuple(map(as_index, u))
             if len(u) != num_vars:
                 raise DimensionMismatch(f"exponent {u} in {num_vars} variables")
             c = as_trop(c)
@@ -146,7 +151,7 @@ class LaurentPoly:
         return tuple(u for u, _ in self.terms)
 
     def coeff(self, exp: Sequence[int]) -> TropValue:
-        exp = tuple(map(operator.index, exp))
+        exp = tuple(map(as_index, exp))
         for u, c in self.terms:
             if u == exp:
                 return c
@@ -268,11 +273,9 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
     rows, _ = _int_rows(P.terms)
     kept = [False] * len(rows)
     confirmed = []  # the rows known to be kept
-    sub = operator.sub
-    for i, (u, a) in enumerate(rows):
+    for i, row in enumerate(rows):
         while not kept[i]:
-            # a + u.p > b + v.p  <=>  (v - u).p < a - b
-            p = _lp.find_point([(tuple(map(sub, v, u)), a - b, True) for v, b in confirmed], P.num_vars)
+            p = _beats_all(row, confirmed, P.num_vars)
             if p is None:
                 break
             vals, _ = _int_values(rows, 1, p)

@@ -23,8 +23,8 @@ from .errors import (
     NotGeometric,
     SupportViolation,
 )
-from .evalmap import RayFunction, _require_boolean
-from .fan import WeightedFan, positive_multiple, support_contains
+from .evalmap import RayFunction, _require_boolean, eval_map
+from .fan import WeightedFan, support_contains
 from .intlat import IntMatrix, lattice_solve
 from .laurent import LaurentPoly
 
@@ -76,12 +76,7 @@ def pullback_evalmap(mu: FanMorphism, f: LaurentPoly) -> RayFunction:
     """Pull the weighted evaluation of f on the target back to the source:
     rho |-> w_rho * f(T d_rho).  Equals eval_map of pullback_poly."""
     _require_boolean(f, mu.target)
-    if not f:
-        return RayFunction(mu.source, None)
-    return RayFunction(
-        mu.source,
-        tuple(ray.weight * int(f.eval(mu.apply(ray.direction))) for ray in mu.source.rays),
-    )
+    return eval_map(mu.source, pullback_poly(mu, f))
 
 
 def compose(mu2: FanMorphism, mu1: FanMorphism) -> FanMorphism:
@@ -130,16 +125,12 @@ def induced_homspec(mu: FanMorphism) -> HomSpec:
 
 def check_geometric(h: HomSpec) -> bool:
     """True iff at every target ray the stacked image vector is a
-    nonnegative rational multiple of some source generator column."""
-    m = h.source.ambient_dim
-    source_gens = [ray.generator for ray in h.source.rays]
-    for idx in range(len(h.target.rays)):
-        vec = [h.images[i].values[idx] for i in range(m)]
-        if not any(vec):
-            continue
-        if not any(positive_multiple(vec, gen) for gen in source_gens):
-            return False
-    return True
+    nonnegative rational multiple of some source generator column, that
+    is zero or on a source ray."""
+    return all(
+        not any(vec) or h.source.ray_of(vec) is not None
+        for vec in zip(*(H.values for H in h.images))
+    )
 
 
 def realize_morphism(h: HomSpec) -> FanMorphism:
@@ -168,10 +159,8 @@ def realize_morphism(h: HomSpec) -> FanMorphism:
         mu = FanMorphism(X, Y, T)
     except InvalidMorphism as exc:
         raise SupportViolation(str(exc)) from exc
-    for i, H in enumerate(h.images):
-        got = tuple(sum(T.data[i][j] * gen[j] for j in range(X.ambient_dim)) for gen in
-                    (ray.generator for ray in X.rays))
-        if got != H.values:
+    for t, H in zip(T.data, h.images):
+        if A.apply(t) != H.values:
             raise AssertionError("lattice solve must reproduce the image on every ray")
     return mu
 
@@ -181,12 +170,6 @@ def extract_ray_map(mu: FanMorphism) -> dict[str, Optional[str]]:
     (None when it collapses to the origin)."""
     out = {}
     for ray in mu.source.rays:
-        img = mu.apply(ray.direction)
-        if not any(img):
-            out[ray.label()] = None
-            continue
-        for tray in mu.target.rays:
-            if positive_multiple(img, tray.direction):
-                out[ray.label()] = tray.label()
-                break
+        image = mu.target.ray_of(mu.apply(ray.direction))
+        out[ray.label()] = None if image is None else image.label()
     return out

@@ -77,15 +77,25 @@ def as_trop(v) -> TropValue:
     return Fraction(v)
 
 
-def as_int(v) -> int:
-    """Coerce outside input to an integer: an int or a decimal-integer
-    string.  Floats (NaN and infinities included) and booleans raise
-    TypeError and other strings ValueError, rather than being truncated."""
-    if isinstance(v, str):
-        return int(v)
+def as_index(v) -> int:
+    """The library's integer rule: an int, or any object with
+    ``__index__`` (a NumPy integer, say), but never a bool.  Anything else,
+    floats, Fractions and strings included, raises TypeError rather than
+    being truncated or parsed."""
+    if type(v) is int:
+        return v
     if isinstance(v, bool):
         raise TypeError(f"{v!r} is not an integer")
     return operator.index(v)
+
+
+def as_int(v) -> int:
+    """Coerce outside text to an integer: :func:`as_index`, or a
+    decimal-integer string.  Floats (NaN and infinities included) and
+    booleans raise TypeError and other strings ValueError."""
+    if isinstance(v, str):
+        return int(v)
+    return as_index(v)
 
 
 def trop_add(a: TropValue, b: TropValue) -> TropValue:

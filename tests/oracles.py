@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from tropfan import NEG_INF, CanonicalFn, IntMatrix, LaurentPoly, WeightedFan, _lp
 
@@ -630,3 +631,22 @@ def rand_unbalanced_fan(rng: random.Random, n, max_rays=5, max_weight=3) -> Weig
             return WeightedFan.build(n, rays)
         except Exception:
             continue
+
+
+# ------------------------------------------------ ray lookup by ratios
+
+
+def positive_multiple(v: Sequence, d: Sequence[int]) -> bool:
+    """True iff v = t * d for some rational t > 0."""
+    t = None
+    for vi, di in zip(v, d):
+        if di == 0:
+            if vi != 0:
+                return False
+        else:
+            ratio = Fraction(vi, di)
+            if t is None:
+                t = ratio
+            elif ratio != t:
+                return False
+    return t is not None and t > 0

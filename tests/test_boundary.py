@@ -25,10 +25,11 @@ from tropfan import (
     poly_from_json,
     primitive,
     standard_model,
+    support_contains,
 )
 from tropfan.cli import run
 from tropfan.laurent import MAX_TEXT_VARS
-from tropfan.semiring import as_int, as_trop
+from tropfan.semiring import as_index, as_int, as_trop
 
 ROOT = Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -64,6 +65,28 @@ class TestAsInt:
     def test_as_trop_rejects_booleans(self):
         with pytest.raises(TypeError):
             as_trop(True)
+
+
+class Index:
+    """An integer-like object that is not an int, as a NumPy integer is."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
+class TestAsIndex:
+    @pytest.mark.parametrize("v, want", [(3, 3), (-12, -12), (10**30, 10**30), (Index(5), 5)])
+    def test_accepts_ints_and_index_objects(self, v, want):
+        assert type(as_index(v)) is int and as_index(v) == want
+
+    @pytest.mark.parametrize("v", ["7", 2.0, math.nan, -INF, True, False, None, Fraction(1), NEG_INF])
+    def test_type_errors(self, v):
+        # strings are outside text, read by as_int only
+        with pytest.raises(TypeError):
+            as_index(v)
 
 
 def _fan(**ray):
@@ -259,6 +282,55 @@ class TestLibraryConstructors:
     def test_boolean_weight(self):
         with pytest.raises(BadParameters):
             Ray((1, 0), True)
+
+    # Each of these used to be accepted: True read as 1, and a float or bool
+    # variable count or ambient dimension stored, which to_json then wrote
+    # as 1.0 or true for the JSON loaders to reject.
+    NON_INTEGERS = {
+        "primitive True": lambda: primitive((True, 0)),
+        "ray direction True": lambda: Ray((True, 0), 1),
+        "build weight True": lambda: WeightedFan.build(1, [((1,), True), ((-1,), 1)]),
+        "build ambient_dim float": lambda: WeightedFan.build(1.0, [((1,), 1), ((-1,), 1)]),
+        "standard_model True": lambda: standard_model(True, 2),
+        "direct fan ambient_dim True": lambda: WeightedFan(True, (Ray((1,), 1),)),
+        "make exponent True": lambda: LaurentPoly.make(1, [((True,), 0)]),
+        "make exponent True after 1": lambda: LaurentPoly.make(1, [((1,), 0), ((True,), 1)]),
+        "make vars True": lambda: LaurentPoly.make(True, [((1,), 0)]),
+        "direct vars float": lambda: LaurentPoly(1.0, ()),
+        "direct exponent float": lambda: LaurentPoly(1, (((1.5,), Fraction(0)),)),
+        "direct exponent True": lambda: LaurentPoly(1, (((True,), Fraction(0)),)),
+        "coeff exponent True": lambda: LaurentPoly.monomial(1, (1,)).coeff((True,)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NON_INTEGERS))
+    def test_non_integers_rejected(self, name):
+        with pytest.raises(TypeError):
+            self.NON_INTEGERS[name]()
+
+    @pytest.mark.parametrize("rows", [[[True]], [[1, 0], [0, False]]])
+    def test_matrix_entries(self, rows):
+        # from_rows read True as 1 while the constructor rejected it
+        with pytest.raises(BadParameters, match="non-integer matrix entry"):
+            IntMatrix.from_rows(rows)
+        with pytest.raises(BadParameters, match="non-integer matrix entry"):
+            IntMatrix(tuple(map(tuple, rows)))
+
+    def test_index_objects_stored_as_ints(self):
+        X = WeightedFan.build(Index(1), [((Index(2),), Index(1)), ((-1,), 1)])
+        assert X == WeightedFan.build(1, [((1,), 2), ((-1,), 1)])
+        assert type(X.ambient_dim) is int
+        P = LaurentPoly(Index(1), (((Index(2),), Fraction(0)),))
+        assert P == LaurentPoly.make(1, [((2,), 0)]) and type(P.terms[0][0][0]) is int
+        assert IntMatrix(((Index(3),),)).data == ((3,),)
+        assert RayFunction(standard_model(2, 3), (Index(1), 0, 0)).values == (1, 0, 0)
+        assert lattice_solve(IntMatrix.from_rows([[2]]), [Index(4)]) == (2,)
+
+    @pytest.mark.parametrize("v", [(0.1, 0), (0.0, 0), (1.0, 0.0), (True, 0), (NEG_INF, 0), (-INF, 0), (0, math.nan)])
+    def test_support_contains_rejects_inexact_vectors(self, v):
+        # (0.1, 0) used to be read as Fraction(0.1) and answered True; -inf
+        # must stay a TypeError rather than fail on a missing attribute
+        with pytest.raises(TypeError):
+            support_contains(standard_model(2, 3), v)
 
     @pytest.mark.parametrize("b", [[2.9], [2.0], [True], [Fraction(2)]])
     def test_lattice_solve_rhs(self, b):

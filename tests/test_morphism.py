@@ -3,11 +3,20 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from oracles import rand_boolean_poly, rand_morphism, rand_point, rand_unimodular
+from oracles import (
+    positive_multiple,
+    rand_boolean_poly,
+    rand_morphism,
+    rand_point,
+    rand_unbalanced_fan,
+    rand_unimodular,
+)
 from tropfan import (
     BadParameters,
     CompositionMismatch,
@@ -31,6 +40,7 @@ from tropfan import (
     pullback_poly,
     realize_morphism,
     standard_model,
+    support_contains,
     validate_morphism,
 )
 from tropfan.morphism import extract_ray_map
@@ -300,3 +310,64 @@ def test_induced_homspec_shape():
     assert len(h.images) == 2
     assert h.images[0].values == (-4, 3, 1)
     assert h.images[1].values == (-3, 1, 2)
+
+
+def rand_lookup_vector(rng, X):
+    """An int or Fraction vector in X's dimension: a positive, negative or
+    zero multiple of one of its rays, a sum of two rays, or a random one."""
+    d = rng.choice(X.rays).direction
+    kind = rng.randrange(6)
+    if kind == 4:
+        e = rng.choice(X.rays).direction
+        return tuple(a + b for a, b in zip(d, e))
+    if kind == 5:
+        if rng.random() < 0.5:
+            return rand_point(rng, X.ambient_dim, span=3)
+        return tuple(rng.randint(-3, 3) for _ in d)
+    t = [rng.randint(1, 9), Fraction(rng.randint(1, 9), rng.randint(1, 4)), 0][kind % 3]
+    if kind == 3:
+        t = -t
+    return tuple(t * x for x in d)
+
+
+def test_ray_lookup_against_ratio_oracle():
+    """support_contains, check_geometric and extract_ray_map decide by one
+    lookup (WeightedFan.ray_of); the reference is the per-coordinate ratio
+    test oracles.positive_multiple, over the directions or generators."""
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(2000):
+        mu = rand_morphism(rng)
+        fans = (mu.source, mu.target, rand_unbalanced_fan(rng, rng.randint(1, 3)))
+        for X in fans:
+            v = rand_lookup_vector(rng, X)
+            want = not any(v) or any(positive_multiple(v, ray.direction) for ray in X.rays)
+            assert support_contains(X, v) == want, (X, v)
+            seen["contains", want] += 1
+
+        want_map = {}
+        for ray in mu.source.rays:
+            image = mu.apply(ray.direction)
+            hits = [t.label() for t in mu.target.rays if positive_multiple(image, t.direction)]
+            want_map[ray.label()] = hits[0] if hits else None
+        assert extract_ray_map(mu) == want_map
+
+        h = induced_homspec(mu)
+        k = len(h.target.rays)
+        if rng.random() < 0.5:
+            # move c from ray b to ray a in one image: still degree 0
+            i, a, b, c = rng.randrange(len(h.images)), rng.randrange(k), rng.randrange(k), rng.randint(1, 3)
+            values = list(h.images[i].values)
+            values[a] += c
+            values[b] -= c
+            images = list(h.images)
+            images[i] = RayFunction(h.target, tuple(values))
+            h = HomSpec(h.source, h.target, tuple(images))
+        gens = [ray.generator for ray in h.source.rays]
+        want = all(
+            not any(vec) or any(positive_multiple(vec, g) for g in gens)
+            for vec in zip(*(H.values for H in h.images))
+        )
+        assert check_geometric(h) == want
+        seen["geometric", want] += 1
+    assert min(seen.values()) >= 300, seen
