@@ -17,18 +17,55 @@ the simplex multipliers are a primal optimum ``(x, mu)``.
 
 :func:`integer_point_search` enumerates integer points depth first between
 the exact per-variable bounds of a Fourier-Motzkin projection chain, in
-Python ints only.  Each row is scaled to integers and divided by the gcd of
-its entries; of the rows with the same primitive direction and strictness
-only the tightest is kept.  Eliminating a variable adds ``|a_l| * upper +
-a_u * lower`` for each pair of a lower and an upper row, strict if either
-is, which keeps the rows integral without dividing (Schrijver, *Theory of
-Linear and Integer Programming*, 1986, section 12.2).  When the rows hold
-an equality ``e . x = v`` in the variable, as a non-strict upper row and
-its exact negation, it is substituted instead: each other row ``c`` with
-``c_j != 0`` becomes ``e_j * c - c_j * e``, keeping its strictness.  The
-pairwise rows are implied by these, so each projection is the same
-polyhedron with fewer rows.  At a search node the bound a row puts on the
-next variable is a floor division of its residual.
+Python ints only (Schrijver, *Theory of Linear and Integer Programming*,
+1986, section 12.2).  The chain depends on the coefficients, not on the
+right-hand sides, so it is built once per system as a *plan*:
+
+* What a plan is built from: the coefficient rows, their strictness, and
+  which pairs of non-strict rows bound the same hyperplane from both
+  sides (``e . x <= v`` and a positive multiple of ``-e . x <= -v``).
+  That last part reads the right-hand sides, but only as a pattern: each
+  pattern of such equality pairs has its own plan.  Each row is scaled
+  to integers by the denominators of its own coefficients.
+* Right-hand sides: every row of the chain carries its right-hand side as
+  an integer combination ``combo`` of the input right-hand sides, and the
+  search evaluates ``combo . rhs`` exactly (int or Fraction).  A row
+  ``c . x <= r`` (``< r``) then holds at an integer point iff
+  ``c . x <= floor(r)`` (``<= ceil(r) - 1``).
+* Elimination: an equality pair in the variable is substituted, each
+  other row ``c`` becoming ``e_j c - c_j e`` with its strictness; the
+  pairwise rows would be implied.  Otherwise each pair of a lower and an
+  upper row adds ``|a_l| * upper + a_u * lower``, strict if either is.
+  Both keep the rows integral without dividing.
+* Guards: a row with no variable left is a condition ``0 <= combo . rhs``
+  (``<`` if strict) on the right-hand sides.  The system is rationally
+  feasible iff every guard holds; if one fails the answer is
+  ``(None, False)`` before any search.
+* Pruning: a row is dropped only when it is redundant for every
+  right-hand side: an exact duplicate (coefficients and combination), the
+  non-strict twin of a strict row, and, by Chernikov's rule, a row that
+  combines more than t + 1 input inequalities after t pairing steps, or
+  a strict superset of the inequalities of another row.  Such a row is
+  not an extreme ray of the cone of multipliers that eliminate the
+  variables, so it is the sum of rows of smaller support plus an
+  equality (equality rows count no inequality, and a substitution is a
+  bijection of rows that keeps their supports).
+* Cache: one dict, ``_CACHE``, maps each coefficient system to its
+  candidate equality pairs and each (system, pattern) to its plan.  It
+  is emptied when storing would take it past ``PLAN_CACHE_SIZE``
+  entries, together with ``_INTERN``, the table that shares the integer
+  tuples of the plans among them.  Nothing is built at import.
+
+The point and ``truncated`` do not depend on how the chain is written.
+Each level is the exact projection onto its variables, so at a node the
+range of the next variable, from the smallest to the largest integer
+meeting every row of the slice, is fixed by the projection, and so is
+whether the slice is bounded on each side (a nonempty slice is unbounded
+below iff no row bounds it below).  The search checks only the rows with
+the level's variable: by induction every prefix it builds lies in the
+projection onto its variables.  The empty prefix does once the guards
+hold, and a row of level k without variable k-1 is carried down to
+level k - 1, where the prefix meets it or a row that implies it.
 """
 
 from __future__ import annotations
@@ -36,7 +73,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 Constraint = tuple[tuple, Fraction, bool]
 
@@ -120,89 +157,202 @@ def find_point(cons: Sequence[Constraint], nvars: int) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free Fourier-Motzkin projection and the integer search.
+# Fourier-Motzkin plans and the integer search.
 # ---------------------------------------------------------------------------
 
+#: most entries, coefficient systems and plans together, that the plan cache
+#: holds; storing one more empties it first
+PLAN_CACHE_SIZE = 4096
 
-def _primitive_rows(cons) -> Optional[list[tuple[tuple, int, bool]]]:
-    """The integer rows ``(c, r, strict)`` with each primitive direction and
-    strictness kept once, with its tightest bound, and divided by the gcd
-    of its entries; None on a constant contradiction.  A row ``c . x <= r``
-    with ``g = gcd(c)`` bounds the primitive direction ``c / g`` by ``r / g``."""
-    best: dict[tuple, tuple] = {}
-    for c, r, s in cons:
-        g = math.gcd(*c)
-        if g == 0:
-            # constant constraint: 0 < r or 0 <= r
-            if r < 0 or (s and r == 0):
-                return None
+# (nvars, coefficient rows, strict flags) -> _System, and
+# (_System, indices of the equality pairs that hold) -> _Plan
+_CACHE: dict = {}
+# one object per distinct tuple held by the cached systems and plans
+_INTERN: dict = {}
+
+
+def _intern(t: tuple) -> tuple:
+    return _INTERN.setdefault(t, t)
+
+
+def _neg(t: tuple) -> tuple:
+    return tuple([-x for x in t])
+
+
+def _direction(c: tuple) -> tuple[int, tuple]:
+    """``(g, p)`` with ``c = g * p``, ``g`` the gcd of a nonzero integer ``c``."""
+    g = math.gcd(*c)
+    return g, (tuple([x // g for x in c]) if g > 1 else c)
+
+
+class _Plan(NamedTuple):
+    """The chain of one coefficient system and pattern of equality pairs.
+
+    ``guards`` holds ``(combo, strict)`` for each constant row ``0 <= r``
+    (``0 < r`` if strict), where ``r`` is ``combo . rhs`` for the input
+    right-hand sides ``rhs``.  ``rows`` is flat, five entries a row
+    ``k, a, c[:k-1], combo, strict``: a row ``c . x <= r`` (``<`` if
+    strict) of the projection onto the first k variables whose
+    coefficient ``a = c[k-1]`` is not 0.  ``widths[k]`` counts the
+    primitive directions of the projection onto the first k variables."""
+
+    guards: tuple
+    rows: tuple
+    widths: tuple
+
+
+def _scaled(c) -> tuple[tuple, int]:
+    """``(d * c, d)`` for the least positive integer d making c integral."""
+    if all(type(x) is int for x in c):
+        return tuple(c), 1
+    c = [Fraction(x) for x in c]
+    d = math.lcm(*(x.denominator for x in c))
+    return tuple([x.numerator * (d // x.denominator) for x in c]), d
+
+
+def _reduce(rows, guards: set, paired: int) -> list:
+    """The rows ``(c, combo, strict, ineqs)`` of one projection, each
+    divided by the gcd of its entries, without the rows that are redundant
+    for every right-hand side; constant rows go to ``guards``.  ``ineqs``
+    is the bitmask of the input inequalities a row combines, and ``paired``
+    the number of variables eliminated by pairing so far."""
+    best: dict = {}
+    for c, combo, strict, ineqs in rows:
+        if not any(c):
+            if strict or any(combo):  # 0 <= 0 always holds
+                guards.add(_intern((_intern(combo), strict)))
             continue
-        key = (tuple(x // g for x in c) if g > 1 else c, s)
-        old = best.get(key)
-        # r / g < r' / g' with g, g' > 0
-        if old is None or r * old[2] < old[1] * g:
-            best[key] = (c, r, g)
-    rows = []
-    for (_, s), (c, r, g) in best.items():
-        h = math.gcd(g, r)
-        rows.append((tuple(x // h for x in c), r // h, s) if h > 1 else (c, r, s))
-    return rows
+        g = math.gcd(*c, *combo)
+        if g > 1:
+            c = tuple([x // g for x in c])
+            combo = tuple([x // g for x in combo])
+        old = best.get((c, combo))
+        if old is None or (strict and not old[0]):  # x < r implies x <= r
+            best[(c, combo)] = (strict, ineqs)
+    # Chernikov: a row combining more than paired + 1 input inequalities,
+    # or a strict superset of another row's, is not an extreme ray of the
+    # projection cone, so the other rows imply it.
+    sets = {ineqs for _, ineqs in best.values() if ineqs}
+    return [
+        (c, _intern(combo), strict, ineqs)
+        for (c, combo), (strict, ineqs) in best.items()
+        if not ineqs
+        or (ineqs.bit_count() <= paired + 1 and not any(o != ineqs and o & ineqs == o for o in sets))
+    ]
 
 
-def _levels(cons, nvars: int):
-    """The Fourier-Motzkin chain for the search: ``levels[k]`` splits the
-    projection onto the first k variables by the sign of the coefficient
-    ``a`` of variable k-1 into ``(zeros, uppers, lowers)``: rows ``(c, r')``
-    and ``(c, r', |a|)`` where ``c . x <= r'`` has the same integer points as
-    the row (``r' = r - 1`` on a strict row).  None if the system is
-    rationally infeasible.
-    """
-    cur = []
-    for c, r, s in cons:
-        c, r = _integral(c, r)
-        cur.append((tuple(c), r, s))
-    cur = _primitive_rows(cur)
-    if cur is None:
-        return None
-    levels = [None] * (nvars + 1)
-    for k in range(nvars, 0, -1):
-        j = k - 1
-        zeros, uppers, lowers, nxt = [], [], [], []
-        for c, r, s in cur:
-            a = c[j]
-            if a == 0:
-                zeros.append((c, r - s))
-                nxt.append((c[:j], r, s))
+class _System:
+    """A coefficient system and its candidate equality pairs ``(i, j, u,
+    v)``: non-strict rows i < j of opposite primitive directions, which
+    bound the same hyperplane exactly when ``rhs[j] * u == -rhs[i] * v``."""
+
+    __slots__ = ("nvars", "coeffs", "stricts", "pairs")
+
+    def __init__(self, nvars: int, coeffs: tuple, stricts: tuple):
+        self.nvars, self.coeffs, self.stricts = nvars, coeffs, stricts
+        by_direction: dict = {}
+        for i, (c, strict) in enumerate(zip(coeffs, stricts)):
+            c, d = _scaled(c)
+            if any(c) and not strict:
+                g, p = _direction(c)
+                by_direction.setdefault(p, []).append((i, d, g))
+        # rhs[i] * d_i / g_i bounds the primitive direction of row i
+        self.pairs = _intern(tuple(sorted(
+            (min(i, j), max(i, j), dj * gi if i < j else di * gj, di * gj if i < j else dj * gi)
+            for p, ups in by_direction.items()
+            if p > _neg(p)
+            for i, di, gi in ups
+            for j, dj, gj in by_direction.get(_neg(p), ())
+        )))
+
+    def plan(self, links: tuple) -> _Plan:
+        """The plan when exactly the pairs ``links`` bound a hyperplane."""
+        # Each row of a linked pair is replaced by plus or minus the first
+        # row of its class, as the same half-space, and combines no
+        # inequality: the class is one equality.
+        rep: dict = {}
+        for k in links:
+            i, j = self.pairs[k][:2]
+            if i in rep:
+                rep.setdefault(j, (rep[i][0], -rep[i][1]))
+            elif j in rep:
+                rep[i] = (rep[j][0], -rep[j][1])
             else:
-                (uppers if a > 0 else lowers).append((c, r, s))
-        # A non-strict upper row whose exact negation is a non-strict lower
-        # row is an equality e . x = v with e_j > 0; both rows went through
-        # _primitive_rows the same way, so the negation is exact.
-        eqs = {(c, r) for c, r, s in lowers if not s}
-        eq = next(((c, r) for c, r, s in uppers if not s and (tuple([-x for x in c]), -r) in eqs), None)
-        if eq is not None:
-            # Substitute it into every other row: e_j c - c_j e has no x_j
-            # and the same strictness.  The pairwise rows are implied.
-            ec, ev = eq
-            ej = ec[j]
-            for c, r, s in uppers + lowers:
-                a = c[j]
-                nxt.append((tuple([ej * x - a * y for x, y in zip(c[:j], ec)]), ej * r - a * ev, s))
-        else:
-            for cl, rl, sl in lowers:
-                al = -cl[j]
-                for cu, ru, su in uppers:
-                    au = cu[j]
-                    nxt.append((tuple([al * u + au * l for u, l in zip(cu[:j], cl)]), al * ru + au * rl, sl or su))
-        levels[k] = (
-            zeros,
-            [(c, r - s, c[j]) for c, r, s in uppers],
-            [(c, r - s, -c[j]) for c, r, s in lowers],
-        )
-        cur = _primitive_rows(nxt)
-        if cur is None:
-            return None
-    return levels
+                rep[i], rep[j] = (i, 1), (i, -1)
+        scaled = [_scaled(c) for c in self.coeffs]
+        m, n = len(scaled), self.nvars
+        rows = []
+        for x, strict in enumerate(self.stricts):
+            root, sign = rep.get(x, (x, 1))
+            c, d = scaled[root]
+            combo = [0] * m
+            combo[root] = sign * d
+            rows.append((c if sign > 0 else _neg(c), tuple(combo), strict, 0 if x in rep else 1 << x))
+        guards: set = set()
+        flat: list = []
+        widths = [0] * (n + 1)
+        paired = 0
+        cur = _reduce(rows, guards, paired)
+        for k in range(n, 0, -1):
+            j = k - 1
+            zeros, uppers, lowers = [], [], []
+            for row in cur:
+                a = row[0][j]
+                (uppers if a > 0 else lowers if a < 0 else zeros).append(row)
+            widths[k] = len({_direction(row[0])[1] for row in cur})
+            for c, combo, strict, _ in uppers + lowers:
+                flat += (k, c[j], _intern(c[:j]), combo, strict)
+            nxt = [(c[:j], combo, strict, ineqs) for c, combo, strict, ineqs in zeros]
+            # A non-strict upper row whose exact negation, right-hand side
+            # included, is a lower row is an equality e . x = v with
+            # e_j > 0.  Substituting it, e_j c - c_j e, keeps each other
+            # row's strictness; the pairwise rows are implied.
+            eqs = {(c, combo) for c, combo, strict, _ in lowers if not strict}
+            eq = next((row for row in uppers if not row[2] and (_neg(row[0]), _neg(row[1])) in eqs), None)
+            if eq is not None:
+                ec, ecombo, _, _ = eq
+                ej = ec[j]
+                for c, combo, strict, ineqs in uppers + lowers:
+                    a = c[j]
+                    nxt.append((tuple([ej * x - a * y for x, y in zip(c[:j], ec)]),
+                                tuple([ej * x - a * y for x, y in zip(combo, ecombo)]), strict, ineqs))
+            else:
+                paired += 1
+                for cl, combol, sl, il in lowers:
+                    al = -cl[j]
+                    for cu, combou, su, iu in uppers:
+                        if (il | iu).bit_count() > paired + 1:
+                            continue  # _reduce's count rule, before the row is built
+                        au = cu[j]
+                        nxt.append((tuple([al * u + au * l for u, l in zip(cu[:j], cl)]),
+                                    tuple([al * u + au * l for u, l in zip(combou, combol)]), sl or su, il | iu))
+            cur = _reduce(nxt, guards, paired)
+        return _Plan(tuple(guards), tuple(flat), _intern(tuple(widths)))
+
+
+def _store(key, value):
+    if len(_CACHE) >= PLAN_CACHE_SIZE:
+        _CACHE.clear()
+        _INTERN.clear()
+    _CACHE[key] = value
+    return value
+
+
+def _plan(cons: Sequence[Constraint], nvars: int) -> _Plan:
+    """The cached plan of the system ``cons`` in ``nvars`` variables."""
+    coeffs = tuple([c for c, _, _ in cons])
+    stricts = tuple([strict for _, _, strict in cons])
+    system = _CACHE.get((nvars, coeffs, stricts))
+    if system is None:
+        # Only integer tuples are interned, so that no plan reads a
+        # Fraction from a tuple equal to an integer one.
+        coeffs = tuple([_intern(c) if all(type(x) is int for x in c) else c for c in coeffs])
+        system = _store((nvars, coeffs, stricts), _System(nvars, coeffs, stricts))
+    links = tuple([k for k, (i, j, u, v) in enumerate(system.pairs) if cons[j][1] * u == -cons[i][1] * v])
+    plan = _CACHE.get((system, links))
+    if plan is None:
+        plan = _store((system, links), system.plan(links))
+    return plan
 
 
 def integer_point_search(cons: Sequence[Constraint], nvars: int, bound: int):
@@ -213,30 +363,41 @@ def integer_point_search(cons: Sequence[Constraint], nvars: int, bound: int):
     bound, so a miss does not certify integer-infeasibility; a miss with
     ``truncated`` False (including rational infeasibility) does.
     """
-    levels = _levels(cons, nvars)
-    if levels is None:
-        return None, False
-    truncated = False
+    plan = _plan(cons, nvars)
+    rhs = [r if type(r) is int or type(r) is Fraction else Fraction(r) for _, r, _ in cons]
     mul = operator.mul
+    for combo, strict in plan.guards:
+        r = sum(map(mul, combo, rhs))
+        if r < 0 or (strict and r == 0):
+            return None, False
+    # levels[k] holds the rows (c, b, |a|) with c . x <= b at every integer
+    # point x, split into upper (a > 0) and lower rows.
+    levels = [([], []) for _ in range(nvars + 1)]
+    it = iter(plan.rows)
+    for k, a, c, combo, strict in zip(it, it, it, it, it):
+        r = sum(map(mul, combo, rhs))
+        b = -(-r // 1) - 1 if strict else r // 1
+        if a > 0:
+            levels[k][0].append((c, b, a))
+        else:
+            levels[k][1].append((c, b, -a))
+    truncated = False
 
     def dfs(k: int, prefix: list[int]):
         nonlocal truncated
         if k > nvars:
             return tuple(prefix)
-        zeros, uppers, lowers = levels[k]
-        # c . prefix + a z <= r gives z <= (r - c . prefix) // a on an upper
-        # row, and c . prefix - a z <= r gives z >= -((r - c . prefix) // a)
+        uppers, lowers = levels[k]
+        # c . prefix + a z <= b gives z <= (b - c . prefix) // a on an upper
+        # row, and c . prefix - a z <= b gives z >= -((b - c . prefix) // a)
         # on a lower row.
-        for c, r in zeros:
-            if sum(map(mul, c, prefix)) > r:
-                return None
         hi = lo = None
-        for c, r, a in uppers:
-            z = (r - sum(map(mul, c, prefix))) // a
+        for c, b, a in uppers:
+            z = (b - sum(map(mul, c, prefix))) // a
             if hi is None or z < hi:
                 hi = z
-        for c, r, a in lowers:
-            z = -((r - sum(map(mul, c, prefix))) // a)
+        for c, b, a in lowers:
+            z = -((b - sum(map(mul, c, prefix))) // a)
             if lo is None or z > lo:
                 lo = z
         if lo is None or lo < -bound:

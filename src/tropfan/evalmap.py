@@ -199,7 +199,9 @@ def image_membership(
     z . F(b) <= G(b) at all rays b with equality at a; the witness is then
     the max of the monomials x^z.  Every value w_rho * f(d_rho) is a
     multiple of its ray's weight, so a value that is not is a proof of
-    non-membership before any search.  Each per-ray search enumerates
+    non-membership before any search.  So is a negative degree on a
+    balanced fan: the values (M^T z)_b of a term sum to z . sum_b g_b = 0,
+    so M^T z <= G forces deg G >= 0.  Each per-ray search enumerates
     integer points inside the exact rational bounds, clamped to
     |z|_inf <= bound; a miss without clamping (or rational infeasibility)
     is a proof, a miss after clamping raises Inconclusive.  A ray is not
@@ -217,6 +219,8 @@ def image_membership(
     if G.is_bottom:
         return LaurentPoly.zero(X.ambient_dim)
     if any(value % ray.weight for ray, value in zip(X.rays, G.values)):
+        return None
+    if sum(G.values) < 0 and check_balancing(X):
         return None
     n = X.ambient_dim
     gens = [ray.generator for ray in X.rays]

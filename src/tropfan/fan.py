@@ -39,8 +39,13 @@ class Ray:
             raise ZeroVector("ray direction may not be zero")
         if math.gcd(*(abs(x) for x in d)) != 1:
             raise BadParameters(f"direction {d} is not primitive")
-        if not isinstance(self.weight, int) or isinstance(self.weight, bool) or self.weight < 1:
+        try:
+            weight = as_index(self.weight)
+        except TypeError:
+            weight = None
+        if weight is None or weight < 1:
             raise BadParameters(f"weight must be a positive integer, got {self.weight!r}")
+        object.__setattr__(self, "weight", weight)
 
     @property
     def generator(self) -> tuple[int, ...]:

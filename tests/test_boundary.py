@@ -4,6 +4,7 @@ infinities with a structured error instead of truncating them."""
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -324,6 +325,18 @@ class TestLibraryConstructors:
         assert IntMatrix(((Index(3),),)).data == ((3,),)
         assert RayFunction(standard_model(2, 3), (Index(1), 0, 0)).values == (1, 0, 0)
         assert lattice_solve(IntMatrix.from_rows([[2]]), [Index(4)]) == (2,)
+
+    def test_ray_weight_index_object(self):
+        # Ray refused a weight with __index__ that WeightedFan.build accepts
+        ray = Ray((1,), Index(2))
+        assert ray.weight == 2 and type(ray.weight) is int
+        X = WeightedFan.build(1, [((1,), Index(1)), ((-1,), 1)])
+        assert X == WeightedFan(1, (Ray((-1,), 1), Ray((1,), Index(1))))
+
+    @pytest.mark.parametrize("w", [True, False, 1.0, 2.5, Fraction(1), "1", 0, -2, Index(0)])
+    def test_ray_weight_message(self, w):
+        with pytest.raises(BadParameters, match=f"^weight must be a positive integer, got {re.escape(repr(w))}$"):
+            Ray((1,), w)
 
     @pytest.mark.parametrize("v", [(0.1, 0), (0.0, 0), (1.0, 0.0), (True, 0), (NEG_INF, 0), (-INF, 0), (0, math.nan)])
     def test_support_contains_rejects_inexact_vectors(self, v):

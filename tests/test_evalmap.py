@@ -296,6 +296,28 @@ class TestMembership:
         X = WeightedFan.build(n, rays)
         assert image_membership(X, RayFunction(X, values), bound=bound) is None
 
+    @pytest.mark.parametrize("n, rays, values", [
+        (2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)], (-1, 0, 0)),
+        (2, [((1, 2), 1), ((3, 1), 1), ((-4, -3), 1)], (0, -1, 0)),
+        (2, [((1, 0), 2), ((-1, 0), 2), ((0, 1), 1), ((0, -1), 1)], (-2, 0, 3, -4)),
+        (2, [((0, 1), 2), ((0, -1), 2)], (-2, 0)),
+        (3, [((0, 1, 2), 1), ((0, 3, 1), 1), ((0, -4, -3), 1)], (-1, 0, 0)),
+    ])
+    def test_negative_degree_on_a_balanced_fan_is_proven_at_once(self, n, rays, values, monkeypatch):
+        # the values of any term sum to 0 on a balanced fan, so no search
+        # can succeed; the last two fans do not span
+        def no_search(*args):
+            raise AssertionError("searched for an exponent")
+        monkeypatch.setattr(_lp, "integer_point_search", no_search)
+        X = WeightedFan.build(n, rays)
+        assert image_membership(X, RayFunction(X, values)) is None
+
+    def test_negative_degree_off_balance_is_searched(self):
+        X = WeightedFan.build(2, [((1, 0), 1), ((0, 1), 1)])
+        G = RayFunction(X, (-1, -1))
+        w = image_membership(X, G)
+        assert w is not None and eval_map(X, w) == G
+
     def test_witness_skips_rays_already_tight(self):
         # x^0 is tight on every ray of L23 at the values 0, 0, 0
         w = image_membership(L23, RayFunction(L23, (0, 0, 0)))

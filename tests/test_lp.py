@@ -5,6 +5,7 @@ against every constraint in exact arithmetic.  The integer-only
 ``integer_point_search`` returns the same point and ``truncated`` flag as
 the search over the Fraction chain (``oracles.fm_integer_point_search``)."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import fm_integer_point_search, fm_point
-from tropfan._lp import _integral, _levels, _primitive_rows, find_point, integer_point_search
+from tropfan import _lp
+from tropfan._lp import _integral, _plan, find_point, integer_point_search
 
 
 def satisfies(cons, x):
@@ -234,11 +236,26 @@ class TestSearchEdgeCases:
 # ------------------------------------------- equality pairs in the search
 
 
-def _integer_rows(cons):
-    rows = []
+def primitive_rows(cons):
+    """The rows scaled to integers, one per primitive direction and
+    strictness with its tightest bound, each divided by the gcd of its
+    coefficients where that divides the bound; None on a constant
+    contradiction."""
+    best = {}
     for c, r, s in cons:
         c, r = _integral(c, r)
-        rows.append((tuple(c), r, s))
+        g = math.gcd(*c)
+        if g == 0:
+            if r < 0 or (s and r == 0):
+                return None
+            continue
+        key = (tuple(x // g for x in c), s)
+        if key not in best or Fraction(r, g) < Fraction(*best[key][1:]):
+            best[key] = (tuple(c), r, g)
+    rows = []
+    for (_, s), (c, r, g) in best.items():
+        h = math.gcd(g, r)
+        rows.append((tuple(x // h for x in c), r // h, s))
     return rows
 
 
@@ -246,7 +263,7 @@ def equality_rows(cons, nvars):
     """The primitive rows of the system when they hold a non-strict row
     e . x <= v with e_{nvars-1} != 0 and its exact negation, found apart
     from the search; else None."""
-    rows = _primitive_rows(_integer_rows(cons))
+    rows = primitive_rows(cons)
     if rows is None or nvars == 0:
         return None
     nonstrict = {(c, r) for c, r, s in rows if not s}
@@ -257,13 +274,12 @@ def equality_rows(cons, nvars):
 
 def check_equality_search(cons, nvars, bound):
     """check_search, and when the top level eliminates its variable by an
-    equality the next level has at most the other rows, with no pairwise
-    rows added."""
+    equality the next level has at most the other rows' directions, with
+    no pairwise rows added."""
     got = check_search(cons, nvars, bound)
     rows = equality_rows(cons, nvars)
-    levels = _levels(cons, nvars)
-    if nvars >= 2 and rows is not None and levels is not None:
-        below = sum(map(len, levels[nvars - 1]))
+    if nvars >= 2 and rows is not None:
+        below = _plan(cons, nvars).widths[nvars - 1]
         assert below <= len(rows) - 2, (cons, nvars, below, len(rows))
     return got
 
@@ -348,11 +364,146 @@ class TestEqualitySubstitution:
         cons = [((-1, -1, 1), 0, False), ((1, 1, -1), 0, False)]
         cons += [((a, b, 1), 9, False) for a, b in [(1, 0), (0, 1), (2, 1), (1, 3)]]
         cons += [((a, b, -1), 9, True) for a, b in [(1, 2), (3, 0), (0, 3), (2, 2)]]
-        levels = _levels(cons, 3)
-        assert sum(map(len, levels[2])) == 7
+        assert _plan(cons, 3).widths[2] == 7
         check_equality_search(cons, 3, 4)
 
     def test_empty_system(self):
         assert check_equality_search([], 0, 3) == ((), False)
         assert check_equality_search([], 2, 1) == ((-1, -1), True)
         assert check_equality_search([((), 0, False), ((), 0, False)], 0, 3) == ((), False)
+
+
+# ------------------------------------------------------------ cached plans
+
+
+def rand_nonzero_row(rng: random.Random, nvars: int):
+    while True:
+        c = tuple(rng.randint(-3, 3) if rng.random() < 0.7 else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                  for _ in range(nvars))
+        if any(c):
+            return c
+
+
+def rand_rhs(rng: random.Random):
+    return rng.randint(-6, 6) if rng.random() < 0.6 else Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+
+
+def rand_coefficient_system(rng: random.Random, nvars: int):
+    """Rows ``(coeffs, strict)`` with int and Fraction coefficients, some
+    of them constant, plus 0-2 equality candidates: a non-strict row and a
+    negative multiple ``-k`` of it.  Returns the shuffled rows and the
+    candidates as ``(i, j, k)`` positions in them."""
+    rows = [((0,) * nvars if not nvars or rng.random() < 0.1 else rand_nonzero_row(rng, nvars), rng.random() < 0.4)
+            for _ in range(rng.randint(0, 6))]
+    candidates = []
+    for _ in range(rng.randint(0, 2) if nvars else 0):
+        c, k = rand_nonzero_row(rng, nvars), rng.choice([1, 2, 3, Fraction(1, 2)])
+        candidates.append((len(rows), len(rows) + 1, k))
+        rows += [(c, False), (tuple(-k * x for x in c), False)]
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    where = {old: new for new, old in enumerate(order)}
+    return [rows[i] for i in order], [(where[i], where[j], k) for i, j, k in candidates]
+
+
+def rand_right_hand_sides(rng: random.Random, rows, candidates, holding):
+    """Right-hand sides for ``rows``: candidate t is an equality, its
+    second row the exact negation of its first, iff ``holding >> t & 1``."""
+    rhs = [rand_rhs(rng) for _ in rows]
+    for t, (i, j, k) in enumerate(candidates):
+        rhs[j] = -k * rhs[i] + (0 if holding >> t & 1 else rng.choice([1, -1, Fraction(1, 2)]))
+    return rhs
+
+
+def ask(rows, rhs, nvars, bound):
+    return check_search([(c, r, s) for (c, s), r in zip(rows, rhs)], nvars, bound)
+
+
+def count_builds(monkeypatch):
+    """A list that grows by one for every plan built from here on."""
+    builds, build = [], _lp._System.plan
+
+    def counted(self, links):
+        builds.append(links)
+        return build(self, links)
+    monkeypatch.setattr(_lp._System, "plan", counted)
+    return builds
+
+
+def test_cached_plans_match_oracle(monkeypatch):
+    # every system is asked with 24 right-hand sides, equality candidates
+    # holding and broken in turn, all of them holding first, so most calls
+    # find their plan cached
+    builds = count_builds(monkeypatch)
+    rng = random.Random(8080)
+    calls, seen = 0, set()
+    for _ in range(240):
+        n = rng.randint(0, 4)
+        rows, candidates = rand_coefficient_system(rng, n)
+        bound = rng.choice([0, 1, 3, 8])
+        for t in range(24):
+            point, truncated = ask(rows, rand_right_hand_sides(rng, rows, candidates, 3 - t % 4), n, bound)
+            seen.add((point is not None, truncated))
+            calls += 1
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert len(builds) < calls / 5
+
+
+def test_plan_keys_tell_systems_apart():
+    # the same coefficients with one strict flag flipped, and the same rows
+    # in another order, are other systems; each answer is the oracle's
+    rng = random.Random(9090)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows, candidates = rand_coefficient_system(rng, n)
+        if not rows:
+            continue
+        bound = rng.choice([1, 3, 8])
+        for _ in range(4):
+            rhs = rand_right_hand_sides(rng, rows, candidates, rng.randint(0, 3))
+            ask(rows, rhs, n, bound)
+            i = rng.randrange(len(rows))
+            ask(rows[:i] + [(rows[i][0], not rows[i][1])] + rows[i + 1:], rhs, n, bound)
+            order = list(range(len(rows)))
+            rng.shuffle(order)
+            ask([rows[k] for k in order], [rhs[k] for k in order], n, bound)
+
+
+class TestPlanCache:
+    def test_strictness_is_part_of_the_key(self):
+        assert check_search([((2,), 4, False), ((-2,), -4, False)], 1, 8) == ((2,), False)
+        assert check_search([((2,), 4, True), ((-2,), -4, False)], 1, 8) == (None, False)
+        assert check_search([((2,), 4, False), ((-2,), -4, True)], 1, 8) == (None, False)
+
+    def test_equality_that_holds_then_breaks(self):
+        box = [((0, 1), 5, False), ((0, -1), 5, False)]
+        assert check_search([((1, 0), 3, False), ((-1, 0), -3, False)] + box, 2, 8) == ((3, -5), False)
+        assert check_search([((1, 0), 3, False), ((-1, 0), -2, False)] + box, 2, 8) == ((2, -5), False)
+        assert check_search([((1, 0), 3, False), ((-2, 0), -6, False)] + box, 2, 8) == ((3, -5), False)
+        assert check_search([((1, 0), 3, False), ((-2, 0), -7, False)] + box, 2, 8) == (None, False)
+
+    def test_guards_follow_the_right_hand_side(self):
+        # x <= r and -x <= s leave the guard 0 <= r + s
+        assert check_search([((1,), 2, False), ((-1,), -1, False)], 1, 8) == ((1,), False)
+        assert check_search([((1,), 2, False), ((-1,), -3, False)], 1, 8) == (None, False)
+        assert check_search([((1,), 2, True), ((-1,), -2, False)], 1, 8) == (None, False)
+        assert check_search([((0, 0), 1, False), ((1, 0), 0, False)], 2, 1) == ((-1, -1), True)
+        assert check_search([((0, 0), -1, False), ((1, 0), 0, False)], 2, 1) == (None, False)
+
+    def test_rows_differing_only_in_their_right_hand_side_are_both_kept(self):
+        # x <= r1 and x <= r2 share a direction; which one binds depends on r
+        for r1, r2 in [(1, 4), (4, 1), (Fraction(5, 2), 3)]:
+            cons = [((1, 1), r1, False), ((1, 1), r2, False), ((-1, 0), 0, False), ((0, -1), 0, False)]
+            check_search(cons, 2, 8)
+            check_search([((2, 2), 2 * r1, True)] + cons[1:], 2, 8)
+
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(_lp, "PLAN_CACHE_SIZE", 8)
+        _lp._CACHE.clear()
+        rng = random.Random(1111)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            rows, candidates = rand_coefficient_system(rng, n)
+            ask(rows, rand_right_hand_sides(rng, rows, candidates, 1), n, 3)
+            assert len(_lp._CACHE) <= 8
+        assert len(_lp._INTERN) < 1000
