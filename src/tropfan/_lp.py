@@ -42,19 +42,23 @@ right-hand sides, so it is built once per system as a *plan*:
   feasible iff every guard holds; if one fails the answer is
   ``(None, False)`` before any search.
 * Pruning: a row is dropped only when it is redundant for every
-  right-hand side: an exact duplicate (coefficients and combination), the
-  non-strict twin of a strict row, and, by Chernikov's rule, a row that
-  combines more than t + 1 input inequalities after t pairing steps, or
-  a strict superset of the inequalities of another row.  Such a row is
-  not an extreme ray of the cone of multipliers that eliminate the
-  variables, so it is the sum of rows of smaller support plus an
-  equality (equality rows count no inequality, and a substitution is a
-  bijection of rows that keeps their supports).
+  right-hand side.  An exact duplicate (coefficients and combination) is
+  one: the input inequalities a row combines, all with positive
+  multipliers, and so its strictness follow from its combination.  By
+  Chernikov's rule so is a row that combines more than t + 1 input
+  inequalities after t pairing steps, or a strict superset of the
+  inequalities of another row.  Such a row is not an extreme ray of the
+  cone of multipliers that eliminate the variables, so it is the sum of
+  rows of smaller support plus an equality (equality rows count no
+  inequality, and a substitution is a bijection of rows that keeps their
+  supports).
 * Cache: one dict, ``_CACHE``, maps each coefficient system to its
   candidate equality pairs and each (system, pattern) to its plan.  It
-  is emptied when storing would take it past ``PLAN_CACHE_SIZE``
+  is emptied when storing would take it past ``_PLAN_CACHE_SIZE``
   entries, together with ``_INTERN``, the table that shares the integer
-  tuples of the plans among them.  Nothing is built at import.
+  tuples of the plans among them.  Nothing is built at import.  A plan
+  costs about two of the per-call chains it replaces, so it pays from
+  the second search on its system on.
 
 The point and ``truncated`` do not depend on how the chain is written.
 Each level is the exact projection onto its variables, so at a node the
@@ -160,9 +164,11 @@ def find_point(cons: Sequence[Constraint], nvars: int) -> Optional[tuple]:
 # Fourier-Motzkin plans and the integer search.
 # ---------------------------------------------------------------------------
 
-#: most entries, coefficient systems and plans together, that the plan cache
-#: holds; storing one more empties it first
-PLAN_CACHE_SIZE = 4096
+# Most entries, coefficient systems and plans together, that the plan cache
+# holds; storing one more empties it first.  One pass of the benchmark's
+# member workload stores 640 (320 systems and their plans), about 0.8 MiB;
+# a full cache of member-like systems holds about 3 MiB.
+_PLAN_CACHE_SIZE = 2048
 
 # (nvars, coefficient rows, strict flags) -> _System, and
 # (_System, indices of the equality pairs that hold) -> _Plan
@@ -179,12 +185,6 @@ def _neg(t: tuple) -> tuple:
     return tuple([-x for x in t])
 
 
-def _direction(c: tuple) -> tuple[int, tuple]:
-    """``(g, p)`` with ``c = g * p``, ``g`` the gcd of a nonzero integer ``c``."""
-    g = math.gcd(*c)
-    return g, (tuple([x // g for x in c]) if g > 1 else c)
-
-
 class _Plan(NamedTuple):
     """The chain of one coefficient system and pattern of equality pairs.
 
@@ -193,12 +193,10 @@ class _Plan(NamedTuple):
     right-hand sides ``rhs``.  ``rows`` is flat, five entries a row
     ``k, a, c[:k-1], combo, strict``: a row ``c . x <= r`` (``<`` if
     strict) of the projection onto the first k variables whose
-    coefficient ``a = c[k-1]`` is not 0.  ``widths[k]`` counts the
-    primitive directions of the projection onto the first k variables."""
+    coefficient ``a = c[k-1]`` is not 0."""
 
     guards: tuple
     rows: tuple
-    widths: tuple
 
 
 def _scaled(c) -> tuple[tuple, int]:
@@ -218,52 +216,58 @@ def _reduce(rows, guards: set, paired: int) -> list:
     the number of variables eliminated by pairing so far."""
     best: dict = {}
     for c, combo, strict, ineqs in rows:
-        if not any(c):
+        g = math.gcd(*c)
+        if not g:
             if strict or any(combo):  # 0 <= 0 always holds
                 guards.add(_intern((_intern(combo), strict)))
             continue
-        g = math.gcd(*c, *combo)
+        g = math.gcd(g, *combo)
         if g > 1:
             c = tuple([x // g for x in c])
             combo = tuple([x // g for x in combo])
-        old = best.get((c, combo))
-        if old is None or (strict and not old[0]):  # x < r implies x <= r
-            best[(c, combo)] = (strict, ineqs)
+        best.setdefault((c, combo), (strict, ineqs))
+    if not paired:  # every row combines at most one inequality
+        return [(c, combo, strict, ineqs) for (c, combo), (strict, ineqs) in best.items()]
     # Chernikov: a row combining more than paired + 1 input inequalities,
     # or a strict superset of another row's, is not an extreme ray of the
-    # projection cone, so the other rows imply it.
-    sets = {ineqs for _, ineqs in best.values() if ineqs}
-    return [
-        (c, _intern(combo), strict, ineqs)
-        for (c, combo), (strict, ineqs) in best.items()
-        if not ineqs
-        or (ineqs.bit_count() <= paired + 1 and not any(o != ineqs and o & ineqs == o for o in sets))
-    ]
+    # projection cone, so the other rows imply it.  Taken by size, a set
+    # is minimal iff no minimal set before it is a subset of it.
+    minimal: list = []
+    for ineqs in sorted({ineqs for _, ineqs in best.values() if ineqs}, key=int.bit_count):
+        if ineqs.bit_count() > paired + 1:
+            break
+        if not any(o & ineqs == o for o in minimal):
+            minimal.append(ineqs)
+    keep = {0, *minimal}
+    return [(c, combo, strict, ineqs) for (c, combo), (strict, ineqs) in best.items() if ineqs in keep]
 
 
 class _System:
-    """A coefficient system and its candidate equality pairs ``(i, j, u,
-    v)``: non-strict rows i < j of opposite primitive directions, which
-    bound the same hyperplane exactly when ``rhs[j] * u == -rhs[i] * v``."""
+    """A coefficient system, its rows scaled to integers ``(d * c, d)``,
+    and its candidate equality pairs ``(i, j, u, v)``: non-strict rows
+    i < j of opposite primitive directions, which bound the same
+    hyperplane exactly when ``rhs[j] * u == -rhs[i] * v``."""
 
-    __slots__ = ("nvars", "coeffs", "stricts", "pairs")
+    __slots__ = ("nvars", "stricts", "scaled", "pairs")
 
     def __init__(self, nvars: int, coeffs: tuple, stricts: tuple):
-        self.nvars, self.coeffs, self.stricts = nvars, coeffs, stricts
+        self.nvars, self.stricts = nvars, stricts
+        self.scaled = [(_intern(c), d) for c, d in map(_scaled, coeffs)]
         by_direction: dict = {}
-        for i, (c, strict) in enumerate(zip(coeffs, stricts)):
-            c, d = _scaled(c)
+        for i, ((c, d), strict) in enumerate(zip(self.scaled, stricts)):
             if any(c) and not strict:
-                g, p = _direction(c)
+                g = math.gcd(*c)
+                p = tuple([x // g for x in c]) if g > 1 else c
                 by_direction.setdefault(p, []).append((i, d, g))
         # rhs[i] * d_i / g_i bounds the primitive direction of row i
-        self.pairs = _intern(tuple(sorted(
-            (min(i, j), max(i, j), dj * gi if i < j else di * gj, di * gj if i < j else dj * gi)
-            for p, ups in by_direction.items()
-            if p > _neg(p)
-            for i, di, gi in ups
-            for j, dj, gj in by_direction.get(_neg(p), ())
-        )))
+        pairs = []
+        for p, ups in by_direction.items():
+            q = _neg(p)
+            if p > q and q in by_direction:
+                pairs += [(min(i, j), max(i, j), dj * gi if i < j else di * gj, di * gj if i < j else dj * gi)
+                          for i, di, gi in ups for j, dj, gj in by_direction[q]]
+        pairs.sort()
+        self.pairs = _intern(tuple(pairs))
 
     def plan(self, links: tuple) -> _Plan:
         """The plan when exactly the pairs ``links`` bound a hyperplane."""
@@ -279,7 +283,7 @@ class _System:
                 rep[i] = (rep[j][0], -rep[j][1])
             else:
                 rep[i], rep[j] = (i, 1), (i, -1)
-        scaled = [_scaled(c) for c in self.coeffs]
+        scaled = self.scaled
         m, n = len(scaled), self.nvars
         rows = []
         for x, strict in enumerate(self.stricts):
@@ -290,7 +294,6 @@ class _System:
             rows.append((c if sign > 0 else _neg(c), tuple(combo), strict, 0 if x in rep else 1 << x))
         guards: set = set()
         flat: list = []
-        widths = [0] * (n + 1)
         paired = 0
         cur = _reduce(rows, guards, paired)
         for k in range(n, 0, -1):
@@ -299,16 +302,20 @@ class _System:
             for row in cur:
                 a = row[0][j]
                 (uppers if a > 0 else lowers if a < 0 else zeros).append(row)
-            widths[k] = len({_direction(row[0])[1] for row in cur})
             for c, combo, strict, _ in uppers + lowers:
-                flat += (k, c[j], _intern(c[:j]), combo, strict)
+                flat += (k, c[j], _intern(c[:j]), _intern(combo), strict)
             nxt = [(c[:j], combo, strict, ineqs) for c, combo, strict, ineqs in zeros]
             # A non-strict upper row whose exact negation, right-hand side
             # included, is a lower row is an equality e . x = v with
             # e_j > 0.  Substituting it, e_j c - c_j e, keeps each other
-            # row's strictness; the pairwise rows are implied.
-            eqs = {(c, combo) for c, combo, strict, _ in lowers if not strict}
-            eq = next((row for row in uppers if not row[2] and (_neg(row[0]), _neg(row[1])) in eqs), None)
+            # row's strictness; the pairwise rows are implied.  Only rows
+            # combining no inequality can be one: the inequalities enter
+            # every combination with positive multipliers.
+            eq = None
+            eqs = [row for row in uppers if not row[3] and not row[2]]
+            if eqs:
+                negs = {(c, combo) for c, combo, strict, ineqs in lowers if not ineqs and not strict}
+                eq = next((row for row in eqs if (_neg(row[0]), _neg(row[1])) in negs), None)
             if eq is not None:
                 ec, ecombo, _, _ = eq
                 ej = ec[j]
@@ -327,11 +334,11 @@ class _System:
                         nxt.append((tuple([al * u + au * l for u, l in zip(cu[:j], cl)]),
                                     tuple([al * u + au * l for u, l in zip(combou, combol)]), sl or su, il | iu))
             cur = _reduce(nxt, guards, paired)
-        return _Plan(tuple(guards), tuple(flat), _intern(tuple(widths)))
+        return _Plan(tuple(guards), tuple(flat))
 
 
 def _store(key, value):
-    if len(_CACHE) >= PLAN_CACHE_SIZE:
+    if len(_CACHE) >= _PLAN_CACHE_SIZE:
         _CACHE.clear()
         _INTERN.clear()
     _CACHE[key] = value
@@ -344,10 +351,11 @@ def _plan(cons: Sequence[Constraint], nvars: int) -> _Plan:
     stricts = tuple([strict for _, _, strict in cons])
     system = _CACHE.get((nvars, coeffs, stricts))
     if system is None:
-        # Only integer tuples are interned, so that no plan reads a
-        # Fraction from a tuple equal to an integer one.
-        coeffs = tuple([_intern(c) if all(type(x) is int for x in c) else c for c in coeffs])
-        system = _store((nvars, coeffs, stricts), _System(nvars, coeffs, stricts))
+        system = _System(nvars, coeffs, stricts)
+        # The key shares the system's interned integer rows where they
+        # equal the input rows.
+        coeffs = tuple([s if d == 1 else c for c, (s, d) in zip(coeffs, system.scaled)])
+        _store((nvars, coeffs, stricts), system)
     links = tuple([k for k, (i, j, u, v) in enumerate(system.pairs) if cons[j][1] * u == -cons[i][1] * v])
     plan = _CACHE.get((system, links))
     if plan is None:

@@ -8,6 +8,7 @@ the search over the Fraction chain (``oracles.fm_integer_point_search``)."""
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -272,15 +273,65 @@ def equality_rows(cons, nvars):
     return None
 
 
+def chain(cons, nvars):
+    """The rows ``(c, combo, strict, ineqs)`` that the plan of ``cons``
+    keeps for each projection, onto all nvars variables first, built from
+    an empty cache; the cache is left as it was."""
+    levels, reduce = [], _lp._reduce
+
+    def recorded(rows, guards, paired):
+        kept = reduce(rows, guards, paired)
+        levels.append(kept)
+        return kept
+
+    with mock.patch.object(_lp, "_reduce", recorded), mock.patch.dict(_lp._CACHE, clear=True), \
+            mock.patch.dict(_lp._INTERN):
+        _plan(cons, nvars)
+    return levels
+
+
+def directions(rows):
+    """The (primitive direction, strictness) pairs of the chain rows ``rows``."""
+    return {(tuple(x // math.gcd(*c) for x in c), strict) for c, _, strict, _ in rows}
+
+
+def plan_input_rows(cons):
+    """The rows a plan starts from, counted apart from it: one per
+    non-constant row, except that the non-strict rows bounding one
+    hyperplane from both sides count as two, its two half-spaces."""
+    count, sides = 0, {}
+    for c, r, s in cons:
+        c, r = _integral(c, r)
+        g = math.gcd(*c)
+        if g == 0:
+            continue
+        if s:
+            count += 1
+            continue
+        p, b = tuple(x // g for x in c), Fraction(r, g)
+        up = p > tuple(-x for x in p)
+        key = (p, b) if up else (tuple(-x for x in p), -b)
+        sides.setdefault(key, []).append(up)
+    for ups in sides.values():
+        count += 2 if len(set(ups)) == 2 else len(ups)
+    return count
+
+
 def check_equality_search(cons, nvars, bound):
     """check_search, and when the top level eliminates its variable by an
-    equality the next level has at most the other rows' directions, with
-    no pairwise rows added."""
+    equality the next level has no pairwise rows added: at most the other
+    rows' directions and strictnesses, and at most the plan's other input
+    rows.  No level holds two rows of the same coefficients and
+    combination."""
     got = check_search(cons, nvars, bound)
     rows = equality_rows(cons, nvars)
     if nvars >= 2 and rows is not None:
-        below = _plan(cons, nvars).widths[nvars - 1]
-        assert below <= len(rows) - 2, (cons, nvars, below, len(rows))
+        levels = chain(cons, nvars)
+        for level in levels:
+            assert len({(c, combo) for c, combo, _, _ in level}) == len(level), (cons, nvars, level)
+        below = levels[1]
+        assert len(directions(below)) <= len(rows) - 2, (cons, nvars, below, rows)
+        assert len(below) <= plan_input_rows(cons) - 2, (cons, nvars, below)
     return got
 
 
@@ -359,12 +410,16 @@ class TestEqualitySubstitution:
 
     def test_chain_is_smaller(self):
         # x2 = x0 + x1 and eight rows on x2 in distinct directions: the
-        # substitution leaves eight rows, two of them the same, where
-        # pairing would add sixteen more
+        # substitution leaves eight rows, where pairing would add sixteen
+        # more.  Two of them, (2, 4) . x <= 9 and (1, 2) . x <= 9, share
+        # a direction; which one binds depends on the right-hand sides,
+        # so the plan keeps both
         cons = [((-1, -1, 1), 0, False), ((1, 1, -1), 0, False)]
         cons += [((a, b, 1), 9, False) for a, b in [(1, 0), (0, 1), (2, 1), (1, 3)]]
         cons += [((a, b, -1), 9, True) for a, b in [(1, 2), (3, 0), (0, 3), (2, 2)]]
-        assert _plan(cons, 3).widths[2] == 7
+        below = chain(cons, 3)[1]
+        assert len(below) == 8
+        assert len(directions(below)) == 7
         check_equality_search(cons, 3, 4)
 
     def test_empty_system(self):
@@ -498,7 +553,7 @@ class TestPlanCache:
             check_search([((2, 2), 2 * r1, True)] + cons[1:], 2, 8)
 
     def test_size_cap(self, monkeypatch):
-        monkeypatch.setattr(_lp, "PLAN_CACHE_SIZE", 8)
+        monkeypatch.setattr(_lp, "_PLAN_CACHE_SIZE", 8)
         _lp._CACHE.clear()
         rng = random.Random(1111)
         for _ in range(60):
@@ -507,3 +562,18 @@ class TestPlanCache:
             ask(rows, rand_right_hand_sides(rng, rows, candidates, 1), n, 3)
             assert len(_lp._CACHE) <= 8
         assert len(_lp._INTERN) < 1000
+
+    def test_reduce_keeps_what_some_right_hand_side_needs(self):
+        # rows (c, combo, strict, ineqs) after one pairing step: a duplicate,
+        # a row whose inequalities hold another row's, a row of three
+        # inequalities and a constant row go; a row of another direction
+        # and the same direction with another combination stay
+        rows = [((1, 0), (1, 0, 0, 0), False, 0b0001), ((2, 0), (2, 0, 0, 0), False, 0b0001),
+                ((2, 1), (1, 1, 0, 0), True, 0b0011), ((1, 1), (1, 1, 1, 0), False, 0b0111),
+                ((0, 1), (0, 1, 1, 0), False, 0b0110), ((1, 0), (0, 0, 0, 1), True, 0b1000),
+                ((0, 0), (0, 0, 1, 1), True, 0b1100)]
+        guards = set()
+        kept = _lp._reduce(rows, guards, 1)
+        assert sorted(kept) == sorted([((1, 0), (1, 0, 0, 0), False, 0b0001), ((0, 1), (0, 1, 1, 0), False, 0b0110),
+                                       ((1, 0), (0, 0, 0, 1), True, 0b1000)])
+        assert guards == {((0, 0, 1, 1), True)}
