@@ -28,7 +28,7 @@ from .errors import (
 from .fan import WeightedFan, check_balancing, primitive
 from .intlat import IntMatrix, hnf, invariant_factors, snf
 from .laurent import LaurentPoly
-from .semiring import NEG_INF, TropValue, as_index, as_int
+from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int
 
 #: half-width of image_membership's default exponent search box
 DEFAULT_MEMBER_BOUND = 64
@@ -104,11 +104,20 @@ def _require_boolean(f: LaurentPoly, X: WeightedFan):
 
 
 def eval_map(X: WeightedFan, f: LaurentPoly) -> RayFunction:
-    """rho |-> w_rho * f(d_rho); the bottom polynomial maps to bottom."""
+    """rho |-> w_rho * f(d_rho); the bottom polynomial maps to bottom.
+
+    This is exact in integers: every coefficient of a Boolean f is 0 and
+    every direction d_rho is a primitive integer vector, so f(d_rho) is
+    max_u u . d_rho, a maximum of integer dot products.
+    """
     _require_boolean(f, X)
     if not f:
         return RayFunction(X, None)
-    return RayFunction(X, tuple(ray.weight * int(f.eval(ray.direction)) for ray in X.rays))
+    exponents = f.support()
+    mul = operator.mul
+    return RayFunction(X, tuple(
+        ray.weight * max([sum(map(mul, u, ray.direction)) for u in exponents]) for ray in X.rays
+    ))
 
 
 def generator_matrix(X: WeightedFan) -> IntMatrix:
@@ -143,10 +152,9 @@ def reconstruct_fan(M: IntMatrix) -> WeightedFan:
 
 def ker_eq(X: WeightedFan, f: LaurentPoly, g: LaurentPoly) -> bool:
     """True iff f and g agree on the support of X, i.e. at every ray
-    direction (homogeneity extends this along each ray)."""
-    _require_boolean(f, X)
-    _require_boolean(g, X)
-    return all(f.eval(ray.direction) == g.eval(ray.direction) for ray in X.rays)
+    direction (homogeneity extends this along each ray).  The weights are
+    positive, so that is equality of the weighted evaluations."""
+    return eval_map(X, f).values == eval_map(X, g).values
 
 
 def linear_relations(M: IntMatrix) -> list[tuple[int, ...]]:
@@ -241,7 +249,8 @@ def image_membership(
             exponents.append(z)
     if unknown:
         raise Inconclusive(f"no decision within |z| <= {bound}; raise the bound")
-    witness = LaurentPoly.make(n, [(z, 0) for z in exponents])
+    # distinct: a ray is searched only when no exponent found is tight there
+    witness = LaurentPoly(n, tuple((z, BOOL_ONE) for z in sorted(exponents)))
     if eval_map(X, witness).values != G.values:
         raise AssertionError("witness must reproduce the input")
     return witness

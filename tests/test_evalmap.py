@@ -11,6 +11,7 @@ from oracles import (
     rand_balanced_fan,
     rand_boolean_poly,
     rand_matrix,
+    rand_morphism,
     rand_unbalanced_fan,
     weighted_values,
 )
@@ -39,6 +40,8 @@ from tropfan import (
     ker_eq,
     linear_relations,
     parse_poly_text,
+    pullback_evalmap,
+    pullback_poly,
     reconstruct_fan,
     standard_model,
 )
@@ -103,6 +106,90 @@ class TestEvalMap:
             lhs = eval_map(X, f * g)
             rhs = tuple(a + b for a, b in zip(eval_map(X, f).values, eval_map(X, g).values))
             assert lhs.values == rhs
+
+
+# ------------------------------------ eval_map against the per-ray formulas
+
+
+def eval_by_laurent(X, f):
+    """The weighted evaluation through the general rational evaluator,
+    LaurentPoly.eval, at each direction."""
+    if not f:
+        return None
+    return tuple(ray.weight * int(f.eval(ray.direction)) for ray in X.rays)
+
+
+def rand_non_spanning_fan(rng: random.Random, n):
+    """A fan in m < n dimensions placed on m random coordinates of R^n."""
+    m = rng.randint(1, n - 1)
+    inner = rand_balanced_fan(rng, m) if rng.random() < 0.5 else rand_unbalanced_fan(rng, m)
+    axes = sorted(rng.sample(range(n), m))
+    items = []
+    for ray in inner.rays:
+        d = [0] * n
+        for a, x in zip(axes, ray.direction):
+            d[a] = x
+        items.append((d, ray.weight))
+    return WeightedFan.build(n, items)
+
+
+def rand_eval_poly(rng: random.Random, n):
+    """A Boolean polynomial of 1-6 terms, each exponent small or up to 10^6
+    in absolute value; sometimes the constant one or the bottom polynomial."""
+    r = rng.random()
+    if r < 0.05:
+        return LaurentPoly.one(n)
+    if r < 0.1:
+        return LaurentPoly.zero(n)
+    span = rng.choice([3, 10**6])
+    return LaurentPoly.make(n, [(tuple(rng.randint(-span, span) for _ in range(n)), 0)
+                                for _ in range(rng.randint(1, 6))])
+
+
+def test_eval_map_matches_the_per_ray_formulas():
+    rng = random.Random(4848)
+    seen = set()
+    for _ in range(2400):
+        n = rng.randint(1, 5)
+        kind = rng.choice(["balanced", "unbalanced", "non-spanning"] if n > 1 else ["balanced", "unbalanced"])
+        if kind == "balanced":
+            X = rand_balanced_fan(rng, n)
+        elif kind == "unbalanced":
+            X = rand_unbalanced_fan(rng, n)
+        else:
+            X = rand_non_spanning_fan(rng, n)
+        f = rand_eval_poly(rng, n)
+        got = eval_map(X, f).values
+        assert got == eval_by_laurent(X, f), (X, f)
+        if f:
+            assert got == weighted_values(X, f.support()), (X, f)
+            assert all(type(v) is int for v in got)
+        seen.add(("n", n))
+        seen.add(("kind", kind))
+        seen.update(("weight", ray.weight) for ray in X.rays)
+        seen.add(("terms", len(f.terms)))
+        seen.add(("big", bool(f) and max(map(abs, got)) > 10**6))
+        seen.add(("one", f == LaurentPoly.one(n)))
+    assert {("n", n) for n in range(1, 6)} <= seen
+    assert {("kind", k) for k in ("balanced", "unbalanced", "non-spanning")} <= seen
+    assert {("weight", w) for w in (1, 2, 3)} <= seen
+    assert {("terms", k) for k in range(7)} <= seen
+    assert {("big", True), ("one", True)} <= seen
+
+
+def test_pullback_evalmap_matches_eval_map_of_the_pullback():
+    rng = random.Random(4849)
+    for _ in range(300):
+        mu = rand_morphism(rng)
+        m = mu.target.ambient_dim
+        f = rand_boolean_poly(rng, m, exp=rng.choice([3, 10**6])) if rng.random() < 0.9 else LaurentPoly.zero(m)
+        got = pullback_evalmap(mu, f)
+        assert got == eval_map(mu.source, pullback_poly(mu, f))
+        # rho |-> w_rho * f(T d_rho), evaluated on the target side
+        expected = None if not f else tuple(
+            ray.weight * int(f.eval(mu.matrix.apply(ray.direction))) for ray in mu.source.rays
+        )
+        assert got.values == expected
 
 
 class TestDegreePositivity:
@@ -323,6 +410,39 @@ class TestMembership:
         w = image_membership(L23, RayFunction(L23, (0, 0, 0)))
         assert [u for u, _ in w.terms] == [(0, 0)]
 
+    @pytest.mark.parametrize("bad, error", [
+        pytest.param((0, 0), AssertionError, id="term-dropped"),  # tight only at the first ray
+        pytest.param((2, -1), AssertionError, id="overshoots"),  # 2 > 1 at the ray (1,0)
+        pytest.param((-1, 1), BadParameters, id="repeated"),  # the constructor refuses duplicates
+    ])
+    def test_a_faulty_search_never_yields_a_witness(self, bad, error, monkeypatch):
+        # L23 at (0, 1, 1): the first search, at the ray (-1,-1), finds
+        # (-1,1), tight at (0,1) too; the second, at (1,0), finds (1,-1)
+        # and is replaced by a faulty answer
+        search = _lp.integer_point_search
+        calls = []
+
+        def faulty(cons, nvars, bound):
+            z, truncated = search(cons, nvars, bound)
+            calls.append(z)
+            return (bad if len(calls) == 2 else z), truncated
+
+        monkeypatch.setattr(_lp, "integer_point_search", faulty)
+        with pytest.raises(error):
+            image_membership(L23, RayFunction(L23, (0, 1, 1)))
+        assert calls == [(-1, 1), (1, -1)]
+
+    @pytest.mark.xfail(raises=Inconclusive, strict=True)
+    def test_smooth_fan_member_gets_a_witness(self):
+        # a member of a smooth fan whose smallest witness exponent has a
+        # coordinate of 65, one past the default search box
+        X = WeightedFan.build(4, [((-1, 0, -2, 0), 1), ((-1, 0, 2, -1), 1), ((-1, 2, 1, -1), 1),
+                                  ((1, -1, -2, 1), 1), ((2, -1, 1, 1), 1)])
+        assert is_smooth(X).smooth
+        G = RayFunction(X, (-5, 4, 2, 4, -5))
+        w = image_membership(X, G)
+        assert w is not None and eval_map(X, w) == G
+
 
 # ------------------------------------- membership against the per-ray search
 
@@ -341,6 +461,10 @@ def check_membership(X, values, bound):
     if ref == "member":
         assert isinstance(got, LaurentPoly) and got.is_boolean, (X, values, bound, got)
         terms = [u for u, _ in got.terms]
+        # lex-sorted, distinct, every coefficient Fraction(0): the witness
+        # text cannot drift from what LaurentPoly.make would give
+        assert got == LaurentPoly.make(X.ambient_dim, [(u, 0) for u in terms])
+        assert all(type(c) is Fraction and c == 0 for _, c in got.terms)
         assert weighted_values(X, terms) == G.values
         assert set(terms) <= set(ref_exponents), (X, values, bound, terms, ref_exponents)
     elif ref == "non-member":
