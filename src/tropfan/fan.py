@@ -8,6 +8,7 @@ set equality and every downstream matrix/output ordering is deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -47,7 +48,7 @@ class Ray:
             raise BadParameters(f"weight must be a positive integer, got {self.weight!r}")
         object.__setattr__(self, "weight", weight)
 
-    @property
+    @functools.cached_property
     def generator(self) -> tuple[int, ...]:
         """weight * direction — the column this ray contributes."""
         return tuple(self.weight * x for x in self.direction)

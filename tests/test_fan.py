@@ -28,6 +28,14 @@ def test_primitive():
         primitive((0, 0))
 
 
+def test_ray_generator_is_built_once():
+    r = Ray((1, 2), 3)
+    assert r.generator is r.generator
+    # and it is no field: equality, hash and JSON read direction and weight
+    assert r == Ray((1, 2), 3) and hash(r) == hash(Ray((1, 2), 3))
+    assert WeightedFan(2, (r,)).to_json() == WeightedFan(2, (Ray((1, 2), 3),)).to_json()
+
+
 def test_ray_validation():
     r = Ray((1, 2), 3)
     assert r.generator == (3, 6)

@@ -3,7 +3,9 @@ as Fourier-Motzkin elimination over Fraction (``oracles.fm_point``) on
 random strict and non-strict systems, and every point it returns is checked
 against every constraint in exact arithmetic.  The integer-only
 ``integer_point_search`` returns the same point and ``truncated`` flag as
-the search over the Fraction chain (``oracles.fm_integer_point_search``)."""
+the search over the Fraction chain (``oracles.fm_integer_point_search``)
+on systems shaped like membership queries: integer rows and right-hand
+sides, every row an inequality but one equality."""
 
 import math
 import random
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import fm_integer_point_search, fm_point
 from tropfan import _lp
-from tropfan._lp import _integral, _plan, find_point, integer_point_search
+from tropfan._lp import _plan, find_point, integer_point_search
 
 
 def satisfies(cons, x):
@@ -137,50 +139,80 @@ class TestEdgeCases:
 # ------------------------------------------------------- integer search
 
 
-def check_search(cons, nvars, bound):
+def dot(c, x):
+    return sum(a * b for a, b in zip(c, x))
+
+
+def oracle_search(rows, rhs, eq, bound):
+    """The oracle's answer: every row a non-strict inequality, and the
+    equality's negation one more."""
+    cons = [(c, r, False) for c, r in zip(rows, rhs)] + [(tuple(-x for x in rows[eq]), -rhs[eq], False)]
+    return fm_integer_point_search(cons, len(rows[eq]), bound)
+
+
+def check_search(rows, rhs, eq, bound):
     """integer_point_search gives the oracle's (point, truncated); a point
-    it returns is an integer point in the box satisfying every row."""
-    got = integer_point_search(cons, nvars, bound)
-    assert got == fm_integer_point_search(cons, nvars, bound), (cons, nvars, bound, got)
+    it returns is an integer point in the box meeting every row, the
+    equality with equality."""
+    rows, rhs = tuple(rows), tuple(rhs)
+    got = integer_point_search(rows, rhs, eq, bound)
+    assert got == oracle_search(rows, rhs, eq, bound), (rows, rhs, eq, bound, got)
     point, _ = got
     if point is not None:
-        assert len(point) == nvars and all(type(z) is int and abs(z) <= bound for z in point)
-        assert satisfies(cons, point), (cons, nvars, bound, point)
+        assert len(point) == len(rows[eq]) and all(type(z) is int and abs(z) <= bound for z in point)
+        assert all(dot(c, point) <= r for c, r in zip(rows, rhs)), (rows, rhs, eq, bound, point)
+        assert dot(rows[eq], point) == rhs[eq], (rows, rhs, eq, bound, point)
     return got
 
 
-def rand_search_system(rng: random.Random, nvars: int):
-    """Mixed strict and non-strict rows with int and Fraction entries, some
-    repeated as positive multiples with a nearby rhs."""
-    cons = []
-    for _ in range(rng.randint(0, 7)):
-        c = tuple(
-            rng.randint(-3, 3) if rng.random() < 0.7 else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            for _ in range(nvars)
-        )
-        r = rng.randint(-6, 6) if rng.random() < 0.5 else Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-        cons.append((c, r, rng.random() < 0.4))
-        if rng.random() < 0.3:
-            k = rng.choice([1, 2, 3, Fraction(1, 2)])
-            cons.append((tuple(k * x for x in c), k * r + rng.choice([0, 0, 1, -1]), rng.random() < 0.5))
-    rng.shuffle(cons)
-    return cons
+def rand_generator(rng: random.Random, nvars: int, zeros=()):
+    """A weight times a nonzero direction, 0 in the columns ``zeros``."""
+    while True:
+        d = [0 if j in zeros else rng.randint(-3, 3) for j in range(nvars)]
+        if any(d):
+            return tuple(rng.choice([1, 1, 1, 2, 3]) * x for x in d)
+
+
+def rand_membership_system(rng: random.Random, nvars: int):
+    """The rows, right-hand sides and equality of one exponent search:
+    1-6 generators, sometimes with zero columns as on a fan that does not
+    span, and 0-2 opposite rows ``-k * c_i``, which are a hidden second
+    equality when their right-hand side is exactly ``-k * r_i``."""
+    zeros = {j for j in range(1, nvars) if rng.random() < 0.2}
+    rows = [rand_generator(rng, nvars, zeros) for _ in range(rng.randint(1, 6))]
+    rhs = [rng.randint(-6, 6) for _ in rows]
+    for _ in range(rng.randint(0, 2)):
+        i, k = rng.randrange(len(rows)), rng.choice([1, 1, 2, 3])
+        rows.append(tuple(-k * x for x in rows[i]))
+        rhs.append(-k * rhs[i] + rng.choice([0, 0, 0, 1, 2, -1]))
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return tuple(rows[x] for x in order), tuple(rhs[x] for x in order), rng.randrange(len(rows))
+
+
+def hidden_equality(rows, rhs):
+    """True when two rows are opposite with opposite right-hand sides."""
+    halves = set()
+    for c, r in zip(rows, rhs):
+        g = math.gcd(*c)
+        if g and r % g == 0:
+            halves.add((tuple(x // g for x in c), r // g))
+    return any((tuple(-x for x in c), -r) in halves for c, r in halves)
 
 
 @st.composite
 def search_systems(draw):
-    n = draw(st.integers(0, 4))
-    entry = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3))
-    rhs = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=3))
-    row = st.tuples(st.tuples(*[entry] * n), rhs, st.booleans())
-    cons = draw(st.lists(row, max_size=6))
-    copies = draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from([1, 2, 3, Fraction(1, 2)]),
-                                     st.integers(-1, 1), st.booleans()), max_size=2))
-    for i, k, dr, strict in copies:
-        if cons:
-            c, r, _ = cons[i % len(cons)]
-            cons.append((tuple(k * x for x in c), k * r + dr, strict))
-    return cons, n, draw(st.sampled_from([0, 1, 3, 8]))
+    n = draw(st.integers(1, 4))
+    gen = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    weighted = st.tuples(gen, st.sampled_from([1, 2, 3])).map(lambda g: tuple(g[1] * x for x in g[0]))
+    rows = draw(st.lists(st.tuples(weighted, st.integers(-6, 6)), min_size=1, max_size=6))
+    opposites = draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from([1, 2]), st.sampled_from([0, 0, 1])),
+                              max_size=2))
+    for i, k, dr in opposites:
+        c, r = rows[i % len(rows)]
+        rows.append((tuple(-k * x for x in c), -k * r + dr))
+    eq = draw(st.integers(0, len(rows) - 1))
+    return tuple(c for c, _ in rows), tuple(r for _, r in rows), eq, draw(st.integers(0, 8))
 
 
 @given(search_systems())
@@ -189,94 +221,65 @@ def test_search_matches_oracle(system):
 
 
 def test_search_fixed_seed_sweep():
+    # systems shaped like membership queries, n = 1-4, bounds 0-8
     rng = random.Random(5050)
-    seen = set()
+    seen, hidden, spanless = set(), 0, 0
     for _ in range(5000):
-        n = rng.randint(0, 4)
-        point, truncated = check_search(rand_search_system(rng, n), n, rng.choice([0, 1, 3, 8]))
+        n = rng.randint(1, 4)
+        rows, rhs, eq = rand_membership_system(rng, n)
+        point, truncated = check_search(rows, rhs, eq, rng.randint(0, 8))
         seen.add((point is not None, truncated))
+        hidden += hidden_equality(rows, rhs)
+        spanless += any(not any(c[j] for c in rows) for j in range(n))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert hidden > 1000 and spanless > 500
 
 
 class TestSearchEdgeCases:
     def test_free_variable(self):
-        assert check_search([], 1, 3) == ((-3,), True)
-        assert check_search([((1, 0), 2, False), ((-1, 0), -2, False)], 2, 5) == ((2, -5), True)
+        assert check_search([(0,)], [0], 0, 3) == ((-3,), True)
+        assert check_search([(1, 0)], [2], 0, 5) == ((2, -5), True)
 
     def test_lower_bound_above_the_box(self):
-        assert check_search([((-1,), -5, False)], 1, 3) == (None, True)
-        assert check_search([((-1,), -5, False), ((1,), 6, False)], 1, 3) == (None, True)
+        # y = 0 and x >= 5, with and without x <= 6
+        assert check_search([(0, 1), (-1, 0)], [0, -5], 0, 3) == (None, True)
+        assert check_search([(0, 1), (-1, 0), (1, 0)], [0, -5, 6], 0, 3) == (None, True)
 
-    def test_strict_integer_edge(self):
-        # 2x < 4 leaves x <= 1 among the integers
-        assert check_search([((2,), 4, True), ((-2,), -2, False)], 1, 8) == ((1,), False)
-        assert check_search([((2,), 4, True), ((-2,), -3, False)], 1, 8) == (None, False)
-        assert check_search([((-2,), -4, True), ((1,), 3, False)], 1, 8) == ((3,), False)
-        assert check_search([((Fraction(2, 3),), Fraction(4, 3), True), ((-1,), -1, False)], 1, 8) == ((1,), False)
+    def test_integer_edge(self):
+        # 2x <= 3 leaves x <= 1 among the integers, 2x >= 3 leaves x >= 2
+        assert check_search([(0, 1), (2, 0), (-2, 0)], [0, 3, -2], 0, 8) == ((1, 0), False)
+        assert check_search([(0, 1), (2, 0), (-2, 0)], [0, 3, -3], 0, 8) == (None, False)
+        assert check_search([(0, 1), (-2, 0), (1, 0)], [0, -5, 3], 0, 8) == ((3, 0), False)
+        assert check_search([(2,)], [3], 0, 8) == (None, False)
 
     def test_no_variables(self):
-        assert check_search([], 0, 5) == ((), False)
-        assert check_search([((), 1, False), ((), 0, False)], 0, 0) == ((), False)
-        assert check_search([((), Fraction(-1, 2), False)], 0, 5) == (None, False)
+        assert check_search([()], [0], 0, 5) == ((), False)
+        assert check_search([(), ()], [0, 1], 0, 0) == ((), False)
+        assert check_search([(), ()], [0, -1], 0, 5) == (None, False)
+        assert check_search([()], [1], 0, 5) == (None, False)
 
     def test_empty_system(self):
-        assert check_search([], 2, 0) == ((0, 0), True)
-        assert check_search([], 3, 1) == ((-1, -1, -1), True)
+        # no row but the equality 0 = 0
+        assert check_search([(0, 0)], [0], 0, 0) == ((0, 0), True)
+        assert check_search([(0, 0, 0)], [0], 0, 1) == ((-1, -1, -1), True)
 
-    def test_zero_less_than_zero(self):
-        assert check_search([((0, 0), 0, True)], 2, 3) == (None, False)
-        assert check_search([((0, 0), 0, True), ((1, 0), 5, False)], 2, 3) == (None, False)
-        assert check_search([((0, 0), 0, False), ((1, 0), 0, False), ((-1, 0), 0, False),
-                             ((0, 1), 1, False), ((0, -1), 0, False)], 2, 3) == ((0, 0), False)
+    def test_constant_rows(self):
+        assert check_search([(0, 0), (1, 0)], [-1, 5], 1, 3) == (None, False)
+        assert check_search([(0, 0), (1, 0)], [1, 0], 0, 3) == (None, False)
+        assert check_search([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)], [0, 0, 0, 1, 0], 1, 3) == ((0, 0), False)
 
     def test_rational_infeasibility_is_not_truncated(self):
         # x + y <= 0 and x + y >= 1 leave no bound on x alone
-        assert check_search([((1, 1), 0, False), ((-1, -1), -1, False)], 2, 8) == (None, False)
+        assert check_search([(1, 1), (-1, -1), (1, 0)], [0, -1, 0], 2, 8) == (None, False)
 
 
-# ------------------------------------------- equality pairs in the search
+# ------------------------------------------------ the equality's substitution
 
 
-def primitive_rows(cons):
-    """The rows scaled to integers, one per primitive direction and
-    strictness with its tightest bound, each divided by the gcd of its
-    coefficients where that divides the bound; None on a constant
-    contradiction."""
-    best = {}
-    for c, r, s in cons:
-        c, r = _integral(c, r)
-        g = math.gcd(*c)
-        if g == 0:
-            if r < 0 or (s and r == 0):
-                return None
-            continue
-        key = (tuple(x // g for x in c), s)
-        if key not in best or Fraction(r, g) < Fraction(*best[key][1:]):
-            best[key] = (tuple(c), r, g)
-    rows = []
-    for (_, s), (c, r, g) in best.items():
-        h = math.gcd(g, r)
-        rows.append((tuple(x // h for x in c), r // h, s))
-    return rows
-
-
-def equality_rows(cons, nvars):
-    """The primitive rows of the system when they hold a non-strict row
-    e . x <= v with e_{nvars-1} != 0 and its exact negation, found apart
-    from the search; else None."""
-    rows = primitive_rows(cons)
-    if rows is None or nvars == 0:
-        return None
-    nonstrict = {(c, r) for c, r, s in rows if not s}
-    if any(c[-1] and (tuple(-x for x in c), -r) in nonstrict for c, r in nonstrict):
-        return rows
-    return None
-
-
-def chain(cons, nvars):
-    """The rows ``(c, combo, strict, ineqs)`` that the plan of ``cons``
-    keeps for each projection, onto all nvars variables first, built from
-    an empty cache; the cache is left as it was."""
+def chain(rows, eq):
+    """The rows ``(c, combo, ineqs)`` that the plan of ``(rows, eq)`` keeps
+    for each projection, onto all the variables first, built apart from
+    the cache."""
     levels, reduce = [], _lp._reduce
 
     def recorded(rows, guards, paired):
@@ -284,129 +287,70 @@ def chain(cons, nvars):
         levels.append(kept)
         return kept
 
-    with mock.patch.object(_lp, "_reduce", recorded), mock.patch.dict(_lp._CACHE, clear=True), \
-            mock.patch.dict(_lp._INTERN):
-        _plan(cons, nvars)
+    with mock.patch.object(_lp, "_reduce", recorded):
+        _plan.__wrapped__(tuple(rows), eq)
     return levels
 
 
 def directions(rows):
-    """The (primitive direction, strictness) pairs of the chain rows ``rows``."""
-    return {(tuple(x // math.gcd(*c) for x in c), strict) for c, _, strict, _ in rows}
+    """The primitive directions of the chain rows ``rows``."""
+    return {tuple(x // math.gcd(*c) for x in c) for c, _, _ in rows}
 
 
-def plan_input_rows(cons):
-    """The rows a plan starts from, counted apart from it: one per
-    non-constant row, except that the non-strict rows bounding one
-    hyperplane from both sides count as two, its two half-spaces."""
-    count, sides = 0, {}
-    for c, r, s in cons:
-        c, r = _integral(c, r)
-        g = math.gcd(*c)
-        if g == 0:
-            continue
-        if s:
-            count += 1
-            continue
-        p, b = tuple(x // g for x in c), Fraction(r, g)
-        up = p > tuple(-x for x in p)
-        key = (p, b) if up else (tuple(-x for x in p), -b)
-        sides.setdefault(key, []).append(up)
-    for ups in sides.values():
-        count += 2 if len(set(ups)) == 2 else len(ups)
-    return count
-
-
-def check_equality_search(cons, nvars, bound):
-    """check_search, and when the top level eliminates its variable by an
-    equality the next level has no pairwise rows added: at most the other
-    rows' directions and strictnesses, and at most the plan's other input
-    rows.  No level holds two rows of the same coefficients and
+def check_equality_search(rows, rhs, eq, bound):
+    """check_search, and when the equality has a last coefficient the
+    projection below has no pairwise rows added: at most one row for
+    each other row.  No level holds two rows of the same coefficients and
     combination."""
-    got = check_search(cons, nvars, bound)
-    rows = equality_rows(cons, nvars)
-    if nvars >= 2 and rows is not None:
-        levels = chain(cons, nvars)
+    got = check_search(rows, rhs, eq, bound)
+    if len(rows[eq]) >= 2 and rows[eq][-1]:
+        levels = chain(rows, eq)
         for level in levels:
-            assert len({(c, combo) for c, combo, _, _ in level}) == len(level), (cons, nvars, level)
-        below = levels[1]
-        assert len(directions(below)) <= len(rows) - 2, (cons, nvars, below, rows)
-        assert len(below) <= plan_input_rows(cons) - 2, (cons, nvars, below)
+            assert len({(c, combo) for c, combo, _ in level}) == len(level), (rows, eq, level)
+        assert len(levels[1]) <= len(rows) - 1, (rows, eq, levels[1])
     return got
 
 
-def rand_equality(rng: random.Random, nvars: int, last: bool):
-    """A row c . x = r as ``<=`` and ``>=`` rows, each scaled by its own
-    positive factor; with ``last`` its last coefficient is nonzero, else 0.
-    In no variables it is the constant pair 0 <= r and 0 >= r."""
-    while True:
-        c = [rng.randint(-3, 3) if rng.random() < 0.8 else Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-             for _ in range(nvars)]
-        if nvars:
-            c[-1] = rng.choice([-2, -1, 1, 2, 3, Fraction(1, 2)]) if last else 0
-        if any(c) or not nvars:
-            break
-    r = rng.randint(-6, 6) if rng.random() < 0.7 else Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-    k, m = rng.choice([1, 1, 2, 3, Fraction(1, 2)]), rng.choice([1, 1, 2, Fraction(1, 3)])
-    return [(tuple(k * x for x in c), k * r, False), (tuple(-m * x for x in c), -m * r, False)]
-
-
-def rand_equality_system(rng: random.Random, nvars: int):
-    """A mixed system with 1-2 exact equality pairs: on the last variable or
-    not, sometimes with a strict row of the same direction, sometimes with
-    a gcd that does not divide the right-hand side."""
-    cons = [row for row in rand_search_system(rng, nvars) if rng.random() < 0.7]
-    for _ in range(rng.randint(1, 2)):
-        pair = rand_equality(rng, nvars, nvars == 1 or rng.random() < 0.75)
-        if rng.random() < 0.2:
-            (c, r, _), _ = pair
-            pair = [(tuple(2 * x for x in c), 2 * r + 1, False), (tuple(-2 * x for x in c), -2 * r - 1, False)]
-        if rng.random() < 0.25:
-            (c, r, _), _ = pair
-            pair.append((tuple(rng.choice([1, 2, -1]) * x for x in c), r + rng.randint(-1, 2), True))
-        cons += pair
-    rng.shuffle(cons)
-    return cons
-
-
 def test_equality_sweep():
+    # the equality has a last coefficient in most draws, so it is
+    # substituted at the top level
     rng = random.Random(6060)
-    seen, chained = set(), 0
+    seen, substituted = set(), 0
     for _ in range(3200):
-        n = rng.randint(0, 4)
-        cons = rand_equality_system(rng, n)
-        point, truncated = check_equality_search(cons, n, rng.choice([0, 1, 3, 8]))
+        n = rng.randint(1, 4)
+        rows, rhs, eq = rand_membership_system(rng, n)
+        if rng.random() < 0.75 and not rows[eq][-1]:
+            rows = rows[:eq] + (rows[eq][:-1] + (rng.choice([-2, -1, 1, 3]),),) + rows[eq + 1:]
+        point, truncated = check_equality_search(rows, rhs, eq, rng.choice([0, 1, 3, 8]))
         seen.add((point is not None, truncated))
-        chained += equality_rows(cons, n) is not None
+        substituted += n >= 2 and rows[eq][-1] != 0
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
-    assert chained > 1000  # the substitution is exercised, not only the pairwise rows
+    assert substituted > 1500
 
 
 class TestEqualitySubstitution:
     def test_equality_with_zero_last_coefficient_passes_down(self):
-        cons = [((1, 0), 2, False), ((-1, 0), -2, False), ((1, 1), 5, False), ((-1, 2), 3, True)]
-        assert check_equality_search(cons, 2, 8) == ((2, -8), True)
-        cons += [((0, -1), 0, False)]
-        assert check_equality_search(cons, 2, 8) == ((2, 0), False)
+        # x = 2, x + y <= 5, 2y - x <= 2
+        rows, rhs = [(1, 0), (1, 1), (-1, 2)], [2, 5, 2]
+        assert check_equality_search(rows, rhs, 0, 8) == ((2, -8), True)
+        assert check_equality_search(rows + [(0, -1)], rhs + [0], 0, 8) == ((2, 0), False)
 
     def test_two_equalities_on_the_same_variable(self):
-        cons = [((1, 1, 1), 3, False), ((-1, -1, -1), -3, False),
-                ((1, -1, 2), 1, False), ((-2, 2, -4), -2, False),
-                ((1, 0, 0), 4, False), ((-1, 0, 0), 4, False)]
-        assert check_equality_search(cons, 3, 8) == ((-4, 3, 4), False)
-        assert check_equality_search(cons[:4] + [((0, 1, 0), 0, True)], 3, 8) == ((8, -1, -4), True)
+        # the second equality is two opposite rows
+        rows = [(1, 1, 1), (1, -1, 2), (-2, 2, -4), (1, 0, 0), (-1, 0, 0)]
+        assert check_equality_search(rows, [3, 1, -2, 4, 4], 0, 8) == ((-4, 3, 4), False)
+        assert check_equality_search(rows[:3] + [(0, 1, 0)], [3, 1, -2, -1], 0, 8) == ((8, -1, -4), True)
 
-    def test_equality_sharing_a_direction_with_a_strict_row(self):
-        eq = [((1, 2), 3, False), ((-1, -2), -3, False)]
-        assert check_equality_search(eq + [((2, 4), 6, True)], 2, 5) == (None, False)
-        assert check_equality_search(eq + [((-1, -2), -3, True)], 2, 5) == (None, False)
-        assert check_equality_search(eq + [((2, 4), 7, True)], 2, 5) == ((-5, 4), True)
+    def test_equality_sharing_a_direction_with_another_row(self):
+        rows, rhs = [(1, 2)], [3]
+        assert check_equality_search(rows + [(2, 4)], rhs + [5], 0, 5) == (None, False)
+        assert check_equality_search(rows + [(-1, -2)], rhs + [-4], 0, 5) == (None, False)
+        assert check_equality_search(rows + [(2, 4)], rhs + [6], 0, 5) == ((-5, 4), True)
 
     def test_equality_whose_gcd_does_not_divide_its_rhs(self):
-        eq = [((2, 4), 1, False), ((-2, -4), -1, False)]
-        assert check_equality_search(eq, 2, 6) == (None, True)
-        assert check_equality_search(eq + [((1, 0), 1, False), ((-1, 0), 1, False)], 2, 6) == (None, False)
-        assert check_equality_search([((3,), 1, False), ((-6,), -2, False)], 1, 6) == (None, False)
+        assert check_equality_search([(2, 4)], [1], 0, 6) == (None, True)
+        assert check_equality_search([(2, 4), (1, 0), (-1, 0)], [1, 1, 1], 0, 6) == (None, False)
+        assert check_equality_search([(3,), (-6,)], [1, -2], 0, 6) == (None, False)
 
     def test_chain_is_smaller(self):
         # x2 = x0 + x1 and eight rows on x2 in distinct directions: the
@@ -414,166 +358,122 @@ class TestEqualitySubstitution:
         # more.  Two of them, (2, 4) . x <= 9 and (1, 2) . x <= 9, share
         # a direction; which one binds depends on the right-hand sides,
         # so the plan keeps both
-        cons = [((-1, -1, 1), 0, False), ((1, 1, -1), 0, False)]
-        cons += [((a, b, 1), 9, False) for a, b in [(1, 0), (0, 1), (2, 1), (1, 3)]]
-        cons += [((a, b, -1), 9, True) for a, b in [(1, 2), (3, 0), (0, 3), (2, 2)]]
-        below = chain(cons, 3)[1]
+        rows = [(-1, -1, 1)] + [(a, b, 1) for a, b in [(1, 0), (0, 1), (2, 1), (1, 3)]]
+        rows += [(a, b, -1) for a, b in [(1, 2), (3, 0), (0, 3), (2, 2)]]
+        below = chain(rows, 0)[1]
         assert len(below) == 8
         assert len(directions(below)) == 7
-        check_equality_search(cons, 3, 4)
+        check_equality_search(rows, [0] + [9] * 4 + [8] * 4, 0, 4)
 
     def test_empty_system(self):
-        assert check_equality_search([], 0, 3) == ((), False)
-        assert check_equality_search([], 2, 1) == ((-1, -1), True)
-        assert check_equality_search([((), 0, False), ((), 0, False)], 0, 3) == ((), False)
+        # no row but the equality
+        assert check_equality_search([()], [0], 0, 3) == ((), False)
+        assert check_equality_search([(0, 1)], [1], 0, 1) == ((-1, 1), True)
+        assert check_equality_search([(), ()], [0, 0], 1, 3) == ((), False)
 
 
 # ------------------------------------------------------------ cached plans
 
 
-def rand_nonzero_row(rng: random.Random, nvars: int):
-    while True:
-        c = tuple(rng.randint(-3, 3) if rng.random() < 0.7 else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                  for _ in range(nvars))
-        if any(c):
-            return c
-
-
-def rand_rhs(rng: random.Random):
-    return rng.randint(-6, 6) if rng.random() < 0.6 else Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-
-
-def rand_coefficient_system(rng: random.Random, nvars: int):
-    """Rows ``(coeffs, strict)`` with int and Fraction coefficients, some
-    of them constant, plus 0-2 equality candidates: a non-strict row and a
-    negative multiple ``-k`` of it.  Returns the shuffled rows and the
-    candidates as ``(i, j, k)`` positions in them."""
-    rows = [((0,) * nvars if not nvars or rng.random() < 0.1 else rand_nonzero_row(rng, nvars), rng.random() < 0.4)
-            for _ in range(rng.randint(0, 6))]
-    candidates = []
-    for _ in range(rng.randint(0, 2) if nvars else 0):
-        c, k = rand_nonzero_row(rng, nvars), rng.choice([1, 2, 3, Fraction(1, 2)])
-        candidates.append((len(rows), len(rows) + 1, k))
-        rows += [(c, False), (tuple(-k * x for x in c), False)]
-    order = list(range(len(rows)))
-    rng.shuffle(order)
-    where = {old: new for new, old in enumerate(order)}
-    return [rows[i] for i in order], [(where[i], where[j], k) for i, j, k in candidates]
-
-
-def rand_right_hand_sides(rng: random.Random, rows, candidates, holding):
-    """Right-hand sides for ``rows``: candidate t is an equality, its
-    second row the exact negation of its first, iff ``holding >> t & 1``."""
-    rhs = [rand_rhs(rng) for _ in rows]
-    for t, (i, j, k) in enumerate(candidates):
-        rhs[j] = -k * rhs[i] + (0 if holding >> t & 1 else rng.choice([1, -1, Fraction(1, 2)]))
+def rand_right_hand_sides(rng: random.Random, rows):
+    """Right-hand sides for ``rows`` in which each pair of opposite rows
+    is a hidden equality or not, at random."""
+    rhs = [rng.randint(-6, 6) for _ in rows]
+    for i, c in enumerate(rows):
+        for j in range(i):
+            k = next((k for k in (1, 2, 3) if tuple(-k * x for x in rows[j]) == c), None)
+            if k is not None and rng.random() < 0.5:
+                rhs[i] = -k * rhs[j]
     return rhs
 
 
-def ask(rows, rhs, nvars, bound):
-    return check_search([(c, r, s) for (c, s), r in zip(rows, rhs)], nvars, bound)
-
-
-def count_builds(monkeypatch):
-    """A list that grows by one for every plan built from here on."""
-    builds, build = [], _lp._System.plan
-
-    def counted(self, links):
-        builds.append(links)
-        return build(self, links)
-    monkeypatch.setattr(_lp._System, "plan", counted)
-    return builds
-
-
-def test_cached_plans_match_oracle(monkeypatch):
-    # every system is asked with 24 right-hand sides, equality candidates
-    # holding and broken in turn, all of them holding first, so most calls
-    # find their plan cached
-    builds = count_builds(monkeypatch)
+def test_cached_plans_match_oracle():
+    # every system is asked with 24 right-hand sides, its hidden equalities
+    # holding and broken in turn, so most calls find their plan cached
+    _plan.cache_clear()
     rng = random.Random(8080)
     calls, seen = 0, set()
     for _ in range(240):
-        n = rng.randint(0, 4)
-        rows, candidates = rand_coefficient_system(rng, n)
+        n = rng.randint(1, 4)
+        rows, _, eq = rand_membership_system(rng, n)
         bound = rng.choice([0, 1, 3, 8])
         for t in range(24):
-            point, truncated = ask(rows, rand_right_hand_sides(rng, rows, candidates, 3 - t % 4), n, bound)
+            point, truncated = check_search(rows, rand_right_hand_sides(rng, rows), eq, bound)
             seen.add((point is not None, truncated))
             calls += 1
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
-    assert len(builds) < calls / 5
+    assert _plan.cache_info().misses <= 240 < calls / 5
 
 
 def test_plan_keys_tell_systems_apart():
-    # the same coefficients with one strict flag flipped, and the same rows
-    # in another order, are other systems; each answer is the oracle's
+    # the same rows with another equality, and the same rows in another
+    # order, are other systems; each answer is the oracle's
     rng = random.Random(9090)
     for _ in range(300):
         n = rng.randint(1, 4)
-        rows, candidates = rand_coefficient_system(rng, n)
-        if not rows:
-            continue
+        rows, _, eq = rand_membership_system(rng, n)
         bound = rng.choice([1, 3, 8])
         for _ in range(4):
-            rhs = rand_right_hand_sides(rng, rows, candidates, rng.randint(0, 3))
-            ask(rows, rhs, n, bound)
-            i = rng.randrange(len(rows))
-            ask(rows[:i] + [(rows[i][0], not rows[i][1])] + rows[i + 1:], rhs, n, bound)
+            rhs = rand_right_hand_sides(rng, rows)
+            check_search(rows, rhs, eq, bound)
+            check_search(rows, rhs, rng.randrange(len(rows)), bound)
             order = list(range(len(rows)))
             rng.shuffle(order)
-            ask([rows[k] for k in order], [rhs[k] for k in order], n, bound)
+            check_search([rows[k] for k in order], [rhs[k] for k in order], order.index(eq), bound)
 
 
 class TestPlanCache:
-    def test_strictness_is_part_of_the_key(self):
-        assert check_search([((2,), 4, False), ((-2,), -4, False)], 1, 8) == ((2,), False)
-        assert check_search([((2,), 4, True), ((-2,), -4, False)], 1, 8) == (None, False)
-        assert check_search([((2,), 4, False), ((-2,), -4, True)], 1, 8) == (None, False)
+    def test_equality_is_part_of_the_key(self):
+        rows = ((1,), (-1,))
+        assert check_search(rows, [2, 1], 0, 8) == ((2,), False)
+        assert check_search(rows, [2, 1], 1, 8) == ((-1,), False)
+        assert _plan(rows, 0) is _plan(((1,), (-1,)), 0)
+        assert _plan(rows, 0) is not _plan(rows, 1)
 
     def test_equality_that_holds_then_breaks(self):
-        box = [((0, 1), 5, False), ((0, -1), 5, False)]
-        assert check_search([((1, 0), 3, False), ((-1, 0), -3, False)] + box, 2, 8) == ((3, -5), False)
-        assert check_search([((1, 0), 3, False), ((-1, 0), -2, False)] + box, 2, 8) == ((2, -5), False)
-        assert check_search([((1, 0), 3, False), ((-2, 0), -6, False)] + box, 2, 8) == ((3, -5), False)
-        assert check_search([((1, 0), 3, False), ((-2, 0), -7, False)] + box, 2, 8) == (None, False)
+        # y = -5 and x between 3 and 3, 2, 3 or 3.5 as the right-hand
+        # sides change: one plan serves all four
+        rows = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+        assert check_search(rows, [3, -3, 5, 5], 3, 8) == ((3, -5), False)
+        assert check_search(rows, [3, -2, 5, 5], 3, 8) == ((2, -5), False)
+        rows[1] = (-2, 0)
+        assert check_search(rows, [3, -6, 5, 5], 3, 8) == ((3, -5), False)
+        assert check_search(rows, [3, -7, 5, 5], 3, 8) == (None, False)
 
     def test_guards_follow_the_right_hand_side(self):
         # x <= r and -x <= s leave the guard 0 <= r + s
-        assert check_search([((1,), 2, False), ((-1,), -1, False)], 1, 8) == ((1,), False)
-        assert check_search([((1,), 2, False), ((-1,), -3, False)], 1, 8) == (None, False)
-        assert check_search([((1,), 2, True), ((-1,), -2, False)], 1, 8) == (None, False)
-        assert check_search([((0, 0), 1, False), ((1, 0), 0, False)], 2, 1) == ((-1, -1), True)
-        assert check_search([((0, 0), -1, False), ((1, 0), 0, False)], 2, 1) == (None, False)
+        assert check_search([(1, 0), (-1, 0), (0, 1)], [2, -1, 0], 2, 8) == ((1, 0), False)
+        assert check_search([(1, 0), (-1, 0), (0, 1)], [2, -3, 0], 2, 8) == (None, False)
+        assert check_search([(0, 0), (1, 0), (0, 1)], [1, 0, 0], 2, 1) == ((-1, 0), True)
+        assert check_search([(0, 0), (1, 0), (0, 1)], [-1, 0, 0], 2, 1) == (None, False)
 
     def test_rows_differing_only_in_their_right_hand_side_are_both_kept(self):
-        # x <= r1 and x <= r2 share a direction; which one binds depends on r
-        for r1, r2 in [(1, 4), (4, 1), (Fraction(5, 2), 3)]:
-            cons = [((1, 1), r1, False), ((1, 1), r2, False), ((-1, 0), 0, False), ((0, -1), 0, False)]
-            check_search(cons, 2, 8)
-            check_search([((2, 2), 2 * r1, True)] + cons[1:], 2, 8)
+        # x + y <= r1 and x + y <= r2 share a direction; which one binds
+        # depends on the right-hand sides
+        for r1, r2 in [(1, 4), (4, 1), (2, 3)]:
+            rows, rhs = [(1, 1), (1, 1), (-1, 0), (0, -1)], [r1, r2, 0, 0]
+            check_search(rows, rhs, 3, 8)
+            check_search([(2, 2)] + rows[1:], [2 * r1] + rhs[1:], 3, 8)
 
-    def test_size_cap(self, monkeypatch):
-        monkeypatch.setattr(_lp, "_PLAN_CACHE_SIZE", 8)
-        _lp._CACHE.clear()
-        rng = random.Random(1111)
-        for _ in range(60):
-            n = rng.randint(1, 3)
-            rows, candidates = rand_coefficient_system(rng, n)
-            ask(rows, rand_right_hand_sides(rng, rows, candidates, 1), n, 3)
-            assert len(_lp._CACHE) <= 8
-        assert len(_lp._INTERN) < 1000
+    def test_size_cap(self):
+        info = _plan.cache_info()
+        assert info.maxsize == 1024
+        for r in range(info.maxsize + 100):
+            integer_point_search(((1, r),), (0,), 0, 0)
+        info = _plan.cache_info()
+        assert info.currsize == info.maxsize
 
     def test_reduce_keeps_what_some_right_hand_side_needs(self):
-        # rows (c, combo, strict, ineqs) after one pairing step: a duplicate,
-        # a row whose inequalities hold another row's, a row of three
+        # rows (c, combo, ineqs) after one pairing step: a duplicate, a row
+        # whose inequalities hold another row's, a row of three
         # inequalities and a constant row go; a row of another direction
         # and the same direction with another combination stay
-        rows = [((1, 0), (1, 0, 0, 0), False, 0b0001), ((2, 0), (2, 0, 0, 0), False, 0b0001),
-                ((2, 1), (1, 1, 0, 0), True, 0b0011), ((1, 1), (1, 1, 1, 0), False, 0b0111),
-                ((0, 1), (0, 1, 1, 0), False, 0b0110), ((1, 0), (0, 0, 0, 1), True, 0b1000),
-                ((0, 0), (0, 0, 1, 1), True, 0b1100)]
+        rows = [((1, 0), (1, 0, 0, 0), 0b0001), ((2, 0), (2, 0, 0, 0), 0b0001),
+                ((2, 1), (1, 1, 0, 0), 0b0011), ((1, 1), (1, 1, 1, 0), 0b0111),
+                ((0, 1), (0, 1, 1, 0), 0b0110), ((1, 0), (0, 0, 0, 1), 0b1000),
+                ((0, 0), (0, 0, 1, 1), 0b1100)]
         guards = set()
         kept = _lp._reduce(rows, guards, 1)
-        assert sorted(kept) == sorted([((1, 0), (1, 0, 0, 0), False, 0b0001), ((0, 1), (0, 1, 1, 0), False, 0b0110),
-                                       ((1, 0), (0, 0, 0, 1), True, 0b1000)])
-        assert guards == {((0, 0, 1, 1), True)}
+        assert sorted(kept) == sorted([((1, 0), (1, 0, 0, 0), 0b0001), ((0, 1), (0, 1, 1, 0), 0b0110),
+                                       ((1, 0), (0, 0, 0, 1), 0b1000)])
+        assert guards == {(0, 0, 1, 1)}
