@@ -26,8 +26,7 @@ from .errors import (
     ParseError,
 )
 from .fan import WeightedFan, check_balancing, primitive
-# snf is not called here; the benchmark's self-tests look it up as evalmap.snf
-from .intlat import IntMatrix, hnf, snf  # noqa: F401
+from .intlat import IntMatrix, hnf, invariant_factors, snf
 from .laurent import LaurentPoly
 from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int
 
@@ -177,10 +176,9 @@ def is_smooth(X: WeightedFan) -> SmoothReport:
     Requires balancing.  Smooth iff every weight is 1 and the rows of the
     generator matrix generate the full degree-zero lattice; the latter is
     tested by dropping the lex-last ray's coordinate (an isomorphism of
-    the degree-zero lattice with Z^{k-1} for balanced inputs).  The
-    columns of the Hermite form H of the transposed n x (k-1) matrix
-    generate the same row lattice in echelon form, so its rank is the
-    number of pivots of H, and its index, at full rank, their product.
+    the degree-zero lattice with Z^{k-1} for balanced inputs) and asking
+    the Smith form of the remaining n x (k-1) matrix for k-1 unit
+    invariant factors.
     """
     if not check_balancing(X):
         raise NotBalanced("smoothness is only defined for balanced fans")
@@ -189,11 +187,10 @@ def is_smooth(X: WeightedFan) -> SmoothReport:
             return SmoothReport(False, f"weight {ray.weight} on ray {ray.label()}")
     k = len(X.rays)
     M = IntMatrix.from_rows([row[:-1] for row in generator_matrix(X).data])
-    H = hnf(M.transpose())[0]
-    pivots = [next(filter(None, col)) for col in zip(*H.data) if any(col)]
-    if len(pivots) < k - 1:
-        return SmoothReport(False, f"rank {len(pivots)} < {k - 1}")
-    index = math.prod(pivots)
+    factors = invariant_factors(snf(M)[1])
+    if len(factors) < k - 1:
+        return SmoothReport(False, f"rank {len(factors)} < {k - 1}")
+    index = math.prod(factors)
     if index != 1:
         return SmoothReport(False, f"lattice index {index}")
     return SmoothReport(True, None)

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -29,7 +28,6 @@ from tropfan import (
     NotRealizable,
     ParseError,
     RayFunction,
-    SmoothReport,
     WeightedFan,
     complete_unimodular,
     eval_map,
@@ -37,7 +35,6 @@ from tropfan import (
     fn_eq,
     generator_matrix,
     image_membership,
-    invariant_factors,
     is_realizable,
     is_smooth,
     ker_eq,
@@ -46,7 +43,6 @@ from tropfan import (
     pullback_evalmap,
     pullback_poly,
     reconstruct_fan,
-    snf,
     standard_model,
 )
 
@@ -340,30 +336,6 @@ class TestSmoothness:
         gens = [T.apply(r.direction) for r in standard_model(2, 3).rays]
         X = WeightedFan.build(2, [(g, 1) for g in gens])
         assert is_smooth(X).smooth
-
-    def test_hermite_pivots_match_the_smith_form(self):
-        # is_smooth reads rank and index off the pivots of the Hermite form
-        # of M^T; the Smith form of M gives them as its invariant factors
-        def by_smith(X):
-            if any(ray.weight != 1 for ray in X.rays):
-                return is_smooth(X)
-            k = len(X.rays)
-            M = IntMatrix.from_rows([row[:-1] for row in generator_matrix(X).data])
-            factors = invariant_factors(snf(M)[1])
-            if len(factors) < k - 1:
-                return SmoothReport(False, f"rank {len(factors)} < {k - 1}")
-            if math.prod(factors) != 1:
-                return SmoothReport(False, f"lattice index {math.prod(factors)}")
-            return SmoothReport(True, None)
-
-        rng = random.Random(1313)
-        seen = set()
-        for _ in range(2000):
-            X = rand_balanced_fan(rng, rng.randint(1, 4), max_rays=6, max_weight=1)
-            rep = is_smooth(X)
-            assert rep == by_smith(X), X
-            seen.add((rep.reason or "smooth").split()[0])
-        assert seen == {"smooth", "weight", "rank", "lattice"}
 
 
 class TestMembership:
