@@ -17,54 +17,45 @@ unbounded when the non-strict rows alone are infeasible.  At the optimum
 the simplex multipliers are a primal optimum ``(x, mu)``.
 
 :func:`integer_point_search` asks for an integer point x with
-``rows[i] . x <= rhs[i]`` for every row i and equality at one row ``eq``,
-all in Python ints: the exponent question of image membership, whose
-rows are a fan's generators, whose right-hand sides are the values, and
-whose equality is the ray being searched.  It enumerates integer points
-depth first between the exact per-variable bounds of a Fourier-Motzkin
-projection chain (Schrijver, *Theory of Linear and Integer Programming*,
-1986, section 12.2).  The chain depends on the rows and on ``eq``, not on
-the right-hand sides, so it is built once per ``(rows, eq)`` as a *plan*:
+``rows[i] . x <= rhs[i]`` for every row i, all in Python ints: the
+exponent question of image membership once that has parametrised its
+equality away.  The rational region must be bounded, so the search is
+exact with no box; an unbounded variable is an ``AssertionError``.  It
+enumerates integer points depth first between the exact per-variable
+bounds of a Fourier-Motzkin projection chain (Schrijver, *Theory of
+Linear and Integer Programming*, 1986, section 12.2).  The chain depends
+on the rows, not on the right-hand sides, so it is built once per
+``rows`` as a *plan*:
 
 * Right-hand sides: every row of the chain carries its right-hand side
   as an integer combination ``combo`` of the input right-hand sides, and
   the search evaluates ``combo . rhs``.  Rows and right-hand sides are
   integers, so a row holds at an integer point exactly as written.
-* Elimination: the equality ``e . x = r`` is kept apart from the other
-  rows.  At the first variable (taken from the last) where its
-  coefficient e_j is not 0, it is substituted: signed so that e_j > 0, each other row ``c``
-  becomes ``e_j c - c_j e``, the pairwise rows being implied, and the
-  equality itself is written as an upper and a lower row of that level.
-  At every other variable each pair of a lower and an upper row adds
-  ``|a_l| * upper + a_u * lower``.  Both keep the rows integral without
-  dividing.  Two opposite rows whose right-hand sides make them a second
-  equality are paired like any others.
+* Elimination: at each variable, the last first, each pair of a lower
+  and an upper row adds ``|a_l| * upper + a_u * lower``, without dividing.
 * Guards: a row with no variable left is a condition ``0 <= combo . rhs``
-  on the right-hand sides (an equality with no variable left is two).
-  The system is rationally feasible iff every guard holds; if one fails
-  the answer is ``(None, False)`` before any search.
+  on the right-hand sides.  The system is rationally feasible iff every
+  guard holds; if one fails the answer is ``(None, False)`` at once.
 * Pruning: a row is dropped only when it is redundant for every
   right-hand side.  An exact duplicate (coefficients and combination) is
   one.  By Chernikov's rule so is a row that combines more than t + 1
   input inequalities after t pairing steps, or a strict superset of the
   inequalities of another row.  Such a row is not an extreme ray of the
   cone of multipliers that eliminate the variables, so it is the sum of
-  rows of smaller support plus a multiple of the equality (which counts
-  as no inequality; the substitution is a bijection of rows that keeps
-  their supports).
+  rows of smaller support.
 * Cache: ``_plan`` is a ``functools.lru_cache`` of 1,024 plans, keyed by
-  ``(rows, eq)``.  Nothing is built at import.
+  ``rows``.  Nothing is built at import.
 
-The point and ``truncated`` do not depend on how the chain is written.
-Each level is the exact projection onto its variables, so at a node the
-range of the next variable, from the smallest to the largest integer
-meeting every row of the slice, is fixed by the projection, and so is
-whether the slice is bounded on each side (a nonempty slice is unbounded
-below iff no row bounds it below).  The search checks only the rows with
-the level's variable: by induction every prefix it builds lies in the
-projection onto its variables.  The empty prefix does once the guards
-hold, and a row of level k without variable k-1 is carried down to
-level k - 1, where the prefix meets it or a row that implies it.
+The point does not depend on how the chain is written.  Each level is the
+exact projection onto its variables, so at a node the range of the next
+variable, from the smallest to the largest integer meeting every row of
+the slice, is fixed by the projection.  The projection of a bounded
+nonempty region is bounded, so once the guards hold every level has an
+upper and a lower row.  The search checks only the rows with the level's
+variable: by induction every prefix it builds lies in the projection onto
+its variables.  The empty prefix does once the guards hold, and a row of
+level k without variable k-1 is carried down to level k - 1, where the
+prefix meets it or a row that implies it.
 """
 
 from __future__ import annotations
@@ -161,12 +152,8 @@ def find_point(cons: Sequence[Constraint], nvars: int) -> Optional[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _neg(t: tuple) -> tuple:
-    return tuple([-x for x in t])
-
-
 class _Plan(NamedTuple):
-    """The chain of one system of rows and its equality.
+    """The chain of one system of rows.
 
     ``guards`` holds the ``combo`` of each constant row ``0 <= r``, where
     ``r`` is ``combo . rhs`` for the input right-hand sides ``rhs``.
@@ -212,17 +199,14 @@ def _reduce(rows, guards: set, paired: int) -> list:
 
 
 @functools.lru_cache(maxsize=1024)
-def _plan(rows: tuple, eq: int) -> _Plan:
-    """The plan of the rows ``rows``, every one an inequality but row
-    ``eq``, which is an equality."""
-    m, n = len(rows), len(rows[eq])
+def _plan(rows: tuple) -> _Plan:
+    """The plan of the inequalities ``rows``."""
+    m, n = len(rows), len(rows[0]) if rows else 0
     unit = [tuple([int(i == x) for i in range(m)]) for x in range(m)]
-    # the equality e . x = ecombo . rhs, until it is substituted
-    e, ecombo = rows[eq], unit[eq]
     guards: set = set()
     flat: list = []
     paired = 0
-    cur = _reduce([(c, unit[x], 1 << x) for x, c in enumerate(rows) if x != eq], guards, paired)
+    cur = _reduce([(c, unit[x], 1 << x) for x, c in enumerate(rows)], guards, paired)
     for k in range(n, 0, -1):
         j = k - 1
         zeros, uppers, lowers = [], [], []
@@ -232,54 +216,34 @@ def _plan(rows: tuple, eq: int) -> _Plan:
         for c, combo, _ in uppers + lowers:
             flat += (k, c[j], c[:j], combo)
         nxt = [(c[:j], combo, ineqs) for c, combo, ineqs in zeros]
-        if e is not None and e[j]:
-            # Substitute the equality, signed so that e_j > 0: each other
-            # row c becomes e_j c - c_j e, and the pairwise rows would be
-            # implied.  The equality is an upper and a lower row here.
-            if e[j] < 0:
-                e, ecombo = _neg(e), _neg(ecombo)
-            ej = e[j]
-            flat += (k, ej, e[:j], ecombo, k, -ej, _neg(e[:j]), _neg(ecombo))
-            for c, combo, ineqs in uppers + lowers:
-                a = c[j]
-                nxt.append((tuple([ej * x - a * y for x, y in zip(c[:j], e)]),
-                            tuple([ej * x - a * y for x, y in zip(combo, ecombo)]), ineqs))
-            e = None
-        else:
-            if e is not None:
-                e = e[:j]
-            paired += 1
-            for cl, combol, il in lowers:
-                al = -cl[j]
-                for cu, combou, iu in uppers:
-                    if (il | iu).bit_count() > paired + 1:
-                        continue  # _reduce's count rule, before the row is built
-                    au = cu[j]
-                    nxt.append((tuple([al * u + au * l for u, l in zip(cu[:j], cl)]),
-                                tuple([al * u + au * l for u, l in zip(combou, combol)]), il | iu))
+        paired += 1
+        for cl, combol, il in lowers:
+            al = -cl[j]
+            for cu, combou, iu in uppers:
+                if (il | iu).bit_count() > paired + 1:
+                    continue  # _reduce's count rule, before the row is built
+                au = cu[j]
+                nxt.append((tuple([al * u + au * l for u, l in zip(cu[:j], cl)]),
+                            tuple([al * u + au * l for u, l in zip(combou, combol)]), il | iu))
         cur = _reduce(nxt, guards, paired)
-    if e is not None:  # an equality with no variable: 0 = r
-        guards.update((ecombo, _neg(ecombo)))
     return _Plan(tuple(guards), tuple(flat))
 
 
-def integer_point_search(rows: tuple, rhs: Sequence[int], eq: int, bound: int):
-    """Search for an integer x with every ``rows[i] . x <= rhs[i]``, equality
-    at ``i = eq``, and every |x_i| <= bound.
+def integer_point_search(rows: tuple, rhs: Sequence[int]):
+    """Search for an integer x with every ``rows[i] . x <= rhs[i]``, on a
+    system whose rational region is bounded.
 
-    ``rows`` is a tuple of int tuples, all of one length (with ``eq`` it
-    keys the plan cache), and ``rhs`` holds ints.
-    Returns (point, truncated).  ``point`` is a tuple of ints or None.
-    ``truncated`` is True when some enumeration range was clipped at the
-    bound, so a miss does not certify integer-infeasibility; a miss with
-    ``truncated`` False (including rational infeasibility) does.
+    ``rows`` is a tuple of int tuples, all of one length (it keys the plan
+    cache), and ``rhs`` holds ints.  Returns (point, False): ``point`` is
+    the lexicographically first integer point, or None when there is
+    none; False says that no range was clipped, as none ever is.
     """
-    plan = _plan(rows, eq)
+    plan = _plan(rows)
     mul = operator.mul
     for combo in plan.guards:
         if sum(map(mul, combo, rhs)) < 0:
             return None, False
-    nvars = len(rows[eq])
+    nvars = len(rows[0]) if rows else 0
     # levels[k] holds the rows (c, b, |a|) with c . x <= b at every point x,
     # split into upper (a > 0) and lower rows.
     levels = [([], []) for _ in range(nvars + 1)]
@@ -290,10 +254,10 @@ def integer_point_search(rows: tuple, rhs: Sequence[int], eq: int, bound: int):
             levels[k][0].append((c, b, a))
         else:
             levels[k][1].append((c, b, -a))
-    truncated = False
+    if not all(uppers and lowers for uppers, lowers in levels[1:]):
+        raise AssertionError("the search region must be bounded")
 
     def dfs(k: int, prefix: list[int]):
-        nonlocal truncated
         if k > nvars:
             return tuple(prefix)
         uppers, lowers = levels[k]
@@ -309,12 +273,6 @@ def integer_point_search(rows: tuple, rhs: Sequence[int], eq: int, bound: int):
             z = -((b - sum(map(mul, c, prefix))) // a)
             if lo is None or z > lo:
                 lo = z
-        if lo is None or lo < -bound:
-            lo = -bound
-            truncated = True
-        if hi is None or hi > bound:
-            hi = bound
-            truncated = True
         for z in range(lo, hi + 1):
             prefix.append(z)
             found = dfs(k + 1, prefix)
@@ -323,4 +281,4 @@ def integer_point_search(rows: tuple, rhs: Sequence[int], eq: int, bound: int):
                 return found
         return None
 
-    return dfs(1, []), truncated
+    return dfs(1, []), False

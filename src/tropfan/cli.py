@@ -342,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="is a ray function a weighted evaluation?")
     p.add_argument("fan")
     p.add_argument("--values", required=True, help="comma-separated values, one per sorted ray")
-    p.add_argument("--bound", type=as_int, default=None, help="search box half-width")
+    p.add_argument("--bound", type=as_int, default=None, help="checked, then ignored: the search needs no box")
     p.set_defaults(fn=_cmd_member)
 
     return top

@@ -49,7 +49,7 @@ class NotBalanced(TropfanError):
 
 
 class Inconclusive(TropfanError):
-    """Search bound exhausted before membership could be decided."""
+    """An undecided search: a public name that no library function raises."""
 
     code = "inconclusive"
 

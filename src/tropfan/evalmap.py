@@ -10,6 +10,7 @@ fan's generator matrix, from which the fan itself is recoverable.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ from . import _lp
 from .errors import (
     BadParameters,
     DimensionMismatch,
-    Inconclusive,
     NonBooleanInput,
     NotBalanced,
     NotRealizable,
@@ -30,7 +30,7 @@ from .intlat import IntMatrix, hnf, invariant_factors, snf
 from .laurent import LaurentPoly
 from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int
 
-#: half-width of image_membership's default exponent search box
+#: the default of image_membership's ``bound``, which is checked and not read
 DEFAULT_MEMBER_BOUND = 64
 
 
@@ -196,25 +196,85 @@ def is_smooth(X: WeightedFan) -> SmoothReport:
     return SmoothReport(True, None)
 
 
+@functools.lru_cache(maxsize=1024)
+def _tight_search(gens: tuple, a: int) -> tuple:
+    """The search at ray a among the weighted directions ``gens``, apart
+    from the values: ``(lift, kept, rows, dropped, free)``.  The z tight at
+    a are ``lift . (q, w)``; each pair (b, c_b) of ``kept`` gives the row
+    ``rows[i] . w <= G(b) - q c_b``, and each pair (b, l_b) of ``dropped``
+    the l_b > 0 by which ``free`` lowers G(b), keeping the kept values."""
+    n, mul = len(gens[a]), operator.mul
+    others = [b for b in range(len(gens)) if b != a]
+    U = hnf(IntMatrix.from_rows([gens[a]]))[1]  # g_a . U = (w_a, 0, ..., 0)
+    C, R = zip(*[(x[0], x[1:]) for x in map(U.transpose().apply, gens)])  # g_b . U = (c_b, r_b)
+    ys: list = []
+    if any(map(sum, zip(*R))):  # rows that sum to 0 leave no row to drop
+        for b in others:
+            if any(R[b]) and not any(sum(map(mul, R[b], y)) < 0 for y in ys):
+                y = _lp.find_point([(R[c], 0, False) for c in others] + [(R[b], 0, True)], n - 1)
+                if y is not None:
+                    ys.append(y)
+    y = [sum(col) for col in zip(*ys)] or [0] * (n - 1)
+    d = math.lcm(*(x.denominator for x in y))
+    y = [int(x * d) for x in y]
+    loosen = [-sum(map(mul, r, y)) for r in R]
+    kept = [b for b in others if not loosen[b]]
+    cols, rows = [(1,) + (0,) * (n - 1)], [()] * len(kept)
+    if kept and n > 1:
+        H, V = hnf(IntMatrix.from_rows([R[b] for b in kept]))
+        rank = sum(map(any, zip(*H.data)))
+        cols += [(0,) + V.col(j) for j in range(rank)]
+        rows = [h[:rank] for h in H.data]
+    return ((U @ IntMatrix(tuple(zip(*cols)))).data, tuple([(b, C[b]) for b in kept]), tuple(rows),
+            tuple([(b, loosen[b]) for b in others if loosen[b]]), U.apply((0, *y)))
+
+
+def _tight_exponent(gens: tuple, values, a: int) -> Optional[tuple]:
+    """An integer z with every ``gens[b] . z <= values[b]`` and equality at
+    b = a (``gens[a]`` not 0), or None when there is none."""
+    lift, kept, rows, dropped, free = _tight_search(gens, a)
+    q, rem = divmod(values[a], math.gcd(*gens[a]))
+    w = None if rem else _lp.integer_point_search(rows, [values[b] - q * c for b, c in kept])[0]
+    if w is None:
+        return None
+    qw, mul = (q, *w), operator.mul
+    z = tuple([sum(map(mul, row, qw)) for row in lift])
+    if dropped:
+        t = max([0] + [-((values[b] - sum(map(mul, gens[b], z))) // l) for b, l in dropped])
+        z = tuple([x + t * f for x, f in zip(z, free)])
+    return z
+
+
 def image_membership(
     X: WeightedFan, G: RayFunction, bound: int = DEFAULT_MEMBER_BOUND
 ) -> Optional[LaurentPoly]:
     """Decide whether G is the weighted evaluation of some Boolean
     polynomial, returning such a polynomial or None for a proven
-    non-member.
+    non-member.  ``bound`` is checked and not read.
 
     G is a member iff for every ray a some integer z satisfies
-    z . F(b) <= G(b) at all rays b with equality at a; the witness is then
+    z . g_b <= G(b) at all rays b with equality at a; the witness is then
     the max of the monomials x^z.  Every value w_rho * f(d_rho) is a
     multiple of its ray's weight, so a value that is not is a proof of
     non-membership before any search.  So is a negative degree on a
     balanced fan: the values (M^T z)_b of a term sum to z . sum_b g_b = 0,
-    so M^T z <= G forces deg G >= 0.  Each per-ray search enumerates
-    integer points inside the exact rational bounds, clamped to
-    |z|_inf <= bound; a miss without clamping (or rational infeasibility)
-    is a proof, a miss after clamping raises Inconclusive.  A ray is not
-    searched when an exponent already found is tight there, so the witness
-    has at most one term per ray, and possibly fewer.
+    so M^T z <= G forces deg G >= 0.  The search at ray a is exact in
+    three steps, cached per fan and ray (Schrijver 1986, section 12.2):
+
+    1. The column HNF g_a . U = (w_a, 0, ..., 0) makes the tight z
+       U (q, y), q = G(a) / w_a and y integral; row b reads
+       r_b . y <= G(b) - q c_b, where g_b . U = (c_b, r_b).
+    2. Row b is dropped when some y has every r_c . y <= 0 and
+       r_b . y < 0 (an LP, skipped when the r_b sum to 0).  By Farkas the
+       kept rows carry a positive relation of full support, so the sum
+       y_N of the LP points is 0 on them and < 0 on the dropped rows:
+       a point of the kept rows plus t y_N, t large, meets them all.
+    3. The kept rows' column HNF R_K V = H has rank r; w in Z^r is
+       searched on H's first r columns, where the positive relation
+       leaves {w : H w <= 0} = {0}, a bounded region.
+
+    A ray is not searched when an exponent already found is tight there,
+    so the witness has at most one term per ray, and possibly fewer.
     """
     try:
         bound = as_index(bound)
@@ -230,25 +290,17 @@ def image_membership(
         return None
     if sum(G.values) < 0 and check_balancing(X):
         return None
-    n = X.ambient_dim
     gens = tuple([ray.generator for ray in X.rays])
     exponents = []
-    unknown = False
     for a, (gen, value) in enumerate(zip(gens, G.values)):
         if any(sum(map(operator.mul, z, gen)) == value for z in exponents):
             continue
-        z, truncated = _lp.integer_point_search(gens, G.values, a, bound)
+        z = _tight_exponent(gens, G.values, a)
         if z is None:
-            if truncated:
-                unknown = True
-            else:
-                return None
-        else:
-            exponents.append(z)
-    if unknown:
-        raise Inconclusive(f"no decision within |z| <= {bound}; raise the bound")
+            return None
+        exponents.append(z)
     # distinct: a ray is searched only when no exponent found is tight there
-    witness = LaurentPoly(n, tuple((z, BOOL_ONE) for z in sorted(exponents)))
+    witness = LaurentPoly(X.ambient_dim, tuple((z, BOOL_ONE) for z in sorted(exponents)))
     if eval_map(X, witness).values != G.values:
         raise AssertionError("witness must reproduce the input")
     return witness

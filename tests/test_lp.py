@@ -2,15 +2,17 @@
 as Fourier-Motzkin elimination over Fraction (``oracles.fm_point``) on
 random strict and non-strict systems, and every point it returns is checked
 against every constraint in exact arithmetic.  The integer-only
-``integer_point_search`` returns the same point and ``truncated`` flag as
-the search over the Fraction chain (``oracles.fm_integer_point_search``)
-on systems shaped like membership queries: integer rows and right-hand
-sides, every row an inequality but one equality."""
+``integer_point_search`` returns the same point, the lexicographically
+first, as the search over the Fraction chain
+(``oracles.fm_integer_point_search``) at a box that clips no range, on
+bounded systems shaped like membership queries: integer rows and
+right-hand sides, every row an inequality.  The equality of a membership
+query is substituted before the search, by ``evalmap._tight_exponent``,
+and is tested here against the oracle with the equality as two rows."""
 
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from oracles import fm_integer_point_search, fm_point
 from tropfan import _lp
 from tropfan._lp import _plan, find_point, integer_point_search
+from tropfan.evalmap import _tight_exponent, _tight_search
 
 
 def satisfies(cons, x):
@@ -143,26 +146,30 @@ def dot(c, x):
     return sum(a * b for a, b in zip(c, x))
 
 
-def oracle_search(rows, rhs, eq, bound):
-    """The oracle's answer: every row a non-strict inequality, and the
-    equality's negation one more."""
-    cons = [(c, r, False) for c, r in zip(rows, rhs)] + [(tuple(-x for x in rows[eq]), -rhs[eq], False)]
-    return fm_integer_point_search(cons, len(rows[eq]), bound)
+def oracle_search(rows, rhs):
+    """The oracle's answer, at the first box of 8, 64, ... that clips no
+    range."""
+    cons = [(c, r, False) for c, r in zip(rows, rhs)]
+    nvars = len(rows[0]) if rows else 0
+    for bound in (8, 64, 512, 4096, 2**15):
+        point, truncated = fm_integer_point_search(cons, nvars, bound)
+        if not truncated:
+            return point
+    raise AssertionError(f"{rows} {rhs} is not bounded")
 
 
-def check_search(rows, rhs, eq, bound):
-    """integer_point_search gives the oracle's (point, truncated); a point
-    it returns is an integer point in the box meeting every row, the
-    equality with equality."""
+def check_search(rows, rhs):
+    """integer_point_search gives the oracle's point, the lexicographically
+    first one, and never a clipped search; a point it returns is an
+    integer point meeting every row."""
     rows, rhs = tuple(rows), tuple(rhs)
-    got = integer_point_search(rows, rhs, eq, bound)
-    assert got == oracle_search(rows, rhs, eq, bound), (rows, rhs, eq, bound, got)
-    point, _ = got
+    got = integer_point_search(rows, rhs)
+    assert got == (oracle_search(rows, rhs), False), (rows, rhs, got)
+    point = got[0]
     if point is not None:
-        assert len(point) == len(rows[eq]) and all(type(z) is int and abs(z) <= bound for z in point)
-        assert all(dot(c, point) <= r for c, r in zip(rows, rhs)), (rows, rhs, eq, bound, point)
-        assert dot(rows[eq], point) == rhs[eq], (rows, rhs, eq, bound, point)
-    return got
+        assert len(point) == (len(rows[0]) if rows else 0) and all(type(z) is int for z in point)
+        assert all(dot(c, point) <= r for c, r in zip(rows, rhs)), (rows, rhs, point)
+    return point
 
 
 def rand_generator(rng: random.Random, nvars: int, zeros=()):
@@ -171,6 +178,17 @@ def rand_generator(rng: random.Random, nvars: int, zeros=()):
         d = [0 if j in zeros else rng.randint(-3, 3) for j in range(nvars)]
         if any(d):
             return tuple(rng.choice([1, 1, 1, 2, 3]) * x for x in d)
+
+
+def rank(rows):
+    """The rank of the integer rows ``rows``, by elimination over Fraction."""
+    rest, r = [list(map(Fraction, c)) for c in rows], 0
+    for j in range(len(rest[0]) if rest else 0):
+        pivot = next((c for c in rest if c[j]), None)
+        if pivot is not None:
+            rest = [[x - c[j] / pivot[j] * y for x, y in zip(c, pivot)] for c in rest if c is not pivot]
+            r += 1
+    return r
 
 
 def rand_membership_system(rng: random.Random, nvars: int):
@@ -190,6 +208,20 @@ def rand_membership_system(rng: random.Random, nvars: int):
     return tuple(rows[x] for x in order), tuple(rhs[x] for x in order), rng.randrange(len(rows))
 
 
+def rand_bounded_system(rng: random.Random, nvars: int):
+    """The rows and right-hand sides of a membership system made bounded:
+    rows are added until they span, then minus their sum, so that they
+    carry a positive relation of full support."""
+    rows, rhs, _ = rand_membership_system(rng, nvars)
+    rows, rhs = list(rows), list(rhs)
+    while rank(rows) < nvars:
+        rows.append(rand_generator(rng, nvars))
+        rhs.append(rng.randint(-6, 6))
+    rows.append(tuple(-sum(col) for col in zip(*rows)))
+    rhs.append(rng.randint(-6, 6))
+    return tuple(rows), tuple(rhs)
+
+
 def hidden_equality(rows, rhs):
     """True when two rows are opposite with opposite right-hand sides."""
     halves = set()
@@ -205,14 +237,19 @@ def search_systems(draw):
     n = draw(st.integers(1, 4))
     gen = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
     weighted = st.tuples(gen, st.sampled_from([1, 2, 3])).map(lambda g: tuple(g[1] * x for x in g[0]))
-    rows = draw(st.lists(st.tuples(weighted, st.integers(-6, 6)), min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(weighted, st.integers(-6, 6)), min_size=n, max_size=6))
     opposites = draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from([1, 2]), st.sampled_from([0, 0, 1])),
                               max_size=2))
     for i, k, dr in opposites:
         c, r = rows[i % len(rows)]
         rows.append((tuple(-k * x for x in c), -k * r + dr))
-    eq = draw(st.integers(0, len(rows) - 1))
-    return tuple(c for c, _ in rows), tuple(r for _, r in rows), eq, draw(st.integers(0, 8))
+    # unit rows until the rows span, then minus their sum: a positive
+    # relation of full support leaves the region bounded
+    for j in range(n):
+        if rank([c for c, _ in rows]) < n:
+            rows.append((tuple(int(i == j) for i in range(n)), draw(st.integers(-6, 6))))
+    rows.append((tuple(-sum(col) for col in zip(*(c for c, _ in rows))), draw(st.integers(-6, 6))))
+    return tuple(c for c, _ in rows), tuple(r for _, r in rows)
 
 
 @given(search_systems())
@@ -221,155 +258,151 @@ def test_search_matches_oracle(system):
 
 
 def test_search_fixed_seed_sweep():
-    # systems shaped like membership queries, n = 1-4, bounds 0-8
+    # bounded systems shaped like membership queries, n = 1-4
     rng = random.Random(5050)
-    seen, hidden, spanless = set(), 0, 0
+    seen, hidden = set(), 0
     for _ in range(5000):
-        n = rng.randint(1, 4)
-        rows, rhs, eq = rand_membership_system(rng, n)
-        point, truncated = check_search(rows, rhs, eq, rng.randint(0, 8))
-        seen.add((point is not None, truncated))
+        rows, rhs = rand_bounded_system(rng, rng.randint(1, 4))
+        seen.add(check_search(rows, rhs) is not None)
         hidden += hidden_equality(rows, rhs)
-        spanless += any(not any(c[j] for c in rows) for j in range(n))
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
-    assert hidden > 1000 and spanless > 500
+    assert seen == {True, False}
+    assert hidden > 1000
 
 
 class TestSearchEdgeCases:
     def test_free_variable(self):
-        assert check_search([(0,)], [0], 0, 3) == ((-3,), True)
-        assert check_search([(1, 0)], [2], 0, 5) == ((2, -5), True)
+        # a variable that no row bounds is outside the contract
+        with pytest.raises(AssertionError, match="bounded"):
+            integer_point_search(((0,),), (0,))
+        with pytest.raises(AssertionError, match="bounded"):
+            integer_point_search(((1, 0), (-1, 0)), (2, 0))
 
-    def test_lower_bound_above_the_box(self):
-        # y = 0 and x >= 5, with and without x <= 6
-        assert check_search([(0, 1), (-1, 0)], [0, -5], 0, 3) == (None, True)
-        assert check_search([(0, 1), (-1, 0), (1, 0)], [0, -5, 6], 0, 3) == (None, True)
+    def test_lower_bound_far_from_the_origin(self):
+        # y = 0 and 5 <= x <= 6
+        assert check_search([(0, 1), (0, -1), (-1, 0), (1, 0)], [0, 0, -5, 6]) == (5, 0)
+        assert check_search([(0, 1), (0, -1), (-1, 0), (1, 0)], [0, 0, -500, 600]) == (500, 0)
 
     def test_integer_edge(self):
         # 2x <= 3 leaves x <= 1 among the integers, 2x >= 3 leaves x >= 2
-        assert check_search([(0, 1), (2, 0), (-2, 0)], [0, 3, -2], 0, 8) == ((1, 0), False)
-        assert check_search([(0, 1), (2, 0), (-2, 0)], [0, 3, -3], 0, 8) == (None, False)
-        assert check_search([(0, 1), (-2, 0), (1, 0)], [0, -5, 3], 0, 8) == ((3, 0), False)
-        assert check_search([(2,)], [3], 0, 8) == (None, False)
+        assert check_search([(2,), (-2,)], [3, -2]) == (1,)
+        assert check_search([(2,), (-2,)], [3, -3]) is None
+        assert check_search([(-2,), (1,)], [-5, 3]) == (3,)
+        assert check_search([(2, 0), (-1, 0), (0, 1), (0, -1)], [3, 0, 0, 0]) == (0, 0)
 
     def test_no_variables(self):
-        assert check_search([()], [0], 0, 5) == ((), False)
-        assert check_search([(), ()], [0, 1], 0, 0) == ((), False)
-        assert check_search([(), ()], [0, -1], 0, 5) == (None, False)
-        assert check_search([()], [1], 0, 5) == (None, False)
+        assert check_search([()], [0]) == ()
+        assert check_search([(), ()], [0, 1]) == ()
+        assert check_search([(), ()], [0, -1]) is None
+        assert check_search([()], [-1]) is None
 
     def test_empty_system(self):
-        # no row but the equality 0 = 0
-        assert check_search([(0, 0)], [0], 0, 0) == ((0, 0), True)
-        assert check_search([(0, 0, 0)], [0], 0, 1) == ((-1, -1, -1), True)
+        # no row at all: the empty point, in no variable
+        assert integer_point_search((), ()) == ((), False)
+        with pytest.raises(AssertionError):
+            integer_point_search(((0, 0),), (0,))
 
     def test_constant_rows(self):
-        assert check_search([(0, 0), (1, 0)], [-1, 5], 1, 3) == (None, False)
-        assert check_search([(0, 0), (1, 0)], [1, 0], 0, 3) == (None, False)
-        assert check_search([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)], [0, 0, 0, 1, 0], 1, 3) == ((0, 0), False)
+        assert check_search([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)], [-1, 5, 0, 0, 0]) is None
+        assert check_search([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)], [0, 0, 0, 1, 0]) == (0, 0)
 
     def test_rational_infeasibility_is_not_truncated(self):
-        # x + y <= 0 and x + y >= 1 leave no bound on x alone
-        assert check_search([(1, 1), (-1, -1), (1, 0)], [0, -1, 0], 2, 8) == (None, False)
+        # x + y <= 0 and x + y >= 1 leave no bound on x alone; the guards
+        # prove the miss before any range is asked for
+        assert integer_point_search(((1, 1), (-1, -1), (1, 0)), (0, -1, 0)) == (None, False)
 
 
 # ------------------------------------------------ the equality's substitution
 
 
-def chain(rows, eq):
-    """The rows ``(c, combo, ineqs)`` that the plan of ``(rows, eq)`` keeps
-    for each projection, onto all the variables first, built apart from
-    the cache."""
-    levels, reduce = [], _lp._reduce
-
-    def recorded(rows, guards, paired):
-        kept = reduce(rows, guards, paired)
-        levels.append(kept)
-        return kept
-
-    with mock.patch.object(_lp, "_reduce", recorded):
-        _plan.__wrapped__(tuple(rows), eq)
-    return levels
+def oracle_equality(rows, rhs, eq, bound):
+    """The oracle's (point, truncated) with row ``eq`` an equality."""
+    cons = [(c, r, False) for c, r in zip(rows, rhs)] + [(tuple(-x for x in rows[eq]), -rhs[eq], False)]
+    return fm_integer_point_search(cons, len(rows[eq]), bound)
 
 
-def directions(rows):
-    """The primitive directions of the chain rows ``rows``."""
-    return {tuple(x // math.gcd(*c) for x in c) for c, _, _ in rows}
-
-
-def check_equality_search(rows, rhs, eq, bound):
-    """check_search, and when the equality has a last coefficient the
-    projection below has no pairwise rows added: at most one row for
-    each other row.  No level holds two rows of the same coefficients and
-    combination."""
-    got = check_search(rows, rhs, eq, bound)
-    if len(rows[eq]) >= 2 and rows[eq][-1]:
-        levels = chain(rows, eq)
-        for level in levels:
-            assert len({(c, combo) for c, combo, _ in level}) == len(level), (rows, eq, level)
-        assert len(levels[1]) <= len(rows) - 1, (rows, eq, levels[1])
+def check_equality_search(rows, rhs, eq):
+    """The tight exponent of ``evalmap``, which substitutes the equality of a
+    membership search before ``integer_point_search`` runs: a point it
+    returns meets every row and the equality with equality, and on None
+    the oracle finds no point in the box |x| <= 8.  The search it runs
+    has one variable fewer and at most one row for each other row."""
+    rows, rhs = tuple(rows), tuple(rhs)
+    got = _tight_exponent(rows, rhs, eq)
+    if got is None:
+        assert oracle_equality(rows, rhs, eq, 8)[0] is None, (rows, rhs, eq)
+    else:
+        assert len(got) == len(rows[eq]) and all(type(z) is int for z in got)
+        assert all(dot(c, got) <= r for c, r in zip(rows, rhs)), (rows, rhs, eq, got)
+        assert dot(rows[eq], got) == rhs[eq], (rows, rhs, eq, got)
+    _, kept, search_rows, dropped, _ = _tight_search(rows, eq)
+    assert len(kept) + len(dropped) == len(rows) - 1
+    assert all(len(c) < len(rows[eq]) for c in search_rows)
     return got
 
 
 def test_equality_sweep():
-    # the equality has a last coefficient in most draws, so it is
-    # substituted at the top level
+    # membership-shaped systems; the oracle at box 8 decides most, and a
+    # point it finds, or a miss it proves, is the substitution's answer
     rng = random.Random(6060)
-    seen, substituted = set(), 0
+    seen, decided = set(), 0
     for _ in range(3200):
-        n = rng.randint(1, 4)
-        rows, rhs, eq = rand_membership_system(rng, n)
-        if rng.random() < 0.75 and not rows[eq][-1]:
-            rows = rows[:eq] + (rows[eq][:-1] + (rng.choice([-2, -1, 1, 3]),),) + rows[eq + 1:]
-        point, truncated = check_equality_search(rows, rhs, eq, rng.choice([0, 1, 3, 8]))
+        rows, rhs, eq = rand_membership_system(rng, rng.randint(1, 4))
+        point = check_equality_search(rows, rhs, eq)
+        ref, truncated = oracle_equality(rows, rhs, eq, 8)
+        if ref is not None or not truncated:
+            assert (point is None) == (ref is None), (rows, rhs, eq, point, ref)
+            decided += 1
         seen.add((point is not None, truncated))
-        substituted += n >= 2 and rows[eq][-1] != 0
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
-    assert substituted > 1500
+    assert decided > 2400
 
 
 class TestEqualitySubstitution:
     def test_equality_with_zero_last_coefficient_passes_down(self):
-        # x = 2, x + y <= 5, 2y - x <= 2
+        # x = 2, x + y <= 5, 2y - x <= 2: y is free below, so both rows go
         rows, rhs = [(1, 0), (1, 1), (-1, 2)], [2, 5, 2]
-        assert check_equality_search(rows, rhs, 0, 8) == ((2, -8), True)
-        assert check_equality_search(rows + [(0, -1)], rhs + [0], 0, 8) == ((2, 0), False)
+        assert check_equality_search(rows, rhs, 0)[0] == 2
+        assert len(_tight_search(tuple(rows), 0)[3]) == 2
+        assert check_equality_search(rows + [(0, -1)], rhs + [0], 0) in {(2, 0), (2, 1), (2, 2)}
 
     def test_two_equalities_on_the_same_variable(self):
         # the second equality is two opposite rows
         rows = [(1, 1, 1), (1, -1, 2), (-2, 2, -4), (1, 0, 0), (-1, 0, 0)]
-        assert check_equality_search(rows, [3, 1, -2, 4, 4], 0, 8) == ((-4, 3, 4), False)
-        assert check_equality_search(rows[:3] + [(0, 1, 0)], [3, 1, -2, -1], 0, 8) == ((8, -1, -4), True)
+        assert check_equality_search(rows, [3, 1, -2, -4, 4], 0) == (-4, 3, 4)
+        assert check_equality_search(rows, [3, 1, -2, 4, -4], 0) is None
+        assert check_equality_search(rows, [3, 1, -2, 4, 4], 0) is not None
+        assert check_equality_search(rows[:3] + [(0, 1, 0)], [3, 1, -2, -1], 0) is not None
 
     def test_equality_sharing_a_direction_with_another_row(self):
         rows, rhs = [(1, 2)], [3]
-        assert check_equality_search(rows + [(2, 4)], rhs + [5], 0, 5) == (None, False)
-        assert check_equality_search(rows + [(-1, -2)], rhs + [-4], 0, 5) == (None, False)
-        assert check_equality_search(rows + [(2, 4)], rhs + [6], 0, 5) == ((-5, 4), True)
+        assert check_equality_search(rows + [(2, 4)], rhs + [5], 0) is None
+        assert check_equality_search(rows + [(-1, -2)], rhs + [-4], 0) is None
+        assert check_equality_search(rows + [(2, 4)], rhs + [6], 0) is not None
 
     def test_equality_whose_gcd_does_not_divide_its_rhs(self):
-        assert check_equality_search([(2, 4)], [1], 0, 6) == (None, True)
-        assert check_equality_search([(2, 4), (1, 0), (-1, 0)], [1, 1, 1], 0, 6) == (None, False)
-        assert check_equality_search([(3,), (-6,)], [1, -2], 0, 6) == (None, False)
+        assert check_equality_search([(2, 4)], [1], 0) is None
+        assert check_equality_search([(2, 4), (1, 0), (-1, 0)], [1, 1, 1], 0) is None
+        assert check_equality_search([(3,), (-6,)], [1, -2], 0) is None
 
     def test_chain_is_smaller(self):
-        # x2 = x0 + x1 and eight rows on x2 in distinct directions: the
-        # substitution leaves eight rows, where pairing would add sixteen
-        # more.  Two of them, (2, 4) . x <= 9 and (1, 2) . x <= 9, share
-        # a direction; which one binds depends on the right-hand sides,
-        # so the plan keeps both
+        # x2 = x0 + x1 and eight rows on x2: the substitution leaves eight
+        # rows in two variables, where pairing would add sixteen more.  The
+        # direction x0 = x1 = -1 lowers all eight, so none is searched;
+        # with two rows that bound it, every row is kept
         rows = [(-1, -1, 1)] + [(a, b, 1) for a, b in [(1, 0), (0, 1), (2, 1), (1, 3)]]
         rows += [(a, b, -1) for a, b in [(1, 2), (3, 0), (0, 3), (2, 2)]]
-        below = chain(rows, 0)[1]
-        assert len(below) == 8
-        assert len(directions(below)) == 7
-        check_equality_search(rows, [0] + [9] * 4 + [8] * 4, 0, 4)
+        _, kept, search_rows, dropped, _ = _tight_search(tuple(rows), 0)
+        assert (kept, search_rows, len(dropped)) == ((), (), 8)
+        check_equality_search(rows, [0] + [9] * 4 + [8] * 4, 0)
+        rows += [(-1, 0, 0), (0, -1, 0)]
+        _, kept, search_rows, dropped, _ = _tight_search(tuple(rows), 0)
+        assert len(kept) == 10 and not dropped and {len(c) for c in search_rows} == {2}
+        check_equality_search(rows, [0] + [9] * 4 + [8] * 4 + [3, 3], 0)
 
     def test_empty_system(self):
-        # no row but the equality
-        assert check_equality_search([()], [0], 0, 3) == ((), False)
-        assert check_equality_search([(0, 1)], [1], 0, 1) == ((-1, 1), True)
-        assert check_equality_search([(), ()], [0, 0], 1, 3) == ((), False)
+        # no row but the equality: the free coordinates are set, not searched
+        assert check_equality_search([(0, 1)], [1], 0) is not None
+        assert check_equality_search([(0, 0, 3)], [6], 0)[2] == 2
 
 
 # ------------------------------------------------------------ cached plans
@@ -394,72 +427,67 @@ def test_cached_plans_match_oracle():
     rng = random.Random(8080)
     calls, seen = 0, set()
     for _ in range(240):
-        n = rng.randint(1, 4)
-        rows, _, eq = rand_membership_system(rng, n)
-        bound = rng.choice([0, 1, 3, 8])
+        rows, _ = rand_bounded_system(rng, rng.randint(1, 4))
         for t in range(24):
-            point, truncated = check_search(rows, rand_right_hand_sides(rng, rows), eq, bound)
-            seen.add((point is not None, truncated))
+            seen.add(check_search(rows, rand_right_hand_sides(rng, rows)) is not None)
             calls += 1
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert seen == {True, False}
     assert _plan.cache_info().misses <= 240 < calls / 5
 
 
 def test_plan_keys_tell_systems_apart():
-    # the same rows with another equality, and the same rows in another
-    # order, are other systems; each answer is the oracle's
+    # the same rows in another order are another system; each answer is
+    # the oracle's
     rng = random.Random(9090)
     for _ in range(300):
-        n = rng.randint(1, 4)
-        rows, _, eq = rand_membership_system(rng, n)
-        bound = rng.choice([1, 3, 8])
+        rows, _ = rand_bounded_system(rng, rng.randint(1, 4))
         for _ in range(4):
             rhs = rand_right_hand_sides(rng, rows)
-            check_search(rows, rhs, eq, bound)
-            check_search(rows, rhs, rng.randrange(len(rows)), bound)
+            check_search(rows, rhs)
             order = list(range(len(rows)))
             rng.shuffle(order)
-            check_search([rows[k] for k in order], [rhs[k] for k in order], order.index(eq), bound)
+            check_search([rows[k] for k in order], [rhs[k] for k in order])
 
 
 class TestPlanCache:
-    def test_equality_is_part_of_the_key(self):
+    def test_rows_are_the_key(self):
         rows = ((1,), (-1,))
-        assert check_search(rows, [2, 1], 0, 8) == ((2,), False)
-        assert check_search(rows, [2, 1], 1, 8) == ((-1,), False)
-        assert _plan(rows, 0) is _plan(((1,), (-1,)), 0)
-        assert _plan(rows, 0) is not _plan(rows, 1)
+        assert check_search(rows, [2, 1]) == (-1,)
+        assert check_search(rows, [2, -2]) == (2,)
+        assert _plan(rows) is _plan(((1,), (-1,)))
+        assert _plan(rows) is not _plan(((-1,), (1,)))
 
     def test_equality_that_holds_then_breaks(self):
         # y = -5 and x between 3 and 3, 2, 3 or 3.5 as the right-hand
         # sides change: one plan serves all four
         rows = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-        assert check_search(rows, [3, -3, 5, 5], 3, 8) == ((3, -5), False)
-        assert check_search(rows, [3, -2, 5, 5], 3, 8) == ((2, -5), False)
+        assert check_search(rows, [3, -3, -5, 5]) == (3, -5)
+        assert check_search(rows, [3, -2, -5, 5]) == (2, -5)
         rows[1] = (-2, 0)
-        assert check_search(rows, [3, -6, 5, 5], 3, 8) == ((3, -5), False)
-        assert check_search(rows, [3, -7, 5, 5], 3, 8) == (None, False)
+        assert check_search(rows, [3, -6, -5, 5]) == (3, -5)
+        assert check_search(rows, [3, -7, -5, 5]) is None
 
     def test_guards_follow_the_right_hand_side(self):
         # x <= r and -x <= s leave the guard 0 <= r + s
-        assert check_search([(1, 0), (-1, 0), (0, 1)], [2, -1, 0], 2, 8) == ((1, 0), False)
-        assert check_search([(1, 0), (-1, 0), (0, 1)], [2, -3, 0], 2, 8) == (None, False)
-        assert check_search([(0, 0), (1, 0), (0, 1)], [1, 0, 0], 2, 1) == ((-1, 0), True)
-        assert check_search([(0, 0), (1, 0), (0, 1)], [-1, 0, 0], 2, 1) == (None, False)
+        rows = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+        assert check_search(rows, [2, -1, 0, 0]) == (1, 0)
+        assert check_search(rows, [2, -3, 0, 0]) is None
+        assert integer_point_search(((0, 0),) + tuple(rows), (-1, 2, 0, 0, 0)) == (None, False)
+        assert check_search([(0, 0)] + rows, [1, 2, 0, 0, 0]) == (0, 0)
 
     def test_rows_differing_only_in_their_right_hand_side_are_both_kept(self):
         # x + y <= r1 and x + y <= r2 share a direction; which one binds
         # depends on the right-hand sides
         for r1, r2 in [(1, 4), (4, 1), (2, 3)]:
             rows, rhs = [(1, 1), (1, 1), (-1, 0), (0, -1)], [r1, r2, 0, 0]
-            check_search(rows, rhs, 3, 8)
-            check_search([(2, 2)] + rows[1:], [2 * r1] + rhs[1:], 3, 8)
+            check_search(rows, rhs)
+            check_search([(2, 2)] + rows[1:], [2 * r1] + rhs[1:])
 
     def test_size_cap(self):
         info = _plan.cache_info()
         assert info.maxsize == 1024
         for r in range(info.maxsize + 100):
-            integer_point_search(((1, r),), (0,), 0, 0)
+            integer_point_search(((1,), (-r - 1,)), (0, 0))
         info = _plan.cache_info()
         assert info.currsize == info.maxsize
 
