@@ -12,9 +12,23 @@ iff the system has a solution.  It is solved as its Farkas dual
     min  sum b_i y_i + y_0   s.t.   sum y_i a_i = 0,   sum s_i y_i + y_0 = 1,   y >= 0
 
 by Bland's rule on an integer-preserving (Bareiss) tableau of nvars + 1
-rows.  ``y_0 = 1`` is always dual feasible, so the dual ends optimal, or
-unbounded when the non-strict rows alone are infeasible.  At the optimum
-the simplex multipliers are a primal optimum ``(x, mu)``.
+rows, the :class:`Tableau`.  ``y_0 = 1`` is always dual feasible, so the
+dual ends optimal, or unbounded when the non-strict rows alone are
+infeasible.  At the optimum the simplex multipliers are a primal optimum
+``(x, mu)``.
+
+A primal row added to a solved system is a new dual column ``y`` at 0, so
+the basis stays feasible and Bland's rule resumes from it instead of
+solving from scratch (:meth:`Tableau.add_row`).  The tableau holds D B^-1
+times its columns, and the y_0 and artificial columns began as unit
+columns, so the new column is their combination with weights ``(a; s)``.
+One more step is needed.  An artificial still basic is the equality of
+a coordinate that the earlier rows left out; it is 0, and its row has no
+y entry.  The new row can give that row an entry, and Bland's rule could
+then move the artificial off 0, which drops the equality and can prove a
+feasible system infeasible.  So the artificial leaves through the new
+column first: its row's right-hand side is 0, so any pivot sign keeps the
+basis feasible, and the other such rows get no y entry.
 
 :func:`integer_point_search` asks for an integer point x with
 ``rows[i] . x <= rhs[i]`` for every row i, all in Python ints: the
@@ -84,67 +98,119 @@ def _integral(c, r) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in c], r.numerator * (d // r.denominator)
 
 
+class Tableau:
+    """The Farkas dual of the margin LP of integer rows, solved by Bland's
+    rule on an integer-preserving tableau, that takes more rows as it goes.
+
+    ``A`` holds the coefficient rows as int sequences of length ``nvars``,
+    ``b`` the int right-hand sides and ``s`` 1 on the strict rows, 0 on the
+    others.  Building it pivots the artificials out; :meth:`run` goes to
+    the optimum; :meth:`add_row` adds one primal row, after which
+    :meth:`run` resumes from the basis it left.
+    """
+
+    __slots__ = ("T", "basis", "D", "m", "n")
+
+    def __init__(self, A: Sequence[Sequence[int]], b: Sequence[int], s: Sequence[int], nvars: int):
+        m, n = len(A), nvars
+        # Columns: y_1..y_m, y_0, one artificial per row of sum y_i a_i = 0, rhs.
+        # T holds D times the true tableau, D the |determinant| of the basis;
+        # its last row holds the reduced costs and minus the dual value.
+        T = [[a[j] for a in A] + [0] + [int(k == j) for k in range(n)] + [0] for j in range(n)]
+        T.append(list(s) + [1] + [0] * n + [1])
+        T.append([bi - si for bi, si in zip(b, s)] + [0] * (n + 1) + [-1])
+        self.T, self.D, self.m, self.n = T, 1, m, n
+        self.basis = [m + 1 + j for j in range(n)] + [m]
+        # Pivot each artificial out of the basis.  Its row's rhs is 0, so the
+        # basis stays feasible whatever the pivot's sign.  A row left with no y
+        # entry is redundant and keeps its artificial basic at 0.
+        for j in range(n):
+            c = next((k for k in range(m) if T[j][k]), None)
+            if c is not None:
+                self._pivot(j, c)
+
+    def _pivot(self, r: int, c: int):
+        T, D = self.T, self.D
+        pr = T[r]
+        p = pr[c]
+        if p < 0:  # keeps D = |det B| without negating the other rows afterwards
+            p = -p
+            T[r] = pr = [-x for x in pr]
+        for i, row in enumerate(T):
+            f = row[c]
+            if i == r or (not f and p == D):
+                continue
+            if D == 1:
+                T[i] = [p * x - f * y for x, y in zip(row, pr)]
+            else:
+                T[i] = [(p * x - f * y) // D for x, y in zip(row, pr)]
+        self.D = p
+        self.basis[r] = c
+
+    def run(self) -> bool:
+        """Pivot to the optimum; True iff the system has a solution."""
+        T, m, n, basis = self.T, self.m, self.n, self.basis
+        obj = T[-1]
+        while True:
+            if obj[-1] >= 0:
+                return False  # the dual value bounds mu from above and is <= 0
+            # Bland's rule: the first column that lowers the dual value enters ...
+            c = next((k for k in range(m + 1) if obj[k] < 0), None)
+            if c is None:
+                return True
+            # ... and the ratio test breaks ties by the smallest basic column.
+            r = None
+            for i in range(n + 1):
+                a = T[i][c]
+                if a > 0:
+                    if r is None:
+                        r = i
+                        continue
+                    key = T[i][-1] * T[r][c] - T[r][-1] * a
+                    if key < 0 or (key == 0 and basis[i] < basis[r]):
+                        r = i
+            if r is None:
+                return False  # an unbounded dual: the non-strict rows alone are infeasible
+            self._pivot(r, c)
+            obj = T[-1]
+
+    def point(self) -> tuple[list[int], int]:
+        """``(xs, D)`` with ``xs / D`` the point :meth:`run` found: the
+        multiplier x_j of row j is minus the reduced cost of its artificial."""
+        return [-x for x in self.T[-1][self.m + 1 : self.m + 1 + self.n]], self.D
+
+    def add_row(self, a: Sequence[int], b: int, s: int):
+        """Add the primal row ``a . x + s mu <= b`` as a new dual column."""
+        T, m, n, D = self.T, self.m, self.n, self.D
+        # The columns of y_0 and of the artificials hold D B^-1 times the unit
+        # columns, so D B^-1 (a; s) is their combination, and the objective
+        # row takes the same combination plus D times the cost b - s.
+        for i, row in enumerate(T):
+            v = s * row[m] + sum(map(operator.mul, a, row[m + 1 : m + 1 + n]))
+            row.insert(m, v + D * (b - s) if i == n + 1 else v)
+        basis = self.basis
+        basis[:] = [k + 1 if k >= m else k for k in basis]
+        self.m = m + 1
+        # An artificial still basic is 0, so it leaves through the new column
+        # whatever the pivot's sign; the other rows stay free of y entries.
+        r = next((j for j in range(n) if basis[j] > m + 1 and T[j][m]), None)
+        if r is not None:
+            self._pivot(r, m)
+
+
 def find_point(cons: Sequence[Constraint], nvars: int) -> Optional[tuple]:
     """A rational point satisfying every constraint, or None."""
-    m, n = len(cons), nvars
     A, b, s = [], [], []
     for coeffs, rhs, strict in cons:
         a, rhs = _integral(coeffs, rhs)
         A.append(a)
         b.append(rhs)
         s.append(1 if strict else 0)
-    # Columns: y_1..y_m, y_0, one artificial per row of sum y_i a_i = 0, rhs.
-    # T holds D times the true tableau, D the |determinant| of the basis;
-    # its last row holds the reduced costs and minus the dual value.
-    T = [[a[j] for a in A] + [0] + [int(k == j) for k in range(n)] + [0] for j in range(n)]
-    T.append(s + [1] + [0] * n + [1])
-    T.append([bi - si for bi, si in zip(b, s)] + [0] * (n + 1) + [-1])
-    basis = [m + 1 + j for j in range(n)] + [m]
-    D = 1
-
-    def pivot(r: int, c: int):
-        nonlocal D
-        p, pr = T[r][c], T[r]
-        for i, row in enumerate(T):
-            if i != r:
-                f = row[c]
-                T[i] = [(p * x - f * y) // D for x, y in zip(row, pr)]
-        if p < 0:
-            T[:] = [[-x for x in row] for row in T]
-        D = abs(p)
-        basis[r] = c
-
-    # Pivot each artificial out of the basis.  Its row's rhs is 0, so the
-    # basis stays feasible whatever the pivot's sign.  A row left with no y
-    # entry is redundant and keeps its artificial basic at 0.
-    for j in range(n):
-        c = next((k for k in range(m) if T[j][k]), None)
-        if c is not None:
-            pivot(j, c)
-    while True:
-        obj = T[-1]
-        if obj[-1] >= 0:
-            return None  # the dual value bounds mu from above and is <= 0
-        # Bland's rule: the first column that lowers the dual value enters ...
-        c = next((k for k in range(m + 1) if obj[k] < 0), None)
-        if c is None:
-            break
-        # ... and the ratio test breaks ties by the smallest basic column.
-        r = None
-        for i in range(n + 1):
-            a = T[i][c]
-            if a > 0:
-                if r is None:
-                    r = i
-                    continue
-                key = T[i][-1] * T[r][c] - T[r][-1] * a
-                if key < 0 or (key == 0 and basis[i] < basis[r]):
-                    r = i
-        if r is None:
-            return None  # an unbounded dual: the non-strict rows alone are infeasible
-        pivot(r, c)
-    # The multiplier x_j of row j is minus the reduced cost of its artificial.
-    return tuple(Fraction(-x, D) for x in obj[m + 1 : m + 1 + n])
+    lp = Tableau(A, b, s, nvars)
+    if not lp.run():
+        return None
+    xs, D = lp.point()
+    return tuple(Fraction(x, D) for x in xs)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,6 @@ def _hnf_core(a: list[list[int]], U: list[list[int]]) -> list[tuple[int, int]]:
     [0, pivot).  Zero columns end up rightmost.
     """
     n = len(a[0])
-    both = a + U
 
     def col_add(j, i, k):  # col_j += k*col_i; col_add(c, c, -2) negates col_c
         for row in both:
@@ -182,6 +181,9 @@ def _hnf_core(a: list[list[int]], U: list[list[int]]) -> list[tuple[int, int]]:
     for r, arow in enumerate(a):
         if c == n:
             break
+        # The rows above r are 0 from column c on, so no operation of this
+        # step changes them.
+        both = a[r:] + U
         while True:
             jmin = None
             for j in range(c, n):

@@ -23,9 +23,12 @@ the one with the lexicographically largest exponent strictly wins at
 p + (e, e^2, ..., e^n) for small e > 0, so it is kept.  If that is i, i is
 decided; otherwise that term joins E without an LP and i is asked again.
 It cannot already be in E, because i beats E strictly at p.  So every LP
-has at most as many rows as there are kept terms.  Two polynomials define
-the same function on all of Q^n iff their canonical forms are structurally
-equal, which is what makes CanonicalFn a usable semiring carrier for germs.
+has at most as many rows as there are kept terms.  Asking about i again
+adds the new term's row to i's LP and resumes it from the basis it ended
+on (``_lp.Tableau.add_row``) rather than solving it from scratch.  Two
+polynomials define the same function on all of Q^n iff their canonical
+forms are structurally equal, which is what makes CanonicalFn a usable
+semiring carrier for germs.
 """
 
 from __future__ import annotations
@@ -268,21 +271,27 @@ def _beats_all(term: Term, rivals: Iterable[Term], num_vars: int) -> Optional[tu
 
 def canonicalize(P: LaurentPoly) -> CanonicalFn:
     """Drop exactly the terms dominated everywhere by the max of the rest."""
-    # The scaled rows are a polynomial with integer coefficients, so its
-    # values are taken with L = 1.
     rows, _ = _int_rows(P.terms)
     kept = [False] * len(rows)
     confirmed = []  # the rows known to be kept
-    for i, row in enumerate(rows):
-        while not kept[i]:
-            p = _beats_all(row, confirmed, P.num_vars)
-            if p is None:
-                break
-            vals, _ = _int_values(rows, 1, p)
+    sub, mul = operator.sub, operator.mul
+    for i, (u, a) in enumerate(rows):
+        if kept[i]:
+            continue
+        # a + u.p > b + v.p  <=>  (v - u).p < a - b
+        lp = _lp.Tableau([tuple(map(sub, v, u)) for v, _ in confirmed],
+                         [a - b for _, b in confirmed], [1] * len(confirmed), P.num_vars)
+        while lp.run():
+            xs, D = lp.point()  # the witness p = xs / D, with D > 0
+            vals = [D * b + sum(map(mul, v, xs)) for v, b in rows]
             # The terms are lex-sorted: the last maximizer has the largest exponent.
             w = len(vals) - 1 - vals[::-1].index(max(vals))
             kept[w] = True
             confirmed.append(rows[w])
+            if w == i:
+                break
+            v, b = rows[w]
+            lp.add_row(tuple(map(sub, v, u)), a - b, 1)
     return CanonicalFn(P.num_vars, tuple(t for t, k in zip(P.terms, kept) if k))
 
 

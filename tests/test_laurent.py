@@ -225,6 +225,12 @@ class TestCanonicalizeDifferential:
             dropped += len(got.terms) < len(P.terms)
         assert dropped > 400
 
+    def test_resumed_lp_keeps_every_extreme_term(self):
+        # Asking about y*z again adds the row of y^2*z to a tableau whose
+        # artificial for z is still basic; leaving it basic dropped y*z.
+        P = parse_poly_text("x^-1*y^-1*z + y*z + y^2*z + x*y", 3)
+        assert canonicalize(P).terms == P.terms
+
 
 class TestExactEvaluation:
     @given(tie_prone_polys(max_vars=4).flatmap(lambda P: st.tuples(st.just(P), points(P.num_vars))))

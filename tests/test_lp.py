@@ -10,6 +10,7 @@ right-hand sides, every row an inequality.  The equality of a membership
 query is substituted before the search, by ``evalmap._tight_exponent``,
 and is tested here against the oracle with the equality as two rows."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -88,6 +89,51 @@ def test_fixed_seed_sweep():
         n = rng.randint(0, 5)
         found += check(rand_system(rng, n), n) is not None
     assert 300 < found < 1200  # both answers are well represented
+
+
+def test_pinned_digest():
+    # The digest pins the points themselves, not only their feasibility,
+    # so a change to the pivots cannot move a witness of fn_witness, of
+    # the CLI's witness subcommand or of the recession test of membership.
+    rng = random.Random(1515)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        n = rng.randint(0, 5)
+        digest.update(repr(find_point(rand_system(rng, n), n)).encode())
+    assert digest.hexdigest() == "55e1bc18576426c564d74006686846f74ca28fd1bac4b49d486fd4fd4bcaa581"
+
+
+def test_resumed_tableau_matches_cold_solve():
+    # Strict integer rows as canonicalize asks them, added one at a time to
+    # a tableau built on 0 to nvars + 1 of them, so that some artificials
+    # are still basic when a row comes; some rows repeat a direction.
+    rng = random.Random(1616)
+    resumed = 0
+    for _ in range(800):
+        n = rng.randint(0, 5)
+        A, b = [], []
+        for _ in range(rng.randint(0, n + 1)):
+            A.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+            b.append(rng.randint(-4, 4))
+        lp = _lp.Tableau(A, b, [1] * len(A), n)
+        while True:
+            feasible = lp.run()
+            assert feasible == (find_point([(a, r, True) for a, r in zip(A, b)], n) is not None), (A, b)
+            if not feasible:
+                break
+            xs, D = lp.point()
+            assert D > 0 and all(dot(a, xs) < r * D for a, r in zip(A, b)), (A, b, xs, D)
+            if len(A) > 8:
+                break
+            if A and rng.random() < 0.3:
+                a = tuple(rng.choice([1, 2, -1]) * x for x in rng.choice(A))
+            else:
+                a = tuple(rng.randint(-3, 3) for _ in range(n))
+            A.append(a)
+            b.append(rng.randint(-4, 4))
+            lp.add_row(a, b[-1], 1)
+            resumed += 1
+    assert resumed > 1500
 
 
 class TestEdgeCases:
