@@ -133,7 +133,7 @@ class Tableau:
         T, D = self.T, self.D
         pr = T[r]
         p = pr[c]
-        if p < 0:  # keeps D = |det B| without negating the other rows afterwards
+        if p < 0:  # negating the pivot row keeps D = |det B| > 0
             p = -p
             T[r] = pr = [-x for x in pr]
         for i, row in enumerate(T):
