@@ -19,16 +19,19 @@ infeasible.  At the optimum the simplex multipliers are a primal optimum
 
 A primal row added to a solved system is a new dual column ``y`` at 0, so
 the basis stays feasible and Bland's rule resumes from it instead of
-solving from scratch (:meth:`Tableau.add_row`).  The tableau holds D B^-1
-times its columns, and the y_0 and artificial columns began as unit
-columns, so the new column is their combination with weights ``(a; s)``.
-One more step is needed.  An artificial still basic is the equality of
-a coordinate that the earlier rows left out; it is 0, and its row has no
-y entry.  The new row can give that row an entry, and Bland's rule could
-then move the artificial off 0, which drops the equality and can prove a
-feasible system infeasible.  So the artificial leaves through the new
-column first: its row's right-hand side is 0, so any pivot sign keeps the
-basis feasible, and the other such rows get no y entry.
+solving from scratch (:meth:`Tableau.add_row`, then :func:`find_point` on
+the tableau).  The tableau holds D B^-1 times its columns, and the y_0
+and artificial columns began as unit columns, so the new column is their
+combination with weights ``(a; s)``.  An artificial still basic is the
+equality of a coordinate that the rows so far leave out; it is 0, and its
+row has no y entry.  The new row can give that row an entry, and Bland's
+rule could then move the artificial off 0, which drops the equality and
+can prove a feasible system infeasible.  So every run begins with the
+step that starts a fresh tableau: each basic artificial whose row has a y
+entry leaves through the first one.  Its row's right-hand side is 0, so
+any pivot sign keeps the basis feasible.  After a new row only its column
+can be that entry, and once one artificial has left through it the other
+such rows have none again.
 
 :func:`integer_point_search` asks for an integer point x with
 ``rows[i] . x <= rhs[i]`` for every row i, all in Python ints: the
@@ -102,32 +105,29 @@ class Tableau:
     """The Farkas dual of the margin LP of integer rows, solved by Bland's
     rule on an integer-preserving tableau, that takes more rows as it goes.
 
-    ``A`` holds the coefficient rows as int sequences of length ``nvars``,
-    ``b`` the int right-hand sides and ``s`` 1 on the strict rows, 0 on the
-    others.  Building it pivots the artificials out; :meth:`run` goes to
-    the optimum; :meth:`add_row` adds one primal row, after which
-    :meth:`run` resumes from the basis it left.
+    ``rows`` holds triples ``(a, b, strict)`` like the constraints of
+    :func:`find_point`, with ``a`` an int sequence of length ``nvars`` and
+    ``b`` an int.  :meth:`run` goes to the optimum; :meth:`add_row` adds
+    one primal row, after which :meth:`run` resumes from the basis it left.
+    Its length is its number of rows.
     """
 
     __slots__ = ("T", "basis", "D", "m", "n")
 
-    def __init__(self, A: Sequence[Sequence[int]], b: Sequence[int], s: Sequence[int], nvars: int):
-        m, n = len(A), nvars
+    def __init__(self, rows: Sequence[tuple], nvars: int):
+        m, n = len(rows), nvars
         # Columns: y_1..y_m, y_0, one artificial per row of sum y_i a_i = 0, rhs.
         # T holds D times the true tableau, D the |determinant| of the basis;
         # its last row holds the reduced costs and minus the dual value.
-        T = [[a[j] for a in A] + [0] + [int(k == j) for k in range(n)] + [0] for j in range(n)]
-        T.append(list(s) + [1] + [0] * n + [1])
-        T.append([bi - si for bi, si in zip(b, s)] + [0] * (n + 1) + [-1])
+        T = [[a[j] for a, _, _ in rows] + [0] + [int(k == j) for k in range(n)] + [0]
+             for j in range(n)]
+        T.append([int(strict) for _, _, strict in rows] + [1] + [0] * n + [1])
+        T.append([b - int(strict) for _, b, strict in rows] + [0] * (n + 1) + [-1])
         self.T, self.D, self.m, self.n = T, 1, m, n
         self.basis = [m + 1 + j for j in range(n)] + [m]
-        # Pivot each artificial out of the basis.  Its row's rhs is 0, so the
-        # basis stays feasible whatever the pivot's sign.  A row left with no y
-        # entry is redundant and keeps its artificial basic at 0.
-        for j in range(n):
-            c = next((k for k in range(m) if T[j][k]), None)
-            if c is not None:
-                self._pivot(j, c)
+
+    def __len__(self) -> int:
+        return self.m
 
     def _pivot(self, r: int, c: int):
         T, D = self.T, self.D
@@ -137,12 +137,8 @@ class Tableau:
             p = -p
             T[r] = pr = [-x for x in pr]
         for i, row in enumerate(T):
-            f = row[c]
-            if i == r or (not f and p == D):
-                continue
-            if D == 1:
-                T[i] = [p * x - f * y for x, y in zip(row, pr)]
-            else:
+            if i != r:
+                f = row[c]
                 T[i] = [(p * x - f * y) // D for x, y in zip(row, pr)]
         self.D = p
         self.basis[r] = c
@@ -150,6 +146,15 @@ class Tableau:
     def run(self) -> bool:
         """Pivot to the optimum; True iff the system has a solution."""
         T, m, n, basis = self.T, self.m, self.n, self.basis
+        # First every artificial still basic leaves through the first y
+        # entry of its row.  Its row's rhs is 0, so the basis stays feasible
+        # whatever the pivot's sign.  A row with no y entry is redundant for
+        # the rows so far and keeps its artificial basic at 0.
+        for j in range(n):
+            if basis[j] > m:
+                c = next((k for k in range(m) if T[j][k]), None)
+                if c is not None:
+                    self._pivot(j, c)
         obj = T[-1]
         while True:
             if obj[-1] >= 0:
@@ -179,34 +184,31 @@ class Tableau:
         multiplier x_j of row j is minus the reduced cost of its artificial."""
         return [-x for x in self.T[-1][self.m + 1 : self.m + 1 + self.n]], self.D
 
-    def add_row(self, a: Sequence[int], b: int, s: int):
-        """Add the primal row ``a . x + s mu <= b`` as a new dual column."""
+    def add_row(self, a: Sequence[int], b: int, strict: bool):
+        """Add the primal row ``a . x < b`` (``<=`` unless ``strict``) as a
+        new dual column."""
         T, m, n, D = self.T, self.m, self.n, self.D
+        s = int(strict)
         # The columns of y_0 and of the artificials hold D B^-1 times the unit
         # columns, so D B^-1 (a; s) is their combination, and the objective
         # row takes the same combination plus D times the cost b - s.
         for i, row in enumerate(T):
             v = s * row[m] + sum(map(operator.mul, a, row[m + 1 : m + 1 + n]))
             row.insert(m, v + D * (b - s) if i == n + 1 else v)
-        basis = self.basis
-        basis[:] = [k + 1 if k >= m else k for k in basis]
+        self.basis = [k + 1 if k >= m else k for k in self.basis]
         self.m = m + 1
-        # An artificial still basic is 0, so it leaves through the new column
-        # whatever the pivot's sign; the other rows stay free of y entries.
-        r = next((j for j in range(n) if basis[j] > m + 1 and T[j][m]), None)
-        if r is not None:
-            self._pivot(r, m)
 
 
-def find_point(cons: Sequence[Constraint], nvars: int) -> Optional[tuple]:
-    """A rational point satisfying every constraint, or None."""
-    A, b, s = [], [], []
-    for coeffs, rhs, strict in cons:
-        a, rhs = _integral(coeffs, rhs)
-        A.append(a)
-        b.append(rhs)
-        s.append(1 if strict else 0)
-    lp = Tableau(A, b, s, nvars)
+def find_point(cons, nvars: int) -> Optional[tuple]:
+    """A rational point satisfying every constraint, or None.
+
+    ``cons`` is a sequence of constraints, or a :class:`Tableau` on
+    ``nvars`` variables: that is run on from the basis it holds, so a
+    system asked again with rows added pays only for the new pivots."""
+    if isinstance(cons, Tableau):
+        lp = cons
+    else:
+        lp = Tableau([(*_integral(c, r), strict) for c, r, strict in cons], nvars)
     if not lp.run():
         return None
     xs, D = lp.point()

@@ -24,8 +24,9 @@ p + (e, e^2, ..., e^n) for small e > 0, so it is kept.  If that is i, i is
 decided; otherwise that term joins E without an LP and i is asked again.
 It cannot already be in E, because i beats E strictly at p.  So every LP
 has at most as many rows as there are kept terms.  Asking about i again
-adds the new term's row to i's LP and resumes it from the basis it ended
-on (``_lp.Tableau.add_row``) rather than solving it from scratch.  Two
+adds the new term's row to i's LP (``_lp.Tableau.add_row``), and
+``_lp.find_point`` resumes it from the basis it ended on rather than
+solving it from scratch.  Two
 polynomials define the same function on all of Q^n iff their canonical
 forms are structurally equal, which is what makes CanonicalFn a usable
 semiring carrier for germs.
@@ -261,12 +262,17 @@ class CanonicalFn:
         return poly_to_text(self.poly)
 
 
+def _rival_row(term: Term, rival: Term) -> tuple:
+    """The row ``(c, r)`` with ``c . p < r`` iff ``term`` strictly beats
+    ``rival`` at p."""
+    (u, a), (v, b) = term, rival
+    # a + u.p > b + v.p  <=>  (v - u).p < a - b
+    return tuple(map(operator.sub, v, u)), a - b
+
+
 def _beats_all(term: Term, rivals: Iterable[Term], num_vars: int) -> Optional[tuple]:
     """A point where ``term`` strictly exceeds every rival term, or None."""
-    u, a = term
-    # a + u.p > b + v.p  <=>  (v - u).p < a - b
-    cons = [(tuple(map(operator.sub, v, u)), a - b, True) for v, b in rivals]
-    return _lp.find_point(cons, num_vars)
+    return _lp.find_point([(*_rival_row(term, v), True) for v in rivals], num_vars)
 
 
 def canonicalize(P: LaurentPoly) -> CanonicalFn:
@@ -274,15 +280,15 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
     rows, _ = _int_rows(P.terms)
     kept = [False] * len(rows)
     confirmed = []  # the rows known to be kept
-    sub, mul = operator.sub, operator.mul
-    for i, (u, a) in enumerate(rows):
+    mul = operator.mul
+    for i, row in enumerate(rows):
         if kept[i]:
             continue
-        # a + u.p > b + v.p  <=>  (v - u).p < a - b
-        lp = _lp.Tableau([tuple(map(sub, v, u)) for v, _ in confirmed],
-                         [a - b for _, b in confirmed], [1] * len(confirmed), P.num_vars)
-        while lp.run():
-            xs, D = lp.point()  # the witness p = xs / D, with D > 0
+        lp = _lp.Tableau([(*_rival_row(row, v), True) for v in confirmed], P.num_vars)
+        while _lp.find_point(lp, P.num_vars) is not None:
+            # The witness p = xs / D, with D > 0, read off the tableau in
+            # integers; the values of the scaled rows at p, times D.
+            xs, D = lp.point()
             vals = [D * b + sum(map(mul, v, xs)) for v, b in rows]
             # The terms are lex-sorted: the last maximizer has the largest exponent.
             w = len(vals) - 1 - vals[::-1].index(max(vals))
@@ -290,8 +296,7 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
             confirmed.append(rows[w])
             if w == i:
                 break
-            v, b = rows[w]
-            lp.add_row(tuple(map(sub, v, u)), a - b, 1)
+            lp.add_row(*_rival_row(row, rows[w]), True)
     return CanonicalFn(P.num_vars, tuple(t for t, k in zip(P.terms, kept) if k))
 
 

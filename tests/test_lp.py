@@ -115,9 +115,10 @@ def test_resumed_tableau_matches_cold_solve():
         for _ in range(rng.randint(0, n + 1)):
             A.append(tuple(rng.randint(-3, 3) for _ in range(n)))
             b.append(rng.randint(-4, 4))
-        lp = _lp.Tableau(A, b, [1] * len(A), n)
+        lp = _lp.Tableau([(a, r, True) for a, r in zip(A, b)], n)
         while True:
             feasible = lp.run()
+            assert len(lp) == len(A)
             assert feasible == (find_point([(a, r, True) for a, r in zip(A, b)], n) is not None), (A, b)
             if not feasible:
                 break
@@ -131,7 +132,7 @@ def test_resumed_tableau_matches_cold_solve():
                 a = tuple(rng.randint(-3, 3) for _ in range(n))
             A.append(a)
             b.append(rng.randint(-4, 4))
-            lp.add_row(a, b[-1], 1)
+            lp.add_row(a, b[-1], True)
             resumed += 1
     assert resumed > 1500
 
