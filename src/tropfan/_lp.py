@@ -1,8 +1,10 @@
 """Exact rational linear feasibility, projection and integer search.
 
 A constraint of :func:`find_point` on k variables is a triple
-``(coeffs, rhs, strict)`` read as ``coeffs . x < rhs`` when ``strict``
-else ``coeffs . x <= rhs``.
+``(coeffs, rhs, strict)`` of rationals, read as ``coeffs . x < rhs`` when
+``strict`` else ``coeffs . x <= rhs``.  The LP runs on the rows scaled to
+integers (:func:`semiring.as_scaled`) and answers in integers, ``(xs, D)``
+with D > 0 for the point xs / D.
 
 :func:`find_point` decides a system in any number of variables with one
 exact LP.  The margin LP ``max mu  s.t.  a_i . x + s_i mu <= b_i,  mu <= 1``
@@ -80,25 +82,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-Constraint = tuple[tuple, Fraction, bool]
+from .semiring import as_scaled
 
 # The benchmark labels find_point calls in at most this many variables as
 # low dimensional; nothing in the program branches on it any more.
 FM_MAX_VARS = 4
-
-
-def _integral(c, r) -> tuple[list[int], int]:
-    """The row (c, r) times the least positive integer making it integral."""
-    if type(r) in (int, Fraction) and all(type(x) is int for x in c):
-        d = r.denominator
-        return ([x * d for x in c] if d != 1 else list(c)), r.numerator
-    c = [Fraction(x) for x in c]
-    r = Fraction(r)
-    d = math.lcm(r.denominator, *(x.denominator for x in c))
-    return [x.numerator * (d // x.denominator) for x in c], r.numerator * (d // r.denominator)
 
 
 class Tableau:
@@ -199,8 +189,9 @@ class Tableau:
         self.m = m + 1
 
 
-def find_point(cons, nvars: int) -> Optional[tuple]:
-    """A rational point satisfying every constraint, or None.
+def find_point(cons, nvars: int) -> Optional[tuple[list[int], int]]:
+    """``(xs, D)``, ints with D > 0, such that the rational point xs / D
+    satisfies every constraint, or None when there is no such point.
 
     ``cons`` is a sequence of constraints, or a :class:`Tableau` on
     ``nvars`` variables: that is run on from the basis it holds, so a
@@ -208,11 +199,9 @@ def find_point(cons, nvars: int) -> Optional[tuple]:
     if isinstance(cons, Tableau):
         lp = cons
     else:
-        lp = Tableau([(*_integral(c, r), strict) for c, r, strict in cons], nvars)
-    if not lp.run():
-        return None
-    xs, D = lp.point()
-    return tuple(Fraction(x, D) for x in xs)
+        scaled = [(as_scaled([*c, r])[0], strict) for c, r, strict in cons]
+        lp = Tableau([(s[:-1], s[-1], strict) for s, strict in scaled], nvars)
+    return lp.point() if lp.run() else None
 
 
 # ---------------------------------------------------------------------------

@@ -211,12 +211,10 @@ def _tight_search(gens: tuple, a: int) -> tuple:
     if any(map(sum, zip(*R))):  # rows that sum to 0 leave no row to drop
         for b in others:
             if any(R[b]) and not any(sum(map(mul, R[b], y)) < 0 for y in ys):
-                y = _lp.find_point([(R[c], 0, False) for c in others] + [(R[b], 0, True)], n - 1)
-                if y is not None:
-                    ys.append(y)
+                found = _lp.find_point([(R[c], 0, False) for c in others] + [(R[b], 0, True)], n - 1)
+                if found is not None:
+                    ys.append(found[0])
     y = [sum(col) for col in zip(*ys)] or [0] * (n - 1)
-    d = math.lcm(*(x.denominator for x in y))
-    y = [int(x * d) for x in y]
     loosen = [-sum(map(mul, r, y)) for r in R]
     kept = [b for b in others if not loosen[b]]
     cols, rows = [(1,) + (0,) * (n - 1)], [()] * len(kept)
@@ -266,9 +264,10 @@ def image_membership(
        r_b . y <= G(b) - q c_b, where g_b . U = (c_b, r_b).
     2. Row b is dropped when some y has every r_c . y <= 0 and
        r_b . y < 0 (an LP, skipped when the r_b sum to 0).  By Farkas the
-       kept rows carry a positive relation of full support, so the sum
-       y_N of the LP points is 0 on them and < 0 on the dropped rows:
-       a point of the kept rows plus t y_N, t large, meets them all.
+       kept rows carry a positive relation of full support, so every
+       positive combination y_N of the LP points, here the sum of their
+       integer numerators, is 0 on them and < 0 on the dropped rows: a
+       point of the kept rows plus t y_N, t large, meets them all.
     3. The kept rows' column HNF R_K V = H has rank r; w in Z^r is
        searched on H's first r columns, where the positive relation
        leaves {w : H w <= 0} = {0}, a bounded region.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadParameters, DimensionMismatch, ParseError, ZeroVector
-from .semiring import NEG_INF, as_index, as_int, as_trop
+from .semiring import as_index, as_int, as_scaled
 
 
 def primitive(v: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -104,12 +104,7 @@ class WeightedFan:
         ints or exact rationals; floats, booleans and -inf raise TypeError.
         v is scaled to integers and reduced by :func:`primitive`, so the
         answer is the ray with that direction."""
-        if not all(type(x) is int for x in v):
-            q = [as_trop(x) for x in v]
-            if NEG_INF in q:
-                raise TypeError("-inf is not a vector coordinate; vectors are rational")
-            den = math.lcm(*(x.denominator for x in q))
-            v = [x.numerator * (den // x.denominator) for x in q]
+        v = as_scaled(v)[0]
         if not any(v):
             return None
         d = primitive(v)[1]

@@ -7,9 +7,10 @@ coefficients, read as p |-> max_u (a_u + u . p).  The empty map is the
 bottom polynomial (the function identically NEG_INF); a stored coefficient
 is never NEG_INF.
 
-Evaluation is exact integer arithmetic: the point is scaled to its least
-common denominator d and the coefficients to theirs, L, so every term
-value L*d*(a_u + u.p) is an int, and only the answer becomes a Fraction.
+Evaluation is exact integer arithmetic: :func:`semiring.as_scaled` scales
+the point to its least common denominator d and the coefficients to
+theirs, L, so every term value L*d*(a_u + u.p) is an int, and only the
+answer becomes a Fraction.
 
 Canonicalization removes exactly the terms that never strictly attain the
 maximum anywhere.  It searches for these extreme terms output-sensitively
@@ -26,7 +27,7 @@ It cannot already be in E, because i beats E strictly at p.  So every LP
 has at most as many rows as there are kept terms.  Asking about i again
 adds the new term's row to i's LP (``_lp.Tableau.add_row``), and
 ``_lp.find_point`` resumes it from the basis it ended on rather than
-solving it from scratch.  Two
+solving it from scratch; its witness, in integers, needs no Fraction.  Two
 polynomials define the same function on all of Q^n iff their canonical
 forms are structurally equal, which is what makes CanonicalFn a usable
 semiring carrier for germs.
@@ -34,7 +35,6 @@ semiring carrier for germs.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -49,7 +49,7 @@ from .errors import (
     EmptyPolynomial,
     ParseError,
 )
-from .semiring import NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_trop
+from .semiring import NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_scaled, as_trop
 
 Term = tuple[tuple[int, ...], Fraction]
 
@@ -57,23 +57,16 @@ Term = tuple[tuple[int, ...], Fraction]
 def _int_rows(terms: Sequence[Term]) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """The rows (u, L*a_u) and L, the least common denominator of the
     coefficients."""
-    L = math.lcm(*(c.denominator for _, c in terms))
-    return [(u, c.numerator * (L // c.denominator)) for u, c in terms], L
+    coeffs, L = as_scaled([c for _, c in terms])
+    return [(u, a) for (u, _), a in zip(terms, coeffs)], L
 
 
 def _int_values(rows, L: int, p: Sequence) -> tuple[list[int], int]:
     """For the rows (u, L*a_u) of :func:`_int_rows`, the integers
     L*d*(a_u + u.p), one per row, and the scale L*d, where d is the least
     common denominator of the point p."""
-    q = []
-    for v in p:
-        if type(v) not in (int, Fraction):
-            v = as_trop(v)
-            if v is NEG_INF:
-                raise TypeError("-inf is not a point coordinate; points are rational")
-        q.append(v)
-    d = math.lcm(*(v.denominator for v in q))
-    q = [v.numerator * (L * d // v.denominator) for v in q]
+    q, d = as_scaled(p)
+    q = [L * x for x in q]
     mul = operator.mul
     return [d * a + sum(map(mul, u, q)) for u, a in rows], L * d
 
@@ -272,7 +265,8 @@ def _rival_row(term: Term, rival: Term) -> tuple:
 
 def _beats_all(term: Term, rivals: Iterable[Term], num_vars: int) -> Optional[tuple]:
     """A point where ``term`` strictly exceeds every rival term, or None."""
-    return _lp.find_point([(*_rival_row(term, v), True) for v in rivals], num_vars)
+    found = _lp.find_point([(*_rival_row(term, v), True) for v in rivals], num_vars)
+    return None if found is None else tuple(Fraction(x, found[1]) for x in found[0])
 
 
 def canonicalize(P: LaurentPoly) -> CanonicalFn:
@@ -285,10 +279,10 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
         if kept[i]:
             continue
         lp = _lp.Tableau([(*_rival_row(row, v), True) for v in confirmed], P.num_vars)
-        while _lp.find_point(lp, P.num_vars) is not None:
-            # The witness p = xs / D, with D > 0, read off the tableau in
-            # integers; the values of the scaled rows at p, times D.
-            xs, D = lp.point()
+        while (found := _lp.find_point(lp, P.num_vars)) is not None:
+            # The witness p = xs / D, with D > 0, in integers; the values
+            # of the scaled rows at p, times D.
+            xs, D = found
             vals = [D * b + sum(map(mul, v, xs)) for v, b in rows]
             # The terms are lex-sorted: the last maximizer has the largest exponent.
             w = len(vals) - 1 - vals[::-1].index(max(vals))
@@ -394,7 +388,10 @@ def _var_index(name: str) -> int:
     if m:
         base, digits = m.groups()
         if base == "x" and digits:
-            idx = as_int(digits)
+            try:
+                idx = as_int(digits)
+            except ValueError as exc:  # past sys.get_int_max_str_digits()
+                raise ParseError(f"bad variable index: {exc}") from exc
             if idx < 1:
                 raise ParseError(f"variable indices start at 1, got {name!r}")
             if idx > MAX_TEXT_VARS:
@@ -440,6 +437,8 @@ def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
                     coeff += Fraction(factor)
                 except ZeroDivisionError as exc:
                     raise ParseError(f"zero denominator in {factor!r}") from exc
+                except ValueError as exc:  # past sys.get_int_max_str_digits()
+                    raise ParseError(f"bad coefficient: {exc}") from exc
                 continue
             name, caret, power = factor.partition("^")
             idx = _var_index(name.strip())

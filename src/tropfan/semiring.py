@@ -16,6 +16,7 @@ carrier elements must be nonzero.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,6 +97,18 @@ def as_int(v) -> int:
     if isinstance(v, str):
         return int(v)
     return as_index(v)
+
+
+def as_scaled(v) -> tuple[list[int], int]:
+    """The rational vector v as ``(ints, d)``: d is the least common
+    denominator of its coordinates and ``ints`` is d times v.  A coordinate
+    is what :func:`as_trop` accepts; floats, booleans and -inf raise
+    TypeError."""
+    q = [x if type(x) is int or type(x) is Fraction else as_trop(x) for x in v]
+    if NEG_INF in q:
+        raise TypeError("-inf is not a point coordinate; points are rational")
+    d = math.lcm(*[x.denominator for x in q])
+    return [x.numerator * (d // x.denominator) for x in q], d
 
 
 def trop_add(a: TropValue, b: TropValue) -> TropValue:

@@ -5,6 +5,7 @@ infinities with a structured error instead of truncating them."""
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -163,8 +164,19 @@ class TestPolyJson:
         assert P == LaurentPoly.make(1, [((2,), Fraction(1, 2)), ((0,), 3)])
 
 
+# Python caps the digits of an int read from a string (4,300 by default);
+# where it does not, a 5,000-digit coefficient is a valid one.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not 0 < DIGIT_LIMIT < 5000, reason="no int digit limit below 5000")
+
+
 class TestPolyText:
-    @pytest.mark.parametrize("text", ["x^", "y^ ", "x*y^", "1/0 + x"])
+    @pytest.mark.parametrize("text", [
+        "x^", "y^ ", "x*y^", "1/0 + x",
+        pytest.param("1" * 5000, id="long-numerator", marks=needs_digit_limit),
+        pytest.param("1/" + "1" * 5000, id="long-denominator", marks=needs_digit_limit),
+        pytest.param("x" + "1" * 5000, id="long-variable-index"),
+    ])
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_poly_text(text)
@@ -176,6 +188,9 @@ class TestPolyText:
 
     def test_dangling_caret_through_cli(self, capsys):
         assert error_of(capsys, "poly", "eval", "x^", "--point", "1") == "parse_error"
+
+    def test_long_variable_index_through_cli(self, capsys):
+        assert error_of(capsys, "poly", "eval", "x" + "1" * 5000, "--point", "0") == "parse_error"
 
     def test_variable_index_above_the_limit(self, capsys):
         with pytest.raises(ParseError):

@@ -33,13 +33,26 @@ def satisfies(cons, x):
     return True
 
 
+def as_point(found):
+    """The rational point xs / D of find_point's answer ``(xs, D)``, or None."""
+    if found is None:
+        return None
+    xs, D = found
+    return tuple(Fraction(x, D) for x in xs)
+
+
 def check(cons, nvars):
-    """find_point agrees with the oracle; a point it returns is verified."""
-    got = find_point(cons, nvars)
-    assert (got is None) == (fm_point(cons, nvars) is None), (cons, nvars, got)
-    if got is not None:
-        assert len(got) == nvars and all(isinstance(x, Fraction) for x in got)
-        assert satisfies(cons, got), (cons, nvars, got)
+    """find_point agrees with the oracle and answers in ints, ``(xs, D)``
+    with D > 0; the point xs / D, which it returns, is verified."""
+    found = find_point(cons, nvars)
+    assert (found is None) == (fm_point(cons, nvars) is None), (cons, nvars, found)
+    if found is None:
+        return None
+    xs, D = found
+    assert len(xs) == nvars and all(type(x) is int for x in xs), (cons, nvars, found)
+    assert type(D) is int and D > 0, (cons, nvars, found)
+    got = as_point(found)
+    assert satisfies(cons, got), (cons, nvars, got)
     return got
 
 
@@ -99,7 +112,7 @@ def test_pinned_digest():
     digest = hashlib.sha256()
     for _ in range(2000):
         n = rng.randint(0, 5)
-        digest.update(repr(find_point(rand_system(rng, n), n)).encode())
+        digest.update(repr(as_point(find_point(rand_system(rng, n), n))).encode())
     assert digest.hexdigest() == "55e1bc18576426c564d74006686846f74ca28fd1bac4b49d486fd4fd4bcaa581"
 
 
@@ -139,13 +152,13 @@ def test_resumed_tableau_matches_cold_solve():
 
 class TestEdgeCases:
     def test_no_variables(self):
-        assert find_point([], 0) == ()
-        assert find_point([((), 1, True), ((), 0, False)], 0) == ()
+        assert as_point(find_point([], 0)) == ()
+        assert as_point(find_point([((), 1, True), ((), 0, False)], 0)) == ()
         assert find_point([((), Fraction(-1, 2), False)], 0) is None
 
     def test_empty_system(self):
-        x = find_point([], 3)
-        assert len(x) == 3
+        xs, D = find_point([], 3)
+        assert len(xs) == 3 and D > 0
 
     def test_constant_contradiction(self):
         assert check([((0, 0), 0, True)], 2) is None

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tropfan import NEG_INF, TEXT_BOTTOM, TExt, text, text_add, text_mul, trop_add, trop_mul, trop_sum
 from tropfan.laurent import LaurentPoly, canonicalize
-from tropfan.semiring import as_trop, is_bool_value
+from tropfan.semiring import as_scaled, as_trop, is_bool_value
 
 rationals = st.fractions(max_denominator=8, min_value=-20, max_value=20)
 trop_values = st.one_of(st.just(NEG_INF), rationals)
@@ -59,6 +59,14 @@ def test_value_predicates():
     assert as_trop(NEG_INF) is NEG_INF
     with pytest.raises(TypeError):
         as_trop(1.5)
+
+
+def test_as_scaled():
+    assert as_scaled([1, Fraction(1, 2), Fraction(-2, 3)]) == ([6, 3, -4], 6)
+    assert as_scaled([]) == ([], 1)
+    for bad in (0.5, True, NEG_INF):
+        with pytest.raises(TypeError):
+            as_scaled([1, bad])
 
 
 # -- graded extension ---------------------------------------------------
