@@ -2,8 +2,9 @@
 
 Every subcommand reads JSON files and/or inline text arguments, writes a
 single JSON document to standard output (``fan plot`` writes SVG instead)
-and exits 0.  Domain failures print ``{"error": code, "message": ...}``
-and exit 1; argparse usage problems exit 2.  Output is deterministic:
+and exits 0.  Domain failures, and answers too long to print
+(``output_too_large``), print ``{"error": code, "message": ...}`` and exit
+1; argparse usage problems exit 2.  Output is deterministic:
 rays are always in the fan's sorted order and key order is fixed.
 """
 
@@ -55,8 +56,8 @@ def _fmt_val(v) -> str:
     return "-inf" if v is NEG_INF else str(v)
 
 
-def _emit(obj, pretty: bool):
-    print(json.dumps(obj, indent=2 if pretty else None))
+def _dumps(obj, pretty: bool) -> str:
+    return json.dumps(obj, indent=2 if pretty else None)
 
 
 # ---------------------------------------------------------------- fan
@@ -151,9 +152,9 @@ def _cmd_poly_eq(args) -> dict:
         n = max(P.num_vars, Q.num_vars)
         P = _laurent.parse_poly_text(args.left, n)
         Q = _laurent.parse_poly_text(args.right, n)
-    if _laurent.fn_eq(P, Q):
+    w = _laurent.fn_witness(P, Q)  # None exactly when fn_eq
+    if w is None:
         return {"equal": True}
-    w = _laurent.fn_witness(P, Q)
     return {"equal": False, "witness": [str(c) for c in w]}
 
 
@@ -356,13 +357,18 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         result = args.fn(args)
+        out = result if getattr(args, "raw", False) else _dumps(result, args.pretty)
     except TropfanError as exc:
-        _emit({"error": exc.code, "message": str(exc)}, getattr(args, "pretty", False))
+        print(_dumps({"error": exc.code, "message": str(exc)}, args.pretty))
         return 1
-    if getattr(args, "raw", False):
-        print(result)
-    else:
-        _emit(result, args.pretty)
+    except ValueError as exc:
+        # An answer with an integer past sys.get_int_max_str_digits() has
+        # no decimal text; the output is written whole or not at all.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(_dumps({"error": "output_too_large", "message": str(exc)}, args.pretty))
+        return 1
+    print(out)
     return 0
 
 

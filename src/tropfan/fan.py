@@ -17,13 +17,22 @@ from .errors import BadParameters, DimensionMismatch, ParseError, ZeroVector
 from .semiring import as_index, as_int, as_scaled
 
 
+def _ints(v: Iterable, coerce=as_index) -> tuple[int, ...]:
+    """v as a tuple of ints: unchanged when every entry is a plain int,
+    otherwise each entry coerced by ``coerce``."""
+    v = tuple(v)
+    if set(map(type, v)) - {int}:
+        v = tuple(map(coerce, v))
+    return v
+
+
 def primitive(v: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Factor a nonzero integer vector as weight * primitive direction."""
-    v = tuple(map(as_index, v))
+    v = _ints(v)
     if not any(v):
         raise ZeroVector("the zero vector has no direction")
-    g = math.gcd(*(abs(x) for x in v))
-    return g, tuple(x // g for x in v)
+    g = math.gcd(*v)
+    return g, v if g == 1 else tuple(x // g for x in v)
 
 
 @dataclass(frozen=True)
@@ -34,11 +43,11 @@ class Ray:
     weight: int
 
     def __post_init__(self):
-        d = tuple(map(as_index, self.direction))
+        d = _ints(self.direction)
         object.__setattr__(self, "direction", d)
         if not any(d):
             raise ZeroVector("ray direction may not be zero")
-        if math.gcd(*(abs(x) for x in d)) != 1:
+        if math.gcd(*d) != 1:
             raise BadParameters(f"direction {d} is not primitive")
         try:
             weight = as_index(self.weight)
@@ -127,7 +136,7 @@ class WeightedFan:
         try:
             n = as_int(obj["ambient_dim"])
             items = [
-                (tuple(map(as_int, entry["direction"])), as_int(entry["weight"]))
+                (_ints(entry["direction"], as_int), as_int(entry["weight"]))
                 for entry in obj["rays"]
             ]
         except (KeyError, TypeError, ValueError) as exc:

@@ -36,7 +36,6 @@ semiring carrier for germs.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -109,7 +108,7 @@ class LaurentPoly:
             if len(u) != num_vars:
                 raise DimensionMismatch(f"exponent {u} in {num_vars} variables")
             c = as_trop(c)
-            if c == NEG_INF:
+            if c is NEG_INF:
                 continue
             if u not in acc or c > acc[u]:
                 acc[u] = c
@@ -379,26 +378,25 @@ def germ_safe_radius(P: LaurentPoly, p: Sequence) -> Fraction:
 MAX_TEXT_VARS = 1024
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
-_NAME_RE = re.compile(r"^([a-z]+?)(\d*)$")
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
 def _var_index(name: str) -> int:
-    m = _NAME_RE.match(name)
-    if m:
-        base, digits = m.groups()
-        if base == "x" and digits:
-            try:
-                idx = as_int(digits)
-            except ValueError as exc:  # past sys.get_int_max_str_digits()
-                raise ParseError(f"bad variable index: {exc}") from exc
-            if idx < 1:
-                raise ParseError(f"variable indices start at 1, got {name!r}")
-            if idx > MAX_TEXT_VARS:
-                raise ParseError(f"variable index {idx} above the limit {MAX_TEXT_VARS}")
-            return idx
-        if not digits and base in _ALIASES:
-            return _ALIASES[base]
+    """The index of a variable name: an alias, or ``x`` and a decimal
+    index."""
+    idx = _ALIASES.get(name)
+    if idx is not None:
+        return idx
+    digits = name[1:]
+    if name[:1] == "x" and digits.isdecimal():
+        try:
+            idx = int(digits)
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            raise ParseError(f"bad variable index: {exc}") from exc
+        if idx < 1:
+            raise ParseError(f"variable indices start at 1, got {name!r}")
+        if idx > MAX_TEXT_VARS:
+            raise ParseError(f"variable index {idx} above the limit {MAX_TEXT_VARS}")
+        return idx
     raise ParseError(f"unknown variable {name!r} (use x1..xn or x, y, z, w)")
 
 
@@ -408,9 +406,28 @@ def _var_name(i: int, num_vars: int) -> str:
     return f"x{i + 1}"
 
 
+def _rational(factor: str) -> Optional[tuple[int, int]]:
+    """``(p, q)`` for a factor ``p`` or ``p/q`` in decimal digits, with an
+    optional leading ``-`` (which negates p), else None; q may be 0."""
+    neg = factor[0] == "-"
+    num, slash, den = (factor[1:] if neg else factor).partition("/")
+    # isdecimal() accepts exactly the digits that \d matches (Unicode Nd),
+    # and int() reads each of them
+    if not num.isdecimal() or (slash and not den.isdecimal()):
+        return None
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise ParseError(f"bad coefficient: {exc}") from exc
+    return (-p if neg else p), q
+
+
 def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
     """Parse ``c*x1^e1*...`` terms joined by '+'; '-inf' is the bottom
-    polynomial.  An omitted coefficient means the tropical one (0)."""
+    polynomial.  An omitted coefficient means the tropical one (0).
+
+    One pass: a term's coefficient factors are summed as an integer
+    numerator and denominator, and make one Fraction per term."""
     if num_vars is not None and num_vars < 0:
         raise BadParameters(f"negative variable count {num_vars}")
     if num_vars is not None and num_vars > MAX_TEXT_VARS:
@@ -426,39 +443,48 @@ def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
             raise ParseError(f"empty term in {text!r}")
         if piece == "-inf":
             continue
-        coeff = Fraction(0)
+        num, den = 0, 1
         exps: dict[int, int] = {}
         for factor in piece.split("*"):
             factor = factor.strip()
             if not factor:
                 raise ParseError(f"empty factor in term {piece!r}")
-            if _RATIONAL_RE.match(factor):
-                try:
-                    coeff += Fraction(factor)
-                except ZeroDivisionError as exc:
-                    raise ParseError(f"zero denominator in {factor!r}") from exc
-                except ValueError as exc:  # past sys.get_int_max_str_digits()
-                    raise ParseError(f"bad coefficient: {exc}") from exc
-                continue
             name, caret, power = factor.partition("^")
-            idx = _var_index(name.strip())
+            # An alias is not a number, so it needs no number test.
+            idx = _ALIASES.get(name)
+            if idx is None:
+                pq = _rational(factor)
+                if pq is not None:
+                    p, q = pq
+                    if q == 1:
+                        num += p * den
+                    elif q:
+                        num, den = num * q + p * den, den * q
+                    else:
+                        raise ParseError(f"zero denominator in {factor!r}")
+                    continue
+                idx = _var_index(name.strip())
             try:
-                e = as_int(power) if caret else 1
+                e = int(power) if caret else 1
             except ValueError as exc:
                 raise ParseError(f"bad exponent in factor {factor!r}") from exc
             exps[idx] = exps.get(idx, 0) + e
-            max_idx = max(max_idx, idx)
-        raw_terms.append((coeff, exps))
+            if idx > max_idx:
+                max_idx = idx
+        raw_terms.append((Fraction(num, den) if den != 1 else Fraction(num), exps))
     n = num_vars if num_vars is not None else max(max_idx, 1)
     if max_idx > n:
         raise ParseError(f"variable x{max_idx} out of range for {n} variables")
-    return LaurentPoly.make(
-        n,
-        [
-            (tuple(exps.get(i + 1, 0) for i in range(n)), coeff)
-            for coeff, exps in raw_terms
-        ],
-    )
+    # Merge duplicate exponents by max; the exponents are ints already.
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for c, exps in raw_terms:
+        u = [0] * n
+        for i, e in exps.items():
+            u[i - 1] = e
+        u = tuple(u)
+        if u not in acc or c > acc[u]:
+            acc[u] = c
+    return LaurentPoly(n, tuple(sorted(acc.items())))
 
 
 def poly_to_text(P: LaurentPoly) -> str:
@@ -501,10 +527,19 @@ def poly_from_json(obj: dict) -> LaurentPoly:
         raise ParseError(str(exc)) from exc
 
 
+def _coordinate(part: str) -> Fraction:
+    """``p``, ``p/q`` or a decimal.  Exponent notation is refused: Fraction
+    reads ``1e5000000`` too, in time that grows with the exponent."""
+    if "e" in part or "E" in part:
+        raise ValueError(f"{part!r}: exponent notation (e or E) is not accepted")
+    return Fraction(part)
+
+
 def parse_point(text: str, num_vars: Optional[int] = None) -> tuple[Fraction, ...]:
-    """Comma-separated rational coordinates."""
+    """Comma-separated rational coordinates: ``p``, ``p/q`` or decimals,
+    without exponents."""
     try:
-        point = tuple(Fraction(part.strip()) for part in text.split(","))
+        point = tuple(_coordinate(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad point {text!r}: {exc}") from exc
     if num_vars is not None and len(point) != num_vars:

@@ -67,7 +67,11 @@ BOOL_ONE = Fraction(0)
 
 
 def as_trop(v) -> TropValue:
-    """Coerce to an exact tropical value (Fraction or NEG_INF)."""
+    """Coerce to an exact tropical value (Fraction or NEG_INF).  A Fraction
+    is returned as it is, and every bottom element as NEG_INF, so the
+    result is bottom iff it ``is NEG_INF``."""
+    if type(v) is Fraction:
+        return v
     if isinstance(v, _NegInf):
         return NEG_INF
     if isinstance(v, float):
@@ -105,7 +109,7 @@ def as_scaled(v) -> tuple[list[int], int]:
     is what :func:`as_trop` accepts; floats, booleans and -inf raise
     TypeError."""
     q = [x if type(x) is int or type(x) is Fraction else as_trop(x) for x in v]
-    if NEG_INF in q:
+    if any(x is NEG_INF for x in q):
         raise TypeError("-inf is not a point coordinate; points are rational")
     d = math.lcm(*[x.denominator for x in q])
     return [x.numerator * (d // x.denominator) for x in q], d

@@ -7,11 +7,14 @@ with the library is meaningful.
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
-from tropfan import NEG_INF, CanonicalFn, IntMatrix, LaurentPoly, WeightedFan, _lp
+from tropfan import NEG_INF, BadParameters, CanonicalFn, IntMatrix, LaurentPoly, ParseError, WeightedFan, _lp
+from tropfan.laurent import MAX_TEXT_VARS
+from tropfan.semiring import as_int
 
 
 # ----------------------------------------------------------- exact det
@@ -650,3 +653,87 @@ def positive_multiple(v: Sequence, d: Sequence[int]) -> bool:
             elif ratio != t:
                 return False
     return t is not None and t > 0
+
+
+# ------------------------------------------------ polynomial text, by regex
+#
+# The text parser as it was before the one-pass tokenizer, copied verbatim:
+# a regular expression per factor and a Fraction per coefficient.  The
+# library's parser must accept and reject the same texts, with the same
+# messages, and return the same polynomial.
+
+_ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
+_NAME_RE = re.compile(r"^([a-z]+?)(\d*)$")
+_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+
+
+def _var_index(name: str) -> int:
+    m = _NAME_RE.match(name)
+    if m:
+        base, digits = m.groups()
+        if base == "x" and digits:
+            try:
+                idx = as_int(digits)
+            except ValueError as exc:  # past sys.get_int_max_str_digits()
+                raise ParseError(f"bad variable index: {exc}") from exc
+            if idx < 1:
+                raise ParseError(f"variable indices start at 1, got {name!r}")
+            if idx > MAX_TEXT_VARS:
+                raise ParseError(f"variable index {idx} above the limit {MAX_TEXT_VARS}")
+            return idx
+        if not digits and base in _ALIASES:
+            return _ALIASES[base]
+    raise ParseError(f"unknown variable {name!r} (use x1..xn or x, y, z, w)")
+
+
+def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
+    """Parse ``c*x1^e1*...`` terms joined by '+'; '-inf' is the bottom
+    polynomial.  An omitted coefficient means the tropical one (0)."""
+    if num_vars is not None and num_vars < 0:
+        raise BadParameters(f"negative variable count {num_vars}")
+    if num_vars is not None and num_vars > MAX_TEXT_VARS:
+        raise BadParameters(f"variable count {num_vars} above the limit {MAX_TEXT_VARS}")
+    s = text.strip()
+    if not s:
+        raise ParseError("empty polynomial text")
+    raw_terms = []
+    max_idx = 0
+    for piece in s.split("+"):
+        piece = piece.strip()
+        if not piece:
+            raise ParseError(f"empty term in {text!r}")
+        if piece == "-inf":
+            continue
+        coeff = Fraction(0)
+        exps: dict[int, int] = {}
+        for factor in piece.split("*"):
+            factor = factor.strip()
+            if not factor:
+                raise ParseError(f"empty factor in term {piece!r}")
+            if _RATIONAL_RE.match(factor):
+                try:
+                    coeff += Fraction(factor)
+                except ZeroDivisionError as exc:
+                    raise ParseError(f"zero denominator in {factor!r}") from exc
+                except ValueError as exc:  # past sys.get_int_max_str_digits()
+                    raise ParseError(f"bad coefficient: {exc}") from exc
+                continue
+            name, caret, power = factor.partition("^")
+            idx = _var_index(name.strip())
+            try:
+                e = as_int(power) if caret else 1
+            except ValueError as exc:
+                raise ParseError(f"bad exponent in factor {factor!r}") from exc
+            exps[idx] = exps.get(idx, 0) + e
+            max_idx = max(max_idx, idx)
+        raw_terms.append((coeff, exps))
+    n = num_vars if num_vars is not None else max(max_idx, 1)
+    if max_idx > n:
+        raise ParseError(f"variable x{max_idx} out of range for {n} variables")
+    return LaurentPoly.make(
+        n,
+        [
+            (tuple(exps.get(i + 1, 0) for i in range(n)), coeff)
+            for coeff, exps in raw_terms
+        ],
+    )

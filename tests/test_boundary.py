@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from tropfan import (
     WeightedFan,
     image_membership,
     lattice_solve,
+    parse_point,
     parse_poly_text,
     poly_from_json,
     primitive,
@@ -203,6 +205,49 @@ class TestPolyText:
             parse_poly_text("x", MAX_TEXT_VARS + 1)
         assert parse_poly_text("x", MAX_TEXT_VARS).num_vars == MAX_TEXT_VARS
         assert error_of(capsys, "poly", "eval", "x", "--point", "1", "--vars", "100000000") == "bad_parameters"
+
+
+class TestPointText:
+    """A coordinate is ``p``, ``p/q`` or a decimal.  Exponent notation is
+    refused before any arithmetic: Fraction reads ``1e100000000`` in time
+    that grows with the exponent."""
+
+    @pytest.mark.parametrize("command", ["eval", "initial", "germ"])
+    @pytest.mark.parametrize("point", ["1e5000", "1E5", "2.5e-3", "1e100000000", "0,1e5"])
+    def test_exponent_notation_rejected(self, capsys, command, point):
+        start = time.perf_counter()
+        assert error_of(capsys, "poly", command, "0 + x", "--point=" + point, "--vars", "2" if "," in point else "1") == "parse_error"
+        assert time.perf_counter() - start < 10
+        with pytest.raises(ParseError, match="exponent notation"):
+            parse_point(point)
+
+    @pytest.mark.parametrize("point, want", [("1/2", Fraction(1, 2)), ("-3", Fraction(-3)),
+                                             ("0.5", Fraction(1, 2)), (" 7/4 ", Fraction(7, 4))])
+    def test_plain_coordinates_keep_their_value(self, capsys, point, want):
+        assert parse_point(point) == (want,)
+        code, out = invoke(capsys, "poly", "eval", "x", "--point=" + point)
+        assert code == 0 and json.loads(out) == {"value": str(want)}
+
+
+class TestOutputTooLarge:
+    """An answer whose integers have more digits than Python converts to
+    text ends in a structured error, with no partial output."""
+
+    NINES = "9" * 4000
+
+    @pytest.mark.skipif(not 0 < DIGIT_LIMIT < 7999, reason="no int digit limit below 7999")
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+    def test_value_past_the_digit_limit(self, capsys, pretty):
+        start = time.perf_counter()
+        code, out = invoke(capsys, *pretty, "poly", "eval", "x^" + self.NINES, "--point", self.NINES)
+        assert time.perf_counter() - start < 10
+        assert code == 1
+        assert json.loads(out)["error"] == "output_too_large"
+        assert out.count("\n") == (1 if not pretty else 4)
+
+    def test_printable_answer_of_the_same_size_class(self, capsys):
+        code, out = invoke(capsys, "poly", "eval", "x^" + self.NINES[:2000], "--point", self.NINES[:2000])
+        assert code == 0 and len(json.loads(out)["value"]) == 4000
 
 
 class TestRayValues:
