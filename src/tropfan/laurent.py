@@ -456,12 +456,9 @@ def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
                 pq = _rational(factor)
                 if pq is not None:
                     p, q = pq
-                    if q == 1:
-                        num += p * den
-                    elif q:
-                        num, den = num * q + p * den, den * q
-                    else:
+                    if not q:
                         raise ParseError(f"zero denominator in {factor!r}")
+                    num, den = num * q + p * den, den * q
                     continue
                 idx = _var_index(name.strip())
             try:

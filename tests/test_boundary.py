@@ -216,7 +216,8 @@ class TestPointText:
     @pytest.mark.parametrize("point", ["1e5000", "1E5", "2.5e-3", "1e100000000", "0,1e5"])
     def test_exponent_notation_rejected(self, capsys, command, point):
         start = time.perf_counter()
-        assert error_of(capsys, "poly", command, "0 + x", "--point=" + point, "--vars", "2" if "," in point else "1") == "parse_error"
+        n = str(point.count(",") + 1)
+        assert error_of(capsys, "poly", command, "0 + x", "--point=" + point, "--vars", n) == "parse_error"
         assert time.perf_counter() - start < 10
         with pytest.raises(ParseError, match="exponent notation"):
             parse_point(point)
