@@ -148,10 +148,12 @@ def _cmd_poly_eq(args) -> dict:
     P = _laurent.parse_poly_text(args.left, args.vars)
     Q = _laurent.parse_poly_text(args.right, args.vars)
     if P.num_vars != Q.num_vars:
-        # reparse the smaller one in the larger variable count
+        # pad the smaller side's exponents with zeros, which keeps lex order
         n = max(P.num_vars, Q.num_vars)
-        P = _laurent.parse_poly_text(args.left, n)
-        Q = _laurent.parse_poly_text(args.right, n)
+        P, Q = (
+            _laurent.LaurentPoly(n, tuple((u + (0,) * (n - R.num_vars), c) for u, c in R.terms))
+            for R in (P, Q)
+        )
     w = _laurent.fn_witness(P, Q)  # None exactly when fn_eq
     if w is None:
         return {"equal": True}

@@ -28,7 +28,7 @@ from .errors import (
 from .fan import WeightedFan, check_balancing, primitive
 from .intlat import IntMatrix, hnf, invariant_factors, snf
 from .laurent import LaurentPoly
-from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int
+from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int, as_ints
 
 #: the default of image_membership's ``bound``, which is checked and not read
 DEFAULT_MEMBER_BOUND = 64
@@ -48,7 +48,7 @@ class RayFunction:
                 raise DimensionMismatch(
                     f"{len(self.values)} values for {len(self.fan.rays)} rays"
                 )
-            object.__setattr__(self, "values", tuple(map(as_index, self.values)))
+            object.__setattr__(self, "values", as_ints(self.values))
 
     @property
     def is_bottom(self) -> bool:
@@ -85,7 +85,7 @@ class RayFunction:
         if any(bottoms):
             raise ParseError("-inf entries are only allowed when every entry is -inf")
         try:
-            return cls(fan, tuple(map(as_int, values)))
+            return cls(fan, as_ints(values, as_int))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad ray function values: {exc}") from exc
 

@@ -14,21 +14,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadParameters, DimensionMismatch, ParseError, ZeroVector
-from .semiring import as_index, as_int, as_scaled
-
-
-def _ints(v: Iterable, coerce=as_index) -> tuple[int, ...]:
-    """v as a tuple of ints: unchanged when every entry is a plain int,
-    otherwise each entry coerced by ``coerce``."""
-    v = tuple(v)
-    if set(map(type, v)) - {int}:
-        v = tuple(map(coerce, v))
-    return v
+from .semiring import as_index, as_int, as_ints, as_scaled
 
 
 def primitive(v: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Factor a nonzero integer vector as weight * primitive direction."""
-    v = _ints(v)
+    v = as_ints(v)
     if not any(v):
         raise ZeroVector("the zero vector has no direction")
     g = math.gcd(*v)
@@ -43,7 +34,7 @@ class Ray:
     weight: int
 
     def __post_init__(self):
-        d = _ints(self.direction)
+        d = as_ints(self.direction)
         object.__setattr__(self, "direction", d)
         if not any(d):
             raise ZeroVector("ray direction may not be zero")
@@ -135,10 +126,7 @@ class WeightedFan:
     def from_json(cls, obj: dict) -> "WeightedFan":
         try:
             n = as_int(obj["ambient_dim"])
-            items = [
-                (_ints(entry["direction"], as_int), as_int(entry["weight"]))
-                for entry in obj["rays"]
-            ]
+            items = [(as_ints(e["direction"], as_int), as_int(e["weight"])) for e in obj["rays"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad fan object: {exc}") from exc
         return cls.build(n, items)

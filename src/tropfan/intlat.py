@@ -19,7 +19,6 @@ operation returns fresh objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Sequence
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     NotLeftInvertible,
     ParseError,
 )
-from .semiring import as_index, as_int
+from .semiring import as_index, as_int, as_ints
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,7 @@ class IntMatrix:
 
     def __post_init__(self):
         try:
-            data = tuple(map(tuple, self.data))
-            if set(map(type, chain.from_iterable(data))) - {int}:
-                data = tuple(tuple(map(as_index, row)) for row in data)
+            data = tuple(map(as_ints, self.data))
         except TypeError as exc:
             raise BadParameters(f"non-integer matrix entry: {exc}") from exc
         object.__setattr__(self, "data", data)
@@ -58,6 +55,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        n = as_index(n)
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @property
@@ -96,7 +94,7 @@ class IntMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "IntMatrix":
         try:
-            m = cls.from_rows([[as_int(x) for x in row] for row in obj["data"]])
+            m = cls.from_rows([as_ints(row, as_int) for row in obj["data"]])
             shape = {key: as_int(obj[key]) for key in ("rows", "cols") if key in obj}
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad matrix object: {exc}") from exc
@@ -271,7 +269,7 @@ def lattice_solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """
     if len(b) != A.rows:
         raise DimensionMismatch(f"rhs of length {len(b)} against {A.rows}x{A.cols}")
-    resid = list(map(as_index, b))
+    resid = list(as_ints(b))
     m, n = A.rows, A.cols
     a = [list(row) + [x] for row, x in zip(A.data, resid)]
     if m >= n and _bareiss(a, n):

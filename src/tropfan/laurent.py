@@ -38,7 +38,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from . import _lp
@@ -48,7 +47,7 @@ from .errors import (
     EmptyPolynomial,
     ParseError,
 )
-from .semiring import NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_scaled, as_trop
+from .semiring import NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints, as_scaled, as_trop
 
 Term = tuple[tuple[int, ...], Fraction]
 
@@ -70,6 +69,14 @@ def _int_values(rows, L: int, p: Sequence) -> tuple[list[int], int]:
     return [d * a + sum(map(mul, u, q)) for u, a in rows], L * d
 
 
+def _exponent(u: Sequence[int], num_vars: int) -> tuple[int, ...]:
+    """u as an exponent vector in num_vars variables."""
+    u = as_ints(u)
+    if len(u) != num_vars:
+        raise DimensionMismatch(f"exponent {u} in {num_vars} variables")
+    return u
+
+
 @dataclass(frozen=True)
 class LaurentPoly:
     """num_vars plus lex-sorted (exponent, coefficient) pairs."""
@@ -81,13 +88,10 @@ class LaurentPoly:
         object.__setattr__(self, "num_vars", as_index(self.num_vars))
         if self.num_vars < 0:
             raise BadParameters("negative variable count")
-        if set(map(type, chain.from_iterable(u for u, _ in self.terms))) - {int}:
-            terms = tuple((tuple(map(as_index, u)), c) for u, c in self.terms)
-            object.__setattr__(self, "terms", terms)
+        terms = tuple([(_exponent(u, self.num_vars), c) for u, c in self.terms])
+        object.__setattr__(self, "terms", terms)
         prev = None
-        for u, c in self.terms:
-            if len(u) != self.num_vars:
-                raise DimensionMismatch(f"exponent {u} in {self.num_vars} variables")
+        for u, c in terms:
             if isinstance(c, type(NEG_INF)):
                 raise BadParameters("stored coefficient may not be bottom")
             if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
@@ -102,12 +106,13 @@ class LaurentPoly:
     def make(cls, num_vars: int, items: Iterable[tuple[Sequence[int], TropValue]]) -> "LaurentPoly":
         """Normalizing factory: merges duplicate exponents by max and drops
         bottom coefficients."""
+        return cls._merged(num_vars, [(_exponent(u, num_vars), as_trop(c)) for u, c in items])
+
+    @classmethod
+    def _merged(cls, num_vars: int, pairs: Iterable[tuple[tuple[int, ...], TropValue]]) -> "LaurentPoly":
+        """make on coerced pairs: the largest coefficient per exponent."""
         acc: dict[tuple[int, ...], Fraction] = {}
-        for u, c in items:
-            u = tuple(map(as_index, u))
-            if len(u) != num_vars:
-                raise DimensionMismatch(f"exponent {u} in {num_vars} variables")
-            c = as_trop(c)
+        for u, c in pairs:
             if c is NEG_INF:
                 continue
             if u not in acc or c > acc[u]:
@@ -147,11 +152,8 @@ class LaurentPoly:
         return tuple(u for u, _ in self.terms)
 
     def coeff(self, exp: Sequence[int]) -> TropValue:
-        exp = tuple(map(as_index, exp))
-        for u, c in self.terms:
-            if u == exp:
-                return c
-        return NEG_INF
+        exp = _exponent(exp, self.num_vars)
+        return next((c for u, c in self.terms if u == exp), NEG_INF)
 
     def _require_same_vars(self, other: "LaurentPoly"):
         if self.num_vars != other.num_vars:
@@ -175,6 +177,7 @@ class LaurentPoly:
         return LaurentPoly.make(self.num_vars, prods)
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        k = as_index(k)
         if k < 0:
             raise BadParameters("negative power of a polynomial")
         out = LaurentPoly.one(self.num_vars)
@@ -472,16 +475,13 @@ def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
     n = num_vars if num_vars is not None else max(max_idx, 1)
     if max_idx > n:
         raise ParseError(f"variable x{max_idx} out of range for {n} variables")
-    # Merge duplicate exponents by max; the exponents are ints already.
-    acc: dict[tuple[int, ...], Fraction] = {}
+    pairs = []
     for c, exps in raw_terms:
         u = [0] * n
         for i, e in exps.items():
             u[i - 1] = e
-        u = tuple(u)
-        if u not in acc or c > acc[u]:
-            acc[u] = c
-    return LaurentPoly(n, tuple(sorted(acc.items())))
+        pairs.append((tuple(u), c))
+    return LaurentPoly._merged(n, pairs)
 
 
 def poly_to_text(P: LaurentPoly) -> str:
@@ -515,7 +515,7 @@ def poly_from_json(obj: dict) -> LaurentPoly:
             raw = t["coeff"]
             if isinstance(raw, str) and raw.strip() == "-inf":
                 continue
-            items.append((tuple(map(as_int, t["exp"])), as_trop(raw)))
+            items.append((as_ints(t["exp"], as_int), as_trop(raw)))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad polynomial object: {exc}") from exc
     try:
@@ -524,19 +524,11 @@ def poly_from_json(obj: dict) -> LaurentPoly:
         raise ParseError(str(exc)) from exc
 
 
-def _coordinate(part: str) -> Fraction:
-    """``p``, ``p/q`` or a decimal.  Exponent notation is refused: Fraction
-    reads ``1e5000000`` too, in time that grows with the exponent."""
-    if "e" in part or "E" in part:
-        raise ValueError(f"{part!r}: exponent notation (e or E) is not accepted")
-    return Fraction(part)
-
-
 def parse_point(text: str, num_vars: Optional[int] = None) -> tuple[Fraction, ...]:
     """Comma-separated rational coordinates: ``p``, ``p/q`` or decimals,
     without exponents."""
     try:
-        point = tuple(_coordinate(part.strip()) for part in text.split(","))
+        point = tuple(as_trop(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad point {text!r}: {exc}") from exc
     if num_vars is not None and len(point) != num_vars:

@@ -12,6 +12,11 @@ parts on grade ties; multiplication multiplies parts and adds grades.  A
 carrier is any type whose values support ``+``, ``*``, ``==`` and whose
 zero (if representable at all) is falsy; sums and products of nonzero
 carrier elements must be nonzero.
+
+Input coercion lives here alone: the integer rule :func:`as_index`, its
+vector form :func:`as_ints` and :func:`as_int` for outside text; the
+rational rule :func:`as_trop`, which refuses floats, and exponent notation
+wherever text becomes a rational.
 """
 
 from __future__ import annotations
@@ -69,7 +74,9 @@ BOOL_ONE = Fraction(0)
 def as_trop(v) -> TropValue:
     """Coerce to an exact tropical value (Fraction or NEG_INF).  A Fraction
     is returned as it is, and every bottom element as NEG_INF, so the
-    result is bottom iff it ``is NEG_INF``."""
+    result is bottom iff it ``is NEG_INF``.  Text is ``p``, ``p/q`` or a
+    decimal; exponent notation, which Fraction reads in time that grows
+    with the exponent, raises ValueError."""
     if type(v) is Fraction:
         return v
     if isinstance(v, _NegInf):
@@ -79,6 +86,8 @@ def as_trop(v) -> TropValue:
         raise TypeError("floats are not exact; pass Fraction, int, or a rational string")
     if isinstance(v, bool):
         raise TypeError(f"{v!r} is not a number")
+    if isinstance(v, str) and ("e" in v or "E" in v):
+        raise ValueError(f"{v!r}: exponent notation (e or E) is not accepted")
     return Fraction(v)
 
 
@@ -101,6 +110,15 @@ def as_int(v) -> int:
     if isinstance(v, str):
         return int(v)
     return as_index(v)
+
+
+def as_ints(v, coerce=as_index) -> tuple[int, ...]:
+    """v as a tuple of ints: unchanged when every entry is a plain int,
+    otherwise each entry coerced by ``coerce``."""
+    v = tuple(v)
+    if set(map(type, v)) - {int}:
+        v = tuple(map(coerce, v))
+    return v
 
 
 def as_scaled(v) -> tuple[list[int], int]:

@@ -16,6 +16,7 @@ import tropfan
 from tropfan import (
     NEG_INF,
     BadParameters,
+    DimensionMismatch,
     IntMatrix,
     LaurentPoly,
     ParseError,
@@ -164,6 +165,13 @@ class TestPolyJson:
     def test_integer_strings_still_accepted(self):
         P = poly_from_json({"vars": "1", "terms": [{"coeff": "1/2", "exp": ["2"]}, {"coeff": 3, "exp": [0]}]})
         assert P == LaurentPoly.make(1, [((2,), Fraction(1, 2)), ((0,), 3)])
+
+    def test_exponent_notation_coefficient(self):
+        # Fraction("1e1000000") used to build a million-digit coefficient
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="exponent notation"):
+            poly_from_json({"vars": 1, "terms": [{"coeff": "1e1000000", "exp": [0]}]})
+        assert time.perf_counter() - start < 1
 
 
 # Python caps the digits of an int read from a string (4,300 by default);
@@ -362,6 +370,8 @@ class TestLibraryConstructors:
         "direct exponent float": lambda: LaurentPoly(1, (((1.5,), Fraction(0)),)),
         "direct exponent True": lambda: LaurentPoly(1, (((True,), Fraction(0)),)),
         "coeff exponent True": lambda: LaurentPoly.monomial(1, (1,)).coeff((True,)),
+        "power True": lambda: LaurentPoly.monomial(1, (1,)) ** True,
+        "identity True": lambda: IntMatrix.identity(True),
     }
 
     @pytest.mark.parametrize("name", sorted(NON_INTEGERS))
@@ -386,6 +396,25 @@ class TestLibraryConstructors:
         assert IntMatrix(((Index(3),),)).data == ((3,),)
         assert RayFunction(standard_model(2, 3), (Index(1), 0, 0)).values == (1, 0, 0)
         assert lattice_solve(IntMatrix.from_rows([[2]]), [Index(4)]) == (2,)
+        # the JSON loaders read decimal strings into plain ints too
+        X = WeightedFan.from_json({"ambient_dim": "1", "rays": [{"direction": ["2"], "weight": "1"},
+                                                                {"direction": [-1], "weight": 1}]})
+        assert {type(x) for ray in X.rays for x in (*ray.direction, ray.weight)} | {type(X.ambient_dim)} == {int}
+        assert {type(x) for x in IntMatrix.from_json({"data": [["3", 1]]}).data[0]} == {int}
+        P = poly_from_json({"vars": "1", "terms": [{"coeff": "0", "exp": ["2"]}]})
+        assert type(P.num_vars) is int and type(P.terms[0][0][0]) is int
+        G = RayFunction.from_json(standard_model(2, 3), {"values": ["1", "0", -1]})
+        assert G.values == (1, 0, -1) and {type(v) for v in G.values} == {int}
+
+    def test_make_refuses_exponent_notation(self):
+        with pytest.raises(ValueError, match="exponent notation"):
+            LaurentPoly.make(1, [((0,), "1e3")])
+
+    @pytest.mark.parametrize("exp", [(1,), (1, 0, 0)])
+    def test_coeff_exponent_length(self, exp):
+        # both used to answer -inf
+        with pytest.raises(DimensionMismatch):
+            LaurentPoly.monomial(2, (1, 0)).coeff(exp)
 
     def test_ray_weight_index_object(self):
         # Ray refused a weight with __index__ that WeightedFan.build accepts

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tropfan import IntMatrix, det, invariant_factors
+from tropfan import IntMatrix, det, invariant_factors, laurent
 from tropfan.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,6 +143,23 @@ class TestPoly:
     def test_eq_true(self, capsys):
         code, out = invoke(capsys, "poly", "eq", "0 + 1*x + 2*x^2", "0 + 2*x^2")
         assert (code, out) == (0, '{"equal": true}\n')
+
+    @pytest.mark.parametrize("vars_", [[], ["--vars", "2"]])
+    @pytest.mark.parametrize("left, right", [("x", "x + y"), ("x + y", "x")])
+    def test_eq_parses_each_side_once(self, capsys, monkeypatch, vars_, left, right):
+        # without --vars the sides count 1 and 2 variables; the smaller one
+        # is padded with zeros rather than parsed again
+        calls = []
+        parse = laurent.parse_poly_text
+
+        def counted(*args):
+            calls.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(laurent, "parse_poly_text", counted)
+        code, out = invoke(capsys, "poly", "eq", left, right, *vars_)
+        assert (code, out) == (0, '{"equal": false, "witness": ["-1", "0"]}\n')
+        assert len(calls) == 2
 
     def test_germ(self, capsys):
         code, out = invoke(capsys, "poly", "germ", "1 + 3*x + 2*y + 3*x*y", "--point", "0,0")

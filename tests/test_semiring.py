@@ -61,6 +61,19 @@ def test_value_predicates():
         as_trop(1.5)
 
 
+@pytest.mark.parametrize("text", ["1e3", "1E3", " 2e0 "])
+def test_as_trop_refuses_exponent_notation(text):
+    # Fraction reads 1e1000000 too, in time that grows with the exponent
+    with pytest.raises(ValueError, match="exponent notation"):
+        as_trop(text)
+
+
+@pytest.mark.parametrize("text, want", [("1/2", Fraction(1, 2)), ("-3", Fraction(-3)),
+                                        ("0.5", Fraction(1, 2)), (" 7/4 ", Fraction(7, 4))])
+def test_as_trop_reads_rational_text(text, want):
+    assert as_trop(text) == want
+
+
 def test_as_scaled():
     assert as_scaled([1, Fraction(1, 2), Fraction(-2, 3)]) == ([6, 3, -4], 6)
     assert as_scaled([]) == ([], 1)

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tropfan"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tropfan"
+PYTHON_FILES = sorted(path for top in ("src", "tests", "scripts") for path in (ROOT / top).rglob("*.py"))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -34,3 +36,15 @@ def test_every_import_is_used(path):
             used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name}: unused imports (line, name) {unused}"
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_as_python_3_10(path):
+    # requires-python is >=3.10, and a newer interpreter accepts newer syntax
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_operator_index_only_in_semiring():
+    # the integer rule is semiring.as_index; every other module calls it
+    users = sorted(path.name for path in SRC.glob("*.py") if "operator.index" in path.read_text())
+    assert users == ["semiring.py"]
