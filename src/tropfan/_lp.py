@@ -57,11 +57,13 @@ on the rows, not on the right-hand sides, so it is built once per
   guard holds; if one fails the answer is ``(None, False)`` at once.
 * Pruning: a row is dropped only when it is redundant for every
   right-hand side.  An exact duplicate (coefficients and combination) is
-  one.  By Chernikov's rule so is a row that combines more than t + 1
+  one.  By Chernikov's rules so is a row that combines more than t + 1
   input inequalities after t pairing steps, or a strict superset of the
   inequalities of another row.  Such a row is not an extreme ray of the
   cone of multipliers that eliminate the variables, so it is the sum of
-  rows of smaller support.
+  rows of smaller support.  ``_plan`` applies the count rule to each
+  lower/upper pair before it builds the row, and ``_reduce`` applies the
+  duplicate and subset rules to each level's rows.
 * Cache: ``_plan`` is a ``functools.lru_cache`` of 1,024 plans, keyed by
   ``rows``.  Nothing is built at import.
 
@@ -86,8 +88,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .semiring import as_scaled
 
-# The benchmark labels find_point calls in at most this many variables as
-# low dimensional; nothing in the program branches on it any more.
+# Only bench/spans.py reads this: it labels find_point calls in at most
+# this many variables as low dimensional.
 FM_MAX_VARS = 4
 
 
@@ -222,12 +224,13 @@ class _Plan(NamedTuple):
     rows: tuple
 
 
-def _reduce(rows, guards: set, paired: int) -> list:
+def _reduce(rows, guards: set) -> list:
     """The rows ``(c, combo, ineqs)`` of one projection, each divided by
     the gcd of its entries, without the rows that are redundant for every
     right-hand side; constant rows go to ``guards``.  ``ineqs`` is the
-    bitmask of the input inequalities a row combines, and ``paired`` the
-    number of variables eliminated by pairing so far."""
+    bitmask of the input inequalities a row combines.  Of Chernikov's two
+    rules this applies the subset rule; :func:`_plan` applies the count
+    rule before it builds a row, so every row here already meets it."""
     best: dict = {}
     for c, combo, ineqs in rows:
         g = math.gcd(*c)
@@ -239,16 +242,10 @@ def _reduce(rows, guards: set, paired: int) -> list:
             c = tuple([x // g for x in c])
             combo = tuple([x // g for x in combo])
         best.setdefault((c, combo), ineqs)
-    if not paired:  # every row combines one inequality
-        return [(c, combo, ineqs) for (c, combo), ineqs in best.items()]
-    # Chernikov: a row combining more than paired + 1 input inequalities,
-    # or a strict superset of another row's, is not an extreme ray of the
-    # projection cone, so the other rows imply it.  Taken by size, a set
-    # is minimal iff no minimal set before it is a subset of it.
+    # Taken by size, a set is minimal iff no minimal set before it is a
+    # subset of it.
     minimal: list = []
     for ineqs in sorted(set(best.values()), key=int.bit_count):
-        if ineqs.bit_count() > paired + 1:
-            break
         if not any(o & ineqs == o for o in minimal):
             minimal.append(ineqs)
     keep = set(minimal)
@@ -263,7 +260,7 @@ def _plan(rows: tuple) -> _Plan:
     guards: set = set()
     flat: list = []
     paired = 0
-    cur = _reduce([(c, unit[x], 1 << x) for x, c in enumerate(rows)], guards, paired)
+    cur = _reduce([(c, unit[x], 1 << x) for x, c in enumerate(rows)], guards)
     for k in range(n, 0, -1):
         j = k - 1
         zeros, uppers, lowers = [], [], []
@@ -278,11 +275,11 @@ def _plan(rows: tuple) -> _Plan:
             al = -cl[j]
             for cu, combou, iu in uppers:
                 if (il | iu).bit_count() > paired + 1:
-                    continue  # _reduce's count rule, before the row is built
+                    continue  # Chernikov's count rule, before the row is built
                 au = cu[j]
                 nxt.append((tuple([al * u + au * l for u, l in zip(cu[:j], cl)]),
                             tuple([al * u + au * l for u, l in zip(combou, combol)]), il | iu))
-        cur = _reduce(nxt, guards, paired)
+        cur = _reduce(nxt, guards)
     return _Plan(tuple(guards), tuple(flat))
 
 

@@ -24,7 +24,7 @@ from . import laurent as _laurent
 from . import morphism as _morphism
 from .errors import DimensionMismatch, ParseError, TropfanError
 from .evalmap import DEFAULT_MEMBER_BOUND
-from .semiring import NEG_INF, as_int
+from .semiring import as_int
 
 
 def _load_json(path: str):
@@ -50,10 +50,6 @@ def _fan_ref(ref, base_dir: str) -> _fan.WeightedFan:
         path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
         return _load_fan(path)
     raise ParseError("fan reference must be a path or an inline fan object")
-
-
-def _fmt_val(v) -> str:
-    return "-inf" if v is NEG_INF else str(v)
 
 
 def _dumps(obj, pretty: bool) -> str:
@@ -135,7 +131,7 @@ def _render_svg(X: _fan.WeightedFan) -> str:
 def _cmd_poly_eval(args) -> dict:
     P = _laurent.parse_poly_text(args.poly, args.vars)
     p = _laurent.parse_point(args.point, P.num_vars)
-    return {"value": _fmt_val(P.eval(p))}
+    return {"value": str(P.eval(p))}
 
 
 def _cmd_poly_initial(args) -> str:
@@ -165,7 +161,7 @@ def _cmd_poly_germ(args) -> dict:
     p = _laurent.parse_point(args.point, P.num_vars)
     g = _laurent.germ_localize(P, p)
     part = "-inf" if g.is_bottom else _laurent.poly_to_text(g.part.poly)
-    return {"part": part, "grade": _fmt_val(g.grade)}
+    return {"part": part, "grade": str(g.grade)}
 
 
 # ------------------------------------------------------------ morphism

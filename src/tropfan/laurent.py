@@ -59,16 +59,6 @@ def _int_rows(terms: Sequence[Term]) -> tuple[list[tuple[tuple[int, ...], int]],
     return [(u, a) for (u, _), a in zip(terms, coeffs)], L
 
 
-def _int_values(rows, L: int, p: Sequence) -> tuple[list[int], int]:
-    """For the rows (u, L*a_u) of :func:`_int_rows`, the integers
-    L*d*(a_u + u.p), one per row, and the scale L*d, where d is the least
-    common denominator of the point p."""
-    q, d = as_scaled(p)
-    q = [L * x for x in q]
-    mul = operator.mul
-    return [d * a + sum(map(mul, u, q)) for u, a in rows], L * d
-
-
 def _exponent(u: Sequence[int], num_vars: int) -> tuple[int, ...]:
     """u as an exponent vector in num_vars variables."""
     u = as_ints(u)
@@ -191,9 +181,7 @@ class LaurentPoly:
 
     def shift(self, a: Sequence) -> "LaurentPoly":
         """P(a + x): adds u.a to each coefficient."""
-        if len(a) != self.num_vars:
-            raise DimensionMismatch(f"shift vector of length {len(a)}")
-        vals, scale = _int_values(*_int_rows(self.terms), a)
+        vals, scale = self._values(a)
         return LaurentPoly(
             self.num_vars, tuple((u, Fraction(v, scale)) for (u, _), v in zip(self.terms, vals))
         )
@@ -201,10 +189,16 @@ class LaurentPoly:
     # -- evaluation ----------------------------------------------------------
 
     def _values(self, p: Sequence) -> tuple[list[int], int]:
-        """The term values at p as integers over one common scale."""
+        """The term values at p as the integers L*d*(a_u + u.p) over their
+        scale L*d, where L and d are the least common denominators of the
+        coefficients and of the point."""
         if len(p) != self.num_vars:
             raise DimensionMismatch(f"point of length {len(p)} in {self.num_vars} variables")
-        return _int_values(*_int_rows(self.terms), p)
+        rows, L = _int_rows(self.terms)
+        q, d = as_scaled(p)
+        q = [L * x for x in q]
+        mul = operator.mul
+        return [d * a + sum(map(mul, u, q)) for u, a in rows], L * d
 
     def eval(self, p: Sequence) -> TropValue:
         vals, scale = self._values(p)
@@ -513,9 +507,8 @@ def poly_from_json(obj: dict) -> LaurentPoly:
         items = []
         for t in obj["terms"]:
             raw = t["coeff"]
-            if isinstance(raw, str) and raw.strip() == "-inf":
-                continue
-            items.append((as_ints(t["exp"], as_int), as_trop(raw)))
+            coeff = NEG_INF if isinstance(raw, str) and raw.strip() == "-inf" else as_trop(raw)
+            items.append((as_ints(t["exp"], as_int), coeff))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad polynomial object: {exc}") from exc
     try:

@@ -113,14 +113,14 @@ class HomSpec:
 
 
 def induced_homspec(mu: FanMorphism) -> HomSpec:
-    """The generator images of mu's pullback (always geometric)."""
-    m = mu.target.ambient_dim
-    images = []
-    for j in range(m):
-        e = [0] * m
-        e[j] = 1
-        images.append(pullback_evalmap(mu, LaurentPoly.monomial(m, e)))
-    return HomSpec(mu.target, mu.source, tuple(images))
+    """The generator images of mu's pullback (always geometric): the
+    pullback of y_j is the Boolean monomial x^(row j of T), so image j
+    is rho |-> row_j(T) . g_rho, with g_rho = w_rho d_rho the generator
+    of the source ray rho."""
+    X = mu.source
+    vecs = [mu.apply(ray.generator) for ray in X.rays]
+    images = tuple(RayFunction(X, tuple([v[j] for v in vecs])) for j in range(mu.target.ambient_dim))
+    return HomSpec(mu.target, X, images)
 
 
 def check_geometric(h: HomSpec) -> bool:

@@ -156,6 +156,9 @@ class TestPolyJson:
             {"vars": 1, "terms": [{"coeff": 0, "exp": [1.9]}]},
             {"vars": 1, "terms": [{"coeff": 0, "exp": [INF]}]},
             {"vars": 1.5, "terms": [{"coeff": 0, "exp": [1]}]},
+            # a -inf term's exponent is checked like any other term's
+            {"vars": 1, "terms": [{"coeff": "-inf", "exp": [1.5, "x"]}, {"coeff": 0, "exp": [1]}]},
+            {"vars": 1, "terms": [{"coeff": "-inf", "exp": [1, 2]}, {"coeff": 0, "exp": [1]}]},
         ],
     )
     def test_rejects(self, obj):
@@ -172,6 +175,10 @@ class TestPolyJson:
         with pytest.raises(ParseError, match="exponent notation"):
             poly_from_json({"vars": 1, "terms": [{"coeff": "1e1000000", "exp": [0]}]})
         assert time.perf_counter() - start < 1
+
+    def test_bottom_term_is_dropped(self):
+        P = poly_from_json({"vars": 1, "terms": [{"coeff": " -inf ", "exp": [2]}, {"coeff": 0, "exp": [1]}]})
+        assert P == LaurentPoly.monomial(1, [1])
 
 
 # Python caps the digits of an int read from a string (4,300 by default);

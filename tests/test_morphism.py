@@ -177,6 +177,21 @@ class TestHomSpec:
             HomSpec(Y, L23, (RayFunction(Y, (0, 0, 0)), RayFunction(L23, (0, 0, 0))))
 
 
+class TestInduced:
+    def test_matches_pullback_route(self):
+        # the image of y_j is the weighted evaluation of its pullback, the
+        # monomial x^(row j of T), as pullback_evalmap computes it
+        rng = random.Random(7)
+        for _ in range(1000):
+            mu = rand_morphism(rng)
+            m = mu.target.ambient_dim
+            want = tuple(
+                pullback_evalmap(mu, LaurentPoly.monomial(m, [int(i == j) for i in range(m)]))
+                for j in range(m)
+            )
+            assert induced_homspec(mu) == HomSpec(mu.target, mu.source, want)
+
+
 class TestGeometric:
     def test_induced_always_geometric(self):
         rng = random.Random(64)

@@ -8,9 +8,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tropfan"
 PYTHON_FILES = sorted(path for top in ("src", "tests", "scripts") for path in (ROOT / top).rglob("*.py"))
+# the rules for the library's own source hold for the scripts too
+PROGRAM_FILES = sorted([*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")])
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PROGRAM_FILES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     # python -O strips assert statements, and with them any check they make
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -18,7 +20,7 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert statements at lines {lines}; raise instead"
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PROGRAM_FILES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     # a name in __all__ is used: that is how __init__.py re-exports
     tree = ast.parse(path.read_text(), filename=str(path))
