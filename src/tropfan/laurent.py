@@ -27,10 +27,11 @@ It cannot already be in E, because i beats E strictly at p.  So every LP
 has at most as many rows as there are kept terms.  Asking about i again
 adds the new term's row to i's LP (``_lp.Tableau.add_row``), and
 ``_lp.find_point`` resumes it from the basis it ended on rather than
-solving it from scratch; its witness, in integers, needs no Fraction.  Two
-polynomials define the same function on all of Q^n iff their canonical
-forms are structurally equal, which is what makes CanonicalFn a usable
-semiring carrier for germs.
+solving it from scratch; its witness, in integers, needs no Fraction.
+Canonical forms are what germs are carried by.  Equality as functions needs
+none: a polynomial is the max of its terms, so P <= Q iff no term of P
+strictly beats every term of Q anywhere, one LP per term of P that Q's term
+of the same exponent does not dominate.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ def _int_rows(terms: Sequence[Term]) -> tuple[list[tuple[tuple[int, ...], int]],
     coefficients."""
     coeffs, L = as_scaled([c for _, c in terms])
     return [(u, a) for (u, _), a in zip(terms, coeffs)], L
+
+
+def _require_point(p: Sequence, num_vars: int):
+    """Raise DimensionMismatch unless p has num_vars coordinates."""
+    if len(p) != num_vars:
+        raise DimensionMismatch(f"point of length {len(p)} in {num_vars} variables")
 
 
 def _exponent(u: Sequence[int], num_vars: int) -> tuple[int, ...]:
@@ -192,8 +199,7 @@ class LaurentPoly:
         """The term values at p as the integers L*d*(a_u + u.p) over their
         scale L*d, where L and d are the least common denominators of the
         coefficients and of the point."""
-        if len(p) != self.num_vars:
-            raise DimensionMismatch(f"point of length {len(p)} in {self.num_vars} variables")
+        _require_point(p, self.num_vars)
         rows, L = _int_rows(self.terms)
         q, d = as_scaled(p)
         q = [L * x for x in q]
@@ -292,53 +298,43 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
 
 def fn_eq(P: LaurentPoly, Q: LaurentPoly) -> bool:
     """True iff P and Q agree as functions everywhere."""
-    P._require_same_vars(Q)
-    return canonicalize(P) == canonicalize(Q)
+    return fn_witness(P, Q) is None
 
 
 def fn_witness(P: LaurentPoly, Q: LaurentPoly) -> Optional[tuple]:
-    """None when fn_eq; otherwise a rational point where the values differ."""
+    """None when fn_eq; otherwise a rational point where the values differ:
+    the first point found where a term of one side beats all of the other."""
     P._require_same_vars(Q)
-    cp, cq = canonicalize(P), canonicalize(Q)
-    if cp == cq:
-        return None
-
-    def scan(A: CanonicalFn, B: CanonicalFn) -> Optional[tuple]:
-        bset = set(B.terms)
-        for i, term in enumerate(A.terms):
-            if term in bset:
+    for A, B in ((P, Q), (Q, P)):
+        coeffs = dict(B.terms)
+        for u, a in A.terms:
+            if u in coeffs and coeffs[u] >= a:  # dominated: no LP needed
                 continue
-            rivals = [s for j, s in enumerate(A.terms) if j != i] + list(B.terms)
-            pt = _beats_all(term, rivals, A.num_vars)
+            pt = _beats_all((u, a), B.terms, A.num_vars)
             if pt is not None:
                 return pt
-        return None
-
-    # Wherever the two functions differ, on a nearby generic point the
-    # larger side's unique dominating canonical term beats every term of
-    # both forms, so one of the scans below must succeed.
-    pt = scan(cp, cq)
-    if pt is None:
-        pt = scan(cq, cp)
-    if pt is None:
-        raise AssertionError("differing canonical forms must admit a separating point")
-    return pt
+    return None
 
 
 def germ_localize(P: LaurentPoly, p: Sequence) -> TExt:
     """The germ of P at p: (canonical Boolean initial form, value at p),
     or the bottom element for the bottom polynomial."""
-    if len(p) != P.num_vars:
-        raise DimensionMismatch(f"point of length {len(p)} in {P.num_vars} variables")
+    _require_point(p, P.num_vars)
     if not P:
         return TEXT_BOTTOM
     return TExt(canonicalize(P.initial_form(p).boolean_part()), P.eval(p))
 
 
 def germ_eq(P: LaurentPoly, Q: LaurentPoly, p: Sequence) -> bool:
-    """True iff P and Q agree on some neighborhood of p."""
+    """True iff P and Q agree on some neighborhood of p: the same value at
+    p, and Boolean initial forms there that are equal as functions."""
     P._require_same_vars(Q)
-    return germ_localize(P, p) == germ_localize(Q, p)
+    _require_point(p, P.num_vars)
+    if not P or not Q:
+        return not P and not Q
+    return P.eval(p) == Q.eval(p) and fn_eq(
+        P.initial_form(p).boolean_part(), Q.initial_form(p).boolean_part()
+    )
 
 
 def germ_safe_radius(P: LaurentPoly, p: Sequence) -> Fraction:

@@ -39,6 +39,7 @@ from tropfan import (
     text_add,
     text_mul,
 )
+from tropfan import _lp
 
 P0 = parse_poly_text("1 + 3*x^1 + 2*y^1 + 3*x^1*y^1")
 
@@ -59,10 +60,10 @@ def polys(draw, num_vars=None, boolean=False):
 
 
 @st.composite
-def tie_prone_polys(draw, max_vars=5, max_terms=8):
-    """Polynomials in 0..max_vars variables whose coefficients come from a
-    few values, so that term values often tie."""
-    n = draw(st.integers(0, max_vars))
+def tie_prone_polys(draw, max_vars=5, max_terms=8, num_vars=None):
+    """Polynomials in 0..max_vars (or num_vars) variables whose
+    coefficients come from a few values, so that term values often tie."""
+    n = num_vars if num_vars is not None else draw(st.integers(0, max_vars))
     value = st.one_of(st.integers(-4, 4), st.fractions(max_denominator=3, min_value=-4, max_value=4))
     values = draw(st.lists(value, min_size=1, max_size=3))
     items = draw(
@@ -273,6 +274,187 @@ class TestFunctionEquality:
                 assert P.eval(w) != Q.eval(w)
 
 
+def shared_pair(rng, n):
+    """P and a Q built from P's terms: some dropped, some lowered or
+    raised, and decoys at integral midpoints of two of P's exponents that
+    never exceed their average.  Q is often, not always, equal to P."""
+    P = rand_poly(rng, n, max_terms=6)
+    items = []
+    for u, c in P.terms:
+        roll = rng.random()
+        if roll < 0.15:
+            continue
+        items.append((u, c + (rng.choice((-1, 1)) if roll < 0.3 else 0)))
+    for _ in range(2 if len(P.terms) > 1 else 0):
+        (u, a), (v, b) = rng.sample(P.terms, 2)
+        m = [x + y for x, y in zip(u, v)]
+        if all(x % 2 == 0 for x in m):
+            items.append((tuple(x // 2 for x in m), (a + b) / 2 - rng.randint(0, 1)))
+    return P, LaurentPoly.make(n, items)
+
+
+def lifted(exps):
+    """The terms of exponents on the strictly concave lift -|u|^2: every
+    term is a vertex."""
+    return [(u, Fraction(-sum(x * x for x in u))) for u in exps]
+
+
+class TestEqualityByDomination:
+    """fn_eq and fn_witness against the reference: canonical forms
+    structurally equal."""
+
+    def test_differential_sweep(self):
+        # n = 1..4, a third of the pairs sharing terms
+        rng = random.Random(16016)
+        equal = 0
+        for k in range(3000):
+            n = 1 + k % 4
+            if k % 3 == 2:
+                P, Q = shared_pair(rng, n)
+            else:
+                P, Q = rand_poly(rng, n, max_terms=6), rand_poly(rng, n, max_terms=6)
+            want = canonicalize(P) == canonicalize(Q)
+            w = fn_witness(P, Q)
+            assert fn_eq(P, Q) == want == (w is None), (P, Q)
+            if w is not None:
+                assert P.eval(w) != Q.eval(w), (P, Q, w)
+            equal += want
+        assert equal > 200
+
+    @given(st.integers(0, 3).flatmap(lambda n: st.tuples(tie_prone_polys(num_vars=n),
+                                                         tie_prone_polys(num_vars=n))))
+    def test_matches_canonical_forms(self, pair):
+        P, Q = pair
+        w = fn_witness(P, Q)
+        assert (w is None) == (canonicalize(P) == canonicalize(Q))
+        if w is not None:
+            assert P.eval(w) != Q.eval(w)
+
+    def test_no_variables(self):
+        bottom, one, two = LaurentPoly.zero(0), LaurentPoly.one(0), LaurentPoly.constant(0, 2)
+        for P, Q, equal in [(bottom, bottom, True), (one, one, True), (one, two, False),
+                            (bottom, one, False)]:
+            for A, B in ((P, Q), (Q, P)):
+                assert fn_eq(A, B) == equal
+                assert fn_witness(A, B) == (None if equal else ())
+
+    def test_bottom(self):
+        bottom = LaurentPoly.zero(2)
+        assert fn_witness(bottom, bottom) is None
+        for P in (LaurentPoly.one(2), P0, parse_poly_text("-5*x^-3 + y", 2)):
+            for A, B in ((P, bottom), (bottom, P)):
+                assert not fn_eq(A, B)
+                w = fn_witness(A, B)
+                assert A.eval(w) != B.eval(w)
+
+    def test_one_exponent_on_both_sides(self):
+        # the same exponent with a larger, equal or smaller coefficient,
+        # alone and beside a shared term, each pair in both orders
+        for rest in ("", " + y"):
+            Q = parse_poly_text("1*x" + rest, 2)
+            for c, equal in (("2", False), ("1", True), ("0", False)):
+                P = parse_poly_text(c + "*x" + rest, 2)
+                for A, B in ((P, Q), (Q, P)):
+                    assert fn_eq(A, B) == equal
+                    w = fn_witness(A, B)
+                    assert (w is None) == equal
+                    if w is not None:
+                        assert A.eval(w) != B.eval(w)
+
+
+class TestEqualityLPCount:
+    """The number of LPs an equality question asks, counted by wrapping
+    _lp.find_point: a term the other side has with no smaller coefficient
+    asks none, and every other term one until a point is found."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        real = _lp.find_point
+
+        def counting(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(_lp, "find_point", counting)
+        return count
+
+    def test_self_asks_none(self, calls):
+        P = LaurentPoly.make(3, lifted([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (2, 2, 2)]))
+        assert fn_eq(P, P)
+        assert calls[0] == 0
+
+    def test_one_lp_per_decoy(self, calls):
+        exps = [(0, 0), (2, 0), (0, 2), (2, 2), (4, 0), (-2, 2)]
+        terms = lifted(exps)
+        # a decoy at the midpoint of two exponents with their average
+        # coefficient is at most the larger of the two everywhere
+        decoys = {}
+        for i, (u, a) in enumerate(terms):
+            for v, b in terms[i + 1 :]:
+                m = tuple((x + y) // 2 for x, y in zip(u, v))
+                if all((x + y) % 2 == 0 for x, y in zip(u, v)) and m not in exps:
+                    decoys.setdefault(m, (a + b) / 2 - 1)
+        P = LaurentPoly.make(2, terms)
+        PD = LaurentPoly.make(2, terms + list(decoys.items()))
+        assert len(decoys) >= 4
+        for A, B in ((P, PD), (PD, P)):
+            calls[0] = 0
+            assert fn_eq(A, B)
+            assert calls[0] == len(decoys)
+
+    def test_new_vertex_asks_one(self, calls):
+        exps = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1)]
+        P = LaurentPoly.make(3, lifted(exps))
+        PW = LaurentPoly.make(3, lifted(exps + [(3, -1, 2)]))
+        w = fn_witness(P, PW)
+        assert calls[0] == 1
+        assert P.eval(w) < PW.eval(w)
+
+
+def _transforms(rng, n):
+    """A common shift a, as (P -> P.shift(a), w -> w - a), and a monomial
+    c*x^m, as (P -> c*x^m * P, w -> w)."""
+    a = rand_point(rng, n)
+    M = LaurentPoly.monomial(n, [rng.randint(-3, 3) for _ in range(n)], Fraction(rng.randint(-9, 9), 2))
+    return [
+        (lambda P: P.shift(a), lambda w: tuple(x - y for x, y in zip(w, a))),
+        (lambda P: M * P, lambda w: w),
+    ]
+
+
+class TestEqualityMetamorphic:
+    """fn_eq is unchanged by a transform applied to both sides, and a
+    witness moved by the same transform still separates."""
+
+    def check(self, rng, P, Q):
+        w = fn_witness(P, Q)
+        equal = w is None
+        ws = fn_witness(Q, P)
+        assert (ws is None) == equal
+        if not equal:
+            assert P.eval(w) != Q.eval(w) and P.eval(ws) != Q.eval(ws)
+        for f, g in _transforms(rng, P.num_vars):
+            fP, fQ = f(P), f(Q)
+            assert fn_eq(fP, fQ) == equal
+            if not equal:
+                assert fP.eval(g(w)) != fQ.eval(g(w))
+        return equal
+
+    def test_fixed_seed_sweep(self):
+        rng = random.Random(2071)
+        equal = 0
+        for k in range(600):
+            n = 1 + k % 3
+            P, Q = shared_pair(rng, n) if k % 2 else (rand_poly(rng, n), rand_poly(rng, n))
+            equal += self.check(rng, P, Q)
+        assert 50 < equal < 550
+
+    @given(polys(num_vars=2), polys(num_vars=2), st.randoms(use_true_random=False))
+    def test_random(self, P, Q, rng):
+        self.check(rng, P, Q)
+
+
 class TestGerm:
     def test_known_localization(self):
         g = germ_localize(P0, (0, 0))
@@ -297,6 +479,53 @@ class TestGerm:
         assert not fn_eq(P, Q)
         # at p = -2 the constant term of P wins
         assert not germ_eq(P, Q, (-2,))
+
+    def test_germ_eq_matches_localization_sweep(self):
+        # in half the pairs Q is P's initial form at p plus terms whose value
+        # there is P(p), which can change the germ, or below it, which cannot
+        rng = random.Random(4242)
+        equal = 0
+        for k in range(1500):
+            n = 1 + k % 3
+            p = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+            P = rand_poly(rng, n) if k % 7 else LaurentPoly.zero(n)
+            if k % 2 and P:
+                top = P.eval(p)
+                items = list(P.initial_form(p).terms)
+                for _ in range(rng.randint(0, 3)):
+                    u = tuple(rng.randint(-3, 3) for _ in range(n))
+                    items.append((u, top - sum(x * y for x, y in zip(u, p)) - rng.randint(0, 1)))
+                Q = LaurentPoly.make(n, items)
+            else:
+                Q = rand_poly(rng, n) if k % 5 else LaurentPoly.zero(n)
+            got = germ_eq(P, Q, p)
+            assert got == (germ_localize(P, p) == germ_localize(Q, p)), (P, Q, p)
+            assert germ_eq(Q, P, p) == got
+            equal += got
+        assert equal > 300
+
+    @given(tie_prone_polys(max_vars=3).flatmap(lambda P: st.tuples(
+        st.just(P),
+        points(P.num_vars),
+        st.lists(st.sampled_from((None, -1, 0, 0, 1)), min_size=len(P.terms), max_size=len(P.terms)),
+    )))
+    def test_germ_eq_matches_localization(self, case):
+        # Q is P with each term dropped (None) or its coefficient moved, so
+        # the pair is often bottom on a side and often ties at p
+        P, p, moves = case
+        Q = LaurentPoly.make(P.num_vars, [(u, c + d) for (u, c), d in zip(P.terms, moves) if d is not None])
+        for A in (P, LaurentPoly.zero(P.num_vars)):
+            assert germ_eq(A, Q, p) == (germ_localize(A, p) == germ_localize(Q, p))
+
+    def test_germ_eq_bottom_and_lengths(self):
+        bottom, one = LaurentPoly.zero(2), LaurentPoly.one(2)
+        assert germ_eq(bottom, bottom, (0, 0))
+        assert not germ_eq(bottom, one, (0, 0)) and not germ_eq(one, bottom, (0, 0))
+        for A, B in ((bottom, bottom), (bottom, one), (one, one)):
+            with pytest.raises(DimensionMismatch):
+                germ_eq(A, B, (0,))
+        with pytest.raises(DimensionMismatch):
+            germ_eq(one, LaurentPoly.one(3), (0, 0))
 
     def test_safe_radius_soundness(self):
         rng = random.Random(31)
