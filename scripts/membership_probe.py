@@ -18,7 +18,6 @@ from tropfan import (
     image_membership,
     standard_model,
 )
-from tropfan.evalmap import DEFAULT_MEMBER_BOUND
 
 
 def load_fan(cfg) -> WeightedFan:
@@ -33,8 +32,6 @@ def main():
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--trials", type=int, default=300)
     ap.add_argument("--span", type=int, default=8, help="values drawn from [-span, span]")
-    ap.add_argument("--bound", type=int, default=DEFAULT_MEMBER_BOUND,
-                    help="accepted and ignored: the search needs no cap")
     ap.add_argument("--fan", default="", help="path to a fan JSON file; default the standard model L_{n,r}")
     ap.add_argument("-n", type=int, default=2)
     ap.add_argument("-r", type=int, default=3)
@@ -50,7 +47,7 @@ def main():
         if sum(vals) < 0:
             vals[rng.randrange(k)] -= sum(vals)  # lift to degree >= 0
         G = RayFunction(X, tuple(vals))
-        w = image_membership(X, G, bound=cfg.bound)
+        w = image_membership(X, G)
         if w is None:
             tally["non-member"] += 1
         else:
@@ -59,7 +56,7 @@ def main():
             tally["member"] += 1
             witness_terms.append(len(w.terms))
 
-    print(f"fan: {cfg.fan or f'L_{{{cfg.n},{cfg.r}}}'}  rays={k}  bound={cfg.bound}")
+    print(f"fan: {cfg.fan or f'L_{{{cfg.n},{cfg.r}}}'}  rays={k}")
     print(f"degree >= 0 samples: {cfg.trials}")
     for key in ("member", "non-member"):
         print(f"  {key:12s} {tally[key]:5d}  ({100.0 * tally[key] / cfg.trials:.1f}%)")

@@ -108,7 +108,10 @@ def _render_svg(X: _fan.WeightedFan) -> str:
         f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="black"/>',
     ]
     for ray in X.rays:
-        dx, dy = ray.direction
+        # exact int / int division first: a coordinate past float range
+        # would overflow math.hypot
+        top = max(map(abs, ray.direction))
+        dx, dy = (x / top for x in ray.direction)
         norm = math.hypot(dx, dy)
         # unit-length segment; SVG's y axis points down
         ex, ey = cx + scale * dx / norm, cy - scale * dy / norm

@@ -199,32 +199,33 @@ def is_smooth(X: WeightedFan) -> SmoothReport:
 @functools.lru_cache(maxsize=1024)
 def _tight_search(gens: tuple, a: int) -> tuple:
     """The search at ray a among the weighted directions ``gens``, apart
-    from the values: ``(lift, kept, rows, dropped, free)``.  The z tight at
-    a are ``lift . (q, w)``; each pair (b, c_b) of ``kept`` gives the row
-    ``rows[i] . w <= G(b) - q c_b``, and each pair (b, l_b) of ``dropped``
-    the l_b > 0 by which ``free`` lowers G(b), keeping the kept values."""
+    from the values: ``(lift, kept, rows, dropped, free)``, all read in the
+    exponents z.  Each pair (b, l_b) of ``dropped`` is a ray that some
+    recession direction y leaves (g_a . y = 0, every other g_c . y <= 0
+    and g_b . y < 0) and the l_b > 0 by which the exponent ``free``, a sum
+    of such directions, lowers G(b), keeping G(a) and the kept values.
+    The rest is one column HNF [g_a; g_K] U = H over the kept rays K, of
+    rank r: the z tight at a are ``lift . (q, w)`` with ``lift`` the first
+    r columns of U, and each pair (b, H_b[0]) of ``kept`` gives the row
+    ``rows[i] . w <= G(b) - q H_b[0]``, ``rows[i]`` being H_b[1:r]."""
     n, mul = len(gens[a]), operator.mul
     others = [b for b in range(len(gens)) if b != a]
-    U = hnf(IntMatrix.from_rows([gens[a]]))[1]  # g_a . U = (w_a, 0, ..., 0)
-    C, R = zip(*[(x[0], x[1:]) for x in map(U.transpose().apply, gens)])  # g_b . U = (c_b, r_b)
     ys: list = []
-    if any(map(sum, zip(*R))):  # rows that sum to 0 leave no row to drop
+    if any(map(sum, zip(*gens))):  # on a balanced fan no row drops
+        cons = [(gens[a], 0, False), (tuple([-x for x in gens[a]]), 0, False)]
+        cons += [(gens[c], 0, False) for c in others]
         for b in others:
-            if any(R[b]) and not any(sum(map(mul, R[b], y)) < 0 for y in ys):
-                found = _lp.find_point([(R[c], 0, False) for c in others] + [(R[b], 0, True)], n - 1)
+            if not any(sum(map(mul, gens[b], y)) < 0 for y in ys):
+                found = _lp.find_point(cons + [(gens[b], 0, True)], n)
                 if found is not None:
-                    ys.append(found[0])
-    y = [sum(col) for col in zip(*ys)] or [0] * (n - 1)
-    loosen = [-sum(map(mul, r, y)) for r in R]
+                    ys.append(primitive(found[0])[1])
+    free = tuple([sum(col) for col in zip(*ys)]) or (0,) * n
+    loosen = [-sum(map(mul, g, free)) for g in gens]
     kept = [b for b in others if not loosen[b]]
-    cols, rows = [(1,) + (0,) * (n - 1)], [()] * len(kept)
-    if kept and n > 1:
-        H, V = hnf(IntMatrix.from_rows([R[b] for b in kept]))
-        rank = sum(map(any, zip(*H.data)))
-        cols += [(0,) + V.col(j) for j in range(rank)]
-        rows = [h[:rank] for h in H.data]
-    return ((U @ IntMatrix(tuple(zip(*cols)))).data, tuple([(b, C[b]) for b in kept]), tuple(rows),
-            tuple([(b, loosen[b]) for b in others if loosen[b]]), U.apply((0, *y)))
+    H, U = hnf(IntMatrix.from_rows([gens[a]] + [gens[b] for b in kept]))  # row 0 is (w_a, 0, ..., 0)
+    rank = sum(map(any, zip(*H.data)))
+    return (tuple([u[:rank] for u in U.data]), tuple([(b, h[0]) for b, h in zip(kept, H.data[1:])]),
+            tuple([h[1:rank] for h in H.data[1:]]), tuple([(b, loosen[b]) for b in others if loosen[b]]), free)
 
 
 def _tight_exponent(gens: tuple, values, a: int) -> Optional[tuple]:
@@ -257,20 +258,22 @@ def image_membership(
     non-membership before any search.  So is a negative degree on a
     balanced fan: the values (M^T z)_b of a term sum to z . sum_b g_b = 0,
     so M^T z <= G forces deg G >= 0.  The search at ray a is exact in
-    three steps, cached per fan and ray (Schrijver 1986, section 12.2):
+    two steps on the exponents themselves, cached per fan and ray
+    (Schrijver 1986, sections 4.1 and 12.2):
 
-    1. The column HNF g_a . U = (w_a, 0, ..., 0) makes the tight z
-       U (q, y), q = G(a) / w_a and y integral; row b reads
-       r_b . y <= G(b) - q c_b, where g_b . U = (c_b, r_b).
-    2. Row b is dropped when some y has every r_c . y <= 0 and
-       r_b . y < 0 (an LP, skipped when the r_b sum to 0).  By Farkas the
-       kept rows carry a positive relation of full support, so every
-       positive combination y_N of the LP points, here the sum of their
-       integer numerators, is 0 on them and < 0 on the dropped rows: a
-       point of the kept rows plus t y_N, t large, meets them all.
-    3. The kept rows' column HNF R_K V = H has rank r; w in Z^r is
-       searched on H's first r columns, where the positive relation
-       leaves {w : H w <= 0} = {0}, a bounded region.
+    1. Row b is dropped when a recession direction y has g_a . y = 0,
+       every other g_c . y <= 0 and g_b . y < 0 (an LP, skipped on a
+       balanced fan, where the g_c sum to 0).  By Farkas the kept rows
+       carry a relation modulo g_a that is positive on each of them, so
+       every positive combination y_N of the LP points, here the sum of
+       their primitive integer multiples, is 0 on g_a and on the kept
+       rows and < 0 on the dropped ones: a tight point of the kept rows
+       plus t y_N, t large, meets them all.
+    2. The column HNF [g_a; g_K] U = H of g_a over the kept rows has
+       row 0 (w_a, 0, ..., 0) and rank r.  The tight z are
+       U (q, w, 0, ..., 0), q = G(a) / w_a and w in Z^(r-1); row b reads
+       H_b[1:r] . w <= G(b) - q H_b[0], and the positive relation leaves
+       {w : H_b[1:r] . w <= 0 for all kept b} = {0}, a bounded region.
 
     A ray is not searched when an exponent already found is tight there,
     so the witness has at most one term per ray, and possibly fewer.

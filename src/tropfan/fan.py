@@ -110,9 +110,6 @@ class WeightedFan:
         d = primitive(v)[1]
         return next((ray for ray in self.rays if ray.direction == d), None)
 
-    def directions(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(r.direction for r in self.rays)
-
     def ray_labels(self) -> list[str]:
         return [r.label() for r in self.rays]
 

@@ -66,9 +66,6 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.data[0])
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
 

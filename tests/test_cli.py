@@ -258,6 +258,16 @@ class TestPlotAndErrors:
         assert out.startswith("<svg ") and out.rstrip().endswith("</svg>")
         assert out.count("<line") == 3
 
+    def test_plot_direction_beyond_float_range(self, capsys, tmp_path):
+        # 10**400 + 1 has no float; the ray is drawn as (1, 0) would be
+        fan = tmp_path / "f.json"
+        fan.write_text(json.dumps({"ambient_dim": 2, "rays": [
+            {"direction": [10**400 + 1, 1], "weight": 1}, {"direction": [-1, 0], "weight": 1}]}))
+        code, out = invoke(capsys, "fan", "plot", str(fan))
+        assert code == 0
+        assert '<line x1="200.00" y1="200.00" x2="350.00" y2="200.00"' in out
+        assert '<line x1="200.00" y1="200.00" x2="50.00" y2="200.00"' in out
+
     def test_plot_rejects_3d(self, capsys):
         code, out = invoke(capsys, "fan", "plot", str(FIX / "L34.json"))
         assert code == 1

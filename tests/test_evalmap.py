@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -433,8 +435,9 @@ class TestMembership:
     @pytest.mark.parametrize("step", [-1, 3, -7])
     def test_a_faulty_integer_point_never_yields_a_witness(self, step, monkeypatch):
         # the search at (0,1), the second, has one variable w, whose tight
-        # exponents (-w, 1) meet every ray for w in -1..1 only; it returns
-        # -1, and a w moved past either end is above a value at some ray
+        # exponents (-1 - w, 1) meet every ray for w in -2..0 only; it
+        # returns -2, and a w moved past either end is above a value at
+        # some ray
         search = _lp.integer_point_search
         calls = []
 
@@ -446,7 +449,7 @@ class TestMembership:
         monkeypatch.setattr(_lp, "integer_point_search", faulty)
         with pytest.raises(AssertionError, match="reproduce"):
             image_membership(L23, RayFunction(L23, (0, 1, 1)))
-        assert calls == [(-1,), (-1,)]
+        assert calls == [(-1,), (-2,)]
 
     def test_smooth_fan_member_gets_a_witness(self):
         # a member of a smooth fan whose smallest witness exponent has a
@@ -497,6 +500,29 @@ class TestMembership:
         X = WeightedFan.build(3, [((1, 2, 0), 1), ((3, 1, 0), 1), ((-4, -3, 0), 1)])
         assert image_membership(X, RayFunction(X, (1, 0, -1))) is None
         assert image_membership(X, RayFunction(X, (1, 2, 3))) is not None
+
+    def test_one_hnf_per_fan_and_ray(self, monkeypatch):
+        # the search record at ray a is read off one column HNF of g_a over
+        # the kept rays, built once and then cached
+        hnf, calls, seen = evalmap.hnf, [], set()
+
+        def counted(A):
+            calls.append(A)
+            return hnf(A)
+
+        monkeypatch.setattr(evalmap, "hnf", counted)
+        evalmap._tight_search.cache_clear()
+        rng = random.Random(7373)
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            X = rng.choice([rand_balanced_fan, rand_unbalanced_fan, rand_non_spanning_fan])(rng, n)
+            gens = tuple(ray.generator for ray in X.rays)
+            for a in range(len(gens)):
+                for _ in range(2):
+                    before = len(calls)
+                    evalmap._tight_search(gens, a)
+                    assert len(calls) - before == ((gens, a) not in seen), (gens, a)
+                    seen.add((gens, a))
 
 
 # ------------------------------------- membership against the per-ray search
@@ -583,6 +609,22 @@ def test_membership_sweep():
         seen.add(check_membership(X, rand_membership_values(rng, X, kind), rng.choice([0, 3, 6])))
     assert {("member", "member"), ("non-member", "non-member"), ("inconclusive", "member"),
             ("inconclusive", "non-member")} <= seen
+
+
+def test_balanced_witnesses_are_pinned():
+    # the witnesses on balanced fans, one search per ray, digested; a change
+    # of parametrisation that moves the searched w by an integer vector
+    # keeps every one of them
+    rng = random.Random(7474)
+    out = []
+    for _ in range(800):
+        X = rand_balanced_fan(rng, rng.randint(1, 4), max_rays=5)
+        values = rand_membership_values(rng, X, rng.choice(["member", "random"]))
+        w = image_membership(X, RayFunction(X, tuple(values)))
+        out.append(None if w is None else [u for u, _ in w.terms])
+    assert sum(w is not None for w in out) > 300
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "9fab1e5939dfa4ca831663bb7a503bdb1f8b0683b9245765246d5b1d02372abb"
 
 
 def test_bound_changes_no_answer():

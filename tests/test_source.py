@@ -50,3 +50,26 @@ def test_operator_index_only_in_semiring():
     # the integer rule is semiring.as_index; every other module calls it
     users = sorted(path.name for path in SRC.glob("*.py") if "operator.index" in path.read_text())
     assert users == ["semiring.py"]
+
+
+def test_every_definition_is_used():
+    # a module-level function or class of the library is named, and a method
+    # reached as an attribute, somewhere in the library, its tests, the
+    # benchmark or the scripts; dunder methods are reached by the language
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for top in ("src", "tests", "bench", "scripts") for path in sorted((ROOT / top).rglob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    named = {node.id for node in nodes if isinstance(node, ast.Name)}
+    named |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    unused = []
+    defs = (ast.FunctionDef, ast.ClassDef)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, defs) and node.name not in named | attributes:
+                unused.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{path.name}:{node.name}.{item.name}" for item in node.body
+                           if isinstance(item, defs) and not item.name.startswith("__")
+                           and item.name not in attributes]
+    assert not unused, f"defined and never used: {unused}"
