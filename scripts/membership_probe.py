@@ -13,6 +13,7 @@ from collections import Counter
 
 from tropfan import (
     RayFunction,
+    TropfanError,
     WeightedFan,
     eval_map,
     image_membership,
@@ -20,11 +21,15 @@ from tropfan import (
 )
 
 
-def load_fan(cfg) -> WeightedFan:
-    if cfg.fan:
-        with open(cfg.fan) as fh:
-            return WeightedFan.from_json(json.load(fh))
-    return standard_model(cfg.n, cfg.r)
+def load_fan(ap, cfg) -> WeightedFan:
+    """The fan asked for; one that cannot be read or built is a usage error."""
+    try:
+        if cfg.fan:
+            with open(cfg.fan) as fh:
+                return WeightedFan.from_json(json.load(fh))
+        return standard_model(cfg.n, cfg.r)
+    except (OSError, ValueError, TropfanError) as exc:
+        ap.error(str(exc))
 
 
 def main():
@@ -36,8 +41,12 @@ def main():
     ap.add_argument("-n", type=int, default=2)
     ap.add_argument("-r", type=int, default=3)
     cfg = ap.parse_args()
+    if cfg.trials < 1:
+        ap.error(f"--trials must be at least 1, got {cfg.trials}")
+    if cfg.span < 0:
+        ap.error(f"--span must be at least 0, got {cfg.span}")
 
-    X = load_fan(cfg)
+    X = load_fan(ap, cfg)
     rng = random.Random(cfg.seed)
     k = len(X.rays)
     tally = Counter()

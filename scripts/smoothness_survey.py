@@ -58,6 +58,10 @@ def main():
     ap.add_argument("--trials", type=int, default=400)
     ap.add_argument("--max-weight", type=int, default=3)
     cfg = ap.parse_args()
+    if cfg.trials < 1:
+        ap.error(f"--trials must be at least 1, got {cfg.trials}")
+    if cfg.max_weight < 1:
+        ap.error(f"--max-weight must be at least 1, got {cfg.max_weight}")
 
     print("standard models (all expected smooth):")
     for n in range(1, 5):

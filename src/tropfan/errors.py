@@ -71,6 +71,9 @@ class NoIntegerSolution(TropfanError):
 
 
 class SupportViolation(TropfanError):
+    """A realized map leaving the support: a public name that no library
+    function raises, since a geometric image is realized within it."""
+
     code = "support_violation"
 
 

@@ -200,32 +200,33 @@ def is_smooth(X: WeightedFan) -> SmoothReport:
 def _tight_search(gens: tuple, a: int) -> tuple:
     """The search at ray a among the weighted directions ``gens``, apart
     from the values: ``(lift, kept, rows, dropped, free)``, all read in the
-    exponents z.  Each pair (b, l_b) of ``dropped`` is a ray that some
-    recession direction y leaves (g_a . y = 0, every other g_c . y <= 0
-    and g_b . y < 0) and the l_b > 0 by which the exponent ``free``, a sum
-    of such directions, lowers G(b), keeping G(a) and the kept values.
-    The rest is one column HNF [g_a; g_K] U = H over the kept rays K, of
-    rank r: the z tight at a are ``lift . (q, w)`` with ``lift`` the first
-    r columns of U, and each pair (b, H_b[0]) of ``kept`` gives the row
-    ``rows[i] . w <= G(b) - q H_b[0]``, ``rows[i]`` being H_b[1:r]."""
-    n, mul = len(gens[a]), operator.mul
+    exponents z.  Each round over the undecided rays asks one LP for a y
+    in C = {g_a . y = 0, g_c . y <= 0} with s . y < 0, s the sum of their
+    g_b, and none once s lies along g_a; a y found, made primitive, drops
+    each b with g_b . y < 0.  ``free`` sums these y, and each (b, l_b) of
+    ``dropped`` has l_b = -g_b . free > 0.  The column HNF [g_a; g_K] U = H
+    over the kept rays K has rank r: the z tight at a are ``lift . (q, w)``,
+    ``lift`` the first r columns of U, and each (b, H_b[0]) of ``kept``
+    gives the row ``rows[i] . w <= G(b) - q H_b[0]``, rows[i] = H_b[1:r]."""
+    n, mul, g = len(gens[a]), operator.mul, gens[a]
     others = [b for b in range(len(gens)) if b != a]
-    ys: list = []
-    if any(map(sum, zip(*gens))):  # on a balanced fan no row drops
-        cons = [(gens[a], 0, False), (tuple([-x for x in gens[a]]), 0, False)]
-        cons += [(gens[c], 0, False) for c in others]
-        for b in others:
-            if not any(sum(map(mul, gens[b], y)) < 0 for y in ys):
-                found = _lp.find_point(cons + [(gens[b], 0, True)], n)
-                if found is not None:
-                    ys.append(primitive(found[0])[1])
+    kept, ys = others, []
+    while True:
+        s = tuple(map(sum, zip(*[gens[b] for b in kept])))  # () once none is left
+        if sum(map(mul, g, s)) ** 2 == sum(map(mul, g, g)) * sum(map(mul, s, s)):  # s along g_a
+            break
+        found = _lp.find_point([(g, 0, False), (tuple([-x for x in g]), 0, False)]
+                               + [(gens[c], 0, False) for c in others] + [(s, 0, True)], n)
+        if found is None:
+            break
+        ys.append(primitive(found[0])[1])
+        kept = [b for b in kept if not sum(map(mul, gens[b], ys[-1]))]
     free = tuple([sum(col) for col in zip(*ys)]) or (0,) * n
-    loosen = [-sum(map(mul, g, free)) for g in gens]
-    kept = [b for b in others if not loosen[b]]
-    H, U = hnf(IntMatrix.from_rows([gens[a]] + [gens[b] for b in kept]))  # row 0 is (w_a, 0, ..., 0)
+    dropped = tuple([(b, -sum(map(mul, gens[b], free))) for b in others if b not in kept])
+    H, U = hnf(IntMatrix.from_rows([g] + [gens[b] for b in kept]))  # row 0 is (w_a, 0, ..., 0)
     rank = sum(map(any, zip(*H.data)))
     return (tuple([u[:rank] for u in U.data]), tuple([(b, h[0]) for b, h in zip(kept, H.data[1:])]),
-            tuple([h[1:rank] for h in H.data[1:]]), tuple([(b, loosen[b]) for b in others if loosen[b]]), free)
+            tuple([h[1:rank] for h in H.data[1:]]), dropped, free)
 
 
 def _tight_exponent(gens: tuple, values, a: int) -> Optional[tuple]:
@@ -262,13 +263,12 @@ def image_membership(
     (Schrijver 1986, sections 4.1 and 12.2):
 
     1. Row b is dropped when a recession direction y has g_a . y = 0,
-       every other g_c . y <= 0 and g_b . y < 0 (an LP, skipped on a
-       balanced fan, where the g_c sum to 0).  By Farkas the kept rows
-       carry a relation modulo g_a that is positive on each of them, so
-       every positive combination y_N of the LP points, here the sum of
-       their primitive integer multiples, is 0 on g_a and on the kept
-       rows and < 0 on the dropped ones: a tight point of the kept rows
-       plus t y_N, t large, meets them all.
+       every other g_c . y <= 0 and g_b . y < 0: rounds ask one LP each
+       of the sum s of the undecided rows, none once s lies along g_a, so
+       the last round leaves a relation modulo g_a positive on every kept
+       row (s itself, or by Farkas).  So the sum y_N of the rounds' points
+       is 0 on g_a and the kept rows and < 0 on the dropped ones: a tight
+       point of the kept rows plus t y_N, t large, meets them all.
     2. The column HNF [g_a; g_K] U = H of g_a over the kept rows has
        row 0 (w_a, 0, ..., 0) and rank r.  The tight z are
        U (q, w, 0, ..., 0), q = G(a) / w_a and w in Z^(r-1); row b reads

@@ -21,7 +21,6 @@ from .errors import (
     InvalidMorphism,
     NoIntegerSolution,
     NotGeometric,
-    SupportViolation,
 )
 from .evalmap import RayFunction, _require_boolean, eval_map
 from .fan import WeightedFan, support_contains
@@ -138,9 +137,11 @@ def realize_morphism(h: HomSpec) -> FanMorphism:
     to the prescribed image.
 
     Solves row_i(T) . gen(rho) = H_i(rho) over the integers simultaneously
-    for all rays rho of the target fan, then checks support preservation.
-    Only the action on the target's support is contractual; off the span
-    of the generators the integer solution is the canonical Hermite one.
+    for all rays rho of the target fan.  Then T . gen(rho) is the stacked
+    image vector at rho, which check_geometric put at the origin or on a
+    ray of the source, so T preserves support.  Only the action on the
+    target's support is contractual; off the span of the generators the
+    integer solution is the canonical Hermite one.
     """
     if not check_geometric(h):
         raise NotGeometric("some image vector leaves the cone of the source generators")
@@ -153,16 +154,10 @@ def realize_morphism(h: HomSpec) -> FanMorphism:
             raise NoIntegerSolution(
                 f"image {i} is not an integer combination of the target generators"
             )
-        rows.append(list(t))
-    T = IntMatrix.from_rows(rows)
-    try:
-        mu = FanMorphism(X, Y, T)
-    except InvalidMorphism as exc:
-        raise SupportViolation(str(exc)) from exc
-    for t, H in zip(T.data, h.images):
         if A.apply(t) != H.values:
             raise AssertionError("lattice solve must reproduce the image on every ray")
-    return mu
+        rows.append(list(t))
+    return FanMorphism(X, Y, IntMatrix.from_rows(rows))
 
 
 def extract_ray_map(mu: FanMorphism) -> dict[str, Optional[str]]:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -305,6 +307,34 @@ class TestRealize:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "lattice solve must reproduce the image on every ray\n"
+
+    def test_outcomes_with_moved_images(self):
+        # induced images, 60 % of them with c moved between two rays of one
+        # image (still degree 0): each draw ends in a morphism, NotGeometric
+        # or NoIntegerSolution, never a support violation, since a solved
+        # row reproduces the image on every ray.  The outcome of every draw
+        # is pinned
+        rng = random.Random(7)
+        outcomes = []
+        for _ in range(4000):
+            h = induced_homspec(rand_morphism(rng))
+            k = len(h.target.rays)
+            if rng.random() < 0.6:
+                i, a, c = rng.randrange(len(h.images)), rng.randrange(k), rng.randint(1, 3)
+                values = list(h.images[i].values)
+                values[a] += c
+                values[(a + rng.randrange(1, k)) % k] -= c
+                images = list(h.images)
+                images[i] = RayFunction(h.target, tuple(values))
+                h = HomSpec(h.source, h.target, tuple(images))
+            try:
+                realize_morphism(h)
+                outcomes.append("realized")
+            except (NotGeometric, NoIntegerSolution) as exc:
+                outcomes.append(type(exc).__name__)
+        assert Counter(outcomes) == {"realized": 1802, "NotGeometric": 1513, "NoIntegerSolution": 685}
+        digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+        assert digest == "d8e48c72bfa288bcd82281064c874f406cebec1f5e0dee618698de96e199cfde"
 
     def test_no_integer_solution(self):
         # on Y the degree-0 function (1, 0, -1) needs the fractional

@@ -13,13 +13,17 @@ ROOT = Path(__file__).resolve().parent.parent
 COUNT = re.compile(r"^  (\S.*?)\s+(\d+)  \(\d+\.\d%\)$")
 
 
-def run_script(name, *args):
+def launch(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_script(name, *args):
+    proc = launch(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -46,3 +50,19 @@ def test_smoothness_survey():
         tally = counts(section.splitlines())
         assert set(tally) <= {"smooth", "weight > 1", "rank deficit", "lattice index"}
         assert sum(tally.values()) == 20
+
+
+@pytest.mark.parametrize("name, args", [
+    ("membership_probe.py", ["--trials", 0]),
+    ("membership_probe.py", ["--span", -1]),
+    ("membership_probe.py", ["-n", 2, "-r", 9]),
+    ("membership_probe.py", ["--fan", "fixtures/no_such_fan.json"]),
+    ("membership_probe.py", ["--fan", "README.md"]),
+    ("smoothness_survey.py", ["--max-weight", 0]),
+    ("smoothness_survey.py", ["--trials", -1]),
+])
+def test_bad_arguments_are_usage_errors(name, args):
+    # argparse's exit 2 with its one error line, never a traceback
+    proc = launch(name, *args)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(f"{name}: error: ")

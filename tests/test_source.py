@@ -73,3 +73,23 @@ def test_every_definition_is_used():
                            if isinstance(item, defs) and not item.name.startswith("__")
                            and item.name not in attributes]
     assert not unused, f"defined and never used: {unused}"
+
+
+def test_every_error_is_raised_or_inert():
+    # each error class is raised somewhere in the library, or its docstring
+    # says that no library function raises it (a public name kept as inert)
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    errors, silent = {"TropfanError"}, []
+    for node in ast.parse((SRC / "errors.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) in errors for base in node.bases):
+            errors.add(node.name)
+            inert = "no library function raises" in " ".join((ast.get_docstring(node) or "").split())
+            if node.name not in raised and not inert:
+                silent.append(node.name)
+    assert len(errors) > 15
+    assert not silent, f"error classes neither raised nor documented as inert: {silent}"
