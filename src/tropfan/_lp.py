@@ -52,6 +52,9 @@ on the rows, not on the right-hand sides, so it is built once per
   integers, so a row holds at an integer point exactly as written.
 * Elimination: at each variable, the last first, each pair of a lower
   and an upper row adds ``|a_l| * upper + a_u * lower``, without dividing.
+* Levels: level k holds the rows with variable k of the projection onto
+  the first k variables, split into upper (a > 0) and lower rows, each
+  ``(c, combo, |a|)`` as the search reads it.
 * Guards: a row with no variable left is a condition ``0 <= combo . rhs``
   on the right-hand sides.  The system is rationally feasible iff every
   guard holds; if one fails the answer is ``(None, False)`` at once.
@@ -216,12 +219,12 @@ class _Plan(NamedTuple):
 
     ``guards`` holds the ``combo`` of each constant row ``0 <= r``, where
     ``r`` is ``combo . rhs`` for the input right-hand sides ``rhs``.
-    ``rows`` is flat, four entries a row ``k, a, c[:k-1], combo``: a row
-    ``c . x <= r`` of the projection onto the first k variables whose
-    coefficient ``a = c[k-1]`` is not 0."""
+    ``levels[k-1]`` is ``(uppers, lowers)``, the rows ``c . x + a z <= r``
+    of the projection onto the first k variables, z the k-th, with
+    ``a > 0`` and ``a < 0``; each row is ``(c, combo, |a|)``."""
 
     guards: tuple
-    rows: tuple
+    levels: tuple
 
 
 def _reduce(rows, guards: set) -> list:
@@ -258,29 +261,26 @@ def _plan(rows: tuple) -> _Plan:
     m, n = len(rows), len(rows[0]) if rows else 0
     unit = [tuple([int(i == x) for i in range(m)]) for x in range(m)]
     guards: set = set()
-    flat: list = []
-    paired = 0
+    levels: list = []
     cur = _reduce([(c, unit[x], 1 << x) for x, c in enumerate(rows)], guards)
-    for k in range(n, 0, -1):
+    for t, k in enumerate(range(n, 0, -1), 1):
         j = k - 1
-        zeros, uppers, lowers = [], [], []
-        for row in cur:
-            a = row[0][j]
-            (uppers if a > 0 else lowers if a < 0 else zeros).append(row)
-        for c, combo, _ in uppers + lowers:
-            flat += (k, c[j], c[:j], combo)
-        nxt = [(c[:j], combo, ineqs) for c, combo, ineqs in zeros]
-        paired += 1
-        for cl, combol, il in lowers:
-            al = -cl[j]
-            for cu, combou, iu in uppers:
-                if (il | iu).bit_count() > paired + 1:
+        nxt, uppers, lowers = [], [], []
+        for c, combo, ineqs in cur:
+            a = c[j]
+            if a:
+                (uppers if a > 0 else lowers).append((c[:j], combo, abs(a), ineqs))
+            else:
+                nxt.append((c[:j], combo, ineqs))
+        levels.insert(0, ([row[:3] for row in uppers], [row[:3] for row in lowers]))
+        for cl, combol, al, il in lowers:
+            for cu, combou, au, iu in uppers:
+                if (il | iu).bit_count() > t + 1:
                     continue  # Chernikov's count rule, before the row is built
-                au = cu[j]
-                nxt.append((tuple([al * u + au * l for u, l in zip(cu[:j], cl)]),
+                nxt.append((tuple([al * u + au * l for u, l in zip(cu, cl)]),
                             tuple([al * u + au * l for u, l in zip(combou, combol)]), il | iu))
         cur = _reduce(nxt, guards)
-    return _Plan(tuple(guards), tuple(flat))
+    return _Plan(tuple(guards), tuple(levels))
 
 
 def integer_point_search(rows: tuple, rhs: Sequence[int]):
@@ -297,22 +297,17 @@ def integer_point_search(rows: tuple, rhs: Sequence[int]):
     for combo in plan.guards:
         if sum(map(mul, combo, rhs)) < 0:
             return None, False
-    nvars = len(rows[0]) if rows else 0
-    # levels[k] holds the rows (c, b, |a|) with c . x <= b at every point x,
-    # split into upper (a > 0) and lower rows.
-    levels = [([], []) for _ in range(nvars + 1)]
-    it = iter(plan.rows)
-    for k, a, c, combo in zip(it, it, it, it):
-        b = sum(map(mul, combo, rhs))
-        if a > 0:
-            levels[k][0].append((c, b, a))
-        else:
-            levels[k][1].append((c, b, -a))
-    if not all(uppers and lowers for uppers, lowers in levels[1:]):
+    if not all(uppers and lowers for uppers, lowers in plan.levels):
         raise AssertionError("the search region must be bounded")
 
+    def at_rhs(side):
+        return [(c, sum(map(mul, combo, rhs)), a) for c, combo, a in side]
+
+    # levels[k] holds the rows (c, b, a) of plan.levels[k] with b = combo . rhs
+    levels = [(at_rhs(uppers), at_rhs(lowers)) for uppers, lowers in plan.levels]
+
     def dfs(k: int, prefix: list[int]):
-        if k > nvars:
+        if k == len(levels):
             return tuple(prefix)
         uppers, lowers = levels[k]
         # c . prefix + a z <= b gives z <= (b - c . prefix) // a on an upper
@@ -335,4 +330,4 @@ def integer_point_search(rows: tuple, rhs: Sequence[int]):
                 return found
         return None
 
-    return dfs(1, []), False
+    return dfs(0, []), False

@@ -74,10 +74,14 @@ class RayFunction:
     @classmethod
     def from_json(cls, fan: WeightedFan, obj: dict) -> "RayFunction":
         try:
-            values = list(obj["values"])
+            values = obj["values"]
+            if isinstance(values, (str, dict)):
+                raise TypeError(f"{values!r} is not a list of values")
+            values = list(values)
+            rays = list(obj["rays"]) if "rays" in obj else None
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad ray function object: {exc}") from exc
-        if "rays" in obj and list(obj["rays"]) != fan.ray_labels():
+        if rays is not None and rays != fan.ray_labels():
             raise ParseError("ray names do not match the fan's sorted rays")
         bottoms = [v == "-inf" for v in values]
         if all(bottoms) and values:

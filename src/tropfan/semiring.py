@@ -114,7 +114,10 @@ def as_int(v) -> int:
 
 def as_ints(v, coerce=as_index) -> tuple[int, ...]:
     """v as a tuple of ints: unchanged when every entry is a plain int,
-    otherwise each entry coerced by ``coerce``."""
+    otherwise each entry coerced by ``coerce``.  A string or a dict raises
+    TypeError rather than being read as its characters or its keys."""
+    if isinstance(v, (str, dict)):
+        raise TypeError(f"{v!r} is not a vector of integers")
     v = tuple(v)
     if set(map(type, v)) - {int}:
         v = tuple(map(coerce, v))
@@ -146,10 +149,6 @@ def trop_sum(values) -> TropValue:
     for v in values:
         out = max(out, v)
     return out
-
-
-def is_bool_value(v: TropValue) -> bool:
-    return isinstance(v, _NegInf) or v == 0
 
 
 @dataclass(frozen=True)

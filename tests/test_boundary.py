@@ -34,7 +34,7 @@ from tropfan import (
 )
 from tropfan.cli import run
 from tropfan.laurent import MAX_TEXT_VARS
-from tropfan.semiring import as_index, as_int, as_trop
+from tropfan.semiring import as_index, as_int, as_ints, as_trop
 
 ROOT = Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -298,6 +298,53 @@ class TestRayValues:
         hs.write_text(json.dumps({"source": str(FIX / "Y.json"), "target": str(FIX / "L23.json"),
                                   "images": 5}))
         assert error_of(capsys, "morphism", "realize", hs) == "parse_error"
+
+
+LINE = {"ambient_dim": 1, "rays": [{"direction": [1], "weight": 1}, {"direction": [-1], "weight": 1}]}
+
+
+class TestVectorsAreArrays:
+    """A vector in JSON is an array: a string is not read as its
+    characters, nor an object as its keys."""
+
+    L23 = standard_model(2, 3)
+
+    @pytest.mark.parametrize("load", [
+        lambda: IntMatrix.from_json({"data": ["12", "34"]}),
+        lambda: IntMatrix.from_json({"data": [{"1": 0, "2": 0}]}),
+        lambda: IntMatrix.from_json({"data": "2"}),
+        lambda: WeightedFan.from_json(_fan(direction="10")),
+        lambda: WeightedFan.from_json(_fan(direction={"1": 0, "0": 0})),
+        lambda: poly_from_json({"vars": 2, "terms": [{"coeff": 0, "exp": "12"}]}),
+        lambda: RayFunction.from_json(standard_model(2, 3), {"values": "000"}),
+        lambda: RayFunction.from_json(standard_model(2, 3), {"values": {"0": 0, "1": 0, "2": 0}}),
+    ], ids=["matrix rows as strings", "matrix row as object", "matrix as string", "direction as string",
+            "direction as object", "exponent as string", "values as string", "values as object"])
+    def test_library_rejects(self, load):
+        with pytest.raises(ParseError):
+            load()
+
+    @pytest.mark.parametrize("v", ["12", {"1": 0, "2": 0}, ""])
+    def test_as_ints_refuses_strings_and_objects(self, v):
+        with pytest.raises(TypeError):
+            as_ints(v, as_int)
+
+    @pytest.mark.parametrize("doc, argv", [
+        ({"data": ["12", "34"]}, ["hnf"]),
+        (_fan(direction="10"), ["fan", "check"]),
+        (_fan(direction="10"), ["member", "--values", "1,-1"]),
+        ({"matrix": "2", "source": LINE, "target": LINE}, ["morphism", "check"]),
+        ({"source": LINE, "target": LINE, "images": ["00"]}, ["morphism", "realize"]),
+    ], ids=["hnf", "fan check", "member", "morphism check", "morphism realize"])
+    def test_cli_rejects(self, capsys, tmp_path, doc, argv):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert error_of(capsys, *argv, path) == "parse_error"
+
+    @pytest.mark.parametrize("rays", [5, None])
+    def test_ray_names_not_a_list(self, rays):
+        with pytest.raises(ParseError):
+            RayFunction.from_json(self.L23, {"values": [0, 0, 0], "rays": rays})
 
 
 class TestMemberBound:

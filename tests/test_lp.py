@@ -509,19 +509,46 @@ def test_plan_keys_tell_systems_apart():
             check_search([rows[k] for k in order], [rhs[k] for k in order])
 
 
+def plan_systems():
+    """The rows of 2,000 random systems in 1 to 4 variables that need not
+    be bounded."""
+    rng = random.Random(2020)
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        yield tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(1, 8)))
+
+
 def test_pinned_plan_digest():
     # The digest pins the plans themselves, rows and guards, on systems
     # that need not be bounded, so a change to the pruning cannot move a
     # row without the oracle sweeps above having to catch it.  Guards are
-    # a set, so they are hashed sorted.
-    rng = random.Random(2020)
+    # a set, so they are hashed sorted.  The rows are hashed flat, four
+    # entries a row (k, a, c, combo), the levels from the last down and
+    # each level's upper rows before its lower rows.
     digest = hashlib.sha256()
-    for _ in range(2000):
-        n = rng.randint(1, 4)
-        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(1, 8)))
+    for rows in plan_systems():
         plan = _plan(rows)
-        digest.update(repr((sorted(plan.guards), plan.rows)).encode())
+        flat = []
+        for k in range(len(plan.levels), 0, -1):
+            uppers, lowers = plan.levels[k - 1]
+            for c, combo, a in uppers:
+                flat += (k, a, c, combo)
+            for c, combo, a in lowers:
+                flat += (k, -a, c, combo)
+        digest.update(repr((sorted(plan.guards), tuple(flat))).encode())
     assert digest.hexdigest() == "477c3f2a0782be302b554af1b7e42acc227b8a990d4051fb473a43ae75efe964"
+
+
+def test_plan_levels_have_the_shape_the_search_reads():
+    # one level per variable; a row of level k has the coefficients of
+    # the k - 1 variables before it, a positive |a| and a combination of
+    # every input row
+    for rows in plan_systems():
+        plan = _plan(rows)
+        assert len(plan.levels) == len(rows[0])
+        for k, (uppers, lowers) in enumerate(plan.levels, 1):
+            for c, combo, a in uppers + lowers:
+                assert len(c) == k - 1 and a > 0 and len(combo) == len(rows)
 
 
 class TestPlanCache:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tropfan import NEG_INF, TEXT_BOTTOM, TExt, text, text_add, text_mul, trop_add, trop_mul, trop_sum
 from tropfan.laurent import LaurentPoly, canonicalize
-from tropfan.semiring import as_scaled, as_trop, is_bool_value
+from tropfan.semiring import as_scaled, as_trop
 
 rationals = st.fractions(max_denominator=8, min_value=-20, max_value=20)
 trop_values = st.one_of(st.just(NEG_INF), rationals)
@@ -53,8 +53,6 @@ def test_trop_identities():
 
 
 def test_value_predicates():
-    assert is_bool_value(NEG_INF) and is_bool_value(Fraction(0)) and is_bool_value(0)
-    assert not is_bool_value(Fraction(1))
     assert as_trop(3) == Fraction(3)
     assert as_trop(NEG_INF) is NEG_INF
     with pytest.raises(TypeError):
