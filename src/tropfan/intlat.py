@@ -8,12 +8,18 @@ determinant and solves systems of full column rank: it keeps every entry
 a minor of the input and builds no transform, and such a system has at
 most one solution, so nothing more is needed.  Everything else runs on
 the column HNF ``_hnf_core``, which reduces each row left of its pivot and
-keeps the unimodular transform that the answers are read from.  The
-Smith form alternates it on A and A^T, which keeps its transforms on
-random 24x24 matrices in [-9, 9] within about twice the bit length of the
-determinant; transport, completion and rank-deficient solves read their
-answers off HNF transforms.  Matrices are immutable values; every
-operation returns fresh objects.
+keeps the unimodular transform that the answers are read from.  Its Euclid
+rounds take nearest-integer quotients, so remainders lie in [-|p|/2,
+|p|/2]; each round touches only the rows where the pivot column is
+nonzero; and the left reductions run after the echelon is complete, from
+the last pivot column leftwards, so every column they add is already
+reduced.  That order gives the same (H, U) as reducing each row as its
+pivot is found, because H is unique and the echelon's pivot columns are
+independent.  The Smith form alternates the HNF on A and A^T, which keeps
+its transforms on random 24x24 matrices in [-9, 9] within about twice the
+bit length of the determinant; transport, completion and rank-deficient
+solves read their answers off HNF transforms.  Matrices are immutable
+values; every operation returns fresh objects.
 """
 
 from __future__ import annotations
@@ -160,18 +166,33 @@ def _hnf_core(a: list[list[int]], U: list[list[int]]) -> list[tuple[int, int]]:
     Shape: column echelon with pivot rows strictly increasing, pivots
     positive, and every entry left of a pivot in its row reduced into
     [0, pivot).  Zero columns end up rightmost.
+
+    Three rules keep the work and the entries small:
+
+    1. Nearest-integer quotients.  Each Euclid round on row r moves its
+       entry p of least absolute value to column c and takes col_j -=
+       q*col_c with q the integer nearest x/p, so every remainder lies in
+       [-|p|/2, |p|/2] rather than [0, |p|) and the rounds are fewer.
+    2. Only live rows.  Column c does not change within a round, so the
+       round's first update collects the rows whose column-c entry is
+       nonzero and the later ones touch only those.  The left reductions
+       likewise skip the rows where the column they add is 0.
+    3. Left reductions last.  Once the echelon is complete, the pivot
+       columns are reduced from the last one leftwards: column j by the
+       pivot columns right of it, top pivot first.  Every column added is
+       then final, so no unreduced entry is ever multiplied in.  The order
+       leaves (H, U) unchanged: the reductions add pivot columns to pivot
+       columns, so they multiply the echelon's pivot columns on the right
+       by an integer T, and as those columns are independent, the unique
+       H fixes T.
+
+    H is unique, and so is U when A has full column rank; otherwise U's
+    kernel columns (those of the zero columns of H) depend on the
+    quotients taken.
     """
     n = len(a[0])
-
-    def col_add(j, i, k):  # col_j += k*col_i; col_add(c, c, -2) negates col_c
-        for row in both:
-            row[j] += k * row[i]
-
-    def col_swap(i, j):
-        for row in both:
-            row[i], row[j] = row[j], row[i]
-
     pivots = []
+    boths = []  # for each pivot (r, c), the rows a[r:] + U
     c = 0
     for r, arow in enumerate(a):
         if c == n:
@@ -180,32 +201,56 @@ def _hnf_core(a: list[list[int]], U: list[list[int]]) -> list[tuple[int, int]]:
         # step changes them.
         both = a[r:] + U
         while True:
-            jmin = None
+            jmin, p = None, 0
             for j in range(c, n):
                 v = abs(arow[j])
-                if v and (jmin is None or v < abs(arow[jmin])):
-                    jmin = j
+                if v and (not p or v < p):
+                    jmin, p = j, v
             if jmin is None:
                 break
             if jmin != c:
-                col_swap(c, jmin)
+                for row in both:
+                    row[c], row[jmin] = row[jmin], row[c]
+            pc = arow[c]
+            live = None
             done = True
             for j in range(c + 1, n):
-                if arow[j]:
-                    col_add(j, c, -(arow[j] // arow[c]))
+                x = arow[j]
+                if x:
+                    q = x // pc
+                    if 2 * abs(x - q * pc) > p:
+                        q += 1
+                    if live is None:
+                        live = []
+                        for row in both:
+                            v = row[c]
+                            if v:
+                                row[j] -= q * v
+                                live.append(row)
+                    else:
+                        for row in live:
+                            row[j] -= q * row[c]
                     done = done and arow[j] == 0
             if done:
                 break
         if arow[c] == 0:
             continue
         if arow[c] < 0:
-            col_add(c, c, -2)
-        for j in range(c):
-            q = arow[j] // arow[c]
-            if q:
-                col_add(j, c, -q)
+            for row in both:
+                row[c] = -row[c]
         pivots.append((r, c))
+        boths.append(both)
         c += 1
+    # The pivot columns are 0..c-1, and pivot row k of a is boths[k][0].
+    for j in range(c - 2, -1, -1):
+        for k in range(j + 1, c):
+            rows = boths[k]
+            q = rows[0][j] // rows[0][k]
+            if q:
+                for row in rows:
+                    v = row[k]
+                    if v:
+                        row[j] -= q * v
     return pivots
 
 

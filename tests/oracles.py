@@ -108,6 +108,58 @@ def xgcd_hnf(rows):
     return a
 
 
+def reference_hnf_core(a, U):
+    """The earlier ``intlat._hnf_core``, kept as the reference for the
+    differential test: floor quotients, every operation applied to every
+    row, and each pivot's left reductions made as soon as it is found.
+    Same contract: ``a`` and ``U`` are changed in place, the pivots are
+    returned as (row, column) pairs."""
+    n = len(a[0])
+
+    def col_add(j, i, k):  # col_j += k*col_i; col_add(c, c, -2) negates col_c
+        for row in both:
+            row[j] += k * row[i]
+
+    def col_swap(i, j):
+        for row in both:
+            row[i], row[j] = row[j], row[i]
+
+    pivots = []
+    c = 0
+    for r, arow in enumerate(a):
+        if c == n:
+            break
+        both = a[r:] + U
+        while True:
+            jmin = None
+            for j in range(c, n):
+                v = abs(arow[j])
+                if v and (jmin is None or v < abs(arow[jmin])):
+                    jmin = j
+            if jmin is None:
+                break
+            if jmin != c:
+                col_swap(c, jmin)
+            done = True
+            for j in range(c + 1, n):
+                if arow[j]:
+                    col_add(j, c, -(arow[j] // arow[c]))
+                    done = done and arow[j] == 0
+            if done:
+                break
+        if arow[c] == 0:
+            continue
+        if arow[c] < 0:
+            col_add(c, c, -2)
+        for j in range(c):
+            q = arow[j] // arow[c]
+            if q:
+                col_add(j, c, -q)
+        pivots.append((r, c))
+        c += 1
+    return pivots
+
+
 # -------------------------------------------------- hull vertex oracle
 
 

@@ -670,7 +670,7 @@ def test_balanced_witnesses_are_pinned():
         out.append(None if w is None else [u for u, _ in w.terms])
     assert sum(w is not None for w in out) > 300
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
-    assert digest == "9fab1e5939dfa4ca831663bb7a503bdb1f8b0683b9245765246d5b1d02372abb"
+    assert digest == "87e71673d2e6981391a089deee29173e55dcc119293216e77fd758ad80e9b0e6"
 
 
 def test_bound_changes_no_answer():
