@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .fan import WeightedFan, check_balancing, primitive
-from .intlat import IntMatrix, hnf, invariant_factors, snf
+from .intlat import IntMatrix, _hnf_core, _ident_list
 from .laurent import LaurentPoly
 from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int, as_ints
 
@@ -163,9 +163,13 @@ def ker_eq(X: WeightedFan, f: LaurentPoly, g: LaurentPoly) -> bool:
 
 def linear_relations(M: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer relations among the columns of M: the columns
-    of the HNF transform U (M.U = H) that M sends to zero."""
-    H, U = hnf(M)
-    return [U.col(j) for j in range(M.cols) if not any(H.col(j))]
+    of the HNF transform U (M.U = H) that M sends to zero.  H's zero
+    columns are rightmost, one for each column past the pivots, so the
+    relations are U's columns from the pivot count on, in order."""
+    a = [list(row) for row in M.data]
+    U = _ident_list(M.cols)
+    rank = len(_hnf_core(a, U))
+    return [tuple([row[j] for row in U]) for j in range(rank, M.cols)]
 
 
 @dataclass(frozen=True)
@@ -178,11 +182,16 @@ def is_smooth(X: WeightedFan) -> SmoothReport:
     """Decide smoothness at the origin.
 
     Requires balancing.  Smooth iff every weight is 1 and the rows of the
-    generator matrix generate the full degree-zero lattice; the latter is
-    tested by dropping the lex-last ray's coordinate (an isomorphism of
-    the degree-zero lattice with Z^{k-1} for balanced inputs) and asking
-    the Smith form of the remaining n x (k-1) matrix for k-1 unit
-    invariant factors.
+    generator matrix generate the full degree-zero lattice; dropping the
+    lex-last ray's coordinate is an isomorphism of that lattice with
+    Z^{k-1} for balanced inputs.  The remaining n x (k-1) matrix M is
+    read through the column HNF of M^T, whose rows are the generators of
+    every ray but the lex-last and whose columns generate the same
+    lattice as the rows of M.  Its pivot rows strictly increase, so its
+    rank is the pivot count; at rank k-1 its pivot columns are lower
+    triangular, so the index of the lattice in Z^{k-1} is the pivot
+    product.  These are the rank and the product of the invariant factors
+    that the Smith form of M would give, and no transform is built.
     """
     if not check_balancing(X):
         raise NotBalanced("smoothness is only defined for balanced fans")
@@ -190,11 +199,11 @@ def is_smooth(X: WeightedFan) -> SmoothReport:
         if ray.weight != 1:
             return SmoothReport(False, f"weight {ray.weight} on ray {ray.label()}")
     k = len(X.rays)
-    M = IntMatrix.from_rows([row[:-1] for row in generator_matrix(X).data])
-    factors = invariant_factors(snf(M)[1])
-    if len(factors) < k - 1:
-        return SmoothReport(False, f"rank {len(factors)} < {k - 1}")
-    index = math.prod(factors)
+    a = [list(ray.generator) for ray in X.rays[:-1]]
+    pivots = _hnf_core(a, [])
+    if len(pivots) < k - 1:
+        return SmoothReport(False, f"rank {len(pivots)} < {k - 1}")
+    index = math.prod([a[r][c] for r, c in pivots])
     if index != 1:
         return SmoothReport(False, f"lattice index {index}")
     return SmoothReport(True, None)
@@ -227,10 +236,10 @@ def _tight_search(gens: tuple, a: int) -> tuple:
         kept = [b for b in kept if not sum(map(mul, gens[b], ys[-1]))]
     free = tuple([sum(col) for col in zip(*ys)]) or (0,) * n
     dropped = tuple([(b, -sum(map(mul, gens[b], free))) for b in others if b not in kept])
-    H, U = hnf(IntMatrix.from_rows([g] + [gens[b] for b in kept]))  # row 0 is (w_a, 0, ..., 0)
-    rank = sum(map(any, zip(*H.data)))
-    return (tuple([u[:rank] for u in U.data]), tuple([(b, h[0]) for b, h in zip(kept, H.data[1:])]),
-            tuple([h[1:rank] for h in H.data[1:]]), dropped, free)
+    H, U = [list(g)] + [list(gens[b]) for b in kept], _ident_list(n)
+    rank = len(_hnf_core(H, U))  # row 0 of H is now (w_a, 0, ..., 0)
+    return (tuple([tuple(u[:rank]) for u in U]), tuple([(b, h[0]) for b, h in zip(kept, H[1:])]),
+            tuple([tuple(h[1:rank]) for h in H[1:]]), dropped, free)
 
 
 def _tight_exponent(gens: tuple, values, a: int) -> Optional[tuple]:

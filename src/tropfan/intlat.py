@@ -161,7 +161,8 @@ def _hnf_core(a: list[list[int]], U: list[list[int]]) -> list[tuple[int, int]]:
     """Column-style HNF of ``a`` in place; returns the pivots as (row,
     column) pairs.  The column operations multiply ``a`` on the right by a
     unimodular R, and ``U`` (rows as wide as ``a``) by the same R, so
-    U = E before the call gives A.U = a after it.
+    U = E before the call gives A.U = a after it.  ``U`` may be empty, for
+    callers that read only H and the pivots: no transform is then built.
 
     Shape: column echelon with pivot rows strictly increasing, pivots
     positive, and every entry left of a pivot in its row reduced into

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from oracles import (
     rand_matrix,
     rand_morphism,
     rand_unbalanced_fan,
+    rand_unimodular,
     weighted_values,
 )
 from tropfan import _lp, evalmap
@@ -125,7 +127,11 @@ def rand_non_spanning_fan(rng: random.Random, n):
     """A fan in m < n dimensions placed on m random coordinates of R^n."""
     m = rng.randint(1, n - 1)
     inner = rand_balanced_fan(rng, m) if rng.random() < 0.5 else rand_unbalanced_fan(rng, m)
-    axes = sorted(rng.sample(range(n), m))
+    return place_on_axes(inner, n, sorted(rng.sample(range(n), m)))
+
+
+def place_on_axes(inner, n, axes):
+    """The fan ``inner`` with its coordinates put on ``axes`` of R^n."""
     items = []
     for ray in inner.rays:
         d = [0] * n
@@ -340,6 +346,84 @@ class TestSmoothness:
         assert is_smooth(X).smooth
 
 
+# ------------------------------ smoothness against the determinantal divisors
+
+
+def reference_smoothness(X):
+    """(smooth, reason) from the invariant factors of the n x (k-1)
+    generator matrix with the lex-last ray dropped, read off its minors:
+    the first weight other than 1, then the rank as the number of factors,
+    then the index as their product."""
+    for ray in X.rays:
+        if ray.weight != 1:
+            return False, f"weight {ray.weight} on ray {ray.label()}"
+    k = len(X.rays)
+    factors = minor_divisor_factors([list(row[:-1]) for row in generator_matrix(X).data])
+    if len(factors) < k - 1:
+        return False, f"rank {len(factors)} < {k - 1}"
+    index = math.prod(factors)
+    return (True, None) if index == 1 else (False, f"lattice index {index}")
+
+
+def rand_smoothness_fan(rng: random.Random, n):
+    """A balanced fan in R^n: random with its drawn generators scaled by 1
+    or 2, a standard model, such a random fan on fewer coordinates, or a
+    unimodular image of a random one."""
+    kind = rng.choice(["random", "model", "non-spanning", "image"])
+    if kind == "non-spanning" and n > 1:
+        m = rng.randint(1, n - 1)
+        return place_on_axes(rand_balanced_fan(rng, m, max_weight=2), n, sorted(rng.sample(range(n), m)))
+    if kind == "model":
+        return standard_model(n, rng.randint(2, n + 1))
+    X = rand_balanced_fan(rng, n, max_weight=rng.randint(1, 2))
+    if kind == "image":
+        T = rand_unimodular(rng, n)
+        # T keeps each generator's gcd, so the weights do not change
+        X = WeightedFan.build(n, [(T.apply(ray.generator), 1) for ray in X.rays])
+    return X
+
+
+def exhaustive_balanced_fans(n, box, max_rays, weighted_rays):
+    """Every balanced fan in R^n on distinct primitive directions in
+    [-box, box]^n with 2..max_rays rays, weights 1 or 2 on fans of at most
+    ``weighted_rays`` rays and 1 on the rest."""
+    dirs = [d for d in product(range(-box, box + 1), repeat=n) if any(d) and math.gcd(*d) == 1]
+    fans = []
+    for k in range(2, max_rays + 1):
+        for rays in combinations(dirs, k):
+            for weights in product((1, 2), repeat=k) if k <= weighted_rays else [(1,) * k]:
+                if not any(map(sum, zip(*[[w * x for x in d] for w, d in zip(weights, rays)]))):
+                    fans.append(WeightedFan.build(n, zip(rays, weights)))
+    return fans
+
+
+class TestSmoothnessAgainstMinors:
+    @staticmethod
+    def check(fans):
+        """Compare every answer with the reference, and return the first
+        words of the reasons given (None for a smooth fan)."""
+        reasons = set()
+        for X in fans:
+            rep = is_smooth(X)
+            assert (rep.smooth, rep.reason) == reference_smoothness(X), X
+            reasons.add(rep.reason.split()[0] if rep.reason else None)
+        return reasons
+
+    def test_random_fans(self):
+        rng = random.Random(2626)
+        fans = [rand_smoothness_fan(rng, rng.randint(1, 5)) for _ in range(3000)]
+        assert self.check(fans) == {None, "weight", "rank", "lattice"}
+
+    @pytest.mark.parametrize("n, box, max_rays, weighted_rays, count, kinds", [
+        (2, 2, 5, 4, 520, {None, "weight", "rank", "lattice"}),
+        (3, 1, 5, 0, 987, {None, "rank", "lattice"}),
+    ])
+    def test_every_small_fan(self, n, box, max_rays, weighted_rays, count, kinds):
+        fans = exhaustive_balanced_fans(n, box, max_rays, weighted_rays)
+        assert len(fans) == count
+        assert self.check(fans) == kinds
+
+
 class TestMembership:
     def test_members_get_verified_witnesses(self):
         rng = random.Random(47)
@@ -550,13 +634,13 @@ class TestMembership:
     def test_one_hnf_per_fan_and_ray(self, monkeypatch):
         # the search record at ray a is read off one column HNF of g_a over
         # the kept rays, built once and then cached
-        hnf, calls, seen = evalmap.hnf, [], set()
+        hnf_core, calls, seen = evalmap._hnf_core, [], set()
 
-        def counted(A):
-            calls.append(A)
-            return hnf(A)
+        def counted(a, U):
+            calls.append(a)
+            return hnf_core(a, U)
 
-        monkeypatch.setattr(evalmap, "hnf", counted)
+        monkeypatch.setattr(evalmap, "_hnf_core", counted)
         evalmap._tight_search.cache_clear()
         rng = random.Random(7373)
         for _ in range(60):

@@ -327,6 +327,22 @@ class TestHnfKernel:
         # full rank, and deficient with and without a changed transform
         assert len(seen) == 3 and min(seen.values()) > 300, seen
 
+    def test_without_a_transform(self):
+        # an empty U carries nothing, and leaves H and the pivots exactly as
+        # they are with U = E
+        rng = random.Random(2626)
+        deficient = 0
+        for t in range(1200):
+            a = kernel_input(rng, t)
+            n = len(a[0])
+            bare, full = [r[:] for r in a], [r[:] for r in a]
+            pivots = _hnf_core(bare, [])
+            assert pivots == _hnf_core(full, [[int(i == j) for j in range(n)] for i in range(n)]), a
+            assert bare == full, a
+            deficient += len(pivots) < n
+        # full column rank and rank-deficient inputs both
+        assert min(deficient, 1200 - deficient) > 300, deficient
+
     @pytest.mark.parametrize("m, n", [(24, 24), (20, 20), (24, 16), (12, 12)])
     def test_intermediate_growth(self, m, n):
         # no value the kernel writes is longer than twice the longest entry
