@@ -67,8 +67,8 @@ on the rows, not on the right-hand sides, so it is built once per
   rows of smaller support.  ``_plan`` applies the count rule to each
   lower/upper pair before it builds the row, and ``_reduce`` applies the
   duplicate and subset rules to each level's rows.
-* Cache: ``_plan`` is a ``functools.lru_cache`` of 1,024 plans, keyed by
-  ``rows``.  Nothing is built at import.
+* The caller keeps the plan: ``_plan`` builds it, and
+  :func:`integer_point_search` takes it.  Nothing is built at import.
 
 The point does not depend on how the chain is written.  Each level is the
 exact projection onto its variables, so at a node the range of the next
@@ -84,7 +84,6 @@ prefix meets it or a row that implies it.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import NamedTuple, Optional, Sequence
@@ -255,7 +254,6 @@ def _reduce(rows, guards: set) -> list:
     return [(c, combo, ineqs) for (c, combo), ineqs in best.items() if ineqs in keep]
 
 
-@functools.lru_cache(maxsize=1024)
 def _plan(rows: tuple) -> _Plan:
     """The plan of the inequalities ``rows``."""
     m, n = len(rows), len(rows[0]) if rows else 0
@@ -283,16 +281,15 @@ def _plan(rows: tuple) -> _Plan:
     return _Plan(tuple(guards), tuple(levels))
 
 
-def integer_point_search(rows: tuple, rhs: Sequence[int]):
+def integer_point_search(plan: _Plan, rhs: Sequence[int]):
     """Search for an integer x with every ``rows[i] . x <= rhs[i]``, on a
     system whose rational region is bounded.
 
-    ``rows`` is a tuple of int tuples, all of one length (it keys the plan
-    cache), and ``rhs`` holds ints.  Returns (point, False): ``point`` is
+    ``plan`` is ``_plan(rows)``, ``rows`` a tuple of int tuples all of one
+    length, and ``rhs`` holds ints.  Returns (point, False): ``point`` is
     the lexicographically first integer point, or None when there is
     none; False says that no range was clipped, as none ever is.
     """
-    plan = _plan(rows)
     mul = operator.mul
     for combo in plan.guards:
         if sum(map(mul, combo, rhs)) < 0:

@@ -212,7 +212,7 @@ def is_smooth(X: WeightedFan) -> SmoothReport:
 @functools.lru_cache(maxsize=1024)
 def _tight_search(gens: tuple, a: int) -> tuple:
     """The search at ray a among the weighted directions ``gens``, apart
-    from the values: ``(lift, kept, rows, dropped, free)``, all read in the
+    from the values: ``(lift, kept, plan, dropped, free)``, all read in the
     exponents z.  Each round over the undecided rays asks one LP for a y
     in C = {g_a . y = 0, g_c . y <= 0} with s . y < 0, s the sum of their
     g_b, and none once s lies along g_a; a y found, made primitive, drops
@@ -220,7 +220,8 @@ def _tight_search(gens: tuple, a: int) -> tuple:
     ``dropped`` has l_b = -g_b . free > 0.  The column HNF [g_a; g_K] U = H
     over the kept rays K has rank r: the z tight at a are ``lift . (q, w)``,
     ``lift`` the first r columns of U, and each (b, H_b[0]) of ``kept``
-    gives the row ``rows[i] . w <= G(b) - q H_b[0]``, rows[i] = H_b[1:r]."""
+    gives the row ``H_b[1:r] . w <= G(b) - q H_b[0]``, and ``plan`` is the
+    Fourier-Motzkin plan of these rows."""
     n, mul, g = len(gens[a]), operator.mul, gens[a]
     others = [b for b in range(len(gens)) if b != a]
     kept, ys = others, []
@@ -239,15 +240,15 @@ def _tight_search(gens: tuple, a: int) -> tuple:
     H, U = [list(g)] + [list(gens[b]) for b in kept], _ident_list(n)
     rank = len(_hnf_core(H, U))  # row 0 of H is now (w_a, 0, ..., 0)
     return (tuple([tuple(u[:rank]) for u in U]), tuple([(b, h[0]) for b, h in zip(kept, H[1:])]),
-            tuple([tuple(h[1:rank]) for h in H[1:]]), dropped, free)
+            _lp._plan(tuple([tuple(h[1:rank]) for h in H[1:]])), dropped, free)
 
 
 def _tight_exponent(gens: tuple, values, a: int) -> Optional[tuple]:
     """An integer z with every ``gens[b] . z <= values[b]`` and equality at
     b = a (``gens[a]`` not 0), or None when there is none."""
-    lift, kept, rows, dropped, free = _tight_search(gens, a)
+    lift, kept, plan, dropped, free = _tight_search(gens, a)
     q, rem = divmod(values[a], math.gcd(*gens[a]))
-    w = None if rem else _lp.integer_point_search(rows, [values[b] - q * c for b, c in kept])[0]
+    w = None if rem else _lp.integer_point_search(plan, [values[b] - q * c for b, c in kept])[0]
     if w is None:
         return None
     qw, mul = (q, *w), operator.mul

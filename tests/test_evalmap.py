@@ -462,7 +462,7 @@ class TestMembership:
     def test_off_weight_values_are_proven_at_once(self, n, rays, values, bound, monkeypatch):
         # these ran for seconds and ended Inconclusive before the weight test;
         # now the answer comes before any search
-        def no_search(*args):
+        def no_search(plan, rhs):
             raise AssertionError("searched for an exponent")
         monkeypatch.setattr(_lp, "integer_point_search", no_search)
         X = WeightedFan.build(n, rays)
@@ -478,7 +478,7 @@ class TestMembership:
     def test_negative_degree_on_a_balanced_fan_is_proven_at_once(self, n, rays, values, monkeypatch):
         # the values of any term sum to 0 on a balanced fan, so no search
         # can succeed; the last two fans do not span
-        def no_search(*args):
+        def no_search(plan, rhs):
             raise AssertionError("searched for an exponent")
         monkeypatch.setattr(_lp, "integer_point_search", no_search)
         X = WeightedFan.build(n, rays)
@@ -525,8 +525,8 @@ class TestMembership:
         search = _lp.integer_point_search
         calls = []
 
-        def faulty(rows, rhs):
-            w, truncated = search(rows, rhs)
+        def faulty(plan, rhs):
+            w, truncated = search(plan, rhs)
             calls.append(w)
             return (w if len(calls) == 1 else (w[0] + step,)), truncated
 
@@ -557,7 +557,8 @@ class TestMembership:
     def test_a_single_ray_frees_every_row(self):
         # one ray: the other rows are none, and the free coordinate is set
         X = WeightedFan.build(2, [((1, 2), 3)])
-        assert evalmap._tight_search((X.rays[0].generator,), 0)[1:4] == ((), (), ())
+        _, kept, plan, dropped, _ = evalmap._tight_search((X.rays[0].generator,), 0)
+        assert (kept, plan.levels, dropped) == ((), (), ())
         w = image_membership(X, RayFunction(X, (6,)))
         assert w is not None and eval_map(X, w).values == (6,)
 
@@ -569,8 +570,9 @@ class TestMembership:
         X = WeightedFan.build(2, [((1, 0), 1), ((1, 3), 1), ((1, -2), 2), ((2, 1), 1)])
         gens = tuple(r.generator for r in X.rays)
         assert [r.direction for r in X.rays] == [(1, -2), (1, 0), (1, 3), (2, 1)]
-        counts = [tuple(map(len, evalmap._tight_search(gens, a)[1:4])) for a in range(4)]
-        assert counts == [(0, 0, 3), (3, 3, 0), (0, 0, 3), (3, 3, 0)]
+        records = [evalmap._tight_search(gens, a) for a in range(4)]
+        counts = [(len(kept), len(plan.levels), len(dropped)) for _, kept, plan, dropped, _ in records]
+        assert counts == [(0, 0, 3), (3, 1, 0), (0, 0, 3), (3, 1, 0)]
         for terms in [[(0, 0)], [(5, -7), (4, 100)], [(-9, -9), (-8, 9), (3, 0)]]:
             G = RayFunction(X, weighted_values(X, terms))
             w = image_membership(X, G)
@@ -633,14 +635,20 @@ class TestMembership:
 
     def test_one_hnf_per_fan_and_ray(self, monkeypatch):
         # the search record at ray a is read off one column HNF of g_a over
-        # the kept rays, built once and then cached
-        hnf_core, calls, seen = evalmap._hnf_core, [], set()
+        # the kept rays, and holds the one plan of its rows, both built once
+        # and then cached
+        hnf_core, plan, calls, plans, seen = evalmap._hnf_core, _lp._plan, [], [], set()
 
         def counted(a, U):
             calls.append(a)
             return hnf_core(a, U)
 
+        def counted_plan(rows):
+            plans.append(rows)
+            return plan(rows)
+
         monkeypatch.setattr(evalmap, "_hnf_core", counted)
+        monkeypatch.setattr(_lp, "_plan", counted_plan)
         evalmap._tight_search.cache_clear()
         rng = random.Random(7373)
         for _ in range(60):
@@ -649,10 +657,20 @@ class TestMembership:
             gens = tuple(ray.generator for ray in X.rays)
             for a in range(len(gens)):
                 for _ in range(2):
-                    before = len(calls)
+                    before, plans_before = len(calls), len(plans)
                     evalmap._tight_search(gens, a)
-                    assert len(calls) - before == ((gens, a) not in seen), (gens, a)
+                    miss = (gens, a) not in seen
+                    assert (len(calls) - before, len(plans) - plans_before) == (miss, miss), (gens, a)
                     seen.add((gens, a))
+
+    def test_search_cache_size_cap(self):
+        # the records, each holding its plan, are the one search cache, and
+        # it holds at most 1,024 of them
+        info = evalmap._tight_search.cache_info()
+        assert info.maxsize == 1024
+        for r in range(info.maxsize + 100):
+            evalmap._tight_search(((1,), (-r - 1,)), 0)
+        assert evalmap._tight_search.cache_info().currsize == info.maxsize
 
 
 # ------------------------------------- membership against the per-ray search
@@ -769,16 +787,19 @@ def test_bound_changes_no_answer():
 
 def check_tight_search(gens, a):
     """The search record at ray a: the lift is tight at a, the kept rays'
-    values are the search rows, ``free`` lowers every dropped ray's value
-    by its l_b and keeps every kept one, and the search rows have full
-    column rank and bound the search region."""
-    lift, kept, rows, dropped, free = evalmap._tight_search(gens, a)
+    values are the search rows, whose plan the record holds, ``free``
+    lowers every dropped ray's value by its l_b and keeps every kept one,
+    and the search rows have full column rank and bound the search
+    region."""
+    lift, kept, plan, dropped, free = evalmap._tight_search(gens, a)
     dot = lambda u, v: sum(x * y for x, y in zip(u, v))  # noqa: E731
     width = len(lift[0]) - 1
     assert [dot(gens[a], col) for col in zip(*lift)] == [math.gcd(*gens[a])] + [0] * width
-    for (b, c), row in zip(kept, rows):
-        assert [dot(gens[b], col) for col in zip(*lift)] == [c, *row], (gens, a, b)
-        assert dot(gens[b], free) == 0
+    values = [[dot(gens[b], col) for col in zip(*lift)] for b, _ in kept]
+    assert [v[0] for v in values] == [c for _, c in kept], (gens, a)
+    rows = tuple([tuple(v[1:]) for v in values])
+    assert plan == _lp._plan(rows)
+    assert all(dot(gens[b], free) == 0 for b, _ in kept)
     assert all(dot(gens[b], free) == -l < 0 for b, l in dropped)
     assert sorted([b for b, _ in kept + dropped]) == [b for b in range(len(gens)) if b != a]
     assert len(rows) == len(kept) and all(len(row) == width for row in rows)
