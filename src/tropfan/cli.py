@@ -131,15 +131,19 @@ def _render_svg(X: _fan.WeightedFan) -> str:
 # ---------------------------------------------------------------- poly
 
 
-def _cmd_poly_eval(args) -> dict:
+def _poly_at_point(args) -> tuple[_laurent.LaurentPoly, tuple]:
+    """The polynomial and the point of ``poly eval``, ``initial`` and ``germ``."""
     P = _laurent.parse_poly_text(args.poly, args.vars)
-    p = _laurent.parse_point(args.point, P.num_vars)
+    return P, _laurent.parse_point(args.point, P.num_vars)
+
+
+def _cmd_poly_eval(args) -> dict:
+    P, p = _poly_at_point(args)
     return {"value": str(P.eval(p))}
 
 
 def _cmd_poly_initial(args) -> str:
-    P = _laurent.parse_poly_text(args.poly, args.vars)
-    p = _laurent.parse_point(args.point, P.num_vars)
+    P, p = _poly_at_point(args)
     return _laurent.poly_to_text(P.initial_form(p))
 
 
@@ -160,8 +164,7 @@ def _cmd_poly_eq(args) -> dict:
 
 
 def _cmd_poly_germ(args) -> dict:
-    P = _laurent.parse_poly_text(args.poly, args.vars)
-    p = _laurent.parse_point(args.point, P.num_vars)
+    P, p = _poly_at_point(args)
     g = _laurent.germ_localize(P, p)
     part = "-inf" if g.is_bottom else _laurent.poly_to_text(g.part.poly)
     return {"part": part, "grade": str(g.grade)}
@@ -295,25 +298,20 @@ def _build_parser() -> argparse.ArgumentParser:
     poly = sub.add_parser("poly", help="Laurent polynomial operations").add_subparsers(
         dest="poly_command", required=True
     )
-    p = poly.add_parser("eval", help="value at a rational point")
-    p.add_argument("poly")
-    p.add_argument("--point", required=True)
-    p.add_argument("--vars", type=as_int)
+    at_point = argparse.ArgumentParser(add_help=False)
+    at_point.add_argument("poly")
+    at_point.add_argument("--point", required=True)
+    at_point.add_argument("--vars", type=as_int)
+    p = poly.add_parser("eval", help="value at a rational point", parents=[at_point])
     p.set_defaults(fn=_cmd_poly_eval)
-    p = poly.add_parser("initial", help="initial form at a rational point")
-    p.add_argument("poly")
-    p.add_argument("--point", required=True)
-    p.add_argument("--vars", type=as_int)
+    p = poly.add_parser("initial", help="initial form at a rational point", parents=[at_point])
     p.set_defaults(fn=_cmd_poly_initial)
     p = poly.add_parser("eq", help="equality as functions, with witness")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--vars", type=as_int)
     p.set_defaults(fn=_cmd_poly_eq)
-    p = poly.add_parser("germ", help="local germ at a rational point")
-    p.add_argument("poly")
-    p.add_argument("--point", required=True)
-    p.add_argument("--vars", type=as_int)
+    p = poly.add_parser("germ", help="local germ at a rational point", parents=[at_point])
     p.set_defaults(fn=_cmd_poly_germ)
 
     mor = sub.add_parser("morphism", help="fan morphism operations").add_subparsers(

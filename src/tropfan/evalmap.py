@@ -24,6 +24,7 @@ from .errors import (
     NotBalanced,
     NotRealizable,
     ParseError,
+    ZeroVector,
 )
 from .fan import WeightedFan, check_balancing, primitive
 from .intlat import IntMatrix, _hnf_core, _ident_list
@@ -131,27 +132,26 @@ def generator_matrix(X: WeightedFan) -> IntMatrix:
 
 
 def is_realizable(M: IntMatrix) -> bool:
-    """True iff M is the generator matrix of some fan: each row sums to 0,
-    no column is zero, and no column is a positive multiple of another."""
-    if any(sum(row) != 0 for row in M.data):
+    """True iff M is the generator matrix of some fan: the fan built from
+    its columns exists and is balanced (see :func:`reconstruct_fan`)."""
+    try:
+        reconstruct_fan(M)
+    except NotRealizable:
         return False
-    seen = set()
-    for j in range(M.cols):
-        col = M.col(j)
-        if not any(col):
-            return False
-        _, d = primitive(col)
-        if d in seen:
-            return False
-        seen.add(d)
     return True
 
 
 def reconstruct_fan(M: IntMatrix) -> WeightedFan:
-    """Inverse of generator_matrix: column = weight * primitive direction."""
-    if not is_realizable(M):
+    """Inverse of generator_matrix: the fan built from M's columns, each a
+    weight times a primitive direction; NotRealizable unless it exists and
+    is balanced."""
+    try:
+        X = WeightedFan.build(M.rows, [(M.col(j), 1) for j in range(M.cols)])
+    except (ZeroVector, BadParameters):
+        X = None
+    if X is None or not check_balancing(X):
         raise NotRealizable("matrix has a zero column, positively parallel columns, or unbalanced rows")
-    return WeightedFan.build(M.rows, [(M.col(j), 1) for j in range(M.cols)])
+    return X
 
 
 def ker_eq(X: WeightedFan, f: LaurentPoly, g: LaurentPoly) -> bool:

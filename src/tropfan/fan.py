@@ -1,9 +1,11 @@
 """Weighted one-dimensional ray fans: primitive directions, the balancing
 condition, support membership, JSON I/O, and the standard smooth models.
 
-A fan stores pairwise-distinct primitive integer directions with positive
-integer weights, sorted lexicographically by direction so that equality is
-set equality and every downstream matrix/output ordering is deterministic.
+This module is the one definition of a fan and of its support.  A fan
+stores pairwise-distinct primitive integer directions with positive
+integer weights, sorted lexicographically by direction so that equality
+is set equality and every downstream matrix/output ordering is
+deterministic.
 """
 
 from __future__ import annotations
@@ -77,23 +79,20 @@ class WeightedFan:
                     f"ray {ray.direction} in ambient dimension {self.ambient_dim}"
                 )
             dirs.append(ray.direction)
-        if sorted(dirs) != list(dirs) or any(a == b for a, b in zip(dirs, dirs[1:])):
-            raise BadParameters("rays must be lex-sorted with distinct directions")
+        for a, b in zip(dirs, dirs[1:]):
+            if a >= b:
+                raise BadParameters(f"duplicate ray direction {a}" if a == b else "rays must be lex-sorted")
 
     @classmethod
     def build(cls, ambient_dim: int, items: Iterable[tuple[Sequence[int], int]]) -> "WeightedFan":
         """Normalizing factory: primitivizes each direction, absorbing the
         extracted gcd into the weight; duplicate directions are an error."""
         rays = []
-        seen = {}
         for vec, w in items:
             w = as_index(w)
             if w < 1:
                 raise BadParameters(f"weight must be positive, got {w}")
             g, d = primitive(vec)
-            if d in seen:
-                raise BadParameters(f"duplicate ray direction {d}")
-            seen[d] = True
             rays.append(Ray(d, w * g))
         rays.sort(key=lambda r: r.direction)
         return cls(ambient_dim, tuple(rays))
@@ -141,6 +140,7 @@ def check_balancing(X: WeightedFan) -> bool:
 def standard_model(n: int, r: int) -> WeightedFan:
     """The balanced fan on e_1..e_{r-1} and e_0 = -(e_1 + ... + e_{r-1}),
     all weights 1, inside dimension n; requires 2 <= r <= n + 1."""
+    n, r = as_index(n), as_index(r)
     if not 2 <= r <= n + 1:
         raise BadParameters(f"need 2 <= r <= n + 1, got r={r}, n={n}")
     items: list[tuple[list[int], int]] = []

@@ -73,6 +73,7 @@ class IntMatrix:
         return len(self.data[0])
 
     def col(self, j: int) -> tuple[int, ...]:
+        j = as_index(j)
         return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "IntMatrix":
@@ -87,6 +88,7 @@ class IntMatrix:
         )
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
+        v = as_ints(v)
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector of length {len(v)} against {self.rows}x{self.cols}")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)

@@ -421,6 +421,7 @@ def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
 
     One pass: a term's coefficient factors are summed as an integer
     numerator and denominator, and make one Fraction per term."""
+    num_vars = None if num_vars is None else as_index(num_vars)
     if num_vars is not None and num_vars < 0:
         raise BadParameters(f"negative variable count {num_vars}")
     if num_vars is not None and num_vars > MAX_TEXT_VARS:
@@ -520,6 +521,6 @@ def parse_point(text: str, num_vars: Optional[int] = None) -> tuple[Fraction, ..
         point = tuple(as_trop(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad point {text!r}: {exc}") from exc
-    if num_vars is not None and len(point) != num_vars:
+    if num_vars is not None and len(point) != as_index(num_vars):
         raise ParseError(f"point {text!r} has {len(point)} coordinates, expected {num_vars}")
     return point

@@ -23,18 +23,23 @@ from .errors import (
     NotGeometric,
 )
 from .evalmap import RayFunction, _require_boolean, eval_map
-from .fan import WeightedFan, support_contains
+from .fan import Ray, WeightedFan, support_contains
 from .intlat import IntMatrix, lattice_solve
 from .laurent import LaurentPoly
 
 
-def validate_morphism(T: IntMatrix, X: WeightedFan, Y: WeightedFan) -> bool:
-    """True iff T maps every ray direction of X into the support of Y."""
+def _leaving_ray(T: IntMatrix, X: WeightedFan, Y: WeightedFan) -> Optional[Ray]:
+    """The first ray of X that T maps off the support of Y, or None."""
     if T.cols != X.ambient_dim or T.rows != Y.ambient_dim:
         raise DimensionMismatch(
             f"{T.rows}x{T.cols} matrix between dimensions {X.ambient_dim} -> {Y.ambient_dim}"
         )
-    return all(support_contains(Y, T.apply(ray.direction)) for ray in X.rays)
+    return next((ray for ray in X.rays if not support_contains(Y, T.apply(ray.direction))), None)
+
+
+def validate_morphism(T: IntMatrix, X: WeightedFan, Y: WeightedFan) -> bool:
+    """True iff T maps every ray direction of X into the support of Y."""
+    return _leaving_ray(T, X, Y) is None
 
 
 @dataclass(frozen=True)
@@ -46,13 +51,9 @@ class FanMorphism:
     matrix: IntMatrix
 
     def __post_init__(self):
-        if not validate_morphism(self.matrix, self.source, self.target):
-            bad = next(
-                ray.label()
-                for ray in self.source.rays
-                if not support_contains(self.target, self.matrix.apply(ray.direction))
-            )
-            raise InvalidMorphism(f"image of ray {bad} leaves the target support")
+        bad = _leaving_ray(self.matrix, self.source, self.target)
+        if bad is not None:
+            raise InvalidMorphism(f"image of ray {bad.label()} leaves the target support")
 
     def apply(self, v) -> tuple[int, ...]:
         return self.matrix.apply(v)
@@ -126,10 +127,7 @@ def check_geometric(h: HomSpec) -> bool:
     """True iff at every target ray the stacked image vector is a
     nonnegative rational multiple of some source generator column, that
     is zero or on a source ray."""
-    return all(
-        not any(vec) or h.source.ray_of(vec) is not None
-        for vec in zip(*(H.values for H in h.images))
-    )
+    return all(support_contains(h.source, vec) for vec in zip(*(H.values for H in h.images)))
 
 
 def realize_morphism(h: HomSpec) -> FanMorphism:

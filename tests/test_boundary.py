@@ -17,6 +17,7 @@ from tropfan import (
     NEG_INF,
     BadParameters,
     DimensionMismatch,
+    FanMorphism,
     IntMatrix,
     LaurentPoly,
     ParseError,
@@ -426,12 +427,36 @@ class TestLibraryConstructors:
         "coeff exponent True": lambda: LaurentPoly.monomial(1, (1,)).coeff((True,)),
         "power True": lambda: LaurentPoly.monomial(1, (1,)) ** True,
         "identity True": lambda: IntMatrix.identity(True),
+        # these went round as_index: True was read as 1, or a float, str or
+        # Fraction failed inside range, list repetition or a comparison
+        "standard_model r True": lambda: standard_model(2, True),
+        "standard_model n float": lambda: standard_model(2.0, 2),
+        "standard_model r Fraction": lambda: standard_model(2, Fraction(2)),
+        "standard_model n str": lambda: standard_model("2", 2),
+        "parse_point vars True": lambda: parse_point("1", True),
+        "parse_point vars float": lambda: parse_point("1", 1.0),
+        "parse_poly_text vars float": lambda: parse_poly_text("x1", 1.0),
+        "parse_poly_text vars str": lambda: parse_poly_text("x1", "1"),
+        "parse_poly_text vars True": lambda: parse_poly_text("-inf", True),
+        "col True": lambda: IntMatrix.identity(2).col(True),
+        "col float": lambda: IntMatrix.identity(2).col(1.0),
     }
 
     @pytest.mark.parametrize("name", sorted(NON_INTEGERS))
     def test_non_integers_rejected(self, name):
         with pytest.raises(TypeError):
             self.NON_INTEGERS[name]()
+
+    @pytest.mark.parametrize("v", [(0.5, 0), (True, 0), (Fraction(1), 0), "10"])
+    def test_apply_takes_integer_vectors(self, v):
+        # apply used to return floats or Fractions, and True as 1
+        T = IntMatrix.identity(2)
+        mu = FanMorphism(standard_model(2, 3), standard_model(2, 3), T)
+        with pytest.raises(TypeError):
+            T.apply(v)
+        with pytest.raises(TypeError):
+            mu.apply(v)
+        assert T.apply((Index(2), 1)) == mu.apply((2, 1)) == (2, 1)
 
     @pytest.mark.parametrize("rows", [[[True]], [[1, 0], [0, False]]])
     def test_matrix_entries(self, rows):

@@ -57,8 +57,19 @@ class TestWeightedFan:
         assert [r.weight for r in X.rays] == [1, 6]  # 3 * gcd(2,4)
 
     def test_duplicate_directions_rejected(self):
-        with pytest.raises(BadParameters):
+        with pytest.raises(BadParameters, match=r"^duplicate ray direction \(1, 2\)$"):
             WeightedFan.build(2, [((1, 2), 1), ((2, 4), 1)])
+        # direct construction names the duplicate the same way
+        with pytest.raises(BadParameters, match=r"^duplicate ray direction \(1, 2\)$"):
+            WeightedFan(2, (Ray((0, 1), 1), Ray((1, 2), 1), Ray((1, 2), 3)))
+
+    def test_per_ray_faults_win_over_a_duplicate(self):
+        # the constructor alone refuses duplicates, after build has read
+        # every ray, so a zero vector listed after a duplicate wins
+        with pytest.raises(ZeroVector):
+            WeightedFan.build(2, [((1, 2), 1), ((2, 4), 1), ((0, 0), 1)])
+        with pytest.raises(BadParameters, match="weight must be positive"):
+            WeightedFan.build(2, [((1, 2), 1), ((2, 4), 1), ((1, 0), 0)])
 
     def test_empty_and_bad_dims(self):
         with pytest.raises(BadParameters):
@@ -70,8 +81,10 @@ class TestWeightedFan:
 
     def test_direct_construction_requires_sorted(self):
         a, b = Ray((1, 0), 1), Ray((0, 1), 1)
-        with pytest.raises(BadParameters):
+        with pytest.raises(BadParameters, match="^rays must be lex-sorted$"):
             WeightedFan(2, (a, b))  # (1,0) after (0,1) in lex order is wrong
+        with pytest.raises(BadParameters, match="^rays must be lex-sorted$"):
+            WeightedFan(2, (a, b, b))
         X = WeightedFan(2, (b, a))
         assert X.ray_labels() == ["(0,1)", "(1,0)"]
 

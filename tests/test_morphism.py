@@ -69,8 +69,11 @@ class TestValidate:
             validate_morphism(IntMatrix.from_rows([[1, 0, 0]]), L23, Y)
 
     def test_constructor_enforces_support(self):
-        with pytest.raises(InvalidMorphism):
+        # the message names the first ray, in sorted order, that leaves
+        with pytest.raises(InvalidMorphism, match=r"^image of ray \(-1,-1\) leaves the target support$"):
             FanMorphism(L23, Z, IntMatrix.identity(2))
+        with pytest.raises(DimensionMismatch):
+            FanMorphism(L23, Z, IntMatrix.from_rows([[1, 0, 0]]))
 
     def test_collapse_to_origin_allowed(self):
         X = WeightedFan.build(1, [((1,), 1), ((-1,), 1)])
