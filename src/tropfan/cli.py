@@ -22,7 +22,7 @@ from . import fan as _fan
 from . import intlat as _intlat
 from . import laurent as _laurent
 from . import morphism as _morphism
-from .errors import DimensionMismatch, ParseError, TropfanError
+from .errors import DimensionMismatch, ParseError, TropfanError, malformed
 from .evalmap import DEFAULT_MEMBER_BOUND
 from .semiring import as_int
 
@@ -47,8 +47,7 @@ def _fan_ref(ref, base_dir: str) -> _fan.WeightedFan:
     if isinstance(ref, dict):
         return _fan.WeightedFan.from_json(ref)
     if isinstance(ref, str):
-        path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-        return _load_fan(path)
+        return _load_fan(os.path.join(base_dir, ref))  # an absolute ref stays as it is
     raise ParseError("fan reference must be a path or an inline fan object")
 
 
@@ -173,17 +172,20 @@ def _cmd_poly_germ(args) -> dict:
 # ------------------------------------------------------------ morphism
 
 
+def _load_fan_file(path: str, kind: str, *keys: str) -> list:
+    """The entries ``keys`` of a morphism or hom-spec file, looked up in order, with
+    "source" and "target" loaded as fans: inline, or paths relative to the file."""
+    obj = _load_json(path)
+    with malformed(f"{kind} file needs {'/'.join(keys)}"):
+        entries = [obj[key] for key in keys]
+    base = os.path.dirname(os.path.abspath(path))
+    return [_fan_ref(e, base) if key in ("source", "target") else e for key, e in zip(keys, entries)]
+
+
 def _load_morphism(path: str) -> tuple[_fan.WeightedFan, _fan.WeightedFan, _intlat.IntMatrix]:
     """The source fan, target fan and matrix of a morphism file."""
-    obj = _load_json(path)
-    base = os.path.dirname(os.path.abspath(path))
-    try:
-        matrix = obj["matrix"]
-        src, tgt = obj["source"], obj["target"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"morphism file needs matrix/source/target: {exc}") from exc
-    T = _intlat.IntMatrix.from_json({"data": matrix})
-    return _fan_ref(src, base), _fan_ref(tgt, base), T
+    matrix, X, Y = _load_fan_file(path, "morphism", "matrix", "source", "target")
+    return X, Y, _intlat.IntMatrix.from_json({"data": matrix})
 
 
 def _cmd_morphism_check(args) -> dict:
@@ -198,17 +200,10 @@ def _cmd_morphism_pullback(args) -> dict:
 
 
 def _cmd_morphism_realize(args) -> dict:
-    obj = _load_json(args.homspec)
-    base = os.path.dirname(os.path.abspath(args.homspec))
-    try:
-        src = _fan_ref(obj["source"], base)
-        tgt = _fan_ref(obj["target"], base)
-        raw_images = list(obj["images"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"homspec file needs source/target/images: {exc}") from exc
-    images = tuple(
-        _evalmap.RayFunction.from_json(tgt, {"values": vals}) for vals in raw_images
-    )
+    src, tgt, images = _load_fan_file(args.homspec, "homspec", "source", "target", "images")
+    with malformed("homspec file needs source/target/images"):
+        images = list(images)
+    images = tuple(_evalmap.RayFunction.from_json(tgt, {"values": vals}) for vals in images)
     h = _morphism.HomSpec(src, tgt, images)
     mu = _morphism.realize_morphism(h)
     return {
@@ -253,10 +248,8 @@ def _cmd_member(args) -> dict:
     G = _evalmap.RayFunction.from_json(X, {"values": raw})
     bound = args.bound
     if bound is None:
-        try:
+        with malformed("bad TROPFAN_MEMBER_BOUND"):
             bound = as_int(os.environ.get("TROPFAN_MEMBER_BOUND", DEFAULT_MEMBER_BOUND))
-        except ValueError as exc:
-            raise ParseError(f"bad TROPFAN_MEMBER_BOUND: {exc}") from exc
     witness = _evalmap.image_membership(X, G, bound=bound)
     if witness is None:
         return {"member": False}

@@ -5,6 +5,8 @@ machine-readable ``code`` so the CLI can emit structured errors and map
 them to exit status 1 (usage problems are argparse's exit 2).
 """
 
+import contextlib
+
 
 class TropfanError(Exception):
     """Base class for all structured errors raised by this package."""
@@ -79,3 +81,13 @@ class SupportViolation(TropfanError):
 
 class ParseError(TropfanError):
     code = "parse_error"
+
+
+@contextlib.contextmanager
+def malformed(what: str):
+    """Read outside input: a KeyError, TypeError, ValueError or ZeroDivisionError
+    in the block becomes ParseError(f"{what}: {exc}").  Domain calls stay out."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc

@@ -25,6 +25,7 @@ from .errors import (
     NotRealizable,
     ParseError,
     ZeroVector,
+    malformed,
 )
 from .fan import WeightedFan, check_balancing, primitive
 from .intlat import IntMatrix, _hnf_core, _ident_list
@@ -74,14 +75,12 @@ class RayFunction:
 
     @classmethod
     def from_json(cls, fan: WeightedFan, obj: dict) -> "RayFunction":
-        try:
+        with malformed("bad ray function object"):
             values = obj["values"]
             if isinstance(values, (str, dict)):
                 raise TypeError(f"{values!r} is not a list of values")
             values = list(values)
             rays = list(obj["rays"]) if "rays" in obj else None
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad ray function object: {exc}") from exc
         if rays is not None and rays != fan.ray_labels():
             raise ParseError("ray names do not match the fan's sorted rays")
         bottoms = [v == "-inf" for v in values]
@@ -89,10 +88,9 @@ class RayFunction:
             return cls(fan, None)
         if any(bottoms):
             raise ParseError("-inf entries are only allowed when every entry is -inf")
-        try:
-            return cls(fan, as_ints(values, as_int))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad ray function values: {exc}") from exc
+        with malformed("bad ray function values"):
+            values = as_ints(values, as_int)
+        return cls(fan, values)
 
 
 def degree(F: RayFunction) -> TropValue:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import BadParameters, DimensionMismatch, ParseError, ZeroVector
+from .errors import BadParameters, DimensionMismatch, ZeroVector, malformed
 from .semiring import as_index, as_int, as_ints, as_scaled
 
 
@@ -120,11 +120,9 @@ class WeightedFan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightedFan":
-        try:
+        with malformed("bad fan object"):
             n = as_int(obj["ambient_dim"])
             items = [(as_ints(e["direction"], as_int), as_int(e["weight"])) for e in obj["rays"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad fan object: {exc}") from exc
         return cls.build(n, items)
 
 

@@ -33,6 +33,7 @@ from .errors import (
     NoMutualFactorization,
     NotLeftInvertible,
     ParseError,
+    malformed,
 )
 from .semiring import as_index, as_int, as_ints
 
@@ -98,11 +99,11 @@ class IntMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntMatrix":
-        try:
-            m = cls.from_rows([as_ints(row, as_int) for row in obj["data"]])
+        with malformed("bad matrix object"):
+            rows = [as_ints(row, as_int) for row in obj["data"]]
+        m = cls.from_rows(rows)
+        with malformed("bad matrix object"):
             shape = {key: as_int(obj[key]) for key in ("rows", "cols") if key in obj}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad matrix object: {exc}") from exc
         for key, size in (("rows", m.rows), ("cols", m.cols)):
             if shape.get(key, size) != size:
                 raise ParseError(f"matrix '{key}' field disagrees with data")

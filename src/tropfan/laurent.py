@@ -47,6 +47,7 @@ from .errors import (
     DimensionMismatch,
     EmptyPolynomial,
     ParseError,
+    malformed,
 )
 from .semiring import NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints, as_scaled, as_trop
 
@@ -499,28 +500,24 @@ def poly_to_json(P: LaurentPoly) -> dict:
 
 
 def poly_from_json(obj: dict) -> LaurentPoly:
-    try:
+    with malformed("bad polynomial object"):
         n = as_int(obj["vars"])
         items = []
         for t in obj["terms"]:
             raw = t["coeff"]
             coeff = NEG_INF if isinstance(raw, str) and raw.strip() == "-inf" else as_trop(raw)
             items.append((as_ints(t["exp"], as_int), coeff))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad polynomial object: {exc}") from exc
-    try:
-        return LaurentPoly.make(n, items)
-    except DimensionMismatch as exc:
-        raise ParseError(str(exc)) from exc
+    for u, _ in items:
+        if len(u) != n:  # make's DimensionMismatch, a parse error in a file
+            raise ParseError(f"exponent {u} in {n} variables")
+    return LaurentPoly.make(n, items)
 
 
 def parse_point(text: str, num_vars: Optional[int] = None) -> tuple[Fraction, ...]:
     """Comma-separated rational coordinates: ``p``, ``p/q`` or decimals,
-    without exponents."""
-    try:
-        point = tuple(as_trop(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad point {text!r}: {exc}") from exc
+    without exponents.  Empty or blank text is the point with no coordinates."""
+    with malformed(f"bad point {text!r}"):
+        point = tuple(as_trop(part.strip()) for part in text.split(",")) if text.strip() else ()
     if num_vars is not None and len(point) != as_index(num_vars):
         raise ParseError(f"point {text!r} has {len(point)} coordinates, expected {num_vars}")
     return point

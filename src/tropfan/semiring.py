@@ -104,9 +104,9 @@ def as_index(v) -> int:
 
 
 def as_int(v) -> int:
-    """Coerce outside text to an integer: :func:`as_index`, or a
-    decimal-integer string.  Floats (NaN and infinities included) and
-    booleans raise TypeError and other strings ValueError."""
+    """Coerce outside text to an integer: :func:`as_index`, or a string that
+    ``int()`` reads (so ``" 12 "``, ``"+5"``, ``"1_000"``).  Floats, NaN and
+    the infinities included, and booleans raise TypeError, other strings ValueError."""
     if isinstance(v, str):
         return int(v)
     return as_index(v)

@@ -9,7 +9,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from tropfan import NEG_INF, BadParameters, CanonicalFn, IntMatrix, LaurentPoly, ParseError, WeightedFan, _lp
@@ -207,31 +207,18 @@ def in_hull(p, others):
 
 
 def hull_vertices(points):
-    """The vertex set of conv(points), by brute force."""
+    """The vertex set of conv(points), by brute force.  A point that is the
+    unique maximizer of some functional in [-4, 4]^n is a vertex; every
+    other point is tested by :func:`in_hull` against the rest."""
     pts = sorted(set(map(tuple, points)))
     if len(pts) <= 1:
         return set(pts)
-    n = len(pts[0])
-    funcs = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        funcs.append(tuple(e))
-        funcs.append(tuple(-x for x in e))
-    rng = random.Random(0xC0FFEE)
-    for _ in range(40):
-        funcs.append(tuple(rng.randint(-7, 7) for _ in range(n)))
     certified = set()
-    for f in funcs:
-        best, best_pts = None, []
-        for p in pts:
-            v = sum(x * y for x, y in zip(f, p))
-            if best is None or v > best:
-                best, best_pts = v, [p]
-            elif v == best:
-                best_pts.append(p)
-        if len(best_pts) == 1:
-            certified.add(best_pts[0])
+    for f in product(range(-4, 5), repeat=len(pts[0])):
+        values = [sum(x * y for x, y in zip(f, p)) for p in pts]
+        best = max(values)
+        if values.count(best) == 1:
+            certified.add(pts[values.index(best)])
     verts = set()
     for p in pts:
         if p in certified or not in_hull(p, [q for q in pts if q != p]):

@@ -245,6 +245,17 @@ class TestPointText:
         code, out = invoke(capsys, "poly", "eval", "x", "--point=" + point)
         assert code == 0 and json.loads(out) == {"value": str(want)}
 
+    @pytest.mark.parametrize("point", ["", " ", "\t "])
+    def test_blank_text_is_the_point_with_no_coordinates(self, capsys, point):
+        assert parse_point(point) == parse_point(point, 0) == ()
+        with pytest.raises(ParseError, match="has 0 coordinates, expected 2"):
+            parse_point(point, 2)
+        for command, want in [("eval", {"value": "3"}), ("initial", "3"), ("germ", {"part": "0", "grade": "3"})]:
+            code, out = invoke(capsys, "poly", command, "3", "--point=" + point, "--vars", "0")
+            assert (code, json.loads(out)) == (0, want)
+            for n in ("1", "2"):
+                assert error_of(capsys, "poly", command, "3", "--point=" + point, "--vars", n) == "parse_error"
+
 
 class TestOutputTooLarge:
     """An answer whose integers have more digits than Python converts to
@@ -346,6 +357,35 @@ class TestVectorsAreArrays:
     def test_ray_names_not_a_list(self, rays):
         with pytest.raises(ParseError):
             RayFunction.from_json(self.L23, {"values": [0, 0, 0], "rays": rays})
+
+
+class TestTwoFanFiles:
+    """A morphism or hom-spec file is read in one order: its three keys, in
+    the order its message names them, then the source fan, the target fan
+    and last the payload (matrix or images)."""
+
+    BAD = {"ambient_dim": 1, "rays": [{"direction": ["x"], "weight": 1}]}
+    BAD_FAN = "bad fan object: invalid literal for int() with base 10: 'x'"
+
+    @pytest.mark.parametrize("doc, argv, message", [
+        ({"source": BAD, "target": LINE}, ["morphism", "check"], "morphism file needs matrix/source/target: 'matrix'"),
+        ({}, ["morphism", "check"], "morphism file needs matrix/source/target: 'matrix'"),
+        ({"matrix": 5, "source": BAD, "target": LINE}, ["morphism", "check"], BAD_FAN),
+        ({"matrix": 5, "source": LINE, "target": BAD}, ["morphism", "check"], BAD_FAN),
+        ({"matrix": 5, "source": LINE, "target": LINE}, ["morphism", "check"],
+         "bad matrix object: 'int' object is not iterable"),
+        ({}, ["morphism", "realize"], "homspec file needs source/target/images: 'source'"),
+        ({"source": BAD}, ["morphism", "realize"], "homspec file needs source/target/images: 'target'"),
+        ({"source": BAD, "target": LINE}, ["morphism", "realize"], "homspec file needs source/target/images: 'images'"),
+        ({"source": LINE, "target": BAD, "images": 5}, ["morphism", "realize"], BAD_FAN),
+        ({"source": LINE, "target": LINE, "images": 5}, ["morphism", "realize"],
+         "homspec file needs source/target/images: 'int' object is not iterable"),
+    ])
+    def test_first_fault_in_reading_order(self, capsys, tmp_path, doc, argv, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out = invoke(capsys, *argv, path)
+        assert (code, json.loads(out)) == (1, {"error": "parse_error", "message": message})
 
 
 class TestMemberBound:

@@ -61,7 +61,7 @@ class TestRayFunction:
         assert F.degree() == 2
         assert F[0] == 0
         bot = RayFunction(L23, None)
-        assert bot.is_bottom and bot.degree() is NEG_INF
+        assert bot.is_bottom and bot.degree() is NEG_INF and bot[0] is NEG_INF
         assert degree(bot) is NEG_INF
 
     def test_length_checked(self):

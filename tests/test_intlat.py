@@ -367,6 +367,8 @@ class TestLatticeSolve:
         z = lattice_solve(A, (3, 6))
         assert z is not None and A.apply(z) == (3, 6)
         assert lattice_solve(A, (3, 5)) is None  # inconsistent
+        with pytest.raises(DimensionMismatch):
+            lattice_solve(A, (3, 6, 9))
 
     @pytest.mark.parametrize("rows, b, want", [
         ([[0, 2], [3, 1]], (4, 5), (1, 2)),  # zero leading entry: rows swap

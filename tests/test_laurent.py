@@ -98,6 +98,8 @@ class TestConstruction:
             LaurentPoly(2, (((1, 0), NEG_INF),))
         with pytest.raises(DimensionMismatch):
             LaurentPoly(2, (((1,), Fraction(0)),))
+        with pytest.raises(BadParameters):
+            LaurentPoly(-1, ())
 
     def test_factories(self):
         assert not LaurentPoly.zero(2)
@@ -153,6 +155,8 @@ class TestInitialForm:
     def test_empty_rejected(self):
         with pytest.raises(EmptyPolynomial):
             LaurentPoly.zero(2).initial_form((0, 0))
+        with pytest.raises(EmptyPolynomial):
+            germ_safe_radius(LaurentPoly.zero(2), (0, 0))
 
     @given(polys(num_vars=2), polys(num_vars=2), points2)
     def test_product_law(self, P, Q, p):
@@ -181,6 +185,7 @@ class TestCanonicalization:
         P = parse_poly_text("0 + 1*x + 2*x^2")
         C = canonicalize(P)
         assert C.terms == (((0,), Fraction(0)), ((2,), Fraction(2)))
+        assert (str(P), str(C)) == ("0 + 1*x + 2*x^2", "0 + 2*x^2")
 
     def test_strictly_contributing_term_kept(self):
         P = parse_poly_text("0 + 1*x + 0*x^2")

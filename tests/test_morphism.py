@@ -124,6 +124,10 @@ class TestPullback:
         mu = FanMorphism(L23, Y, T_LY)
         assert pullback_evalmap(mu, LaurentPoly.zero(2)).is_bottom
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            pullback_poly(FanMorphism(L23, Y, T_LY), LaurentPoly.zero(3))
+
 
 class TestCompose:
     def test_mismatch(self):

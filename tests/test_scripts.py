@@ -1,10 +1,14 @@
 """Smoke tests of the survey scripts: each runs to exit 0 on a small trial
-count, and the counts it prints add up to the trials."""
+count, and the counts it prints add up to the trials.  The README's
+examples run too, as written."""
 
+import io
 import os
 import re
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -13,13 +17,16 @@ ROOT = Path(__file__).resolve().parent.parent
 COUNT = re.compile(r"^  (\S.*?)\s+(\d+)  \(\d+\.\d%\)$")
 
 
-def launch(name, *args):
+def python(*args):
+    """Run this interpreter on args in the repository root, with the
+    library on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def launch(name, *args):
+    return python(str(ROOT / "scripts" / name), *map(str, args))
 
 
 def run_script(name, *args):
@@ -66,3 +73,32 @@ def test_bad_arguments_are_usage_errors(name, args):
     proc = launch(name, *args)
     assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
     assert proc.stderr.splitlines()[-1].startswith(f"{name}: error: ")
+
+
+def readme_block(heading, lang):
+    """The first ```lang block after a README heading."""
+    section = (ROOT / "README.md").read_text().split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples():
+    # the quick tour prints what its comments say it prints
+    tour = readme_block("## Library quick tour", "python")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(tour, {})
+    printed = out.getvalue().splitlines()
+    calls = [line for line in tour.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(calls), printed
+    stated = [(got, m[1]) for got, line in zip(printed, calls)
+              if (m := re.search(r"# (True|False|-?\d+(?:/\d+)?)\b", line))]
+    assert [want for _, want in stated] == ["1/2", "False", "True"]
+    assert all(got == want for got, want in stated), stated
+    # the experiment scripts run as the README writes them, on this interpreter
+    commands = readme_block("## Experiment scripts", "sh").splitlines()
+    assert len(commands) == 3
+    for command in commands:
+        interpreter, *args = shlex.split(command)
+        assert interpreter == "python3"
+        proc = python(*args)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, (command, proc.stderr)

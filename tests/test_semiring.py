@@ -19,6 +19,7 @@ def test_neg_inf_ordering():
     assert NEG_INF <= NEG_INF
     assert NEG_INF == NEG_INF
     assert not (NEG_INF > -5)
+    assert NEG_INF >= NEG_INF and not (NEG_INF >= -5)
     assert Fraction(3) > NEG_INF
     assert repr(NEG_INF) == "-inf"
     assert hash(NEG_INF) == hash(NEG_INF)

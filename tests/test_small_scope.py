@@ -13,8 +13,15 @@ hypothesis: Jackson, *Software Abstractions*, 2006).  The fans are all
   balancing, and on 20,000 random small matrices ``is_realizable`` agrees
   with the three conditions written out below.
 * Canonical forms: ``canonicalize`` against ``oracles.hull_vertices`` on a
-  fixed-seed sample of the polynomials in two variables with exponents in
-  [-1, 1]^2 and coefficients in {absent, 0, 1, 2}.
+  fixed-seed sample of 80 of the polynomials in two variables with
+  exponents in [-1, 1]^2 and coefficients in {absent, 0, 1, 2}.
+* Morphism round trip: ``realize_morphism(induced_homspec(mu))`` agrees
+  with mu on every source generator, for every weight-1 source fan above
+  and every matrix T in [-1, 1]^{2x2} whose generator images have degree
+  0 (so that ``induced_homspec`` is defined), 5,432 pairs.  The target is
+  the weight-1 fan on the primitive images T d of the source rays, the
+  smallest whose support T maps into, or the source itself when T sends
+  every ray to the origin.
 """
 
 import math
@@ -25,6 +32,7 @@ import pytest
 
 from oracles import hull_vertices
 from tropfan import (
+    FanMorphism,
     IntMatrix,
     LaurentPoly,
     NotRealizable,
@@ -34,7 +42,10 @@ from tropfan import (
     check_balancing,
     generator_matrix,
     image_membership,
+    induced_homspec,
     is_realizable,
+    primitive,
+    realize_morphism,
     reconstruct_fan,
 )
 
@@ -176,7 +187,7 @@ def small_poly(n, code):
     return [(u, c) for u, c in zip(product((-1, 0, 1), repeat=n), digits) if c != 3]
 
 
-@pytest.mark.parametrize("n, sample", [(1, None), (2, 20)])
+@pytest.mark.parametrize("n, sample", [(1, None), (2, 80)])
 def test_canonicalize_against_hull_vertices(n, sample):
     codes = range(4 ** 3**n)
     if sample:
@@ -189,3 +200,23 @@ def test_canonicalize_against_hull_vertices(n, sample):
         assert {u for u, _ in C.terms} == (kept_by_hull(terms) if terms else set()), terms
         sizes.add(len(C.terms))
     assert len(sizes) >= 4
+
+
+def test_morphism_round_trip():
+    matrices = [IntMatrix.from_rows([t[:2], t[2:]]) for t in product((-1, 0, 1), repeat=4)]
+    pairs = 0
+    for X in FANS:
+        if any(ray.weight != 1 for ray in X.rays):
+            continue
+        total = [sum(c) for c in zip(*(ray.generator for ray in X.rays))]
+        for T in matrices:
+            if any(T.apply(total)):  # an image of nonzero degree
+                continue
+            images = {primitive(v)[1] for v in map(T.apply, (ray.direction for ray in X.rays)) if any(v)}
+            Y = WeightedFan.build(2, [(d, 1) for d in images]) if images else X
+            back = realize_morphism(induced_homspec(FanMorphism(X, Y, T)))
+            assert (back.source, back.target) == (X, Y)
+            for ray in X.rays:
+                assert back.apply(ray.generator) == T.apply(ray.generator), (X, T)
+            pairs += 1
+    assert pairs == 5432

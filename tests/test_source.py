@@ -52,6 +52,25 @@ def test_operator_index_only_in_semiring():
     assert users == ["semiring.py"]
 
 
+def test_parse_errors_come_from_one_rule():
+    # outside input is read under errors.malformed; the only other handlers
+    # that raise ParseError are the JSON file reader's and the polynomial
+    # text parser's digit-limit ones, which name the file or the factor
+    allowed = {"errors.py:malformed", "cli.py:_load_json", "laurent.py:_var_index",
+               "laurent.py:_rational", "laurent.py:parse_poly_text"}
+    found = set()
+    for path in SRC.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for handler in ast.walk(func):
+                    if isinstance(handler, ast.ExceptHandler) and any(
+                        isinstance(node, ast.Raise) and "ParseError" in ast.dump(node) for node in ast.walk(handler)
+                    ):
+                        found.add(f"{path.name}:{func.name}")
+    assert found <= allowed, f"ParseError raised from a handler outside the one rule: {found - allowed}"
+    assert "errors.py:malformed" in found
+
+
 def test_every_definition_is_used():
     # a module-level function or class of the library is named, and a method
     # reached as an attribute, somewhere in the library, its tests, the
