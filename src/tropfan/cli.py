@@ -60,17 +60,18 @@ def _dumps(obj, pretty: bool) -> str:
 
 def _cmd_fan_check(args) -> dict:
     X = _load_fan(args.fan)
-    balanced = _fan.check_balancing(X)
-    M = _evalmap.generator_matrix(X)
+    defect = [sum(row) for row in _evalmap.generator_matrix(X).data]
+    balanced = not any(defect)
     out = {
         "ambient_dim": X.ambient_dim,
         "rays": X.ray_labels(),
         "weights": [r.weight for r in X.rays],
         "balanced": balanced,
-        "realizable": _evalmap.is_realizable(M),
+        # a loaded fan's generators rebuild that fan, so they are realizable iff balanced
+        "realizable": balanced,
     }
     if not balanced:
-        out["defect"] = [sum(row) for row in M.data]
+        out["defect"] = defect
     return out
 
 
@@ -244,8 +245,7 @@ def _cmd_transport(args) -> dict:
 
 def _cmd_member(args) -> dict:
     X = _load_fan(args.fan)
-    raw = [p.strip() for p in args.values.split(",")]
-    G = _evalmap.RayFunction.from_json(X, {"values": raw})
+    G = _evalmap.RayFunction.from_json(X, {"values": args.values.split(",")})
     bound = args.bound
     if bound is None:
         with malformed("bad TROPFAN_MEMBER_BOUND"):

@@ -30,7 +30,7 @@ from .errors import (
 from .fan import WeightedFan, check_balancing, primitive
 from .intlat import IntMatrix, _hnf_core, _ident_list
 from .laurent import LaurentPoly
-from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int, as_ints
+from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int, as_ints, is_bottom_text
 
 #: the default of image_membership's ``bound``, which is checked and not read
 DEFAULT_MEMBER_BOUND = 64
@@ -83,7 +83,7 @@ class RayFunction:
             rays = list(obj["rays"]) if "rays" in obj else None
         if rays is not None and rays != fan.ray_labels():
             raise ParseError("ray names do not match the fan's sorted rays")
-        bottoms = [v == "-inf" for v in values]
+        bottoms = [is_bottom_text(v) for v in values]
         if all(bottoms) and values:
             return cls(fan, None)
         if any(bottoms):
@@ -97,15 +97,6 @@ def degree(F: RayFunction) -> TropValue:
     return F.degree()
 
 
-def _require_boolean(f: LaurentPoly, X: WeightedFan):
-    if f.num_vars != X.ambient_dim:
-        raise DimensionMismatch(
-            f"polynomial in {f.num_vars} variables on a fan of dimension {X.ambient_dim}"
-        )
-    if not f.is_boolean:
-        raise NonBooleanInput("weighted evaluation needs every coefficient equal to 0")
-
-
 def eval_map(X: WeightedFan, f: LaurentPoly) -> RayFunction:
     """rho |-> w_rho * f(d_rho); the bottom polynomial maps to bottom.
 
@@ -113,7 +104,12 @@ def eval_map(X: WeightedFan, f: LaurentPoly) -> RayFunction:
     every direction d_rho is a primitive integer vector, so f(d_rho) is
     max_u u . d_rho, a maximum of integer dot products.
     """
-    _require_boolean(f, X)
+    if f.num_vars != X.ambient_dim:
+        raise DimensionMismatch(
+            f"polynomial in {f.num_vars} variables on a fan of dimension {X.ambient_dim}"
+        )
+    if not f.is_boolean:
+        raise NonBooleanInput("weighted evaluation needs every coefficient equal to 0")
     if not f:
         return RayFunction(X, None)
     exponents = f.support()

@@ -49,7 +49,8 @@ from .errors import (
     ParseError,
     malformed,
 )
-from .semiring import NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints, as_scaled, as_trop
+from .semiring import (NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints, as_scaled, as_trop,
+                       is_bottom_text)
 
 Term = tuple[tuple[int, ...], Fraction]
 
@@ -436,7 +437,7 @@ def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
         piece = piece.strip()
         if not piece:
             raise ParseError(f"empty term in {text!r}")
-        if piece == "-inf":
+        if is_bottom_text(piece):
             continue
         num, den = 0, 1
         exps: dict[int, int] = {}
@@ -444,18 +445,15 @@ def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
             factor = factor.strip()
             if not factor:
                 raise ParseError(f"empty factor in term {piece!r}")
+            pq = _rational(factor)
+            if pq is not None:
+                p, q = pq
+                if not q:
+                    raise ParseError(f"zero denominator in {factor!r}")
+                num, den = num * q + p * den, den * q
+                continue
             name, caret, power = factor.partition("^")
-            # An alias is not a number, so it needs no number test.
-            idx = _ALIASES.get(name)
-            if idx is None:
-                pq = _rational(factor)
-                if pq is not None:
-                    p, q = pq
-                    if not q:
-                        raise ParseError(f"zero denominator in {factor!r}")
-                    num, den = num * q + p * den, den * q
-                    continue
-                idx = _var_index(name.strip())
+            idx = _var_index(name.strip())
             try:
                 e = int(power) if caret else 1
             except ValueError as exc:
@@ -504,8 +502,7 @@ def poly_from_json(obj: dict) -> LaurentPoly:
         n = as_int(obj["vars"])
         items = []
         for t in obj["terms"]:
-            raw = t["coeff"]
-            coeff = NEG_INF if isinstance(raw, str) and raw.strip() == "-inf" else as_trop(raw)
+            coeff = NEG_INF if is_bottom_text(t["coeff"]) else as_trop(t["coeff"])
             items.append((as_ints(t["exp"], as_int), coeff))
     for u, _ in items:
         if len(u) != n:  # make's DimensionMismatch, a parse error in a file

@@ -20,9 +20,10 @@ from .errors import (
     DimensionMismatch,
     InvalidMorphism,
     NoIntegerSolution,
+    NonBooleanInput,
     NotGeometric,
 )
-from .evalmap import RayFunction, _require_boolean, eval_map
+from .evalmap import RayFunction, eval_map
 from .fan import Ray, WeightedFan, support_contains
 from .intlat import IntMatrix, lattice_solve
 from .laurent import LaurentPoly
@@ -74,9 +75,17 @@ def pullback_poly(mu: FanMorphism, Q: LaurentPoly) -> LaurentPoly:
 
 def pullback_evalmap(mu: FanMorphism, f: LaurentPoly) -> RayFunction:
     """Pull the weighted evaluation of f on the target back to the source:
-    rho |-> w_rho * f(T d_rho).  Equals eval_map of pullback_poly."""
-    _require_boolean(f, mu.target)
-    return eval_map(mu.source, pullback_poly(mu, f))
+    rho |-> w_rho * f(T d_rho), which is eval_map of pullback_poly.
+
+    Raises pullback_poly's DimensionMismatch when f is not in the target's
+    variables, then NonBooleanInput when f is not Boolean, also where T
+    merges f's terms into a Boolean pullback (x + -1*y when T's two rows
+    are equal): f itself has no weighted evaluation, and eval_map sees
+    only the pullback."""
+    pulled = pullback_poly(mu, f)
+    if not f.is_boolean:
+        raise NonBooleanInput("weighted evaluation needs every coefficient equal to 0")
+    return eval_map(mu.source, pulled)
 
 
 def compose(mu2: FanMorphism, mu1: FanMorphism) -> FanMorphism:

@@ -16,7 +16,9 @@ carrier elements must be nonzero.
 Input coercion lives here alone: the integer rule :func:`as_index`, its
 vector form :func:`as_ints` and :func:`as_int` for outside text; the
 rational rule :func:`as_trop`, which refuses floats, and exponent notation
-wherever text becomes a rational.
+wherever text becomes a rational; and the bottom's text, :func:`is_bottom_text`.
+Polynomial text is the one reader that takes less than :func:`as_trop`:
+its coefficients are ``p`` or ``p/q``, and a decimal there is refused.
 """
 
 from __future__ import annotations
@@ -89,6 +91,12 @@ def as_trop(v) -> TropValue:
     if isinstance(v, str) and ("e" in v or "E" in v):
         raise ValueError(f"{v!r}: exponent notation (e or E) is not accepted")
     return Fraction(v)
+
+
+def is_bottom_text(v) -> bool:
+    """True iff v is the text of the bottom element: ``-inf``, with
+    surrounding whitespace ignored.  Every reader of outside text asks this."""
+    return isinstance(v, str) and v.strip() == "-inf"
 
 
 def as_index(v) -> int:

@@ -209,7 +209,9 @@ def in_hull(p, others):
 def hull_vertices(points):
     """The vertex set of conv(points), by brute force.  A point that is the
     unique maximizer of some functional in [-4, 4]^n is a vertex; every
-    other point is tested by :func:`in_hull` against the rest."""
+    other point is tested by :func:`in_hull` against the rest.  A point
+    proven inside leaves the rest: the hull of the rest does not change,
+    and no vertex is ever proven inside, so every answer stays exact."""
     pts = sorted(set(map(tuple, points)))
     if len(pts) <= 1:
         return set(pts)
@@ -219,11 +221,11 @@ def hull_vertices(points):
         best = max(values)
         if values.count(best) == 1:
             certified.add(pts[values.index(best)])
-    verts = set()
+    rest = set(pts)
     for p in pts:
-        if p in certified or not in_hull(p, [q for q in pts if q != p]):
-            verts.add(p)
-    return verts
+        if p not in certified and in_hull(p, sorted(rest - {p})):
+            rest.remove(p)
+    return rest
 
 
 # --------------------------------------------------- exact grid values

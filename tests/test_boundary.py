@@ -291,6 +291,15 @@ class TestRayValues:
         G = RayFunction.from_json(self.L23, {"values": ["1", "0", 0]})
         assert G == RayFunction(self.L23, (1, 0, 0))
 
+    def test_padded_bottom_text(self):
+        # the bottom's text is read as poly_from_json reads it: surrounding whitespace ignored
+        assert RayFunction.from_json(self.L23, {"values": [" -inf", "-inf ", "-inf"]}).is_bottom
+
+    @pytest.mark.parametrize("values", [[" -inf", "1", 0], [0, 0, "-inf "]])
+    def test_bottom_mixed_with_integers(self, values):
+        with pytest.raises(ParseError, match="only allowed when every entry is -inf"):
+            RayFunction.from_json(self.L23, {"values": values})
+
     @pytest.mark.parametrize("values", [(1.9, 0, 0), (1, 0.0, 0), (True, 0, 0), (0, 0, False)])
     def test_constructor_rejects_floats_and_booleans(self, values):
         with pytest.raises(TypeError):

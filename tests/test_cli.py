@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tropfan import IntMatrix, det, invariant_factors, laurent
+from tropfan import IntMatrix, WeightedFan, det, invariant_factors, laurent
 from tropfan.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -226,6 +226,38 @@ class TestMorphismCommands:
         assert doc["ray_map"] == {"(-1,-1)": "(-4,-3)", "(0,1)": "(3,1)", "(1,0)": "(1,2)"}
 
 
+class TestFanCheck:
+    # the exact bytes `fan check` prints; realizable is balanced for a loaded fan
+    EXPECTED = {
+        "L22": '{"ambient_dim": 2, "rays": ["(-1,0)", "(1,0)"], "weights": [1, 1], '
+               '"balanced": true, "realizable": true}\n',
+        "L23": '{"ambient_dim": 2, "rays": ["(-1,-1)", "(0,1)", "(1,0)"], "weights": [1, 1, 1], '
+               '"balanced": true, "realizable": true}\n',
+        "L34": '{"ambient_dim": 3, "rays": ["(-1,-1,-1)", "(0,0,1)", "(0,1,0)", "(1,0,0)"], '
+               '"weights": [1, 1, 1, 1], "balanced": true, "realizable": true}\n',
+        "Y": '{"ambient_dim": 2, "rays": ["(-4,-3)", "(1,2)", "(3,1)"], "weights": [1, 1, 1], '
+             '"balanced": true, "realizable": true}\n',
+        "Z": '{"ambient_dim": 2, "rays": ["(-1,0)", "(0,-1)", "(0,1)", "(1,0)"], "weights": [1, 1, 1, 1], '
+             '"balanced": true, "realizable": true}\n',
+        "unbalanced": '{"ambient_dim": 2, "rays": ["(-1,-1)", "(0,1)", "(1,0)"], "weights": [1, 3, 2], '
+                      '"balanced": false, "realizable": false, "defect": [1, 2]}\n',
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_builds_the_fan_once(self, capsys, monkeypatch, tmp_path, name):
+        path = FIX / f"{name}.json"
+        if name == "unbalanced":
+            path = tmp_path / "f.json"
+            path.write_text(json.dumps({"ambient_dim": 2, "rays": [
+                {"direction": [2, 0], "weight": 1}, {"direction": [0, 1], "weight": 3},
+                {"direction": [-1, -1], "weight": 1}]}))
+        builds = []
+        build = WeightedFan.build.__func__
+        monkeypatch.setattr(WeightedFan, "build", classmethod(lambda cls, *a: builds.append(a) or build(cls, *a)))
+        assert invoke(capsys, "fan", "check", str(path)) == (0, self.EXPECTED[name])
+        assert len(builds) == 1
+
+
 class TestMember:
     def test_member_true(self, capsys):
         code, out = invoke(capsys, "member", str(FIX / "L23.json"), "--values", "1,0,0")
@@ -249,6 +281,19 @@ class TestMember:
         assert invoke(capsys, "member", str(fan), "--values=100,-100", "--bound", "10") == (0, expected)
         monkeypatch.setenv("TROPFAN_MEMBER_BOUND", "200")
         assert invoke(capsys, "member", str(fan), "--values=100,-100") == (0, expected)
+
+    def test_padded_bottom_values(self, capsys):
+        expected = '{"member": true, "witness": "-inf"}\n'
+        assert invoke(capsys, "member", str(FIX / "L23.json"), "--values= -inf, -inf, -inf") == (0, expected)
+
+    def test_padded_bottom_image_is_read_as_bottom(self, capsys, tmp_path):
+        # padded -inf is the bottom function, whose degree is -inf, not 0
+        hs = tmp_path / "hs.json"
+        hs.write_text(json.dumps({"source": str(FIX / "L22.json"), "target": str(FIX / "L23.json"),
+                                  "images": [[" -inf", "-inf ", "-inf"], [0, 0, 0]]}))
+        code, out = invoke(capsys, "morphism", "realize", str(hs))
+        assert (code, json.loads(out)) == (1, {"error": "bad_parameters",
+                                               "message": "generator images must have degree 0"})
 
 
 class TestPlotAndErrors:

@@ -29,6 +29,7 @@ from tropfan import (
     InvalidMorphism,
     LaurentPoly,
     NoIntegerSolution,
+    NonBooleanInput,
     NotGeometric,
     RayFunction,
     WeightedFan,
@@ -127,6 +128,28 @@ class TestPullback:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             pullback_poly(FanMorphism(L23, Y, T_LY), LaurentPoly.zero(3))
+
+    def test_evalmap_error_codes(self):
+        # pullback_poly's check comes first, so a polynomial in the wrong
+        # number of variables is dimension_mismatch even when not Boolean
+        mu = FanMorphism(L23, Y, T_LY)
+        for f in (LaurentPoly.zero(3), parse_poly_text("1 + x", 3)):
+            with pytest.raises(DimensionMismatch, match="polynomial in 3 variables pulled back along 2 rows") as err:
+                pullback_evalmap(mu, f)
+            assert err.value.code == "dimension_mismatch"
+        with pytest.raises(NonBooleanInput) as err:
+            pullback_evalmap(mu, parse_poly_text("1 + x", 2))
+        assert err.value.code == "non_boolean_input"
+
+    def test_non_boolean_input_with_a_boolean_pullback(self):
+        # T sends both target coordinates to one, so x + -1*y pulls back to
+        # the Boolean max(x, x - 1) = x; f itself has no weighted evaluation
+        X = WeightedFan.build(1, [((1,), 1), ((-1,), 1)])
+        mu = FanMorphism(X, WeightedFan.build(2, [((1, 1), 1), ((-1, -1), 1)]), IntMatrix.from_rows([[1], [1]]))
+        f = parse_poly_text("x + -1*y", 2)
+        assert pullback_poly(mu, f).is_boolean
+        with pytest.raises(NonBooleanInput):
+            pullback_evalmap(mu, f)
 
 
 class TestCompose:

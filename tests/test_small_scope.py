@@ -13,7 +13,7 @@ hypothesis: Jackson, *Software Abstractions*, 2006).  The fans are all
   balancing, and on 20,000 random small matrices ``is_realizable`` agrees
   with the three conditions written out below.
 * Canonical forms: ``canonicalize`` against ``oracles.hull_vertices`` on a
-  fixed-seed sample of 80 of the polynomials in two variables with
+  fixed-seed sample of 96 of the polynomials in two variables with
   exponents in [-1, 1]^2 and coefficients in {absent, 0, 1, 2}.
 * Morphism round trip: ``realize_morphism(induced_homspec(mu))`` agrees
   with mu on every source generator, for every weight-1 source fan above
@@ -187,7 +187,7 @@ def small_poly(n, code):
     return [(u, c) for u, c in zip(product((-1, 0, 1), repeat=n), digits) if c != 3]
 
 
-@pytest.mark.parametrize("n, sample", [(1, None), (2, 80)])
+@pytest.mark.parametrize("n, sample", [(1, None), (2, 96)])
 def test_canonicalize_against_hull_vertices(n, sample):
     codes = range(4 ** 3**n)
     if sample:

@@ -52,6 +52,26 @@ def test_operator_index_only_in_semiring():
     assert users == ["semiring.py"]
 
 
+def test_bottom_text_compared_only_in_semiring():
+    # semiring.is_bottom_text is the one rule for reading -inf from outside text
+    users = sorted({path.name for path in SRC.glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                    if isinstance(node, ast.Compare)
+                    and any(isinstance(x, ast.Constant) and x.value == "-inf" for x in [node.left, *node.comparators])})
+    assert users == ["semiring.py"]
+
+
+def test_no_private_names_imported():
+    # a module reaches another's underscore names only where the two share
+    # one algorithm: evalmap reads lattice answers off intlat's Hermite kernel
+    allowed = {("evalmap.py", "intlat", "_hnf_core"), ("evalmap.py", "intlat", "_ident_list")}
+    found = {(path.name, node.module, alias.name) for path in SRC.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.ImportFrom) and node.module
+             for alias in node.names if alias.name.startswith("_") and not alias.name.startswith("__")}
+    assert found == allowed
+
+
 def test_parse_errors_come_from_one_rule():
     # outside input is read under errors.malformed; the only other handlers
     # that raise ParseError are the JSON file reader's and the polynomial
