@@ -40,11 +40,11 @@ such rows have none again.
 exponent question of image membership once that has parametrised its
 equality away.  The rational region must be bounded, so the search is
 exact with no box; an unbounded variable is an ``AssertionError``.  It
-enumerates integer points depth first between the exact per-variable
-bounds of a Fourier-Motzkin projection chain (Schrijver, *Theory of
-Linear and Integer Programming*, 1986, section 12.2).  The chain depends
-on the rows, not on the right-hand sides, so it is built once per
-``rows`` as a *plan*:
+walks the integer points in lexicographic order, in one loop over the
+levels, between the exact per-variable bounds of a Fourier-Motzkin
+projection chain (Schrijver, *Theory of Linear and Integer Programming*,
+1986, section 12.2).  The chain depends on the rows, not on the
+right-hand sides, so it is built once per ``rows`` as a *plan*:
 
 * Right-hand sides: every row of the chain carries its right-hand side
   as an integer combination ``combo`` of the input right-hand sides, and
@@ -71,13 +71,22 @@ on the rows, not on the right-hand sides, so it is built once per
   :func:`integer_point_search` takes it.  Nothing is built at import.
 
 The point does not depend on how the chain is written.  Each level is the
-exact projection onto its variables, so at a node the range of the next
-variable, from the smallest to the largest integer meeting every row of
-the slice, is fixed by the projection.  The projection of a bounded
-nonempty region is bounded, so once the guards hold every level has an
-upper and a lower row.  The search checks only the rows with the level's
-variable: by induction every prefix it builds lies in the projection onto
-its variables.  The empty prefix does once the guards hold, and a row of
+exact projection onto its variables, so at a node, a prefix of values for
+the first variables, the range of the next variable, from the smallest
+to the largest integer meeting every row of the slice, is fixed by the
+projection.  The projection of a bounded nonempty region is bounded, so
+once the guards hold every level has an upper and a lower row.
+
+The search evaluates each level's right-hand sides once, then runs one
+loop that holds the current prefix and the top of each of its values'
+ranges.  A nonempty range appends its lowest value; an empty one drops
+the trailing values already at the top of their ranges and raises the
+last one left, or ends the search with no point when none is left.  So
+the first prefix that reaches full length is the lexicographically first
+point.  The loop reads only the rows with the next level's variable,
+because every prefix it holds lies in the projection onto its variables.
+The empty prefix does once the guards hold.  A value is taken only from
+its level's range, so it meets the rows with that variable, and a row of
 level k without variable k-1 is carried down to level k - 1, where the
 prefix meets it or a row that implies it.
 """
@@ -294,37 +303,41 @@ def integer_point_search(plan: _Plan, rhs: Sequence[int]):
     for combo in plan.guards:
         if sum(map(mul, combo, rhs)) < 0:
             return None, False
-    if not all(uppers and lowers for uppers, lowers in plan.levels):
-        raise AssertionError("the search region must be bounded")
-
-    def at_rhs(side):
-        return [(c, sum(map(mul, combo, rhs)), a) for c, combo, a in side]
-
     # levels[k] holds the rows (c, b, a) of plan.levels[k] with b = combo . rhs
-    levels = [(at_rhs(uppers), at_rhs(lowers)) for uppers, lowers in plan.levels]
-
-    def dfs(k: int, prefix: list[int]):
-        if k == len(levels):
-            return tuple(prefix)
+    levels = []
+    for uppers, lowers in plan.levels:
+        if not (uppers and lowers):
+            raise AssertionError("the search region must be bounded")
+        levels.append(([(c, sum(map(mul, combo, rhs)), a) for c, combo, a in uppers],
+                       [(c, sum(map(mul, combo, rhs)), a) for c, combo, a in lowers]))
+    # point is the prefix at the current node, k its length, and his[i] the
+    # top of the range of point[i].  c . point + a z <= b gives
+    # z <= (b - c . point) // a on an upper row, and c . point - a z <= b
+    # gives z >= -((b - c . point) // a) on a lower row.
+    depth, point, his, k = len(levels), [], [], 0
+    while k < depth:
         uppers, lowers = levels[k]
-        # c . prefix + a z <= b gives z <= (b - c . prefix) // a on an upper
-        # row, and c . prefix - a z <= b gives z >= -((b - c . prefix) // a)
-        # on a lower row.
         hi = lo = None
         for c, b, a in uppers:
-            z = (b - sum(map(mul, c, prefix))) // a
+            z = (b - sum(map(mul, c, point))) // a
             if hi is None or z < hi:
                 hi = z
         for c, b, a in lowers:
-            z = -((b - sum(map(mul, c, prefix))) // a)
+            z = -((b - sum(map(mul, c, point))) // a)
             if lo is None or z > lo:
                 lo = z
-        for z in range(lo, hi + 1):
-            prefix.append(z)
-            found = dfs(k + 1, prefix)
-            prefix.pop()
-            if found is not None:
-                return found
-        return None
-
-    return dfs(0, []), False
+        if lo <= hi:
+            point.append(lo)
+            his.append(hi)
+            k += 1
+            continue
+        # an empty range: the next value of the deepest variable not at
+        # the top of its range, or no point at all
+        while k and point[-1] == his[-1]:
+            point.pop()
+            his.pop()
+            k -= 1
+        if not k:
+            return None, False
+        point[-1] += 1
+    return tuple(point), False

@@ -102,21 +102,24 @@ def eval_map(X: WeightedFan, f: LaurentPoly) -> RayFunction:
 
     This is exact in integers: every coefficient of a Boolean f is 0 and
     every direction d_rho is a primitive integer vector, so f(d_rho) is
-    max_u u . d_rho, a maximum of integer dot products.
+    max_u u . d_rho, a maximum of integer dot products.  One pass over the
+    terms checks each coefficient and takes its exponent's dot products
+    with every direction.
     """
     if f.num_vars != X.ambient_dim:
         raise DimensionMismatch(
             f"polynomial in {f.num_vars} variables on a fan of dimension {X.ambient_dim}"
         )
-    if not f.is_boolean:
-        raise NonBooleanInput("weighted evaluation needs every coefficient equal to 0")
-    if not f:
+    mul, rays = operator.mul, X.rays
+    directions = [ray.direction for ray in rays]
+    per_term = []  # u . d_rho for every ray, one list per term
+    for u, c in f.terms:
+        if c:
+            raise NonBooleanInput("weighted evaluation needs every coefficient equal to 0")
+        per_term.append([sum(map(mul, u, d)) for d in directions])
+    if not per_term:
         return RayFunction(X, None)
-    exponents = f.support()
-    mul = operator.mul
-    return RayFunction(X, tuple(
-        ray.weight * max([sum(map(mul, u, ray.direction)) for u in exponents]) for ray in X.rays
-    ))
+    return RayFunction(X, tuple([ray.weight * max(vs) for ray, vs in zip(rays, zip(*per_term))]))
 
 
 def generator_matrix(X: WeightedFan) -> IntMatrix:
@@ -242,7 +245,9 @@ def _tight_exponent(gens: tuple, values, a: int) -> Optional[tuple]:
     b = a (``gens[a]`` not 0), or None when there is none."""
     lift, kept, plan, dropped, free = _tight_search(gens, a)
     q, rem = divmod(values[a], math.gcd(*gens[a]))
-    w = None if rem else _lp.integer_point_search(plan, [values[b] - q * c for b, c in kept])[0]
+    if rem:
+        return None
+    w = _lp.integer_point_search(plan, [values[b] - q * c for b, c in kept])[0]
     if w is None:
         return None
     qw, mul = (q, *w), operator.mul
@@ -292,25 +297,26 @@ def image_membership(
         raise TypeError(f"search bound is an integer, got {bound!r}") from None
     if bound < 0:
         raise BadParameters(f"search bound must be nonnegative, got {bound}")
-    if G.fan != X:
+    if G.fan is not X and G.fan != X:
         raise DimensionMismatch("ray function belongs to a different fan")
-    if G.is_bottom:
+    values = G.values
+    if values is None:
         return LaurentPoly.zero(X.ambient_dim)
-    if any(value % ray.weight for ray, value in zip(X.rays, G.values)):
+    if any(map(operator.mod, values, [ray.weight for ray in X.rays])):
         return None
-    if sum(G.values) < 0 and check_balancing(X):
+    if sum(values) < 0 and check_balancing(X):
         return None
-    gens = tuple([ray.generator for ray in X.rays])
+    gens, mul = tuple([ray.generator for ray in X.rays]), operator.mul
     exponents = []
-    for a, (gen, value) in enumerate(zip(gens, G.values)):
-        if any(sum(map(operator.mul, z, gen)) == value for z in exponents):
+    for a, (gen, value) in enumerate(zip(gens, values)):
+        if value in [sum(map(mul, z, gen)) for z in exponents]:
             continue
-        z = _tight_exponent(gens, G.values, a)
+        z = _tight_exponent(gens, values, a)
         if z is None:
             return None
         exponents.append(z)
     # distinct: a ray is searched only when no exponent found is tight there
-    witness = LaurentPoly(X.ambient_dim, tuple((z, BOOL_ONE) for z in sorted(exponents)))
-    if eval_map(X, witness).values != G.values:
+    witness = LaurentPoly(X.ambient_dim, tuple([(z, BOOL_ONE) for z in sorted(exponents)]))
+    if eval_map(X, witness).values != values:
         raise AssertionError("witness must reproduce the input")
     return witness

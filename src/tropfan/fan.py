@@ -128,11 +128,7 @@ class WeightedFan:
 
 def check_balancing(X: WeightedFan) -> bool:
     """True iff the weighted directions sum to the zero vector."""
-    total = [0] * X.ambient_dim
-    for ray in X.rays:
-        for i, x in enumerate(ray.generator):
-            total[i] += x
-    return not any(total)
+    return not any(map(sum, zip(*[ray.generator for ray in X.rays])))
 
 
 def standard_model(n: int, r: int) -> WeightedFan:

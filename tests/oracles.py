@@ -1,15 +1,15 @@
 """Independent oracles and random-input generators shared by the test
 modules.  Everything here is deliberately written from first principles
 (Gaussian elimination and Fourier-Motzkin elimination over Fraction,
-determinantal divisors, Caratheodory hull membership) so that agreement
-with the library is meaningful.
+determinantal divisors, hull membership by Gordan's theorem) so that
+agreement with the library is meaningful.
 """
 
 import math
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional, Sequence
 
 from tropfan import NEG_INF, BadParameters, CanonicalFn, IntMatrix, LaurentPoly, ParseError, WeightedFan, _lp
@@ -163,67 +163,21 @@ def reference_hnf_core(a, U):
 # -------------------------------------------------- hull vertex oracle
 
 
-def _affine_combination(T, p):
-    """Coefficients lam with sum lam_i T_i = p and sum lam_i = 1, or None
-    when the subset is affinely dependent or the system is inconsistent."""
-    k = len(T)
-    n = len(p)
-    a = [[Fraction(T[j][i]) for j in range(k)] for i in range(n)]
-    a.append([Fraction(1)] * k)
-    b = [Fraction(x) for x in p] + [Fraction(1)]
-    rows = n + 1
-    piv_of_col = {}
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            return None  # dependent subset; some other subset will witness
-        a[r], a[piv] = a[piv], a[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        b[r] = b[r] / inv
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                b[i] -= f * b[r]
-        piv_of_col[c] = r
-        r += 1
-    for i in range(r, rows):
-        if b[i] != 0:
-            return None  # inconsistent
-    return [b[piv_of_col[c]] for c in range(k)]
-
-
-def in_hull(p, others):
-    n = len(p)
-    for k in range(1, min(len(others), n + 1) + 1):
-        for T in combinations(others, k):
-            lam = _affine_combination(T, p)
-            if lam is not None and all(l >= 0 for l in lam):
-                return True
-    return False
-
-
 def hull_vertices(points):
-    """The vertex set of conv(points), by brute force.  A point that is the
-    unique maximizer of some functional in [-4, 4]^n is a vertex; every
-    other point is tested by :func:`in_hull` against the rest.  A point
-    proven inside leaves the rest: the hull of the rest does not change,
-    and no vertex is ever proven inside, so every answer stays exact."""
+    """The vertex set of conv(points), by brute force.  A point p is a
+    vertex iff some f has (q - p) . f < 0 for every other point q left, a
+    strict system that :func:`fm_point` decides; by Gordan's theorem it has
+    no solution iff p lies in the hull of those q.  A point proven inside
+    leaves the rest: the hull of the rest does not change, and no vertex is
+    ever proven inside, so every answer stays exact."""
     pts = sorted(set(map(tuple, points)))
     if len(pts) <= 1:
         return set(pts)
-    certified = set()
-    for f in product(range(-4, 5), repeat=len(pts[0])):
-        values = [sum(x * y for x, y in zip(f, p)) for p in pts]
-        best = max(values)
-        if values.count(best) == 1:
-            certified.add(pts[values.index(best)])
+    n = len(pts[0])
     rest = set(pts)
     for p in pts:
-        if p not in certified and in_hull(p, sorted(rest - {p})):
+        cons = [(tuple(a - b for a, b in zip(q, p)), 0, True) for q in sorted(rest - {p})]
+        if fm_point(cons, n) is None:
             rest.remove(p)
     return rest
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -773,6 +774,34 @@ def test_balanced_witnesses_are_pinned():
     assert sum(w is not None for w in out) > 300
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == "87e71673d2e6981391a089deee29173e55dcc119293216e77fd758ad80e9b0e6"
+
+
+def test_member_shaped_witnesses_are_pinned():
+    # the witnesses on the shapes of the benchmark's member workload: the
+    # standard models L_{n,r} for n <= 4 and balanced fans of up to six
+    # rays in R^3 and R^4, each at a member's values and at those values
+    # translated by a monomial x^t, which moves ray b's value by
+    # w_b * (t . d_b); every one is a member, and the digest pins the
+    # exponents the search picks
+    rng = random.Random(7676)
+    fans = [standard_model(n, r) for n in range(1, 5) for r in range(2, n + 2)]
+    fans += [rand_balanced_fan(rng, rng.choice([3, 4]), max_rays=6) for _ in range(150)]
+    out = []
+    for X in fans:
+        n = X.ambient_dim
+        for _ in range(4):
+            values = weighted_values(X, [tuple(rng.randint(-2, 2) for _ in range(n))
+                                         for _ in range(rng.randint(1, 5))])
+            t = [rng.randint(-3, 3) for _ in range(n)]
+            moved = tuple([v + ray.weight * sum(map(operator.mul, t, ray.direction))
+                           for v, ray in zip(values, X.rays)])
+            for G in (values, moved):
+                w = image_membership(X, RayFunction(X, G))
+                assert w is not None and weighted_values(X, w.support()) == G, (X, G)
+                out.append([u for u, _ in w.terms])
+    assert len(out) == 8 * len(fans)
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "9f37c72e25bb3a5e5d4fa312ada7a85b5577781349b80ce6769a53e5573c9729"
 
 
 def test_bound_changes_no_answer():

@@ -371,6 +371,39 @@ class TestSearchEdgeCases:
         # prove the miss before any range is asked for
         assert integer_point_search(_plan(((1, 1), (-1, -1), (1, 0))), (0, -1, 0)) == (None, False)
 
+    def test_unbounded_level_after_an_empty_range(self):
+        # 2x = 1 passes the guard but leaves x no integer, and y has no
+        # upper row: the plan is refused before any range is read
+        plan = _plan(((2, 0), (-2, 0), (0, -1)))
+        assert plan.guards and not plan.levels[1][0]
+        with pytest.raises(AssertionError, match="bounded"):
+            integer_point_search(plan, (1, -1, 0))
+
+    # The ten searches of one pass of the benchmark's member workload at
+    # seed 1 that visit the most nodes (63 down to 32) under a depth-first
+    # count that includes the leaf, all three levels deep: (rows, rhs,
+    # point).
+    BACKTRACKING = [
+        (((2, 0, 0), (0, 2, 0), (34, 38, 78), (-36, -40, -78)), (30, 12, 422, -418), (1, 2, 4)),
+        (((2, 0, 0), (0, 1, 0), (34, 72, 82), (18, 37, 42), (-54, -110, -124)), (10, 1, -168, -100, 304),
+         (-3, 1, -2)),
+        (((1, 0, 0), (0, 2, 0), (2, 20, 70), (-3, -22, -70)), (18, 10, 102, -95), (-6, 2, 1)),
+        (((2, 0, 0), (0, 1, 0), (34, 72, 82), (18, 37, 42), (-54, -110, -124)), (4, 1, -42, -33, 114),
+         (-12, -3, 7)),
+        (((1, 0, 0), (0, 1, 0), (26, 0, 30), (-40, -2, -46), (13, 1, 16)), (-7, -2, -222, 399, -125),
+         (-19, -26, 9)),
+        (((2, 0, 0), (0, 2, 0), (3, 1, 35), (-5, -3, -35)), (10, 10, -559, 574), (-5, 4, -16)),
+        (((1, 0, 0), (0, 2, 0), (31, 1, 35), (-32, -3, -35)), (-14, 20, 1, 21), (-33, 7, 29)),
+        (((1, 0, 0), (0, 1, 0), (26, 0, 30), (-40, -2, -46), (13, 1, 16)), (10, 7, 12, 0, -3), (5, -8, -4)),
+        (((2, 0, 0), (0, 2, 0), (14, 12, 25), (-38, -32, -66), (22, 18, 41)), (10, 24, -3, 18, -2), (-9, 4, 3)),
+        (((2, 0, 0), (0, 1, 0), (14, 5, 25), (-38, -14, -66), (22, 8, 41)), (4, 1, -131, 366, -196),
+         (-14, -7, 4)),
+    ]
+
+    @pytest.mark.parametrize("rows, rhs, point", BACKTRACKING, ids=[str(i) for i in range(len(BACKTRACKING))])
+    def test_backtracking_searches(self, rows, rhs, point):
+        assert check_search(rows, rhs) == point
+
 
 # ------------------------------------------------ the equality's substitution
 
