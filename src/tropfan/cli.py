@@ -24,7 +24,7 @@ from . import laurent as _laurent
 from . import morphism as _morphism
 from .errors import DimensionMismatch, ParseError, TropfanError, malformed
 from .evalmap import DEFAULT_MEMBER_BOUND
-from .semiring import as_int
+from .semiring import NEG_INF, as_int
 
 
 def _load_json(path: str):
@@ -166,7 +166,7 @@ def _cmd_poly_eq(args) -> dict:
 def _cmd_poly_germ(args) -> dict:
     P, p = _poly_at_point(args)
     g = _laurent.germ_localize(P, p)
-    part = "-inf" if g.is_bottom else _laurent.poly_to_text(g.part.poly)
+    part = str(NEG_INF) if g.is_bottom else _laurent.poly_to_text(g.part.poly)
     return {"part": part, "grade": str(g.grade)}
 
 

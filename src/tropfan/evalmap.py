@@ -70,7 +70,7 @@ class RayFunction:
     def to_json(self) -> dict:
         names = self.fan.ray_labels()
         if self.values is None:
-            return {"rays": names, "values": ["-inf"] * len(names)}
+            return {"rays": names, "values": [str(NEG_INF)] * len(names)}
         return {"rays": names, "values": list(self.values)}
 
     @classmethod
@@ -304,7 +304,7 @@ def image_membership(
         return LaurentPoly.zero(X.ambient_dim)
     if any(map(operator.mod, values, [ray.weight for ray in X.rays])):
         return None
-    if sum(values) < 0 and check_balancing(X):
+    if G.degree() < 0 and check_balancing(X):
         return None
     gens, mul = tuple([ray.generator for ray in X.rays]), operator.mul
     exponents = []

@@ -49,8 +49,8 @@ from .errors import (
     ParseError,
     malformed,
 )
-from .semiring import (NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints, as_scaled, as_trop,
-                       is_bottom_text)
+from .semiring import (BOOL_ONE, NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints, as_scaled,
+                       as_trop, is_bottom_text, text)
 
 Term = tuple[tuple[int, ...], Fraction]
 
@@ -105,16 +105,10 @@ class LaurentPoly:
     def make(cls, num_vars: int, items: Iterable[tuple[Sequence[int], TropValue]]) -> "LaurentPoly":
         """Normalizing factory: merges duplicate exponents by max and drops
         bottom coefficients."""
-        return cls._merged(num_vars, [(_exponent(u, num_vars), as_trop(c)) for u, c in items])
-
-    @classmethod
-    def _merged(cls, num_vars: int, pairs: Iterable[tuple[tuple[int, ...], TropValue]]) -> "LaurentPoly":
-        """make on coerced pairs: the largest coefficient per exponent."""
         acc: dict[tuple[int, ...], Fraction] = {}
-        for u, c in pairs:
-            if c is NEG_INF:
-                continue
-            if u not in acc or c > acc[u]:
+        for u, c in items:
+            u, c = _exponent(u, num_vars), as_trop(c)
+            if c is not NEG_INF and (u not in acc or c > acc[u]):
                 acc[u] = c
         return cls(num_vars, tuple(sorted(acc.items())))
 
@@ -223,7 +217,7 @@ class LaurentPoly:
 
     def boolean_part(self) -> "LaurentPoly":
         """Same support, every coefficient replaced by the tropical one (0)."""
-        return LaurentPoly(self.num_vars, tuple((u, Fraction(0)) for u, _ in self.terms))
+        return LaurentPoly(self.num_vars, tuple((u, BOOL_ONE) for u, _ in self.terms))
 
     def __str__(self) -> str:
         return poly_to_text(self)
@@ -324,7 +318,7 @@ def germ_localize(P: LaurentPoly, p: Sequence) -> TExt:
     _require_point(p, P.num_vars)
     if not P:
         return TEXT_BOTTOM
-    return TExt(canonicalize(P.initial_form(p).boolean_part()), P.eval(p))
+    return text(canonicalize(P.initial_form(p).boolean_part()), P.eval(p))
 
 
 def germ_eq(P: LaurentPoly, Q: LaurentPoly, p: Sequence) -> bool:
@@ -471,12 +465,12 @@ def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
         for i, e in exps.items():
             u[i - 1] = e
         pairs.append((tuple(u), c))
-    return LaurentPoly._merged(n, pairs)
+    return LaurentPoly.make(n, pairs)
 
 
 def poly_to_text(P: LaurentPoly) -> str:
     if not P:
-        return "-inf"
+        return str(NEG_INF)
     pieces = []
     for u, c in P.terms:
         factors = []

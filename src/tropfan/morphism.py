@@ -23,7 +23,7 @@ from .errors import (
     NonBooleanInput,
     NotGeometric,
 )
-from .evalmap import RayFunction, eval_map
+from .evalmap import RayFunction, eval_map, generator_matrix
 from .fan import Ray, WeightedFan, support_contains
 from .intlat import IntMatrix, lattice_solve
 from .laurent import LaurentPoly
@@ -65,12 +65,9 @@ def pullback_poly(mu: FanMorphism, Q: LaurentPoly) -> LaurentPoly:
     T = mu.matrix
     if Q.num_vars != T.rows:
         raise DimensionMismatch(f"polynomial in {Q.num_vars} variables pulled back along {T.rows} rows")
-    n = T.cols
-    items = []
-    for v, c in Q.terms:
-        # exponent v pulls back to sum_j v_j * (row j of T)
-        items.append((tuple(sum(v[j] * T.data[j][i] for j in range(T.rows)) for i in range(n)), c))
-    return LaurentPoly.make(n, items)
+    # exponent v pulls back to sum_j v_j * (row j of T), which is T^t v
+    Tt = T.transpose()
+    return LaurentPoly.make(T.cols, [(Tt.apply(v), c) for v, c in Q.terms])
 
 
 def pullback_evalmap(mu: FanMorphism, f: LaurentPoly) -> RayFunction:
@@ -153,7 +150,7 @@ def realize_morphism(h: HomSpec) -> FanMorphism:
     if not check_geometric(h):
         raise NotGeometric("some image vector leaves the cone of the source generators")
     X, Y = h.target, h.source
-    A = IntMatrix.from_rows([list(ray.generator) for ray in X.rays])  # k x n
+    A = generator_matrix(X).transpose()  # k x n
     rows = []
     for i, H in enumerate(h.images):
         t = lattice_solve(A, H.values)

@@ -96,7 +96,7 @@ def as_trop(v) -> TropValue:
 def is_bottom_text(v) -> bool:
     """True iff v is the text of the bottom element: ``-inf``, with
     surrounding whitespace ignored.  Every reader of outside text asks this."""
-    return isinstance(v, str) and v.strip() == "-inf"
+    return isinstance(v, str) and v.strip() == str(NEG_INF)
 
 
 def as_index(v) -> int:

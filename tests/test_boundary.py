@@ -277,6 +277,20 @@ class TestOutputTooLarge:
         code, out = invoke(capsys, "poly", "eval", "x^" + self.NINES[:2000], "--point", self.NINES[:2000])
         assert code == 0 and len(json.loads(out)["value"]) == 4000
 
+    def test_other_value_errors_pass_out_unchanged(self, capsys, monkeypatch):
+        # only the digit limit's ValueError becomes output_too_large; any
+        # other is a fault of the library, raised as it is with no output
+        error = ValueError("not the digit limit")
+
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(tropfan.laurent, "parse_poly_text", fail)
+        with pytest.raises(ValueError) as info:
+            run(["poly", "eval", "x", "--point", "1"])
+        assert info.value is error
+        assert capsys.readouterr().out == ""
+
 
 class TestRayValues:
     L23 = standard_model(2, 3)

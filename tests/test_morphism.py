@@ -46,6 +46,7 @@ from tropfan import (
     support_contains,
     validate_morphism,
 )
+from tropfan import morphism
 from tropfan.morphism import extract_ray_map
 
 L23 = standard_model(2, 3)
@@ -337,6 +338,19 @@ class TestRealize:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "lattice solve must reproduce the image on every ray\n"
+
+    def test_a_faulty_solve_never_yields_a_morphism(self, monkeypatch):
+        # the identity on L23: a solve answer moved by e1 misses each image
+        # by A.e1 = (-1, 1, 0), and realize_morphism's own check sees it
+        solve = morphism.lattice_solve
+
+        def faulty(A, b):
+            t = solve(A, b)
+            return (t[0] + 1, *t[1:])
+
+        monkeypatch.setattr(morphism, "lattice_solve", faulty)
+        with pytest.raises(AssertionError, match="lattice solve must reproduce the image on every ray"):
+            realize_morphism(induced_homspec(FanMorphism(L23, L23, IntMatrix.identity(2))))
 
     def test_outcomes_with_moved_images(self):
         # induced images, 60 % of them with c moved between two rays of one
