@@ -133,6 +133,11 @@ class Tableau:
         return self.m
 
     def _pivot(self, r: int, c: int):
+        """The Bareiss step on pivot ``T[r][c]``: each other row becomes
+        ``(p * row - row[c] * T[r]) // D``, a division that is exact.  A
+        row with 0 in column c is only scaled, by p / D, and is left as it
+        is when p == D; with D == 1 there is nothing to divide.  These
+        shortcuts give the same integers."""
         T, D = self.T, self.D
         pr = T[r]
         p = pr[c]
@@ -140,8 +145,15 @@ class Tableau:
             p = -p
             T[r] = pr = [-x for x in pr]
         for i, row in enumerate(T):
-            if i != r:
-                f = row[c]
+            if i == r:
+                continue
+            f = row[c]
+            if not f:
+                if p != D:
+                    T[i] = [p * x // D for x in row]
+            elif D == 1:
+                T[i] = [p * x - f * y for x, y in zip(row, pr)]
+            else:
                 T[i] = [(p * x - f * y) // D for x, y in zip(row, pr)]
         self.D = p
         self.basis[r] = c

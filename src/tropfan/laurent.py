@@ -32,10 +32,21 @@ Canonical forms are what germs are carried by.  Equality as functions needs
 none: a polynomial is the max of its terms, so P <= Q iff no term of P
 strictly beats every term of Q anywhere, one LP per term of P that Q's term
 of the same exponent does not dominate.
+
+Every LP here is handed to ``_lp.find_point`` as a ``_lp.Tableau`` of
+integer rows.  :func:`canonicalize` starts E from the term that wins at
+p = 0, the last one with the largest coefficient, and asks no LP for it.
+:func:`fn_witness` scales the coefficients of both sides to integers by one
+L, so that term (u, a) beats rival (v, b) where (v - u).p < (a - b) / L;
+times L // g, for g = gcd(a - b, L), that is the least integer row, the one
+``find_point`` would make from the rational row, and so the same witness.
+A germ's two parts, the Boolean initial form and the value, come from one
+evaluation.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -261,10 +272,11 @@ def _rival_row(term: Term, rival: Term) -> tuple:
     return tuple(map(operator.sub, v, u)), a - b
 
 
-def _beats_all(term: Term, rivals: Iterable[Term], num_vars: int) -> Optional[tuple]:
-    """A point where ``term`` strictly exceeds every rival term, or None."""
-    found = _lp.find_point([(*_rival_row(term, v), True) for v in rivals], num_vars)
-    return None if found is None else tuple(Fraction(x, found[1]) for x in found[0])
+def _last_max(vals: list) -> int:
+    """The index of the last largest value.  Of lex-sorted terms with these
+    values at p, that term has the largest exponent, so it strictly wins at
+    p + (e, e^2, ..., e^n) for small e > 0."""
+    return len(vals) - 1 - vals[::-1].index(max(vals))
 
 
 def canonicalize(P: LaurentPoly) -> CanonicalFn:
@@ -272,6 +284,12 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
     rows, _ = _int_rows(P.terms)
     kept = [False] * len(rows)
     confirmed = []  # the rows known to be kept
+    if rows:
+        # At p = 0, the point a tableau with no rows finds, the values are
+        # the coefficients: that winner is kept without an LP.
+        w = _last_max([b for _, b in rows])
+        kept[w] = True
+        confirmed.append(rows[w])
     mul = operator.mul
     for i, row in enumerate(rows):
         if kept[i]:
@@ -281,9 +299,7 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
             # The witness p = xs / D, with D > 0, in integers; the values
             # of the scaled rows at p, times D.
             xs, D = found
-            vals = [D * b + sum(map(mul, v, xs)) for v, b in rows]
-            # The terms are lex-sorted: the last maximizer has the largest exponent.
-            w = len(vals) - 1 - vals[::-1].index(max(vals))
+            w = _last_max([D * b + sum(map(mul, v, xs)) for v, b in rows])
             kept[w] = True
             confirmed.append(rows[w])
             if w == i:
@@ -301,15 +317,34 @@ def fn_witness(P: LaurentPoly, Q: LaurentPoly) -> Optional[tuple]:
     """None when fn_eq; otherwise a rational point where the values differ:
     the first point found where a term of one side beats all of the other."""
     P._require_same_vars(Q)
-    for A, B in ((P, Q), (Q, P)):
-        coeffs = dict(B.terms)
-        for u, a in A.terms:
+    rows, L = _int_rows(P.terms + Q.terms)
+    k = len(P.terms)
+    for A, B in ((rows[:k], rows[k:]), (rows[k:], rows[:k])):
+        coeffs = dict(B)
+        for u, a in A:
             if u in coeffs and coeffs[u] >= a:  # dominated: no LP needed
                 continue
-            pt = _beats_all((u, a), B.terms, A.num_vars)
-            if pt is not None:
-                return pt
+            # The row (v - u) . p < (a - b) / L of each rival (v, b), times
+            # L // g for g = gcd(a - b, L): the least integer multiple.
+            lp_rows = []
+            for v, b in B:
+                g = math.gcd(a - b, L)
+                s = L // g
+                lp_rows.append(([s * (y - x) for x, y in zip(u, v)], (a - b) // g, True))
+            found = _lp.find_point(_lp.Tableau(lp_rows, P.num_vars), P.num_vars)
+            if found is not None:
+                xs, D = found
+                return tuple(Fraction(x, D) for x in xs)
     return None
+
+
+def _germ_parts(P: LaurentPoly, p: Sequence) -> tuple[LaurentPoly, Fraction]:
+    """The Boolean initial form of the nonzero P at p and its value there,
+    from one evaluation."""
+    vals, scale = P._values(p)
+    top = max(vals)
+    terms = tuple((u, BOOL_ONE) for (u, _), v in zip(P.terms, vals) if v == top)
+    return LaurentPoly(P.num_vars, terms), Fraction(top, scale)
 
 
 def germ_localize(P: LaurentPoly, p: Sequence) -> TExt:
@@ -318,7 +353,8 @@ def germ_localize(P: LaurentPoly, p: Sequence) -> TExt:
     _require_point(p, P.num_vars)
     if not P:
         return TEXT_BOTTOM
-    return text(canonicalize(P.initial_form(p).boolean_part()), P.eval(p))
+    form, value = _germ_parts(P, p)
+    return text(canonicalize(form), value)
 
 
 def germ_eq(P: LaurentPoly, Q: LaurentPoly, p: Sequence) -> bool:
@@ -328,9 +364,8 @@ def germ_eq(P: LaurentPoly, Q: LaurentPoly, p: Sequence) -> bool:
     _require_point(p, P.num_vars)
     if not P or not Q:
         return not P and not Q
-    return P.eval(p) == Q.eval(p) and fn_eq(
-        P.initial_form(p).boolean_part(), Q.initial_form(p).boolean_part()
-    )
+    (form_p, value_p), (form_q, value_q) = _germ_parts(P, p), _germ_parts(Q, p)
+    return value_p == value_q and fn_eq(form_p, form_q)
 
 
 def germ_safe_radius(P: LaurentPoly, p: Sequence) -> Fraction:

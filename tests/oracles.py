@@ -246,6 +246,42 @@ def all_rivals_canonicalize(P):
     return CanonicalFn(P.num_vars, tuple(kept))
 
 
+def fraction_row_witness(P, Q):
+    """fn_witness on rational rows: for each term (u, a) of one side that
+    the other side's term of the same exponent does not dominate, the first
+    point where ``(v - u) . p < a - b`` holds for every term (v, b) of the
+    other side, as ``_lp.find_point`` answers the rows in Fraction form."""
+    for A, B in ((P, Q), (Q, P)):
+        coeffs = dict(B.terms)
+        for u, a in A.terms:
+            if u in coeffs and coeffs[u] >= a:
+                continue
+            cons = [(tuple(y - x for x, y in zip(u, v)), a - b, True) for v, b in B.terms]
+            found = _lp.find_point(cons, P.num_vars)
+            if found is not None:
+                xs, D = found
+                return tuple(Fraction(x, D) for x in xs)
+    return None
+
+
+def rand_scale_pair(rng: random.Random, n, max_den=6):
+    """P and Q in n variables with coefficient denominators up to max_den.
+    Either side is sometimes bottom; otherwise Q is often built from P's
+    terms, each kept with its coefficient, moved or dropped, so that equal
+    coefficients and equal functions are common."""
+    def poly():
+        return rand_poly(rng, n, max_terms=5, max_den=max_den) if rng.random() < 0.9 else LaurentPoly.zero(n)
+
+    P = poly()
+    if rng.random() < 0.5:
+        return P, poly()
+    items = [(u, c + Fraction(rng.randint(-2, 2), rng.randint(1, max_den)) if rng.random() < 0.2 else c)
+             for u, c in P.terms if rng.random() < 0.9]
+    if rng.random() < 0.2:
+        items += rand_poly(rng, n, max_terms=2, max_den=max_den).terms
+    return P, LaurentPoly.make(n, items)
+
+
 def rand_canon_case(rng: random.Random, n, kind, max_terms=8, exp=3):
     """A polynomial in n variables of one of the shapes canonicalization
     must get right: ``empty``, ``single``, ``boolean`` (every coefficient

@@ -10,12 +10,14 @@ from oracles import (
     all_rivals_canonicalize,
     frac_eval,
     frac_initial_form,
+    fraction_row_witness,
     grid_values,
     hull_vertices,
     joint_denominator,
     rand_canon_case,
     rand_point,
     rand_poly,
+    rand_scale_pair,
 )
 from tropfan import (
     NEG_INF,
@@ -36,6 +38,7 @@ from tropfan import (
     poly_from_json,
     poly_to_json,
     poly_to_text,
+    text,
     text_add,
     text_mul,
 )
@@ -367,22 +370,63 @@ class TestEqualityByDomination:
                         assert A.eval(w) != B.eval(w)
 
 
+class TestIntegerRowScale:
+    """fn_witness builds its rows on one integer scale for both sides, and
+    germ_localize reads both parts of a germ off one evaluation: the same
+    witnesses as the rows in Fraction form, and the same germs as the
+    initial form and the value taken apart."""
+
+    def test_fixed_seed_sweep(self):
+        # n = 1..4, coefficient denominators up to 6, bottom sides and
+        # equal coefficients included
+        rng = random.Random(6029)
+        separated = 0
+        for k in range(2000):
+            n = 1 + k % 4
+            P, Q = rand_scale_pair(rng, n)
+            w = fn_witness(P, Q)
+            assert w == fraction_row_witness(P, Q), (P, Q)
+            separated += w is not None
+            p = rand_point(rng, n, max_den=6)
+            for A in (P, Q):
+                want = text(canonicalize(A.initial_form(p).boolean_part()), A.eval(p)) if A else TEXT_BOTTOM
+                assert germ_localize(A, p) == want, (A, p)
+        assert 1000 < separated < 1800
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The number of _lp.find_point calls so far, in a one-item list."""
+    count = [0]
+    real = _lp.find_point
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(_lp, "find_point", counting)
+    return count
+
+
+class TestCanonicalizeLPCount:
+    """The term that wins at 0 is kept without an LP."""
+
+    def test_monomial_asks_none(self, calls):
+        P = LaurentPoly.monomial(3, (1, -2, 3), Fraction(5, 2))
+        assert canonicalize(P).terms == P.terms
+        assert calls[0] == 0
+
+    def test_two_vertices_ask_one(self, calls):
+        for P in (parse_poly_text("1 + 2*x*y", 2), parse_poly_text("3 + x^-1*y^2", 2)):
+            calls[0] = 0
+            assert canonicalize(P).terms == P.terms
+            assert calls[0] == 1
+
+
 class TestEqualityLPCount:
     """The number of LPs an equality question asks, counted by wrapping
     _lp.find_point: a term the other side has with no smaller coefficient
     asks none, and every other term one until a point is found."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        count = [0]
-        real = _lp.find_point
-
-        def counting(*args):
-            count[0] += 1
-            return real(*args)
-
-        monkeypatch.setattr(_lp, "find_point", counting)
-        return count
 
     def test_self_asks_none(self, calls):
         P = LaurentPoly.make(3, lifted([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (2, 2, 2)]))

@@ -133,3 +133,29 @@ def test_every_error_is_raised_or_inert():
                 silent.append(node.name)
     assert len(errors) > 15
     assert not silent, f"error classes neither raised nor documented as inert: {silent}"
+
+
+def test_laurent_lps_take_a_tableau():
+    # laurent builds every LP it asks on integer rows: each _lp.find_point
+    # call passes a _lp.Tableau, made in the call or bound to a name in the
+    # same function, never rational constraints that find_point would scale
+    # to integers row by row
+    def is_tableau(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "_lp.Tableau"
+
+    tree = ast.parse((SRC / "laurent.py").read_text(), filename="laurent.py")
+    uses = sum(getattr(node, "attr", None) == "find_point" or getattr(node, "id", None) == "find_point"
+               for node in ast.walk(tree))
+    checked, bad = 0, []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            tableaux = {target.id for node in ast.walk(func) if isinstance(node, ast.Assign) and is_tableau(node.value)
+                        for target in node.targets if isinstance(target, ast.Name)}
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "_lp.find_point":
+                    checked += 1
+                    arg = node.args[0]
+                    if not (is_tableau(arg) or isinstance(arg, ast.Name) and arg.id in tableaux):
+                        bad.append(f"{func.name}:{node.lineno}")
+    assert checked >= 2 and checked == uses, "find_point reached other than by a call in a function"
+    assert not bad, f"find_point called without a Tableau at {bad}"
