@@ -1,9 +1,9 @@
-"""Exact rational linear feasibility, projection and integer search.
+"""Exact linear feasibility, projection and integer search, all in ints.
 
-A constraint of :func:`find_point` on k variables is a triple
-``(coeffs, rhs, strict)`` of rationals, read as ``coeffs . x < rhs`` when
-``strict`` else ``coeffs . x <= rhs``.  The LP runs on the rows scaled to
-integers (:func:`semiring.as_scaled`) and answers in integers, ``(xs, D)``
+A row of :func:`find_point` on k variables is a triple ``(coeffs, rhs,
+strict)`` of ints, read as ``coeffs . x < rhs`` when ``strict`` else
+``coeffs . x <= rhs``; the caller writes its rows in integers and hands
+them over in a :class:`Tableau`.  The LP answers in integers, ``(xs, D)``
 with D > 0 for the point xs / D.
 
 :func:`find_point` decides a system in any number of variables with one
@@ -97,8 +97,6 @@ import math
 import operator
 from typing import NamedTuple, Optional, Sequence
 
-from .semiring import as_scaled
-
 # Only bench/spans.py reads this: it labels find_point calls in at most
 # this many variables as low dimensional.
 FM_MAX_VARS = 4
@@ -108,11 +106,11 @@ class Tableau:
     """The Farkas dual of the margin LP of integer rows, solved by Bland's
     rule on an integer-preserving tableau, that takes more rows as it goes.
 
-    ``rows`` holds triples ``(a, b, strict)`` like the constraints of
-    :func:`find_point`, with ``a`` an int sequence of length ``nvars`` and
-    ``b`` an int.  :meth:`run` goes to the optimum; :meth:`add_row` adds
-    one primal row, after which :meth:`run` resumes from the basis it left.
-    Its length is its number of rows.
+    ``rows`` holds the triples ``(a, b, strict)`` of :func:`find_point`,
+    with ``a`` an int sequence of length ``nvars`` and ``b`` an int.
+    :meth:`run` goes to the optimum; :meth:`add_row` adds one primal row,
+    after which :meth:`run` resumes from the basis it left.  Its length is
+    its number of rows.
     """
 
     __slots__ = ("T", "basis", "D", "m", "n")
@@ -214,18 +212,13 @@ class Tableau:
         self.m = m + 1
 
 
-def find_point(cons, nvars: int) -> Optional[tuple[list[int], int]]:
+def find_point(lp: Tableau, nvars: int) -> Optional[tuple[list[int], int]]:
     """``(xs, D)``, ints with D > 0, such that the rational point xs / D
-    satisfies every constraint, or None when there is no such point.
-
-    ``cons`` is a sequence of constraints, or a :class:`Tableau` on
-    ``nvars`` variables: that is run on from the basis it holds, so a
-    system asked again with rows added pays only for the new pivots."""
-    if isinstance(cons, Tableau):
-        lp = cons
-    else:
-        scaled = [(as_scaled([*c, r])[0], strict) for c, r, strict in cons]
-        lp = Tableau([(s[:-1], s[-1], strict) for s, strict in scaled], nvars)
+    satisfies every row of the :class:`Tableau` ``lp`` on ``nvars``
+    variables, or None when there is no such point.  ``lp`` is run on from
+    the basis it holds, so a system asked again with rows added pays only
+    for the new pivots.  ``nvars`` and ``len(lp)`` are read only by
+    ``bench/spans.py``, which labels each call by them."""
     return lp.point() if lp.run() else None
 
 

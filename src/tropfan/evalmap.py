@@ -226,8 +226,9 @@ def _tight_search(gens: tuple, a: int) -> tuple:
         s = tuple(map(sum, zip(*[gens[b] for b in kept])))  # () once none is left
         if sum(map(mul, g, s)) ** 2 == sum(map(mul, g, g)) * sum(map(mul, s, s)):  # s along g_a
             break
-        found = _lp.find_point([(g, 0, False), (tuple([-x for x in g]), 0, False)]
-                               + [(gens[c], 0, False) for c in others] + [(s, 0, True)], n)
+        lp = _lp.Tableau([(g, 0, False), (tuple([-x for x in g]), 0, False)]
+                         + [(gens[c], 0, False) for c in others] + [(s, 0, True)], n)
+        found = _lp.find_point(lp, n)
         if found is None:
             break
         ys.append(primitive(found[0])[1])

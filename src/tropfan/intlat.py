@@ -8,18 +8,13 @@ determinant and solves systems of full column rank: it keeps every entry
 a minor of the input and builds no transform, and such a system has at
 most one solution, so nothing more is needed.  Everything else runs on
 the column HNF ``_hnf_core``, which reduces each row left of its pivot and
-keeps the unimodular transform that the answers are read from.  Its Euclid
-rounds take nearest-integer quotients, so remainders lie in [-|p|/2,
-|p|/2]; each round touches only the rows where the pivot column is
-nonzero; and the left reductions run after the echelon is complete, from
-the last pivot column leftwards, so every column they add is already
-reduced.  That order gives the same (H, U) as reducing each row as its
-pivot is found, because H is unique and the echelon's pivot columns are
-independent.  The Smith form alternates the HNF on A and A^T, which keeps
-its transforms on random 24x24 matrices in [-9, 9] within about twice the
-bit length of the determinant; transport, completion and rank-deficient
-solves read their answers off HNF transforms.  Matrices are immutable
-values; every operation returns fresh objects.
+keeps the unimodular transform that the answers are read from; its
+docstring gives the three rules that keep its work and entries small.
+The Smith form alternates the HNF on A and A^T, which keeps its
+transforms on random 24x24 matrices in [-9, 9] within about twice the bit
+length of the determinant; transport, completion and rank-deficient solves
+read their answers off HNF transforms.  Matrices are immutable values;
+every operation returns fresh objects.
 """
 
 from __future__ import annotations

@@ -33,13 +33,13 @@ none: a polynomial is the max of its terms, so P <= Q iff no term of P
 strictly beats every term of Q anywhere, one LP per term of P that Q's term
 of the same exponent does not dominate.
 
-Every LP here is handed to ``_lp.find_point`` as a ``_lp.Tableau`` of
-integer rows.  :func:`canonicalize` starts E from the term that wins at
-p = 0, the last one with the largest coefficient, and asks no LP for it.
-:func:`fn_witness` scales the coefficients of both sides to integers by one
-L, so that term (u, a) beats rival (v, b) where (v - u).p < (a - b) / L;
-times L // g, for g = gcd(a - b, L), that is the least integer row, the one
-``find_point`` would make from the rational row, and so the same witness.
+Every LP here is a ``_lp.Tableau`` of integer rows, each the least
+integer multiple of its rational row (``_rival_row``).  :func:`canonicalize`
+starts E from the term that wins at p = 0, the last one with the largest
+coefficient, and asks no LP for it.  :func:`fn_witness` scales the
+coefficients of both sides to integers by one L, so that term (u, a) beats
+rival (v, b) where (v - u).p < (a - b) / L; times L // g, for
+g = gcd(a - b, L), that is the least integer row.
 A germ's two parts, the Boolean initial form and the value, come from one
 evaluation.
 """
@@ -264,12 +264,17 @@ class CanonicalFn:
         return poly_to_text(self.poly)
 
 
-def _rival_row(term: Term, rival: Term) -> tuple:
-    """The row ``(c, r)`` with ``c . p < r`` iff ``term`` strictly beats
-    ``rival`` at p."""
+def _rival_row(term: Term, rival: Term, L: int = 1) -> tuple:
+    """The least integer row ``(c, r)`` with ``c . p < r`` iff ``term``
+    strictly beats ``rival`` at p, on coefficients scaled by L."""
     (u, a), (v, b) = term, rival
-    # a + u.p > b + v.p  <=>  (v - u).p < a - b
-    return tuple(map(operator.sub, v, u)), a - b
+    # a + u.p > b + v.p  <=>  (v - u).p < (a - b) / L, times L // g
+    g = math.gcd(a - b, L)
+    c = tuple(map(operator.sub, v, u))
+    if g != L:  # never when L = 1, as for every row canonicalize builds
+        s = L // g
+        c = tuple([s * x for x in c])
+    return c, (a - b) // g
 
 
 def _last_max(vals: list) -> int:
@@ -324,14 +329,8 @@ def fn_witness(P: LaurentPoly, Q: LaurentPoly) -> Optional[tuple]:
         for u, a in A:
             if u in coeffs and coeffs[u] >= a:  # dominated: no LP needed
                 continue
-            # The row (v - u) . p < (a - b) / L of each rival (v, b), times
-            # L // g for g = gcd(a - b, L): the least integer multiple.
-            lp_rows = []
-            for v, b in B:
-                g = math.gcd(a - b, L)
-                s = L // g
-                lp_rows.append(([s * (y - x) for x, y in zip(u, v)], (a - b) // g, True))
-            found = _lp.find_point(_lp.Tableau(lp_rows, P.num_vars), P.num_vars)
+            lp = _lp.Tableau([(*_rival_row((u, a), rival, L), True) for rival in B], P.num_vars)
+            found = _lp.find_point(lp, P.num_vars)
             if found is not None:
                 xs, D = found
                 return tuple(Fraction(x, D) for x in xs)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from tropfan import NEG_INF, BadParameters, CanonicalFn, IntMatrix, LaurentPoly, ParseError, WeightedFan, _lp
 from tropfan.laurent import MAX_TEXT_VARS
-from tropfan.semiring import as_int
+from tropfan.semiring import as_int, as_scaled
 
 
 # ----------------------------------------------------------- exact det
@@ -229,6 +229,13 @@ def frac_initial_form(P, p):
     return LaurentPoly(P.num_vars, tuple(t for t, v in zip(P.terms, vals) if v == top))
 
 
+def tableau(cons, nvars):
+    """The ``_lp.Tableau`` of rational constraints ``(coeffs, rhs, strict)``
+    on nvars variables, each row scaled to integers by ``as_scaled``."""
+    rows = [(as_scaled([*c, r])[0], strict) for c, r, strict in cons]
+    return _lp.Tableau([(s[:-1], s[-1], strict) for s, strict in rows], nvars)
+
+
 def all_rivals_canonicalize(P):
     """Keep term i iff a_i + u_i.p > a_j + u_j.p is feasible for every
     other term j at once: one LP per term, against all the other terms.
@@ -241,7 +248,7 @@ def all_rivals_canonicalize(P):
             for j, (v, b) in enumerate(P.terms)
             if j != i
         ]
-        if _lp.find_point(cons, P.num_vars) is not None:
+        if _lp.find_point(tableau(cons, P.num_vars), P.num_vars) is not None:
             kept.append((u, a))
     return CanonicalFn(P.num_vars, tuple(kept))
 
@@ -250,14 +257,15 @@ def fraction_row_witness(P, Q):
     """fn_witness on rational rows: for each term (u, a) of one side that
     the other side's term of the same exponent does not dominate, the first
     point where ``(v - u) . p < a - b`` holds for every term (v, b) of the
-    other side, as ``_lp.find_point`` answers the rows in Fraction form."""
+    other side, as ``_lp.find_point`` answers these rational rows scaled
+    to integers one by one (:func:`tableau`)."""
     for A, B in ((P, Q), (Q, P)):
         coeffs = dict(B.terms)
         for u, a in A.terms:
             if u in coeffs and coeffs[u] >= a:
                 continue
             cons = [(tuple(y - x for x, y in zip(u, v)), a - b, True) for v, b in B.terms]
-            found = _lp.find_point(cons, P.num_vars)
+            found = _lp.find_point(tableau(cons, P.num_vars), P.num_vars)
             if found is not None:
                 xs, D = found
                 return tuple(Fraction(x, D) for x in xs)

@@ -19,6 +19,7 @@ from oracles import (
     rand_morphism,
     rand_unbalanced_fan,
     rand_unimodular,
+    tableau,
     weighted_values,
 )
 from tropfan import _lp, evalmap
@@ -590,14 +591,15 @@ class TestMembership:
 
     @staticmethod
     def count_lps(monkeypatch):
-        """Clear the search cache and record (g_a, strict row) per LP asked."""
-        find_point, asked = _lp.find_point, []
+        """Clear the search cache and record (g_a, strict row) per LP asked,
+        from the rows of each tableau built."""
+        real, asked = _lp.Tableau, []
 
-        def counted(cons, n):
-            asked.append((cons[0][0], cons[-1][0]))
-            return find_point(cons, n)
+        def counted(rows, n):
+            asked.append((rows[0][0], rows[-1][0]))
+            return real(rows, n)
 
-        monkeypatch.setattr(_lp, "find_point", counted)
+        monkeypatch.setattr(_lp, "Tableau", counted)
         evalmap._tight_search.cache_clear()
         return asked
 
@@ -619,6 +621,23 @@ class TestMembership:
         assert not any(all(g[i] * s[j] == g[j] * s[i] for i in range(len(g)) for j in range(i)) for g, s in asked)
         digest = hashlib.sha256(json.dumps(list(kept.values())).encode()).hexdigest()
         assert digest == "6606e95b4043165661e7a0762c146f5c32a4277e58a709b1f4c7c341960b0663"
+
+    def test_drop_lp_records_pinned(self):
+        # no benchmark workload reaches the drop LPs, since every fan it
+        # asks about is balanced; so the whole search record of every ray of
+        # 600 unbalanced fans is pinned, the y each drop LP finds included
+        rng, records, dropping = random.Random(3434), 0, 0
+        digest = hashlib.sha256()
+        for _ in range(600):
+            X = rand_unbalanced_fan(rng, rng.randint(2, 4))
+            gens = tuple(ray.generator for ray in X.rays)
+            for a in range(len(gens)):
+                record = evalmap._tight_search(gens, a)
+                records += 1
+                dropping += bool(record[3])
+                digest.update(repr(record).encode())
+        assert (records, dropping) == (1713, 1180)
+        assert digest.hexdigest() == "3c33f15d6c7004f815d93f6d9e9f296f843c3dd1a84e31a01f30724f39b5ffd2"
 
     def test_one_lp_decides_each_ray_of_a_three_ray_fan(self, monkeypatch):
         # at (-2,0) and (1,0) the LP drops (0,1), and the sum left lies along
@@ -837,7 +856,8 @@ def check_tight_search(gens, a):
         for j in range(width):
             for sign in (1, -1):
                 ray = tuple(sign * int(i == j) for i in range(width))
-                assert _lp.find_point([(row, 0, False) for row in rows] + [(ray, 0, True)], width) is None
+                assert _lp.find_point(tableau([(row, 0, False) for row in rows] + [(ray, 0, True)], width),
+                                      width) is None
     return kept, dropped
 
 

@@ -1,7 +1,8 @@
 """Differential tests of ``_lp``.  ``find_point`` has the same feasibility
 as Fourier-Motzkin elimination over Fraction (``oracles.fm_point``) on
-random strict and non-strict systems, and every point it returns is checked
-against every constraint in exact arithmetic.  The integer-only
+random strict and non-strict rational systems, each row scaled to integers
+in its tableau by ``oracles.tableau``, and every point it returns is
+checked against every constraint in exact arithmetic.  The integer-only
 ``integer_point_search`` returns the same point, the lexicographically
 first, as the search over the Fraction chain
 (``oracles.fm_integer_point_search``) at a box that clips no range, on
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import fm_integer_point_search, fm_point
+from oracles import fm_integer_point_search, fm_point, tableau
 from tropfan import _lp
 from tropfan._lp import _plan, find_point, integer_point_search
 from tropfan.evalmap import _tight_exponent, _tight_search
@@ -44,7 +45,7 @@ def as_point(found):
 def check(cons, nvars):
     """find_point agrees with the oracle and answers in ints, ``(xs, D)``
     with D > 0; the point xs / D, which it returns, is verified."""
-    found = find_point(cons, nvars)
+    found = find_point(tableau(cons, nvars), nvars)
     assert (found is None) == (fm_point(cons, nvars) is None), (cons, nvars, found)
     if found is None:
         return None
@@ -112,7 +113,7 @@ def test_pinned_digest():
     digest = hashlib.sha256()
     for _ in range(2000):
         n = rng.randint(0, 5)
-        digest.update(repr(as_point(find_point(rand_system(rng, n), n))).encode())
+        digest.update(repr(as_point(find_point(tableau(rand_system(rng, n), n), n))).encode())
     assert digest.hexdigest() == "55e1bc18576426c564d74006686846f74ca28fd1bac4b49d486fd4fd4bcaa581"
 
 
@@ -132,7 +133,8 @@ def test_resumed_tableau_matches_cold_solve():
         while True:
             feasible = lp.run()
             assert len(lp) == len(A)
-            assert feasible == (find_point([(a, r, True) for a, r in zip(A, b)], n) is not None), (A, b)
+            cold = _lp.Tableau([(a, r, True) for a, r in zip(A, b)], n)
+            assert feasible == (find_point(cold, n) is not None), (A, b)
             if not feasible:
                 break
             xs, D = lp.point()
@@ -152,12 +154,12 @@ def test_resumed_tableau_matches_cold_solve():
 
 class TestEdgeCases:
     def test_no_variables(self):
-        assert as_point(find_point([], 0)) == ()
-        assert as_point(find_point([((), 1, True), ((), 0, False)], 0)) == ()
-        assert find_point([((), Fraction(-1, 2), False)], 0) is None
+        assert as_point(find_point(tableau([], 0), 0)) == ()
+        assert as_point(find_point(tableau([((), 1, True), ((), 0, False)], 0), 0)) == ()
+        assert find_point(tableau([((), Fraction(-1, 2), False)], 0), 0) is None
 
     def test_empty_system(self):
-        xs, D = find_point([], 3)
+        xs, D = find_point(tableau([], 3), 3)
         assert len(xs) == 3 and D > 0
 
     def test_constant_contradiction(self):
