@@ -533,6 +533,30 @@ class TestCompleteUnimodular:
             # wider than tall: columns cannot be independent
             complete_unimodular(IntMatrix.from_rows([[1, 0]]))
 
+    def test_completions_pinned(self):
+        # a completion is not unique, so only a digest shows that the one
+        # returned did not move: 800 inputs, alternately a column prefix of
+        # a random unimodular matrix and a small random matrix, which is
+        # mostly not a summand
+        rng = random.Random(3536)
+        digest = hashlib.sha256()
+        rejected = 0
+        for t in range(800):
+            if t % 2:
+                m = rng.randint(1, 7)
+                k, U = rng.randint(1, m), rand_unimodular(rng, m)
+                A = IntMatrix.from_rows([row[:k] for row in U.data])
+            else:
+                A = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 4), -3, 3)
+            try:
+                out = complete_unimodular(A).data
+            except NotLeftInvertible:
+                out = None
+                rejected += 1
+            digest.update(repr(out).encode())
+        assert 200 < rejected < 350
+        assert digest.hexdigest() == "3ad94d08e8ca6481a5154872368691f3962a00775aed119dc24a9a5b7b1544de"
+
 
 class TestTransport:
     def test_round_trip(self):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -575,6 +576,29 @@ class TestGerm:
                 germ_eq(A, B, (0,))
         with pytest.raises(DimensionMismatch):
             germ_eq(one, LaurentPoly.one(3), (0, 0))
+
+    def test_germ_eq_pinned(self):
+        # 1,500 pairs: a bottom side; P plus a monomial whose value at p is
+        # P(p) - 1, P(p) or P(p) + 1; or two random polynomials.  The digest
+        # pins the answers.
+        rng = random.Random(3537)
+        answers = []
+        for k in range(1500):
+            n = 1 + k % 3
+            p = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+            P, kind = rand_poly(rng, n), k % 5
+            if kind == 0:
+                bottom = LaurentPoly.zero(n)
+                P, Q = rng.choice(((bottom, P), (P, bottom), (bottom, bottom)))
+            elif kind == 4:
+                Q = rand_poly(rng, n)
+            else:
+                u = tuple(rng.randint(-3, 3) for _ in range(n))
+                c = P.eval(p) - sum(x * y for x, y in zip(u, p)) + kind - 2
+                Q = P + LaurentPoly.make(n, [(u, c)])
+            answers.append(germ_eq(P, Q, p))
+        assert 350 < sum(answers) < 500
+        assert hashlib.sha256(bytes(answers)).hexdigest() == "84d4e5831bd14d4b87ab4e52d14d1f8b87a3447c98d66def5636371d83a74fb0"
 
     def test_safe_radius_soundness(self):
         rng = random.Random(31)

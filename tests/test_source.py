@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -144,3 +145,31 @@ def test_lp_imports_no_library_module():
              if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "tropfan")
              or isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "tropfan" for a in node.names)]
     assert not lines, f"_lp.py: imports of the library at lines {lines}"
+
+
+def _api_line(name, obj):
+    """One line of the public API: a function's signature; a class's
+    signature, or its bases where its constructor is a builtin one, and the
+    public names that it and its library bases define; any other value's
+    type."""
+    if inspect.isfunction(obj):
+        return f"{name}{inspect.signature(obj)}"
+    if not inspect.isclass(obj):
+        return f"{name}: {type(obj).__name__}"
+    own = [c for c in obj.__mro__ if c.__module__.startswith("tropfan")]
+    if any("__init__" in vars(c) for c in own):
+        head = str(inspect.signature(obj))
+    else:
+        head = f"({', '.join(base.__name__ for base in obj.__bases__)})"
+    members = sorted({key for c in own for key in vars(c) if not key.startswith("_")})
+    return " ".join([f"class {name}{head}:", *members])
+
+
+def test_public_api_is_pinned():
+    # the exported names, the signature of each exported function and class,
+    # and the public names of each exported class, against the committed
+    # list in public_api.txt: a change to the API must edit that list
+    import tropfan
+
+    got = [_api_line(name, getattr(tropfan, name)) for name in sorted(tropfan.__all__)]
+    assert got == (ROOT / "tests" / "public_api.txt").read_text().splitlines()
