@@ -28,7 +28,7 @@ from .errors import (
     malformed,
 )
 from .fan import WeightedFan, check_balancing, primitive
-from .intlat import IntMatrix, _hnf_core, _ident_list
+from .intlat import IntMatrix, _hnf_core, _ident_list, hnf
 from .laurent import LaurentPoly
 from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int, as_ints, is_bottom_text
 
@@ -160,13 +160,9 @@ def ker_eq(X: WeightedFan, f: LaurentPoly, g: LaurentPoly) -> bool:
 
 def linear_relations(M: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer relations among the columns of M: the columns
-    of the HNF transform U (M.U = H) that M sends to zero.  H's zero
-    columns are rightmost, one for each column past the pivots, so the
-    relations are U's columns from the pivot count on, in order."""
-    a = [list(row) for row in M.data]
-    U = _ident_list(M.cols)
-    rank = len(_hnf_core(a, U))
-    return [tuple([row[j] for row in U]) for j in range(rank, M.cols)]
+    of the HNF transform U (M.U = H) where H has a zero column."""
+    H, U = hnf(M)
+    return [U.col(j) for j in range(M.cols) if not any(H.col(j))]
 
 
 @dataclass(frozen=True)

@@ -99,10 +99,13 @@ class WeightedFan:
 
     def ray_of(self, v: Sequence) -> Optional[Ray]:
         """The ray whose direction is a positive rational multiple of v, or
-        None when v is zero or lies on no ray.  The coordinates of v are
-        ints or exact rationals; floats, booleans and -inf raise TypeError.
+        None when v is zero or lies on no ray.  A v of the wrong length
+        raises DimensionMismatch.  The coordinates of v are ints or exact
+        rationals; floats, booleans and -inf raise TypeError.
         v is scaled to integers and reduced by :func:`primitive`, so the
         answer is the ray with that direction."""
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch(f"vector of length {len(v)} in dimension {self.ambient_dim}")
         v = as_scaled(v)[0]
         if not any(v):
             return None
@@ -149,7 +152,5 @@ def standard_model(n: int, r: int) -> WeightedFan:
 def support_contains(X: WeightedFan, v: Sequence) -> bool:
     """True iff v is zero or a positive rational multiple of some ray
     direction."""
-    if len(v) != X.ambient_dim:
-        raise DimensionMismatch(f"vector of length {len(v)} in dimension {X.ambient_dim}")
     # ray_of first: it rejects floats before any() could read 0.0 as zero
     return X.ray_of(v) is not None or not any(v)

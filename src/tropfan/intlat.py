@@ -355,16 +355,12 @@ def complete_unimodular(A: IntMatrix) -> IntMatrix:
     m, n = A.rows, A.cols
     # A^T.V = (E_n | 0) says V^T.A = (E_n ; 0), so A is the column prefix
     # of V^-T; a summand of Z^m is exactly what makes that HNF appear.
-    at = _transpose(A.data)
-    V = _ident_list(m)
-    _hnf_core(at, V)
-    if m < n or at != [[int(i == j) for j in range(m)] for i in range(n)]:
+    H, V = hnf(A.transpose())
+    if m < n or H.data != tuple(tuple(int(i == j) for j in range(m)) for i in range(n)):
         raise NotLeftInvertible(
             f"{m}x{n} matrix has no integer left inverse (its columns do not span a direct summand)"
         )
-    W = _ident_list(m)
-    _hnf_core(V, W)  # V is unimodular, so its HNF is E and W becomes V^-1
-    return IntMatrix(tuple(zip(*W)))
+    return hnf(V)[1].transpose()  # V is unimodular, so its HNF is E and its transform V^-1
 
 
 def unimodular_transport(A: IntMatrix, B: IntMatrix) -> IntMatrix:

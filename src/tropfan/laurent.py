@@ -337,34 +337,24 @@ def fn_witness(P: LaurentPoly, Q: LaurentPoly) -> Optional[tuple]:
     return None
 
 
-def _germ_parts(P: LaurentPoly, p: Sequence) -> tuple[LaurentPoly, Fraction]:
-    """The Boolean initial form of the nonzero P at p and its value there,
-    from one evaluation."""
-    vals, scale = P._values(p)
-    top = max(vals)
-    terms = tuple((u, BOOL_ONE) for (u, _), v in zip(P.terms, vals) if v == top)
-    return LaurentPoly(P.num_vars, terms), Fraction(top, scale)
-
-
 def germ_localize(P: LaurentPoly, p: Sequence) -> TExt:
     """The germ of P at p: (canonical Boolean initial form, value at p),
-    or the bottom element for the bottom polynomial."""
+    or the bottom element for the bottom polynomial.  Both parts come from
+    one evaluation."""
     _require_point(p, P.num_vars)
     if not P:
         return TEXT_BOTTOM
-    form, value = _germ_parts(P, p)
-    return text(canonicalize(form), value)
+    vals, scale = P._values(p)
+    top = max(vals)
+    terms = tuple((u, BOOL_ONE) for (u, _), v in zip(P.terms, vals) if v == top)
+    return text(canonicalize(LaurentPoly(P.num_vars, terms)), Fraction(top, scale))
 
 
 def germ_eq(P: LaurentPoly, Q: LaurentPoly, p: Sequence) -> bool:
-    """True iff P and Q agree on some neighborhood of p: the same value at
-    p, and Boolean initial forms there that are equal as functions."""
+    """True iff P and Q agree on some neighborhood of p, that is iff their
+    germs there are equal."""
     P._require_same_vars(Q)
-    _require_point(p, P.num_vars)
-    if not P or not Q:
-        return not P and not Q
-    (form_p, value_p), (form_q, value_q) = _germ_parts(P, p), _germ_parts(Q, p)
-    return value_p == value_q and fn_eq(form_p, form_q)
+    return germ_localize(P, p) == germ_localize(Q, p)
 
 
 def germ_safe_radius(P: LaurentPoly, p: Sequence) -> Fraction:

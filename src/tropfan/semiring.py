@@ -136,7 +136,9 @@ def as_scaled(v) -> tuple[list[int], int]:
     """The rational vector v as ``(ints, d)``: d is the least common
     denominator of its coordinates and ``ints`` is d times v.  A coordinate
     is what :func:`as_trop` accepts; floats, booleans and -inf raise
-    TypeError."""
+    TypeError, and so does a string or a dict, as in :func:`as_ints`."""
+    if isinstance(v, (str, dict)):
+        raise TypeError(f"{v!r} is not a vector of rationals")
     q = [x if type(x) is int or type(x) is Fraction else as_trop(x) for x in v]
     if any(x is NEG_INF for x in q):
         raise TypeError("-inf is not a point coordinate; points are rational")
@@ -153,10 +155,7 @@ def trop_mul(a: TropValue, b: TropValue) -> TropValue:
 
 
 def trop_sum(values) -> TropValue:
-    out: TropValue = NEG_INF
-    for v in values:
-        out = max(out, v)
-    return out
+    return max(values, default=NEG_INF)
 
 
 @dataclass(frozen=True)

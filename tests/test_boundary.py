@@ -24,6 +24,7 @@ from tropfan import (
     Ray,
     RayFunction,
     WeightedFan,
+    germ_localize,
     image_membership,
     lattice_solve,
     parse_point,
@@ -35,7 +36,7 @@ from tropfan import (
 )
 from tropfan.cli import run
 from tropfan.laurent import MAX_TEXT_VARS
-from tropfan.semiring import as_index, as_int, as_ints, as_trop
+from tropfan.semiring import as_index, as_int, as_ints, as_scaled, as_trop
 
 ROOT = Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -363,6 +364,15 @@ class TestVectorsAreArrays:
     def test_as_ints_refuses_strings_and_objects(self, v):
         with pytest.raises(TypeError):
             as_ints(v, as_int)
+
+    @pytest.mark.parametrize("v", ["12", {"1": 0, "2": 0}])
+    def test_points_refuse_strings_and_objects(self, v):
+        # a point is a sequence of rationals: "12" is not the point (1, 2)
+        P = parse_poly_text("0 + x + 2*y")
+        for call in (as_scaled, P.eval, P.initial_form, lambda p: germ_localize(P, p),
+                     self.L23.ray_of, lambda p: support_contains(self.L23, p)):
+            with pytest.raises(TypeError):
+                call(v)
 
     @pytest.mark.parametrize("doc, argv", [
         ({"data": ["12", "34"]}, ["hnf"]),

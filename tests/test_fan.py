@@ -88,6 +88,12 @@ class TestWeightedFan:
         X = WeightedFan(2, (b, a))
         assert X.ray_labels() == ["(0,1)", "(1,0)"]
 
+    def test_ray_of_checks_the_length(self):
+        X = standard_model(2, 3)
+        for v in ((1,), (1, 0, 0)):
+            with pytest.raises(DimensionMismatch, match=rf"^vector of length {len(v)} in dimension 2$"):
+                X.ray_of(v)
+
     def test_json_round_trip(self):
         X = WeightedFan.build(3, [((1, 2, 3), 2), ((-1, -2, -3), 2)])
         assert WeightedFan.from_json(X.to_json()) == X
