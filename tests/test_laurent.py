@@ -235,6 +235,15 @@ class TestCanonicalizeDifferential:
             dropped += len(got.terms) < len(P.terms)
         assert dropped > 400
 
+    def test_pinned_rand_poly_digest(self):
+        # The digest pins the canonical forms themselves: a change to the
+        # order in which terms are kept or asked about cannot move them.
+        rng = random.Random(99)
+        digest = hashlib.sha256()
+        for k in range(3000):
+            digest.update(repr(canonicalize(rand_poly(rng, 1 + k % 5, max_terms=14)).terms).encode())
+        assert digest.hexdigest() == "ed6bdcb9f55a3bc38b9465efecacbf2bf03c20cc99189f7223c01d5471b4b60b"
+
     def test_resumed_lp_keeps_every_extreme_term(self):
         # Asking about y*z again adds the row of y^2*z to a tableau whose
         # artificial for z is still basic; leaving it basic dropped y*z.
