@@ -291,10 +291,17 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
     confirmed = []  # the rows known to be kept
     if rows:
         # At p = 0, the point a tableau with no rows finds, the values are
-        # the coefficients: that winner is kept without an LP.
-        w = _last_max([b for _, b in rows])
-        kept[w] = True
-        confirmed.append(rows[w])
+        # the coefficients: that winner is kept without an LP.  So is, for
+        # each coordinate j and sign s, the term lex-largest in (s*u_j, u):
+        # its exponent is a vertex of the Newton polytope, so it strictly
+        # wins far out in that vertex's normal cone.
+        firsts = [_last_max([b for _, b in rows])]
+        for col in zip(*[u for u, _ in rows]):
+            firsts += [_last_max(list(col)), _last_max([-x for x in col])]
+        for w in firsts:
+            if not kept[w]:
+                kept[w] = True
+                confirmed.append(rows[w])
     mul = operator.mul
     for i, row in enumerate(rows):
         if kept[i]:

@@ -419,18 +419,32 @@ def calls(monkeypatch):
 
 
 class TestCanonicalizeLPCount:
-    """The term that wins at 0 is kept without an LP."""
+    """The term that wins at 0 and, for each coordinate j and sign s, the
+    term lex-largest in (s*u_j, u) are kept without an LP; every other term
+    asks one LP at least."""
 
     def test_monomial_asks_none(self, calls):
         P = LaurentPoly.monomial(3, (1, -2, 3), Fraction(5, 2))
         assert canonicalize(P).terms == P.terms
         assert calls[0] == 0
 
-    def test_two_vertices_ask_one(self, calls):
+    def test_two_vertices_ask_none(self, calls):
         for P in (parse_poly_text("1 + 2*x*y", 2), parse_poly_text("3 + x^-1*y^2", 2)):
             calls[0] = 0
             assert canonicalize(P).terms == P.terms
-            assert calls[0] == 1
+            assert calls[0] == 0
+
+    def test_kept_interior_term_asks_one(self, calls):
+        # 3 + x beats 4 and 2x on 1 < x < 3: one feasible LP
+        P = parse_poly_text("4 + 3*x + 0*x^2")
+        assert canonicalize(P).terms == P.terms
+        assert calls[0] == 1
+
+    def test_dropped_interior_term_asks_one(self, calls):
+        # 1 + x would need x > 3 and x < 1: one infeasible LP
+        P = parse_poly_text("4 + 1*x + 0*x^2")
+        assert canonicalize(P).terms == (P.terms[0], P.terms[2])
+        assert calls[0] == 1
 
 
 class TestEqualityLPCount:
