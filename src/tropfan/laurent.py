@@ -35,8 +35,9 @@ of the same exponent does not dominate.
 
 Every LP here is a ``_lp.Tableau`` of integer rows, each the least
 integer multiple of its rational row (``_rival_row``).  :func:`canonicalize`
-starts E from the term that wins at p = 0, the last one with the largest
-coefficient, and asks no LP for it.  :func:`fn_witness` scales the
+starts E, with no LP, from the term that wins at p = 0 and, for each j and
+s = +-1, the term lex-largest in (s*u_j, u): a Newton polytope vertex, which
+strictly wins far out in its normal cone.  :func:`fn_witness` scales the
 coefficients of both sides to integers by one L, so that term (u, a) beats
 rival (v, b) where (v - u).p < (a - b) / L; times L // g, for
 g = gcd(a - b, L), that is the least integer row.
@@ -291,17 +292,14 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
     confirmed = []  # the rows known to be kept
     if rows:
         # At p = 0, the point a tableau with no rows finds, the values are
-        # the coefficients: that winner is kept without an LP.  So is, for
-        # each coordinate j and sign s, the term lex-largest in (s*u_j, u):
-        # its exponent is a vertex of the Newton polytope, so it strictly
-        # wins far out in that vertex's normal cone.
+        # the coefficients: that winner is kept without an LP, as are the
+        # coordinate-extreme vertices (see the module docstring).
         firsts = [_last_max([b for _, b in rows])]
         for col in zip(*[u for u, _ in rows]):
             firsts += [_last_max(list(col)), _last_max([-x for x in col])]
-        for w in firsts:
-            if not kept[w]:
-                kept[w] = True
-                confirmed.append(rows[w])
+        for w in dict.fromkeys(firsts):
+            kept[w] = True
+            confirmed.append(rows[w])
     mul = operator.mul
     for i, row in enumerate(rows):
         if kept[i]:

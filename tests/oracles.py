@@ -195,20 +195,20 @@ def joint_denominator(*polys):
 
 def grid_values(P, scale, span=10):
     """Values of 2*scale*P on the half-integer grid (q/2 for q in
-    [-span, span]^n), computed exactly in int64.  None for the empty
-    polynomial (identically -inf)."""
-    import numpy as np
-
+    [-span, span]^n, q in lex order), as a list of exact ints.  None for
+    the empty polynomial (identically -inf).  Each term's values are
+    extended one coordinate at a time, then the max is taken pointwise."""
     if not P:
         return None
-    n = P.num_vars
-    axes = [np.arange(-span, span + 1, dtype=np.int64) for _ in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    E = np.array([list(u) for u, _ in P.terms], dtype=np.int64)
-    C = np.array([int(Fraction(c) * 2 * scale) for _, c in P.terms], dtype=np.int64)
-    vals = scale * (E @ pts.T) + C[:, None]
-    return vals.max(axis=0)
+    axis = range(-span, span + 1)
+    rows = []
+    for u, c in P.terms:
+        vals = [int(Fraction(c) * 2 * scale)]
+        for e in u:
+            steps = [scale * e * q for q in axis]
+            vals = [v + s for v in vals for s in steps]
+        rows.append(vals)
+    return list(map(max, *rows)) if len(rows) > 1 else rows[0]
 
 
 # ------------------------------------- polynomials over Fraction

@@ -277,7 +277,7 @@ def test_criterion_12_canonicalization_oracle():
                 continue
             D = joint_denominator(P, Q)
             if fn_eq(P, Q):
-                assert (grid_values(P, D) == grid_values(Q, D)).all()
+                assert grid_values(P, D) == grid_values(Q, D)
             else:
                 w = fn_witness(P, Q)
                 assert P.eval(w) != Q.eval(w)
@@ -285,7 +285,7 @@ def test_criterion_12_canonicalization_oracle():
             C = canonicalize(P).poly
             D = joint_denominator(P, C)
             assert fn_eq(P, C)
-            assert (grid_values(P, D) == grid_values(C, D)).all()
+            assert grid_values(P, D) == grid_values(C, D)
 
 
 def test_criterion_13_image_membership():

@@ -19,6 +19,7 @@ from oracles import (
     rand_point,
     rand_poly,
     rand_scale_pair,
+    rand_unimodular,
 )
 from tropfan import (
     NEG_INF,
@@ -204,6 +205,18 @@ class TestCanonicalization:
             P = LaurentPoly.make(n, items)
             got = set(canonicalize(P).poly.support())
             assert got == hull_vertices(P.support())
+        # In n = 4-5 few random points are inside the hull of the others,
+        # so each draw also gets midpoints of two of its (doubled) points.
+        dropped = 0
+        for _ in range(150):
+            n = rng.randint(4, 5)
+            vs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 7))]
+            mids = [tuple(map(sum, zip(*rng.sample(vs, 2)))) for _ in range(2 if len(vs) > 1 else 0)]
+            P = LaurentPoly.make(n, [(tuple(2 * x for x in v), 0) for v in vs] + [(m, 0) for m in mids])
+            got = set(canonicalize(P).poly.support())
+            assert got == hull_vertices(P.support())
+            dropped += len(got) < len(P.terms)
+        assert dropped > 100
 
     @given(polys(num_vars=2))
     def test_canonical_form_preserves_function(self, P):
@@ -243,6 +256,20 @@ class TestCanonicalizeDifferential:
         for k in range(3000):
             digest.update(repr(canonicalize(rand_poly(rng, 1 + k % 5, max_terms=14)).terms).encode())
         assert digest.hexdigest() == "ed6bdcb9f55a3bc38b9465efecacbf2bf03c20cc99189f7223c01d5471b4b60b"
+
+    def test_unimodular_image_keeps_the_images(self):
+        # u -> A*u maps the Newton polytope's vertices onto the image's
+        # and changes which of them are coordinate-extreme, so the terms
+        # kept without an LP differ from one basis to the next.
+        rng = random.Random(3636)
+        for k in range(20):
+            n = 1 + k % 5
+            A = rand_unimodular(rng, n)
+            for _ in range(15):
+                P = rand_poly(rng, n, max_terms=10)
+                image = LaurentPoly.make(n, [(A.apply(u), c) for u, c in P.terms])
+                kept = {(A.apply(u), c) for u, c in canonicalize(P).terms}
+                assert set(canonicalize(image).terms) == kept, (A, P)
 
     def test_resumed_lp_keeps_every_extreme_term(self):
         # Asking about y*z again adds the row of y^2*z to a tableau whose
@@ -284,7 +311,7 @@ class TestFunctionEquality:
                 Q = P + LaurentPoly.make(2, [((0, 0), Fraction(-50))])  # same function
             D = joint_denominator(P, Q)
             gp, gq = grid_values(P, D), grid_values(Q, D)
-            grids_equal = (gp == gq).all()
+            grids_equal = gp == gq
             if fn_eq(P, Q):
                 assert grids_equal
             else:
