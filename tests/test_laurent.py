@@ -461,17 +461,14 @@ class TestCanonicalizeLPCount:
             assert canonicalize(P).terms == P.terms
             assert calls[0] == 0
 
-    def test_kept_interior_term_asks_one(self, calls):
-        # 3 + x beats 4 and 2x on 1 < x < 3: one feasible LP
-        P = parse_poly_text("4 + 3*x + 0*x^2")
-        assert canonicalize(P).terms == P.terms
-        assert calls[0] == 1
-
-    def test_dropped_interior_term_asks_one(self, calls):
-        # 1 + x would need x > 3 and x < 1: one infeasible LP
-        P = parse_poly_text("4 + 1*x + 0*x^2")
-        assert canonicalize(P).terms == (P.terms[0], P.terms[2])
-        assert calls[0] == 1
+    def test_interior_term_asks_one(self, calls):
+        # 3 + x beats 4 and 2x on 1 < x < 3, found by one feasible LP; 1 + x
+        # would need x > 3 and x < 1, refuted by one infeasible LP
+        for text, kept in (("4 + 3*x + 0*x^2", (0, 1, 2)), ("4 + 1*x + 0*x^2", (0, 2))):
+            P = parse_poly_text(text)
+            calls[0] = 0
+            assert canonicalize(P).terms == tuple(P.terms[i] for i in kept)
+            assert calls[0] == 1
 
 
 class TestEqualityLPCount:
