@@ -30,7 +30,7 @@ from .errors import (
 from .fan import WeightedFan, check_balancing, primitive
 from .intlat import IntMatrix, _hnf_core, _ident_list, hnf
 from .laurent import LaurentPoly
-from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int, as_ints, is_bottom_text
+from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int, as_ints, from_checked, is_bottom_text
 
 #: the default of image_membership's ``bound``, which is checked and not read
 DEFAULT_MEMBER_BOUND = 64
@@ -118,8 +118,8 @@ def eval_map(X: WeightedFan, f: LaurentPoly) -> RayFunction:
             raise NonBooleanInput("weighted evaluation needs every coefficient equal to 0")
         per_term.append([sum(map(mul, u, d)) for d in directions])
     if not per_term:
-        return RayFunction(X, None)
-    return RayFunction(X, tuple([ray.weight * max(vs) for ray, vs in zip(rays, zip(*per_term))]))
+        return from_checked(RayFunction, X, None)
+    return from_checked(RayFunction, X, tuple([ray.weight * max(vs) for ray, vs in zip(rays, zip(*per_term))]))
 
 
 def generator_matrix(X: WeightedFan) -> IntMatrix:
@@ -313,7 +313,7 @@ def image_membership(
             return None
         exponents.append(z)
     # distinct: a ray is searched only when no exponent found is tight there
-    witness = LaurentPoly(X.ambient_dim, tuple([(z, BOOL_ONE) for z in sorted(exponents)]))
+    witness = from_checked(LaurentPoly, X.ambient_dim, tuple([(z, BOOL_ONE) for z in sorted(exponents)]))
     if eval_map(X, witness).values != values:
         raise AssertionError("witness must reproduce the input")
     return witness

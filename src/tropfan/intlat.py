@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     malformed,
 )
-from .semiring import as_index, as_int, as_ints
+from .semiring import as_index, as_int, as_ints, from_checked
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,14 @@ class IntMatrix:
         return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.data)))
+        return from_checked(IntMatrix, tuple(zip(*self.data)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         bt = list(zip(*other.data))
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.data)
+        return from_checked(
+            IntMatrix, tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.data)
         )
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
@@ -278,7 +278,7 @@ def snf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             ((i, j) for i in range(len(d)) for j in range(i + 1, len(d)) if d[j] % d[i]), None
         )
         if pair is None:
-            return IntMatrix(tuple(zip(*Pt))), IntMatrix.from_rows(a), IntMatrix.from_rows(Q)
+            return tuple(from_checked(IntMatrix, tuple(map(tuple, x))) for x in (zip(*Pt), a, Q))
         i, j = pair
         a[i][j] = d[j]
         for row in Pt:
@@ -296,7 +296,7 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     a = [list(row) for row in A.data]
     U = _ident_list(A.cols)
     _hnf_core(a, U)
-    return IntMatrix.from_rows(a), IntMatrix.from_rows(U)
+    return from_checked(IntMatrix, tuple(map(tuple, a))), from_checked(IntMatrix, tuple(map(tuple, U)))
 
 
 def lattice_solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -381,4 +381,4 @@ def unimodular_transport(A: IntMatrix, B: IntMatrix) -> IntMatrix:
             "matrices do not factor through each other over the integers"
         )
     _hnf_core(V, U)  # V is unimodular: reducing it to E turns U into U.V^-1
-    return IntMatrix(tuple(zip(*U)))
+    return from_checked(IntMatrix, tuple(zip(*U)))

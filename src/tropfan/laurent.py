@@ -62,7 +62,7 @@ from .errors import (
     malformed,
 )
 from .semiring import (BOOL_ONE, NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints, as_scaled,
-                       as_trop, is_bottom_text, text)
+                       as_trop, from_checked, is_bottom_text, text)
 
 Term = tuple[tuple[int, ...], Fraction]
 
@@ -117,12 +117,13 @@ class LaurentPoly:
     def make(cls, num_vars: int, items: Iterable[tuple[Sequence[int], TropValue]]) -> "LaurentPoly":
         """Normalizing factory: merges duplicate exponents by max and drops
         bottom coefficients."""
+        num_vars = cls(num_vars, ()).num_vars
         acc: dict[tuple[int, ...], Fraction] = {}
         for u, c in items:
             u, c = _exponent(u, num_vars), as_trop(c)
             if c is not NEG_INF and (u not in acc or c > acc[u]):
                 acc[u] = c
-        return cls(num_vars, tuple(sorted(acc.items())))
+        return from_checked(cls, num_vars, tuple(sorted(acc.items())))
 
     @classmethod
     def zero(cls, num_vars: int) -> "LaurentPoly":
@@ -197,8 +198,8 @@ class LaurentPoly:
     def shift(self, a: Sequence) -> "LaurentPoly":
         """P(a + x): adds u.a to each coefficient."""
         vals, scale = self._values(a)
-        return LaurentPoly(
-            self.num_vars, tuple((u, Fraction(v, scale)) for (u, _), v in zip(self.terms, vals))
+        return from_checked(
+            LaurentPoly, self.num_vars, tuple((u, Fraction(v, scale)) for (u, _), v in zip(self.terms, vals))
         )
 
     # -- evaluation ----------------------------------------------------------
@@ -225,11 +226,11 @@ class LaurentPoly:
         vals, _ = self._values(p)
         top = max(vals)
         kept = tuple(t for t, v in zip(self.terms, vals) if v == top)
-        return LaurentPoly(self.num_vars, kept)
+        return from_checked(LaurentPoly, self.num_vars, kept)
 
     def boolean_part(self) -> "LaurentPoly":
         """Same support, every coefficient replaced by the tropical one (0)."""
-        return LaurentPoly(self.num_vars, tuple((u, BOOL_ONE) for u, _ in self.terms))
+        return from_checked(LaurentPoly, self.num_vars, tuple((u, BOOL_ONE) for u, _ in self.terms))
 
     def __str__(self) -> str:
         return poly_to_text(self)
@@ -250,7 +251,7 @@ class CanonicalFn:
 
     @property
     def poly(self) -> LaurentPoly:
-        return LaurentPoly(self.num_vars, self.terms)
+        return from_checked(LaurentPoly, self.num_vars, self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -352,7 +353,7 @@ def germ_localize(P: LaurentPoly, p: Sequence) -> TExt:
     vals, scale = P._values(p)
     top = max(vals)
     terms = tuple((u, BOOL_ONE) for (u, _), v in zip(P.terms, vals) if v == top)
-    return text(canonicalize(LaurentPoly(P.num_vars, terms)), Fraction(top, scale))
+    return text(canonicalize(from_checked(LaurentPoly, P.num_vars, terms)), Fraction(top, scale))
 
 
 def germ_eq(P: LaurentPoly, Q: LaurentPoly, p: Sequence) -> bool:

@@ -27,6 +27,7 @@ from .evalmap import RayFunction, eval_map, generator_matrix
 from .fan import Ray, WeightedFan, support_contains
 from .intlat import IntMatrix, lattice_solve
 from .laurent import LaurentPoly
+from .semiring import from_checked
 
 
 def _leaving_ray(T: IntMatrix, X: WeightedFan, Y: WeightedFan) -> Optional[Ray]:
@@ -107,6 +108,7 @@ class HomSpec:
     images: tuple[RayFunction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "images", tuple(self.images))
         if len(self.images) != self.source.ambient_dim:
             raise DimensionMismatch(
                 f"{len(self.images)} images for {self.source.ambient_dim} source coordinates"
@@ -125,7 +127,7 @@ def induced_homspec(mu: FanMorphism) -> HomSpec:
     of the source ray rho."""
     X = mu.source
     vecs = [mu.apply(ray.generator) for ray in X.rays]
-    images = tuple(RayFunction(X, tuple([v[j] for v in vecs])) for j in range(mu.target.ambient_dim))
+    images = tuple(from_checked(RayFunction, X, col) for col in zip(*vecs))
     return HomSpec(mu.target, X, images)
 
 

@@ -132,6 +132,14 @@ def as_ints(v, coerce=as_index) -> tuple[int, ...]:
     return v
 
 
+def from_checked(cls, *values):
+    """The frozen dataclass cls from its field values in order, without its
+    ``__post_init__``: only for values derived from checked values."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__match_args__, values))
+    return obj
+
+
 def as_scaled(v) -> tuple[list[int], int]:
     """The rational vector v as ``(ints, d)``: d is the least common
     denominator of its coordinates and ``ints`` is d times v.  A coordinate

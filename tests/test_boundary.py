@@ -493,6 +493,12 @@ class TestLibraryConstructors:
         "direct fan ambient_dim True": lambda: WeightedFan(True, (Ray((1,), 1),)),
         "make exponent True": lambda: LaurentPoly.make(1, [((True,), 0)]),
         "make exponent True after 1": lambda: LaurentPoly.make(1, [((1,), 0), ((True,), 1)]),
+        # (1.0,) and (Fraction(1),) equal (1,) and hash the same, so make must
+        # refuse them before it merges terms by exponent
+        "make exponent float before 1": lambda: LaurentPoly.make(1, [((1.0,), 1), ((1,), 0)]),
+        "make exponent float after 1": lambda: LaurentPoly.make(1, [((1,), 0), ((1.0,), 1)]),
+        "make exponent Fraction before 1": lambda: LaurentPoly.make(1, [((Fraction(1),), 1), ((1,), 0)]),
+        "make exponent Fraction after 1": lambda: LaurentPoly.make(1, [((1,), 0), ((Fraction(1),), 1)]),
         "make vars True": lambda: LaurentPoly.make(True, [((1,), 0)]),
         "direct vars float": lambda: LaurentPoly(1.0, ()),
         "direct exponent float": lambda: LaurentPoly(1, (((1.5,), Fraction(0)),)),

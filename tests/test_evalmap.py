@@ -510,7 +510,7 @@ class TestMembership:
     @pytest.mark.parametrize("bad, error", [
         pytest.param((0, 0), AssertionError, id="term-dropped"),  # 0 < 1 at the ray (0,1)
         pytest.param((2, -1), AssertionError, id="overshoots"),  # 2 > 1 at the ray (1,0)
-        pytest.param((1, -1), BadParameters, id="repeated"),  # the constructor refuses duplicates
+        pytest.param((1, -1), AssertionError, id="repeated"),  # -1 < 1 at the ray (0,1)
     ])
     def test_a_faulty_search_never_yields_a_witness(self, bad, error, monkeypatch):
         # L23 at (0, 1, 1): the first ray, (-1,-1), gets (1,-1), tight at
@@ -524,7 +524,7 @@ class TestMembership:
             return bad if len(calls) == 2 else z
 
         monkeypatch.setattr(evalmap, "_tight_exponent", faulty)
-        with pytest.raises(error):
+        with pytest.raises(error, match="witness must reproduce the input"):
             image_membership(L23, RayFunction(L23, (0, 1, 1)))
         assert calls == [(1, -1), (1, 1)]
 

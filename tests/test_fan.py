@@ -6,11 +6,14 @@ from oracles import rand_balanced_fan
 from tropfan import (
     BadParameters,
     DimensionMismatch,
+    LaurentPoly,
     ParseError,
     Ray,
+    RayFunction,
     WeightedFan,
     ZeroVector,
     check_balancing,
+    image_membership,
     primitive,
     standard_model,
     support_contains,
@@ -55,6 +58,14 @@ class TestWeightedFan:
         X = WeightedFan.build(2, [((2, 4), 3), ((-1, 0), 1)])
         assert [r.direction for r in X.rays] == [(-1, 0), (1, 2)]
         assert [r.weight for r in X.rays] == [1, 6]  # 3 * gcd(2,4)
+
+    def test_rays_given_as_a_list_are_stored_as_a_tuple(self):
+        # a list was stored as given: unhashable, unequal to the fan built
+        # from the same rays, and refused by image_membership as another fan
+        X = WeightedFan(1, [Ray((-1,), 1), Ray((1,), 1)])
+        Z = WeightedFan.build(1, [((1,), 1), ((-1,), 1)])
+        assert X.rays == Z.rays and X == Z and hash(X) == hash(Z)
+        assert image_membership(X, RayFunction(Z, (0, 0))) == LaurentPoly.one(1)
 
     def test_duplicate_directions_rejected(self):
         with pytest.raises(BadParameters, match=r"^duplicate ray direction \(1, 2\)$"):

@@ -209,6 +209,13 @@ class TestHomSpec:
         with pytest.raises(DimensionMismatch):
             HomSpec(Y, L23, (RayFunction(Y, (0, 0, 0)), RayFunction(L23, (0, 0, 0))))
 
+    def test_images_given_as_a_list_are_stored_as_a_tuple(self):
+        # a list was stored as given: unhashable and unequal to the same spec
+        images = [RayFunction(L23, (0, 0, 0)), RayFunction(L23, (1, 0, -1))]
+        h = HomSpec(Y, L23, images)
+        assert h.images == tuple(images)
+        assert h == HomSpec(Y, L23, tuple(images)) and hash(h) == hash(HomSpec(Y, L23, tuple(images)))
+
 
 class TestInduced:
     def test_matches_pullback_route(self):
