@@ -74,12 +74,6 @@ def _int_rows(terms: Sequence[Term]) -> tuple[list[tuple[tuple[int, ...], int]],
     return [(u, a) for (u, _), a in zip(terms, coeffs)], L
 
 
-def _require_point(p: Sequence, num_vars: int):
-    """Raise DimensionMismatch unless p has num_vars coordinates."""
-    if len(p) != num_vars:
-        raise DimensionMismatch(f"point of length {len(p)} in {num_vars} variables")
-
-
 def _exponent(u: Sequence[int], num_vars: int) -> tuple[int, ...]:
     """u as an exponent vector in num_vars variables."""
     u = as_ints(u)
@@ -207,8 +201,10 @@ class LaurentPoly:
     def _values(self, p: Sequence) -> tuple[list[int], int]:
         """The term values at p as the integers L*d*(a_u + u.p) over their
         scale L*d, where L and d are the least common denominators of the
-        coefficients and of the point."""
-        _require_point(p, self.num_vars)
+        coefficients and of the point.  The one check of a point: it has
+        num_vars rational coordinates, even for the bottom polynomial."""
+        if len(p) != self.num_vars:
+            raise DimensionMismatch(f"point of length {len(p)} in {self.num_vars} variables")
         rows, L = _int_rows(self.terms)
         q, d = as_scaled(p)
         q = [L * x for x in q]
@@ -221,9 +217,9 @@ class LaurentPoly:
 
     def initial_form(self, p: Sequence) -> "LaurentPoly":
         """Sub-polynomial of the terms attaining the maximum at p."""
-        if not self.terms:
-            raise EmptyPolynomial("the bottom polynomial has no initial form")
         vals, _ = self._values(p)
+        if not vals:
+            raise EmptyPolynomial("the bottom polynomial has no initial form")
         top = max(vals)
         kept = tuple(t for t, v in zip(self.terms, vals) if v == top)
         return from_checked(LaurentPoly, self.num_vars, kept)
@@ -251,7 +247,7 @@ class CanonicalFn:
 
     @property
     def poly(self) -> LaurentPoly:
-        return from_checked(LaurentPoly, self.num_vars, self.terms)
+        return LaurentPoly(self.num_vars, self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -347,10 +343,9 @@ def germ_localize(P: LaurentPoly, p: Sequence) -> TExt:
     """The germ of P at p: (canonical Boolean initial form, value at p),
     or the bottom element for the bottom polynomial.  Both parts come from
     one evaluation."""
-    _require_point(p, P.num_vars)
-    if not P:
-        return TEXT_BOTTOM
     vals, scale = P._values(p)
+    if not vals:
+        return TEXT_BOTTOM
     top = max(vals)
     terms = tuple((u, BOOL_ONE) for (u, _), v in zip(P.terms, vals) if v == top)
     return text(canonicalize(from_checked(LaurentPoly, P.num_vars, terms)), Fraction(top, scale))
@@ -372,9 +367,9 @@ def germ_safe_radius(P: LaurentPoly, p: Sequence) -> Fraction:
     less than delta changes any difference of two term values by less than
     M * delta < s, so kept terms keep beating dropped ones.
     """
-    if not P:
-        raise EmptyPolynomial("the bottom polynomial has no localization radius")
     vals, scale = P._values(p)
+    if not vals:
+        raise EmptyPolynomial("the bottom polynomial has no localization radius")
     top = max(vals)
     slacks = [top - v for v in vals if v < top]
     if not slacks:

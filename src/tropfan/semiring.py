@@ -122,9 +122,10 @@ def as_int(v) -> int:
 
 def as_ints(v, coerce=as_index) -> tuple[int, ...]:
     """v as a tuple of ints: unchanged when every entry is a plain int,
-    otherwise each entry coerced by ``coerce``.  A string or a dict raises
-    TypeError rather than being read as its characters or its keys."""
-    if isinstance(v, (str, dict)):
+    otherwise each entry coerced by ``coerce``.  A string, a dict or a set
+    raises TypeError rather than being read as its characters, its keys or
+    in hash order."""
+    if isinstance(v, (str, dict, set, frozenset)):
         raise TypeError(f"{v!r} is not a vector of integers")
     v = tuple(v)
     if set(map(type, v)) - {int}:
@@ -144,8 +145,8 @@ def as_scaled(v) -> tuple[list[int], int]:
     """The rational vector v as ``(ints, d)``: d is the least common
     denominator of its coordinates and ``ints`` is d times v.  A coordinate
     is what :func:`as_trop` accepts; floats, booleans and -inf raise
-    TypeError, and so does a string or a dict, as in :func:`as_ints`."""
-    if isinstance(v, (str, dict)):
+    TypeError, and so does a string, a dict or a set, as in :func:`as_ints`."""
+    if isinstance(v, (str, dict, set, frozenset)):
         raise TypeError(f"{v!r} is not a vector of rationals")
     q = [x if type(x) is int or type(x) is Fraction else as_trop(x) for x in v]
     if any(x is NEG_INF for x in q):

@@ -16,6 +16,7 @@ import tropfan
 from tropfan import (
     NEG_INF,
     BadParameters,
+    CanonicalFn,
     DimensionMismatch,
     FanMorphism,
     IntMatrix,
@@ -360,17 +361,20 @@ class TestVectorsAreArrays:
         with pytest.raises(ParseError):
             load()
 
-    @pytest.mark.parametrize("v", ["12", {"1": 0, "2": 0}, ""])
+    @pytest.mark.parametrize("v", ["12", {"1": 0, "2": 0}, "", {2, -1}, frozenset({2, -1})])
     def test_as_ints_refuses_strings_and_objects(self, v):
         with pytest.raises(TypeError):
             as_ints(v, as_int)
 
-    @pytest.mark.parametrize("v", ["12", {"1": 0, "2": 0}])
+    @pytest.mark.parametrize("v", ["12", {"1": 0, "2": 0}, {1, 2}, frozenset({1, 2}), (0.5, 0)])
     def test_points_refuse_strings_and_objects(self, v):
-        # a point is a sequence of rationals: "12" is not the point (1, 2)
-        P = parse_poly_text("0 + x + 2*y")
+        # a point is a sequence of rationals: "12" is not the point (1, 2);
+        # the bottom polynomial checks a point as every polynomial does
+        P, Z = parse_poly_text("0 + x + 2*y"), LaurentPoly.zero(2)
         for call in (as_scaled, P.eval, P.initial_form, lambda p: germ_localize(P, p),
-                     self.L23.ray_of, lambda p: support_contains(self.L23, p)):
+                     self.L23.ray_of, lambda p: support_contains(self.L23, p),
+                     Z.eval, Z.shift, Z.initial_form, lambda p: germ_localize(Z, p),
+                     lambda p: tropfan.germ_safe_radius(Z, p)):
             with pytest.raises(TypeError):
                 call(v)
 
@@ -519,6 +523,8 @@ class TestLibraryConstructors:
         "parse_poly_text vars True": lambda: parse_poly_text("-inf", True),
         "col True": lambda: IntMatrix.identity(2).col(True),
         "col float": lambda: IntMatrix.identity(2).col(1.0),
+        # a hand-built canonical form is checked when it becomes a polynomial
+        "canonical form exponent float": lambda: CanonicalFn(1, (((1.5,), 0), ((0,), 1))).poly,
     }
 
     @pytest.mark.parametrize("name", sorted(NON_INTEGERS))
@@ -526,7 +532,7 @@ class TestLibraryConstructors:
         with pytest.raises(TypeError):
             self.NON_INTEGERS[name]()
 
-    @pytest.mark.parametrize("v", [(0.5, 0), (True, 0), (Fraction(1), 0), "10"])
+    @pytest.mark.parametrize("v", [(0.5, 0), (True, 0), (Fraction(1), 0), "10", {10, 1}, frozenset({10, 1})])
     def test_apply_takes_integer_vectors(self, v):
         # apply used to return floats or Fractions, and True as 1
         T = IntMatrix.identity(2)
@@ -619,6 +625,9 @@ class TestBottomPointCoordinate:
         with pytest.raises(TypeError, match="-inf is not a point coordinate"):
             call(point)
 
-    def test_rejected_by_the_bottom_polynomial(self):
+    @pytest.mark.parametrize("name", ["eval", "initial_form", "shift", "germ_localize", "germ_safe_radius"])
+    def test_rejected_by_the_bottom_polynomial(self, name):
+        Z = LaurentPoly.zero(2)
+        call = getattr(Z, name, None) or (lambda p: getattr(tropfan, name)(Z, p))
         with pytest.raises(TypeError, match="-inf is not a point coordinate"):
-            LaurentPoly.zero(2).eval((NEG_INF, 0))
+            call((NEG_INF, 0))
