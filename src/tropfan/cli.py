@@ -24,7 +24,7 @@ from . import laurent as _laurent
 from . import morphism as _morphism
 from .errors import DimensionMismatch, ParseError, TropfanError, malformed
 from .evalmap import DEFAULT_MEMBER_BOUND
-from .semiring import NEG_INF, as_int
+from .semiring import NEG_INF, as_int, as_tuple
 
 
 def _load_json(path: str):
@@ -203,7 +203,7 @@ def _cmd_morphism_pullback(args) -> dict:
 def _cmd_morphism_realize(args) -> dict:
     src, tgt, images = _load_fan_file(args.homspec, "homspec", "source", "target", "images")
     with malformed("homspec file needs source/target/images"):
-        images = list(images)
+        images = as_tuple(images)
     images = tuple(_evalmap.RayFunction.from_json(tgt, {"values": vals}) for vals in images)
     h = _morphism.HomSpec(src, tgt, images)
     mu = _morphism.realize_morphism(h)

@@ -30,7 +30,7 @@ from .errors import (
 from .fan import WeightedFan, check_balancing, primitive
 from .intlat import IntMatrix, _hnf_core, _ident_list, hnf
 from .laurent import LaurentPoly
-from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int, as_ints, from_checked, is_bottom_text
+from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int, as_ints, as_tuple, from_checked, is_bottom_text
 
 #: the default of image_membership's ``bound``, which is checked and not read
 DEFAULT_MEMBER_BOUND = 64
@@ -76,12 +76,9 @@ class RayFunction:
     @classmethod
     def from_json(cls, fan: WeightedFan, obj: dict) -> "RayFunction":
         with malformed("bad ray function object"):
-            values = obj["values"]
-            if isinstance(values, (str, dict)):
-                raise TypeError(f"{values!r} is not a list of values")
-            values = list(values)
-            rays = list(obj["rays"]) if "rays" in obj else None
-        if rays is not None and rays != fan.ray_labels():
+            values = as_tuple(obj["values"])
+            rays = as_tuple(obj["rays"]) if "rays" in obj else None
+        if rays is not None and rays != tuple(fan.ray_labels()):
             raise ParseError("ray names do not match the fan's sorted rays")
         bottoms = [is_bottom_text(v) for v in values]
         if all(bottoms) and values:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadParameters, DimensionMismatch, ZeroVector, malformed
-from .semiring import as_index, as_int, as_ints, as_scaled, from_checked
+from .semiring import as_index, as_int, as_ints, as_scaled, as_tuple, from_checked
 
 
 def primitive(v: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -68,7 +68,7 @@ class WeightedFan:
 
     def __post_init__(self):
         object.__setattr__(self, "ambient_dim", as_index(self.ambient_dim))
-        object.__setattr__(self, "rays", tuple(self.rays))
+        object.__setattr__(self, "rays", as_tuple(self.rays))
         if self.ambient_dim < 1:
             raise BadParameters("ambient dimension must be at least 1")
         if not self.rays:

@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     malformed,
 )
-from .semiring import as_index, as_int, as_ints, from_checked
+from .semiring import as_index, as_int, as_ints, as_tuple, from_checked
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class IntMatrix:
 
     def __post_init__(self):
         try:
-            data = tuple(map(as_ints, self.data))
+            data = tuple(map(as_ints, as_tuple(self.data)))
         except TypeError as exc:
             raise BadParameters(f"non-integer matrix entry: {exc}") from exc
         object.__setattr__(self, "data", data)
@@ -95,7 +95,7 @@ class IntMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "IntMatrix":
         with malformed("bad matrix object"):
-            rows = [as_ints(row, as_int) for row in obj["data"]]
+            rows = [as_ints(row, as_int) for row in as_tuple(obj["data"])]
         m = cls.from_rows(rows)
         with malformed("bad matrix object"):
             shape = {key: as_int(obj[key]) for key in ("rows", "cols") if key in obj}

@@ -238,16 +238,19 @@ class CanonicalFn:
 
     Structural equality of CanonicalFn values decides equality as
     functions; produce them only through :func:`canonicalize`.  The
-    arithmetic operators re-canonicalize, so CanonicalFn works as a
-    carrier for graded (germ) arithmetic.
+    constructor checks the fields by the :class:`LaurentPoly` rule, not
+    that no term is dominated.  The arithmetic operators re-canonicalize,
+    so CanonicalFn works as a carrier for graded (germ) arithmetic.
     """
 
     num_vars: int
     terms: tuple[Term, ...]
 
+    __post_init__ = LaurentPoly.__post_init__
+
     @property
     def poly(self) -> LaurentPoly:
-        return LaurentPoly(self.num_vars, self.terms)
+        return from_checked(LaurentPoly, self.num_vars, self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -312,7 +315,7 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
             if w == i:
                 break
             lp.add_row(*_rival_row(row, rows[w]), True)
-    return CanonicalFn(P.num_vars, tuple(t for t, k in zip(P.terms, kept) if k))
+    return from_checked(CanonicalFn, P.num_vars, tuple(t for t, k in zip(P.terms, kept) if k))
 
 
 def fn_eq(P: LaurentPoly, Q: LaurentPoly) -> bool:

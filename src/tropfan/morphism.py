@@ -27,7 +27,7 @@ from .evalmap import RayFunction, eval_map, generator_matrix
 from .fan import Ray, WeightedFan, support_contains
 from .intlat import IntMatrix, lattice_solve
 from .laurent import LaurentPoly
-from .semiring import from_checked
+from .semiring import as_tuple, from_checked
 
 
 def _leaving_ray(T: IntMatrix, X: WeightedFan, Y: WeightedFan) -> Optional[Ray]:
@@ -108,7 +108,7 @@ class HomSpec:
     images: tuple[RayFunction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", as_tuple(self.images))
         if len(self.images) != self.source.ambient_dim:
             raise DimensionMismatch(
                 f"{len(self.images)} images for {self.source.ambient_dim} source coordinates"

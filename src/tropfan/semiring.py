@@ -13,8 +13,9 @@ carrier is any type whose values support ``+``, ``*``, ``==`` and whose
 zero (if representable at all) is falsy; sums and products of nonzero
 carrier elements must be nonzero.
 
-Input coercion lives here alone: the integer rule :func:`as_index`, its
-vector form :func:`as_ints` and :func:`as_int` for outside text; the
+Input coercion lives here alone: the sequence rule :func:`as_tuple`,
+which refuses strings, dicts and sets; the integer rule :func:`as_index`,
+its vector form :func:`as_ints` and :func:`as_int` for outside text; the
 rational rule :func:`as_trop`, which refuses floats, and exponent notation
 wherever text becomes a rational; and the bottom's text, :func:`is_bottom_text`.
 Polynomial text is the one reader that takes less than :func:`as_trop`:
@@ -120,14 +121,19 @@ def as_int(v) -> int:
     return as_index(v)
 
 
-def as_ints(v, coerce=as_index) -> tuple[int, ...]:
-    """v as a tuple of ints: unchanged when every entry is a plain int,
-    otherwise each entry coerced by ``coerce``.  A string, a dict or a set
-    raises TypeError rather than being read as its characters, its keys or
-    in hash order."""
+def as_tuple(v) -> tuple:
+    """The sequence rule: v as a tuple.  A string, a dict or a set raises
+    TypeError rather than being read as its characters, its keys or in
+    hash order."""
     if isinstance(v, (str, dict, set, frozenset)):
-        raise TypeError(f"{v!r} is not a vector of integers")
-    v = tuple(v)
+        raise TypeError(f"{v!r} is not a sequence")
+    return tuple(v)
+
+
+def as_ints(v, coerce=as_index) -> tuple[int, ...]:
+    """v as a tuple of ints by :func:`as_tuple`: unchanged when every entry
+    is a plain int, otherwise each entry coerced by ``coerce``."""
+    v = as_tuple(v)
     if set(map(type, v)) - {int}:
         v = tuple(map(coerce, v))
     return v
@@ -145,10 +151,8 @@ def as_scaled(v) -> tuple[list[int], int]:
     """The rational vector v as ``(ints, d)``: d is the least common
     denominator of its coordinates and ``ints`` is d times v.  A coordinate
     is what :func:`as_trop` accepts; floats, booleans and -inf raise
-    TypeError, and so does a string, a dict or a set, as in :func:`as_ints`."""
-    if isinstance(v, (str, dict, set, frozenset)):
-        raise TypeError(f"{v!r} is not a vector of rationals")
-    q = [x if type(x) is int or type(x) is Fraction else as_trop(x) for x in v]
+    TypeError, and so does a string, a dict or a set (:func:`as_tuple`)."""
+    q = [x if type(x) is int or type(x) is Fraction else as_trop(x) for x in as_tuple(v)]
     if any(x is NEG_INF for x in q):
         raise TypeError("-inf is not a point coordinate; points are rational")
     d = math.lcm(*[x.denominator for x in q])
@@ -171,13 +175,21 @@ def trop_sum(values) -> TropValue:
 class TExt:
     """Element (part, grade) of the graded extension of a carrier semiring.
 
-    The bottom element is the singleton TEXT_BOTTOM (part None); every
-    other element carries a nonzero ``part`` and an exact rational grade.
-    Build non-bottom values through :func:`text`, which enforces both.
+    The bottom element is exactly TEXT_BOTTOM, ``(None, NEG_INF)``; every
+    other element carries a nonzero ``part`` and an exact rational grade,
+    which the constructor coerces by :func:`as_trop`.
     """
 
     part: Any
     grade: TropValue
+
+    def __post_init__(self):
+        grade = as_trop(self.grade)
+        if (self.part is None) != (grade is NEG_INF):
+            raise ValueError("the bottom is (None, -inf); every other element has a rational grade")
+        if self.part is not None and not self.part:
+            raise ValueError("carrier part of a graded element must be nonzero")
+        object.__setattr__(self, "grade", grade)
 
     @property
     def is_bottom(self) -> bool:
@@ -197,9 +209,7 @@ TEXT_BOTTOM = TExt(None, NEG_INF)
 
 
 def text(part, grade) -> TExt:
-    if not part:
-        raise ValueError("carrier part of a graded element must be nonzero")
-    return TExt(part, as_trop(grade))
+    return TExt(part, grade)
 
 
 def text_add(x: TExt, y: TExt) -> TExt:

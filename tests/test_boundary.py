@@ -19,6 +19,7 @@ from tropfan import (
     CanonicalFn,
     DimensionMismatch,
     FanMorphism,
+    HomSpec,
     IntMatrix,
     LaurentPoly,
     ParseError,
@@ -27,6 +28,7 @@ from tropfan import (
     WeightedFan,
     germ_localize,
     image_membership,
+    induced_homspec,
     lattice_solve,
     parse_point,
     parse_poly_text,
@@ -342,7 +344,8 @@ LINE = {"ambient_dim": 1, "rays": [{"direction": [1], "weight": 1}, {"direction"
 
 class TestVectorsAreArrays:
     """A vector in JSON is an array: a string is not read as its
-    characters, nor an object as its keys."""
+    characters, nor an object as its keys.  Nor is a set of rows, rays or
+    images read in hash order."""
 
     L23 = standard_model(2, 3)
 
@@ -355,8 +358,12 @@ class TestVectorsAreArrays:
         lambda: poly_from_json({"vars": 2, "terms": [{"coeff": 0, "exp": "12"}]}),
         lambda: RayFunction.from_json(standard_model(2, 3), {"values": "000"}),
         lambda: RayFunction.from_json(standard_model(2, 3), {"values": {"0": 0, "1": 0, "2": 0}}),
+        # these two were read in hash order: rows (1, 0), (5, 7), (0, 1) and values (-7, 10, -3)
+        lambda: IntMatrix.from_json({"data": {(1, 0), (0, 1), (5, 7)}}),
+        lambda: RayFunction.from_json(standard_model(2, 3), {"values": {10, -3, -7}}),
     ], ids=["matrix rows as strings", "matrix row as object", "matrix as string", "direction as string",
-            "direction as object", "exponent as string", "values as string", "values as object"])
+            "direction as object", "exponent as string", "values as string", "values as object",
+            "matrix rows as set", "values as set"])
     def test_library_rejects(self, load):
         with pytest.raises(ParseError):
             load()
@@ -390,10 +397,26 @@ class TestVectorsAreArrays:
         path.write_text(json.dumps(doc))
         assert error_of(capsys, *argv, path) == "parse_error"
 
-    @pytest.mark.parametrize("rays", [5, None])
+    # a set of the right names was accepted whenever its hash order was the fan's
+    @pytest.mark.parametrize("rays", [5, None, frozenset(standard_model(2, 3).ray_labels())])
     def test_ray_names_not_a_list(self, rays):
         with pytest.raises(ParseError):
             RayFunction.from_json(self.L23, {"values": [0, 0, 0], "rays": rays})
+
+    @pytest.mark.parametrize("make", [IntMatrix, IntMatrix.from_rows], ids=["constructor", "from_rows"])
+    def test_matrix_rows_as_set(self, make):
+        with pytest.raises(BadParameters, match="is not a sequence"):
+            make({(1, 0), (0, 1), (5, 7)})
+
+    def test_fan_rays_as_set(self):
+        with pytest.raises(TypeError):
+            WeightedFan(1, frozenset({Ray((1,), 1)}))
+
+    def test_homspec_images_as_set(self):
+        # image i belongs to source coordinate i
+        h = induced_homspec(FanMorphism(self.L23, self.L23, IntMatrix.identity(2)))
+        with pytest.raises(TypeError):
+            HomSpec(h.source, h.target, frozenset(h.images))
 
 
 class TestTwoFanFiles:
@@ -523,8 +546,9 @@ class TestLibraryConstructors:
         "parse_poly_text vars True": lambda: parse_poly_text("-inf", True),
         "col True": lambda: IntMatrix.identity(2).col(True),
         "col float": lambda: IntMatrix.identity(2).col(1.0),
-        # a hand-built canonical form is checked when it becomes a polynomial
+        # a hand-built canonical form is checked at construction, before it becomes a polynomial
         "canonical form exponent float": lambda: CanonicalFn(1, (((1.5,), 0), ((0,), 1))).poly,
+        "canonical form exponent float at construction": lambda: CanonicalFn(1, (((1.5,), 0), ((0,), 1))),
     }
 
     @pytest.mark.parametrize("name", sorted(NON_INTEGERS))
@@ -569,6 +593,11 @@ class TestLibraryConstructors:
         assert type(P.num_vars) is int and type(P.terms[0][0][0]) is int
         G = RayFunction.from_json(standard_model(2, 3), {"values": ["1", "0", -1]})
         assert G.values == (1, 0, -1) and {type(v) for v in G.values} == {int}
+
+    def test_canonical_form_terms_lex_sorted(self):
+        # the constructor checks the fields by the LaurentPoly rule
+        with pytest.raises(BadParameters, match="lex-sorted"):
+            CanonicalFn(1, (((1,), 0), ((0,), 1)))
 
     def test_make_refuses_exponent_notation(self):
         with pytest.raises(ValueError, match="exponent notation"):

@@ -94,6 +94,19 @@ def test_text_constructor_rejects_empty_part():
         text(canonicalize(LaurentPoly.zero(2)), Fraction(0))
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda part: TExt(part, 0.5), TypeError),
+    (lambda part: TExt(part, NEG_INF), ValueError),
+    (lambda part: text(part, NEG_INF), ValueError),
+    (lambda part: TExt(None, 5), ValueError),
+], ids=["float grade", "bottom grade", "bottom grade through text", "bottom part"])
+def test_text_constructor_checks_both_fields(make, error):
+    # the bottom is exactly (None, -inf); every other element has a nonzero
+    # part and a rational grade, however it is built
+    with pytest.raises(error):
+        make(_germ([(1, 0)], 0).part)
+
+
 def test_text_add_compares_grades():
     lo = _germ([(1, 0)], 1)
     hi = _germ([(0, 1)], 2)

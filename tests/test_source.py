@@ -53,6 +53,17 @@ def test_operator_index_only_in_semiring():
     assert users == ["semiring.py"]
 
 
+def test_sequence_rule_only_in_semiring():
+    # semiring.as_tuple is the one refusal of a string, a dict or a set where
+    # a sequence is read; no other module tests for both str and dict
+    users = sorted({path.name for path in SRC.glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple)
+                    and {"str", "dict"} <= {getattr(elt, "id", None) for elt in node.args[1].elts}})
+    assert users == ["semiring.py"]
+
+
 def test_bottom_text_compared_only_in_semiring():
     # the bottom's text is spelled once, by NEG_INF in semiring: every writer
     # prints it from there and is_bottom_text reads it from there, so no other
