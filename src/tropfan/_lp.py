@@ -156,8 +156,10 @@ class Tableau:
         self.D = p
         self.basis[r] = c
 
-    def run(self) -> bool:
-        """Pivot to the optimum; True iff the system has a solution."""
+    def run(self) -> Optional[tuple[list[int], int]]:
+        """Pivot to the optimum; the point of :func:`find_point`, or None
+        when the system has no solution.  The multiplier x_j of row j is
+        minus the reduced cost of its artificial."""
         T, m, n, basis = self.T, self.m, self.n, self.basis
         # First every artificial still basic leaves through the first y
         # entry of its row.  Its row's rhs is 0, so the basis stays feasible
@@ -171,11 +173,11 @@ class Tableau:
         obj = T[-1]
         while True:
             if obj[-1] >= 0:
-                return False  # the dual value bounds mu from above and is <= 0
+                return None  # the dual value bounds mu from above and is <= 0
             # Bland's rule: the first column that lowers the dual value enters ...
             c = next((k for k in range(m + 1) if obj[k] < 0), None)
             if c is None:
-                return True
+                return [-x for x in obj[m + 1 : m + 1 + n]], self.D
             # ... and the ratio test breaks ties by the smallest basic column.
             r = None
             for i in range(n + 1):
@@ -188,14 +190,9 @@ class Tableau:
                     if key < 0 or (key == 0 and basis[i] < basis[r]):
                         r = i
             if r is None:
-                return False  # an unbounded dual: the non-strict rows alone are infeasible
+                return None  # an unbounded dual: the non-strict rows alone are infeasible
             self._pivot(r, c)
             obj = T[-1]
-
-    def point(self) -> tuple[list[int], int]:
-        """``(xs, D)`` with ``xs / D`` the point :meth:`run` found: the
-        multiplier x_j of row j is minus the reduced cost of its artificial."""
-        return [-x for x in self.T[-1][self.m + 1 : self.m + 1 + self.n]], self.D
 
     def add_row(self, a: Sequence[int], b: int, strict: bool):
         """Add the primal row ``a . x < b`` (``<=`` unless ``strict``) as a
@@ -219,7 +216,7 @@ def find_point(lp: Tableau, nvars: int) -> Optional[tuple[list[int], int]]:
     the basis it holds, so a system asked again with rows added pays only
     for the new pivots.  ``nvars`` and ``len(lp)`` are read only by
     ``bench/spans.py``, which labels each call by them."""
-    return lp.point() if lp.run() else None
+    return lp.run()
 
 
 # ---------------------------------------------------------------------------

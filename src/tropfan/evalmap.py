@@ -63,9 +63,7 @@ class RayFunction:
         return sum(self.values)
 
     def __getitem__(self, i: int) -> Union[int, object]:
-        if self.values is None:
-            return NEG_INF
-        return self.values[i]
+        return ((NEG_INF,) * len(self.fan.rays) if self.values is None else self.values)[i]
 
     def to_json(self) -> dict:
         names = self.fan.ray_labels()

@@ -61,8 +61,8 @@ from .errors import (
     ParseError,
     malformed,
 )
-from .semiring import (BOOL_ONE, NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints, as_scaled,
-                       as_trop, from_checked, is_bottom_text, text)
+from .semiring import (BOOL_ONE, NEG_INF, RATIONAL_TEXT, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints,
+                       as_scaled, as_trop, from_checked, is_bottom_text, text)
 
 Term = tuple[tuple[int, ...], Fraction]
 
@@ -394,15 +394,14 @@ def germ_safe_radius(P: LaurentPoly, p: Sequence) -> Fraction:
 # proportion to a number read from the input.
 MAX_TEXT_VARS = 1024
 
-_ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
+_LETTERS = "xyzw"
 
 
 def _var_index(name: str) -> int:
-    """The index of a variable name: an alias, or ``x`` and a decimal
+    """The index of a variable name: a letter, or ``x`` and a decimal
     index."""
-    idx = _ALIASES.get(name)
-    if idx is not None:
-        return idx
+    if len(name) == 1 and name in _LETTERS:
+        return _LETTERS.index(name) + 1
     digits = name[1:]
     if name[:1] == "x" and digits.isdecimal():
         try:
@@ -414,29 +413,26 @@ def _var_index(name: str) -> int:
         if idx > MAX_TEXT_VARS:
             raise ParseError(f"variable index {idx} above the limit {MAX_TEXT_VARS}")
         return idx
-    raise ParseError(f"unknown variable {name!r} (use x1..xn or x, y, z, w)")
+    raise ParseError(f"unknown variable {name!r} (use x1..xn or {', '.join(_LETTERS)})")
 
 
 def _var_name(i: int, num_vars: int) -> str:
-    if num_vars <= 4:
-        return "xyzw"[i]
+    if num_vars <= len(_LETTERS):
+        return _LETTERS[i]
     return f"x{i + 1}"
 
 
 def _rational(factor: str) -> Optional[tuple[int, int]]:
-    """``(p, q)`` for a factor ``p`` or ``p/q`` in decimal digits, with an
-    optional leading ``-`` (which negates p), else None; q may be 0."""
-    neg = factor[0] == "-"
-    num, slash, den = (factor[1:] if neg else factor).partition("/")
-    # isdecimal() accepts exactly the digits that \d matches (Unicode Nd),
-    # and int() reads each of them
-    if not num.isdecimal() or (slash and not den.isdecimal()):
+    """``(p, q)`` for a factor ``p`` or ``p/q`` of ``RATIONAL_TEXT``, a sign
+    negating p; None for any other, a decimal included.  q may be 0."""
+    m = RATIONAL_TEXT.fullmatch(factor)
+    if m is None or m[4] is not None:
         return None
     try:
-        p, q = int(num), int(den) if slash else 1
+        p, q = int(m[2]), int(m[3] or 1)
     except ValueError as exc:  # past sys.get_int_max_str_digits()
         raise ParseError(f"bad coefficient: {exc}") from exc
-    return (-p if neg else p), q
+    return (-p if m[1] == "-" else p), q
 
 
 def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:

@@ -16,16 +16,17 @@ carrier elements must be nonzero.
 Input coercion lives here alone: the sequence rule :func:`as_tuple`,
 which refuses strings, dicts and sets; the integer rule :func:`as_index`,
 its vector form :func:`as_ints` and :func:`as_int` for outside text; the
-rational rule :func:`as_trop`, which refuses floats, and exponent notation
-wherever text becomes a rational; and the bottom's text, :func:`is_bottom_text`.
-Polynomial text is the one reader that takes less than :func:`as_trop`:
-its coefficients are ``p`` or ``p/q``, and a decimal there is refused.
+rational rule :func:`as_trop`, which refuses floats and reads text by
+``RATIONAL_TEXT``, the one grammar of rational text; and the bottom's text,
+:func:`is_bottom_text`.  Polynomial text reads its coefficients by the same
+grammar but takes less: ``p`` or ``p/q``, and a decimal there is refused.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Union
@@ -74,12 +75,19 @@ TropValue = Union[Fraction, int, _NegInf]
 BOOL_ONE = Fraction(0)
 
 
+# The one grammar of rational text: optional whitespace and sign, then p,
+# p/q or a decimal, in digits as \d matches them.  It is Fraction's on 3.10
+# less exponents, read in time that grows with them; later Fractions also
+# read underscores and spaces around '/'.  Groups: sign, p, q, decimal part.
+RATIONAL_TEXT = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(\.\d*))?\s*")
+
+
 def as_trop(v) -> TropValue:
     """Coerce to an exact tropical value (Fraction or NEG_INF).  A Fraction
     is returned as it is, and every bottom element as NEG_INF, so the
-    result is bottom iff it ``is NEG_INF``.  Text is ``p``, ``p/q`` or a
-    decimal; exponent notation, which Fraction reads in time that grows
-    with the exponent, raises ValueError."""
+    result is bottom iff it ``is NEG_INF``.  Text must match
+    ``RATIONAL_TEXT``: ``p``, ``p/q`` or a decimal, with no exponent and no
+    underscore; other text raises ValueError on every Python version."""
     if type(v) is Fraction:
         return v
     if isinstance(v, _NegInf):
@@ -89,8 +97,8 @@ def as_trop(v) -> TropValue:
         raise TypeError("floats are not exact; pass Fraction, int, or a rational string")
     if isinstance(v, bool):
         raise TypeError(f"{v!r} is not a number")
-    if isinstance(v, str) and ("e" in v or "E" in v):
-        raise ValueError(f"{v!r}: exponent notation (e or E) is not accepted")
+    if isinstance(v, str) and not RATIONAL_TEXT.fullmatch(v):
+        raise ValueError(f"{v!r} is not rational text: p, p/q or a decimal, without exponent notation")
     return Fraction(v)
 
 

@@ -164,6 +164,8 @@ class TestPolyJson:
             # a -inf term's exponent is checked like any other term's
             {"vars": 1, "terms": [{"coeff": "-inf", "exp": [1.5, "x"]}, {"coeff": 0, "exp": [1]}]},
             {"vars": 1, "terms": [{"coeff": "-inf", "exp": [1, 2]}, {"coeff": 0, "exp": [1]}]},
+            # Fraction reads underscores from Python 3.11 on; rational text does not
+            {"vars": 1, "terms": [{"coeff": "1_0", "exp": [1]}]},
         ],
     )
     def test_rejects(self, obj):
@@ -248,6 +250,14 @@ class TestPointText:
         assert parse_point(point) == (want,)
         code, out = invoke(capsys, "poly", "eval", "x", "--point=" + point)
         assert code == 0 and json.loads(out) == {"value": str(want)}
+
+    @pytest.mark.parametrize("point", ["1_000", "1 /2", "1/ 2"])
+    def test_text_that_later_fractions_read_rejected(self, capsys, point):
+        # Fraction reads underscores from Python 3.11 on and spaces around
+        # '/' from 3.12 on; a coordinate is read alike on every version
+        assert error_of(capsys, "poly", "eval", "x", "--point", point) == "parse_error"
+        with pytest.raises(ParseError, match="is not rational text"):
+            parse_point(point)
 
     @pytest.mark.parametrize("point", ["", " ", "\t "])
     def test_blank_text_is_the_point_with_no_coordinates(self, capsys, point):

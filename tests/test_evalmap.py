@@ -66,6 +66,14 @@ class TestRayFunction:
         assert bot.is_bottom and bot.degree() is NEG_INF and bot[0] is NEG_INF
         assert degree(bot) is NEG_INF
 
+    @pytest.mark.parametrize("index, error", [(99, IndexError), ("a", TypeError), (1.5, TypeError)])
+    def test_bottom_takes_the_indices_of_any_function(self, index, error):
+        # the bottom answered -inf to any index
+        for F in (RayFunction(L23, (0, 1, 1)), RayFunction(L23, None)):
+            with pytest.raises(error):
+                F[index]  # noqa: B018
+        assert RayFunction(L23, None)[-3] is NEG_INF
+
     def test_length_checked(self):
         with pytest.raises(DimensionMismatch):
             RayFunction(L23, (1, 2))

@@ -131,13 +131,13 @@ def test_resumed_tableau_matches_cold_solve():
             b.append(rng.randint(-4, 4))
         lp = _lp.Tableau([(a, r, True) for a, r in zip(A, b)], n)
         while True:
-            feasible = lp.run()
+            found = lp.run()
             assert len(lp) == len(A)
             cold = _lp.Tableau([(a, r, True) for a, r in zip(A, b)], n)
-            assert feasible == (find_point(cold, n) is not None), (A, b)
-            if not feasible:
+            assert (found is not None) == (find_point(cold, n) is not None), (A, b)
+            if found is None:
                 break
-            xs, D = lp.point()
+            xs, D = found
             assert D > 0 and all(dot(a, xs) < r * D for a, r in zip(A, b)), (A, b, xs, D)
             if len(A) > 8:
                 break

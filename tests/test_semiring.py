@@ -68,9 +68,21 @@ def test_as_trop_refuses_exponent_notation(text):
 
 
 @pytest.mark.parametrize("text, want", [("1/2", Fraction(1, 2)), ("-3", Fraction(-3)),
-                                        ("0.5", Fraction(1, 2)), (" 7/4 ", Fraction(7, 4))])
+                                        ("0.5", Fraction(1, 2)), (" 7/4 ", Fraction(7, 4)),
+                                        (".5", Fraction(1, 2)), ("5.", Fraction(5)), ("-.25", Fraction(-1, 4)),
+                                        ("+3", Fraction(3)), ("\t+3/6\n", Fraction(1, 2)),
+                                        ("٣/٤", Fraction(3, 4)), ("0012", Fraction(12))])
 def test_as_trop_reads_rational_text(text, want):
     assert as_trop(text) == want
+
+
+# Fraction reads the first five from Python 3.11 or 3.12 on; rational text
+# is read alike on every version
+@pytest.mark.parametrize("text", ["1_000", "1/2_0", "1.2_5", "1 /2", "1/ 2", "1e-3", "2.5E+1", "0x10", "inf",
+                                  "nan", "½", "1/-2", "1/+2", "--1", "", " ", ".", "-", "1/", "/2", "1/2/3", "1 2"])
+def test_as_trop_refuses_other_text(text):
+    with pytest.raises(ValueError, match="is not rational text"):
+        as_trop(text)
 
 
 def test_as_scaled():

@@ -74,6 +74,17 @@ def test_bottom_text_compared_only_in_semiring():
     assert users == ["semiring.py"]
 
 
+def test_digits_tested_by_hand_only_in_variable_index():
+    # semiring.RATIONAL_TEXT is the one grammar of rational text; the only
+    # digits read apart from it, and from int(), are a variable's index
+    users = sorted({(path.name, fn.name) for path in SRC.glob("*.py")
+                    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and node.attr in ("isdecimal", "isdigit", "isnumeric")})
+    assert users == [("laurent.py", "_var_index")]
+
+
 def test_no_private_names_imported():
     # a module reaches another's underscore names only where the two share
     # one algorithm: evalmap reads lattice answers off intlat's Hermite kernel
