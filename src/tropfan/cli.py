@@ -6,6 +6,11 @@ and exits 0.  Domain failures, and answers too long to print
 (``output_too_large``), print ``{"error": code, "message": ...}`` and exit
 1; argparse usage problems exit 2.  Output is deterministic:
 rays are always in the fan's sorted order and key order is fixed.
+
+A request that starts with a subcommand (``poly eval ...``) is parsed by
+that subcommand's own parser; any other argv (``--pretty`` first, ``-h``
+above a subcommand, an unknown command, a stray argument) by the full
+parser.  Output, usage text and exit codes are the same either way.
 """
 
 from __future__ import annotations
@@ -260,31 +265,38 @@ def _cmd_member(args) -> dict:
 
 
 @functools.cache  # built once per process; parsing leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="tropfan", description=__doc__)
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser, and each subcommand's own parser by its command path."""
+    # the help shows the module docstring less its last paragraph, on parsing
+    top = argparse.ArgumentParser(prog="tropfan", description=__doc__ and __doc__.rpartition("\n\n")[0])
     top.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = top.add_subparsers(dest="command", required=True)
+    leaves = {}
+
+    def leaf(group, *path, **kwargs) -> argparse.ArgumentParser:
+        p = leaves[path] = group.add_parser(path[-1], **kwargs)
+        return p
 
     fan = sub.add_parser("fan", help="weighted-fan operations").add_subparsers(
         dest="fan_command", required=True
     )
-    p = fan.add_parser("check", help="balancing and realizability diagnostics")
+    p = leaf(fan, "fan", "check", help="balancing and realizability diagnostics")
     p.add_argument("fan")
     p.set_defaults(fn=_cmd_fan_check)
-    p = fan.add_parser("smooth", help="decide smoothness at the origin")
+    p = leaf(fan, "fan", "smooth", help="decide smoothness at the origin")
     p.add_argument("fan")
     p.set_defaults(fn=_cmd_fan_smooth)
-    p = fan.add_parser("evalmap", help="weighted evaluation of a polynomial")
+    p = leaf(fan, "fan", "evalmap", help="weighted evaluation of a polynomial")
     p.add_argument("fan")
     p.add_argument("--poly", required=True, help="polynomial in text form")
     p.set_defaults(fn=_cmd_fan_evalmap)
-    p = fan.add_parser("generators", help="generator matrix, one column per ray")
+    p = leaf(fan, "fan", "generators", help="generator matrix, one column per ray")
     p.add_argument("fan")
     p.set_defaults(fn=_cmd_fan_generators)
-    p = fan.add_parser("reconstruct", help="fan from a realizable matrix")
+    p = leaf(fan, "fan", "reconstruct", help="fan from a realizable matrix")
     p.add_argument("matrix")
     p.set_defaults(fn=_cmd_fan_reconstruct)
-    p = fan.add_parser("plot", help="SVG drawing of a 2-dimensional fan")
+    p = leaf(fan, "fan", "plot", help="SVG drawing of a 2-dimensional fan")
     p.add_argument("fan")
     p.set_defaults(fn=lambda a: _render_svg(_load_fan(a.fan)), raw=True)
 
@@ -295,56 +307,76 @@ def _build_parser() -> argparse.ArgumentParser:
     at_point.add_argument("poly")
     at_point.add_argument("--point", required=True)
     at_point.add_argument("--vars", type=as_int)
-    p = poly.add_parser("eval", help="value at a rational point", parents=[at_point])
+    p = leaf(poly, "poly", "eval", help="value at a rational point", parents=[at_point])
     p.set_defaults(fn=_cmd_poly_eval)
-    p = poly.add_parser("initial", help="initial form at a rational point", parents=[at_point])
+    p = leaf(poly, "poly", "initial", help="initial form at a rational point", parents=[at_point])
     p.set_defaults(fn=_cmd_poly_initial)
-    p = poly.add_parser("eq", help="equality as functions, with witness")
+    p = leaf(poly, "poly", "eq", help="equality as functions, with witness")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--vars", type=as_int)
     p.set_defaults(fn=_cmd_poly_eq)
-    p = poly.add_parser("germ", help="local germ at a rational point", parents=[at_point])
+    p = leaf(poly, "poly", "germ", help="local germ at a rational point", parents=[at_point])
     p.set_defaults(fn=_cmd_poly_germ)
 
     mor = sub.add_parser("morphism", help="fan morphism operations").add_subparsers(
         dest="morphism_command", required=True
     )
-    p = mor.add_parser("check", help="support preservation of a matrix")
+    p = leaf(mor, "morphism", "check", help="support preservation of a matrix")
     p.add_argument("morphism")
     p.set_defaults(fn=_cmd_morphism_check)
-    p = mor.add_parser("pullback", help="pull a polynomial back along a morphism")
+    p = leaf(mor, "morphism", "pullback", help="pull a polynomial back along a morphism")
     p.add_argument("morphism")
     p.add_argument("--poly", required=True)
     p.set_defaults(fn=_cmd_morphism_pullback)
-    p = mor.add_parser("realize", help="fan morphism from generator images")
+    p = leaf(mor, "morphism", "realize", help="fan morphism from generator images")
     p.add_argument("homspec")
     p.set_defaults(fn=_cmd_morphism_realize)
 
-    p = sub.add_parser("snf", help="Smith normal form with transforms")
+    p = leaf(sub, "snf", help="Smith normal form with transforms")
     p.add_argument("matrix")
     p.set_defaults(fn=_cmd_snf)
-    p = sub.add_parser("hnf", help="column Hermite normal form")
+    p = leaf(sub, "hnf", help="column Hermite normal form")
     p.add_argument("matrix")
     p.set_defaults(fn=_cmd_hnf)
-    p = sub.add_parser("transport", help="unimodular T with T.A = B")
+    p = leaf(sub, "transport", help="unimodular T with T.A = B")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(fn=_cmd_transport)
 
-    p = sub.add_parser("member", help="is a ray function a weighted evaluation?")
+    p = leaf(sub, "member", help="is a ray function a weighted evaluation?")
     p.add_argument("fan")
     p.add_argument("--values", required=True, help="comma-separated values, one per sorted ray")
     p.add_argument("--bound", type=as_int, default=None, help="checked, then ignored: the search needs no box")
     p.set_defaults(fn=_cmd_member)
 
-    return top
+    return top, leaves
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed by its subcommand's own parser when it starts with a
+    subcommand and holds nothing that parser leaves over, else by the full
+    parser; the namespace, output, usage text and exit codes are the same."""
+    parser, leaves = _build_parser()
+    path = tuple(argv[:1]) if tuple(argv[:1]) in leaves else tuple(argv[:2])
+    # The full parser scans every argument for its own options, and to it
+    # "--=..." is ambiguous (--help or --pretty): leave that to it.
+    if path in leaves and not any(str(a).startswith("--=") for a in argv):
+        # what the nested dispatch sets above the leaf
+        ns = argparse.Namespace(pretty=False, **dict(zip(("command", f"{path[0]}_command"), path)))
+        args, extras = leaves[path].parse_known_args(argv[len(path):], ns)
+        if not extras:  # nesting reports extras from the full parser
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    """Answer one request, ``sys.argv[1:]`` when argv is None, and return
+    its exit code.  The request is parsed by its subcommand's own parser,
+    or by the full parser for any other argv, with the same output, usage
+    text and exit codes either way (see the module docstring)."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -62,7 +62,7 @@ from .errors import (
     malformed,
 )
 from .semiring import (BOOL_ONE, NEG_INF, RATIONAL_TEXT, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints,
-                       as_scaled, as_trop, from_checked, is_bottom_text, text)
+                       as_scaled, as_trop, from_checked, is_bottom_text, is_digits, text)
 
 Term = tuple[tuple[int, ...], Fraction]
 
@@ -403,7 +403,7 @@ def _var_index(name: str) -> int:
     if len(name) == 1 and name in _LETTERS:
         return _LETTERS.index(name) + 1
     digits = name[1:]
-    if name[:1] == "x" and digits.isdecimal():
+    if name[:1] == "x" and is_digits(digits):
         try:
             idx = int(digits)
         except ValueError as exc:  # past sys.get_int_max_str_digits()
@@ -473,7 +473,7 @@ def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
             name, caret, power = factor.partition("^")
             idx = _var_index(name.strip())
             try:
-                e = int(power) if caret else 1
+                e = as_int(power) if caret else 1
             except ValueError as exc:
                 raise ParseError(f"bad exponent in factor {factor!r}") from exc
             exps[idx] = exps.get(idx, 0) + e

@@ -16,6 +16,7 @@ carrier elements must be nonzero.
 Input coercion lives here alone: the sequence rule :func:`as_tuple`,
 which refuses strings, dicts and sets; the integer rule :func:`as_index`,
 its vector form :func:`as_ints` and :func:`as_int` for outside text; the
+digit rule :func:`is_digits`, one set of decimal digits on every Python; the
 rational rule :func:`as_trop`, which refuses floats and reads text by
 ``RATIONAL_TEXT``, the one grammar of rational text; and the bottom's text,
 :func:`is_bottom_text`.  Polynomial text reads its coefficients by the same
@@ -75,11 +76,34 @@ TropValue = Union[Fraction, int, _NegInf]
 BOOL_ONE = Fraction(0)
 
 
+# The decimal digits the library reads, on every Python: the first code
+# point of each block of ten digits 0-9 in Unicode 13.0, which Python 3.10
+# reads (unicodedata.decimal there).  Later Pythons' int(), isdecimal and
+# \d read the digits of later Unicode versions too.
+DIGIT_BLOCKS = (
+    0x30, 0x660, 0x6F0, 0x7C0, 0x966, 0x9E6, 0xA66, 0xAE6, 0xB66, 0xBE6, 0xC66,
+    0xCE6, 0xD66, 0xDE6, 0xE50, 0xED0, 0xF20, 0x1040, 0x1090, 0x17E0, 0x1810,
+    0x1946, 0x19D0, 0x1A80, 0x1A90, 0x1B50, 0x1BB0, 0x1C40, 0x1C50, 0xA620, 0xA8D0,
+    0xA900, 0xA9D0, 0xA9F0, 0xAA50, 0xABF0, 0xFF10, 0x104A0, 0x10D30, 0x11066,
+    0x110F0, 0x11136, 0x111D0, 0x112F0, 0x11450, 0x114D0, 0x11650, 0x116C0, 0x11730,
+    0x118E0, 0x11950, 0x11C50, 0x11D50, 0x11DA0, 0x16A60, 0x16B50, 0x1D7CE, 0x1D7D8,
+    0x1D7E2, 0x1D7EC, 0x1D7F6, 0x1E140, 0x1E2F0, 0x1E950, 0x1FBF0,
+)
+_DIGIT = "[" + "".join(f"{chr(b)}-{chr(b + 9)}" for b in DIGIT_BLOCKS) + "]"
+_DIGITS = re.compile(_DIGIT + "+")
+
 # The one grammar of rational text: optional whitespace and sign, then p,
-# p/q or a decimal, in digits as \d matches them.  It is Fraction's on 3.10
+# p/q or a decimal, in the digits of DIGIT_BLOCKS.  It is Fraction's on 3.10
 # less exponents, read in time that grows with them; later Fractions also
-# read underscores and spaces around '/'.  Groups: sign, p, q, decimal part.
-RATIONAL_TEXT = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(\.\d*))?\s*")
+# read underscores, spaces around '/' and later digits.  Groups: sign, p, q,
+# decimal part.
+RATIONAL_TEXT = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(\.\d*))?\s*".replace(r"\d", _DIGIT))
+
+
+def is_digits(s: str) -> bool:
+    """True iff s is one or more digits of ``DIGIT_BLOCKS``, which every
+    Python reads alike; ASCII text is decided without the table."""
+    return s.isdigit() if s.isascii() else _DIGITS.fullmatch(s) is not None
 
 
 def as_trop(v) -> TropValue:
@@ -122,9 +146,13 @@ def as_index(v) -> int:
 
 def as_int(v) -> int:
     """Coerce outside text to an integer: :func:`as_index`, or a string that
-    ``int()`` reads (so ``" 12 "``, ``"+5"``, ``"1_000"``).  Floats, NaN and
-    the infinities included, and booleans raise TypeError, other strings ValueError."""
+    ``int()`` reads (so ``" 12 "``, ``"+5"``, ``"1_000"``) in the digits of
+    :func:`is_digits`.  Floats, NaN and the infinities included, and
+    booleans raise TypeError, other strings ValueError."""
     if isinstance(v, str):
+        if not v.isascii() and not is_digits(v.strip().lstrip("+-").replace("_", "")):
+            # int()'s refusal on Python 3.10, whose int() reads no later digit
+            raise ValueError(f"invalid literal for int() with base 10: {v!r:.200}")
         return int(v)
     return as_index(v)
 

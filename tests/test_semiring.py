@@ -1,3 +1,5 @@
+import sys
+import unicodedata
 from fractions import Fraction
 
 import pytest
@@ -5,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropfan import NEG_INF, TEXT_BOTTOM, TExt, text, text_add, text_mul, trop_add, trop_mul, trop_sum
-from tropfan.laurent import LaurentPoly, canonicalize
-from tropfan.semiring import as_scaled, as_trop
+from tropfan.errors import ParseError
+from tropfan.laurent import LaurentPoly, canonicalize, parse_poly_text
+from tropfan.semiring import DIGIT_BLOCKS, as_int, as_scaled, as_trop, is_digits
 
 rationals = st.fractions(max_denominator=8, min_value=-20, max_value=20)
 trop_values = st.one_of(st.just(NEG_INF), rationals)
@@ -83,6 +86,48 @@ def test_as_trop_reads_rational_text(text, want):
 def test_as_trop_refuses_other_text(text):
     with pytest.raises(ValueError, match="is not rational text"):
         as_trop(text)
+
+
+def test_digit_blocks_are_unicode_13_digits():
+    # each block is ten code points valued 0-9 on every Python, and
+    # Python 3.10, whose Unicode is 13.0, reads these 650 digits and no other
+    assert len(DIGIT_BLOCKS) == 65 and list(DIGIT_BLOCKS) == sorted(DIGIT_BLOCKS)
+    for start in DIGIT_BLOCKS:
+        digits = "".join(map(chr, range(start, start + 10)))
+        assert [unicodedata.decimal(c, None) for c in digits] == list(range(10)), hex(start)
+        assert digits.isdecimal() and is_digits(digits)
+    assert not is_digits(chr(DIGIT_BLOCKS[-1] + 10))
+    if unicodedata.unidata_version == "13.0.0":
+        assert sum(chr(c).isdecimal() for c in range(sys.maxunicode + 1)) == 650
+
+
+@pytest.mark.parametrize("text, want", [("0", True), ("0012", True), ("٣٤", True), ("1٣", True), ("", False),
+                                        ("1a", False), (" 1", False), ("-1", False), ("1_0", False),
+                                        ("²", False), ("½", False), ("\U00016AC1", False), ("1\U00016AC1", False)])
+def test_is_digits(text, want):
+    assert is_digits(text) is want
+
+
+# U+16AC1 TANGSA DIGIT ONE is a digit from Unicode 14.0 on, so int(),
+# isdecimal and \d read it from Python 3.11 on; the library reads it nowhere
+LATER_DIGIT = "\U00016AC1"
+
+
+def test_digits_after_unicode_13_are_refused():
+    for text in (LATER_DIGIT, f"1/{LATER_DIGIT}", f"{LATER_DIGIT}.5"):
+        with pytest.raises(ValueError, match="is not rational text"):
+            as_trop(text)
+    for text in (LATER_DIGIT, f" -{LATER_DIGIT}_0 ", f"1{LATER_DIGIT}"):
+        with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: "):
+            as_int(text)
+    for poly, message in ((f"{LATER_DIGIT}*x", "unknown variable"), (f"x{LATER_DIGIT}", "unknown variable"),
+                          (f"x^{LATER_DIGIT}", "bad exponent")):
+        with pytest.raises(ParseError, match=message):
+            parse_poly_text(poly)
+
+
+def test_as_int_reads_unicode_13_digits():
+    assert [as_int(text) for text in ("٣", " -٣_٤ ", "+１２", "12")] == [3, -34, 12, 12]
 
 
 def test_as_scaled():

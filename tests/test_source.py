@@ -74,15 +74,15 @@ def test_bottom_text_compared_only_in_semiring():
     assert users == ["semiring.py"]
 
 
-def test_digits_tested_by_hand_only_in_variable_index():
-    # semiring.RATIONAL_TEXT is the one grammar of rational text; the only
-    # digits read apart from it, and from int(), are a variable's index
+def test_digits_tested_by_hand_only_in_one_helper():
+    # semiring.is_digits is the one test of "is a digit string", by the
+    # digits that semiring.RATIONAL_TEXT reads too
     users = sorted({(path.name, fn.name) for path in SRC.glob("*.py")
                     for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                     if isinstance(fn, ast.FunctionDef)
                     for node in ast.walk(fn)
                     if isinstance(node, ast.Attribute) and node.attr in ("isdecimal", "isdigit", "isnumeric")})
-    assert users == [("laurent.py", "_var_index")]
+    assert users == [("semiring.py", "is_digits")]
 
 
 def test_no_private_names_imported():
@@ -94,6 +94,15 @@ def test_no_private_names_imported():
              if isinstance(node, ast.ImportFrom) and node.module
              for alias in node.names if alias.name.startswith("_") and not alias.name.startswith("__")}
     assert found == allowed
+
+
+def test_cli_reads_no_private_attributes():
+    # the command line keeps its leaf parsers from add_parser's return value,
+    # not from argparse internals that differ between Python versions
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    found = sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_") and not node.attr.startswith("__")})
+    assert not found, f"cli.py reads private attributes {found}"
 
 
 def test_parse_errors_come_from_one_rule():
