@@ -65,8 +65,7 @@ def _dumps(obj, pretty: bool) -> str:
 
 def _cmd_fan_check(args) -> dict:
     X = _load_fan(args.fan)
-    defect = [sum(row) for row in _evalmap.generator_matrix(X).data]
-    balanced = not any(defect)
+    balanced = _fan.check_balancing(X)
     out = {
         "ambient_dim": X.ambient_dim,
         "rays": X.ray_labels(),
@@ -76,7 +75,7 @@ def _cmd_fan_check(args) -> dict:
         "realizable": balanced,
     }
     if not balanced:
-        out["defect"] = defect
+        out["defect"] = [sum(row) for row in _evalmap.generator_matrix(X).data]
     return out
 
 
@@ -102,7 +101,8 @@ def _cmd_fan_reconstruct(args) -> dict:
     return _evalmap.reconstruct_fan(M).to_json()
 
 
-def _render_svg(X: _fan.WeightedFan) -> str:
+def _cmd_fan_plot(args) -> str:
+    X = _load_fan(args.fan)
     if X.ambient_dim != 2:
         raise DimensionMismatch("plotting is only available for 2-dimensional fans")
     size, cx, cy, scale = 400, 200.0, 200.0, 150.0
@@ -266,89 +266,69 @@ def _cmd_member(args) -> dict:
 
 @functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The full parser, and each subcommand's own parser by its command path."""
+    """The full parser, and the table of subcommands: for each command path,
+    ``("snf",)`` or ``("poly", "eval")`` say, that subcommand's own parser
+    and the namespace that the full parser's nested dispatch hands it."""
     # the help shows the module docstring less its last paragraph, on parsing
     top = argparse.ArgumentParser(prog="tropfan", description=__doc__ and __doc__.rpartition("\n\n")[0])
     top.add_argument("--pretty", action="store_true", help="indent JSON output")
-    sub = top.add_subparsers(dest="command", required=True)
     leaves = {}
 
-    def leaf(group, *path, **kwargs) -> argparse.ArgumentParser:
-        p = leaves[path] = group.add_parser(path[-1], **kwargs)
-        return p
+    def group(parser, path, start):
+        """The adder of the subcommands below path to parser.  The nested
+        dispatch has set start by then, and names the subcommand it takes
+        in ``command`` at the top, ``<group>_command`` below a group."""
+        dest = "_".join((*path, "command"))
+        subs = parser.add_subparsers(dest=dest, required=True)
 
-    fan = sub.add_parser("fan", help="weighted-fan operations").add_subparsers(
-        dest="fan_command", required=True
-    )
-    p = leaf(fan, "fan", "check", help="balancing and realizability diagnostics")
-    p.add_argument("fan")
-    p.set_defaults(fn=_cmd_fan_check)
-    p = leaf(fan, "fan", "smooth", help="decide smoothness at the origin")
-    p.add_argument("fan")
-    p.set_defaults(fn=_cmd_fan_smooth)
-    p = leaf(fan, "fan", "evalmap", help="weighted evaluation of a polynomial")
-    p.add_argument("fan")
+        def add(name, fn=None, *positionals, raw=False, **kwargs):
+            """The parser of the leaf name, taking positionals first and
+            answered by fn(args), printed as JSON or, when raw, as it is;
+            without fn, the adder of the subcommands of the group name."""
+            p, here = subs.add_parser(name, **kwargs), {**start, dest: name}
+            if fn is None:
+                return group(p, (*path, name), here)
+            for arg in positionals:
+                p.add_argument(arg)
+            p.set_defaults(fn=fn, raw=raw)
+            leaves[(*path, name)] = p, here
+            return p
+
+        return add
+
+    add = group(top, (), {"pretty": False})
+    fan = add("fan", help="weighted-fan operations")
+    fan("check", _cmd_fan_check, "fan", help="balancing and realizability diagnostics")
+    fan("smooth", _cmd_fan_smooth, "fan", help="decide smoothness at the origin")
+    p = fan("evalmap", _cmd_fan_evalmap, "fan", help="weighted evaluation of a polynomial")
     p.add_argument("--poly", required=True, help="polynomial in text form")
-    p.set_defaults(fn=_cmd_fan_evalmap)
-    p = leaf(fan, "fan", "generators", help="generator matrix, one column per ray")
-    p.add_argument("fan")
-    p.set_defaults(fn=_cmd_fan_generators)
-    p = leaf(fan, "fan", "reconstruct", help="fan from a realizable matrix")
-    p.add_argument("matrix")
-    p.set_defaults(fn=_cmd_fan_reconstruct)
-    p = leaf(fan, "fan", "plot", help="SVG drawing of a 2-dimensional fan")
-    p.add_argument("fan")
-    p.set_defaults(fn=lambda a: _render_svg(_load_fan(a.fan)), raw=True)
+    fan("generators", _cmd_fan_generators, "fan", help="generator matrix, one column per ray")
+    fan("reconstruct", _cmd_fan_reconstruct, "matrix", help="fan from a realizable matrix")
+    fan("plot", _cmd_fan_plot, "fan", raw=True, help="SVG drawing of a 2-dimensional fan")
 
-    poly = sub.add_parser("poly", help="Laurent polynomial operations").add_subparsers(
-        dest="poly_command", required=True
-    )
+    poly = add("poly", help="Laurent polynomial operations")
     at_point = argparse.ArgumentParser(add_help=False)
     at_point.add_argument("poly")
     at_point.add_argument("--point", required=True)
     at_point.add_argument("--vars", type=as_int)
-    p = leaf(poly, "poly", "eval", help="value at a rational point", parents=[at_point])
-    p.set_defaults(fn=_cmd_poly_eval)
-    p = leaf(poly, "poly", "initial", help="initial form at a rational point", parents=[at_point])
-    p.set_defaults(fn=_cmd_poly_initial)
-    p = leaf(poly, "poly", "eq", help="equality as functions, with witness")
-    p.add_argument("left")
-    p.add_argument("right")
+    poly("eval", _cmd_poly_eval, help="value at a rational point", parents=[at_point])
+    poly("initial", _cmd_poly_initial, help="initial form at a rational point", parents=[at_point])
+    p = poly("eq", _cmd_poly_eq, "left", "right", help="equality as functions, with witness")
     p.add_argument("--vars", type=as_int)
-    p.set_defaults(fn=_cmd_poly_eq)
-    p = leaf(poly, "poly", "germ", help="local germ at a rational point", parents=[at_point])
-    p.set_defaults(fn=_cmd_poly_germ)
+    poly("germ", _cmd_poly_germ, help="local germ at a rational point", parents=[at_point])
 
-    mor = sub.add_parser("morphism", help="fan morphism operations").add_subparsers(
-        dest="morphism_command", required=True
-    )
-    p = leaf(mor, "morphism", "check", help="support preservation of a matrix")
-    p.add_argument("morphism")
-    p.set_defaults(fn=_cmd_morphism_check)
-    p = leaf(mor, "morphism", "pullback", help="pull a polynomial back along a morphism")
-    p.add_argument("morphism")
+    mor = add("morphism", help="fan morphism operations")
+    mor("check", _cmd_morphism_check, "morphism", help="support preservation of a matrix")
+    p = mor("pullback", _cmd_morphism_pullback, "morphism", help="pull a polynomial back along a morphism")
     p.add_argument("--poly", required=True)
-    p.set_defaults(fn=_cmd_morphism_pullback)
-    p = leaf(mor, "morphism", "realize", help="fan morphism from generator images")
-    p.add_argument("homspec")
-    p.set_defaults(fn=_cmd_morphism_realize)
+    mor("realize", _cmd_morphism_realize, "homspec", help="fan morphism from generator images")
 
-    p = leaf(sub, "snf", help="Smith normal form with transforms")
-    p.add_argument("matrix")
-    p.set_defaults(fn=_cmd_snf)
-    p = leaf(sub, "hnf", help="column Hermite normal form")
-    p.add_argument("matrix")
-    p.set_defaults(fn=_cmd_hnf)
-    p = leaf(sub, "transport", help="unimodular T with T.A = B")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(fn=_cmd_transport)
-
-    p = leaf(sub, "member", help="is a ray function a weighted evaluation?")
-    p.add_argument("fan")
+    add("snf", _cmd_snf, "matrix", help="Smith normal form with transforms")
+    add("hnf", _cmd_hnf, "matrix", help="column Hermite normal form")
+    add("transport", _cmd_transport, "a", "b", help="unimodular T with T.A = B")
+    p = add("member", _cmd_member, "fan", help="is a ray function a weighted evaluation?")
     p.add_argument("--values", required=True, help="comma-separated values, one per sorted ray")
     p.add_argument("--bound", type=as_int, default=None, help="checked, then ignored: the search needs no box")
-    p.set_defaults(fn=_cmd_member)
 
     return top, leaves
 
@@ -362,9 +342,8 @@ def _parse(argv) -> argparse.Namespace:
     # The full parser scans every argument for its own options, and to it
     # "--=..." is ambiguous (--help or --pretty): leave that to it.
     if path in leaves and not any(str(a).startswith("--=") for a in argv):
-        # what the nested dispatch sets above the leaf
-        ns = argparse.Namespace(pretty=False, **dict(zip(("command", f"{path[0]}_command"), path)))
-        args, extras = leaves[path].parse_known_args(argv[len(path):], ns)
+        leaf, start = leaves[path]
+        args, extras = leaf.parse_known_args(argv[len(path):], argparse.Namespace(**start))
         if not extras:  # nesting reports extras from the full parser
             return args
     return parser.parse_args(argv)
@@ -381,7 +360,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         result = args.fn(args)
-        out = result if getattr(args, "raw", False) else _dumps(result, args.pretty)
+        out = result if args.raw else _dumps(result, args.pretty)
     except TropfanError as exc:
         print(_dumps({"error": exc.code, "message": str(exc)}, args.pretty))
         return 1

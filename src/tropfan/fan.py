@@ -126,7 +126,7 @@ class WeightedFan:
     def from_json(cls, obj: dict) -> "WeightedFan":
         with malformed("bad fan object"):
             n = as_int(obj["ambient_dim"])
-            items = [(as_ints(e["direction"], as_int), as_int(e["weight"])) for e in obj["rays"]]
+            items = [(as_ints(e["direction"], as_int), as_int(e["weight"])) for e in as_tuple(obj["rays"])]
         return cls.build(n, items)
 
 

@@ -62,7 +62,7 @@ from .errors import (
     malformed,
 )
 from .semiring import (BOOL_ONE, NEG_INF, RATIONAL_TEXT, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints,
-                       as_scaled, as_trop, from_checked, is_bottom_text, is_digits, text)
+                       as_scaled, as_trop, as_tuple, from_checked, is_bottom_text, is_digits, text)
 
 Term = tuple[tuple[int, ...], Fraction]
 
@@ -404,10 +404,8 @@ def _var_index(name: str) -> int:
         return _LETTERS.index(name) + 1
     digits = name[1:]
     if name[:1] == "x" and is_digits(digits):
-        try:
+        with malformed("bad variable index"):  # past sys.get_int_max_str_digits()
             idx = int(digits)
-        except ValueError as exc:  # past sys.get_int_max_str_digits()
-            raise ParseError(f"bad variable index: {exc}") from exc
         if idx < 1:
             raise ParseError(f"variable indices start at 1, got {name!r}")
         if idx > MAX_TEXT_VARS:
@@ -428,10 +426,8 @@ def _rational(factor: str) -> Optional[tuple[int, int]]:
     m = RATIONAL_TEXT.fullmatch(factor)
     if m is None or m[4] is not None:
         return None
-    try:
+    with malformed("bad coefficient"):  # past sys.get_int_max_str_digits()
         p, q = int(m[2]), int(m[3] or 1)
-    except ValueError as exc:  # past sys.get_int_max_str_digits()
-        raise ParseError(f"bad coefficient: {exc}") from exc
     return (-p if m[1] == "-" else p), q
 
 
@@ -519,7 +515,7 @@ def poly_from_json(obj: dict) -> LaurentPoly:
     with malformed("bad polynomial object"):
         n = as_int(obj["vars"])
         items = []
-        for t in obj["terms"]:
+        for t in as_tuple(obj["terms"]):
             coeff = NEG_INF if is_bottom_text(t["coeff"]) else as_trop(t["coeff"])
             items.append((as_ints(t["exp"], as_int), coeff))
     for u, _ in items:

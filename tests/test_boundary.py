@@ -112,6 +112,7 @@ BAD_FANS = {
     "weight bool": _fan(weight=True),
     "weight Infinity": _fan(weight=INF),
     "direction Infinity": _fan(direction=[INF, 0]),
+    "rays as object": {"ambient_dim": 2, "rays": {}},
 }
 
 
@@ -371,9 +372,15 @@ class TestVectorsAreArrays:
         # these two were read in hash order: rows (1, 0), (5, 7), (0, 1) and values (-7, 10, -3)
         lambda: IntMatrix.from_json({"data": {(1, 0), (0, 1), (5, 7)}}),
         lambda: RayFunction.from_json(standard_model(2, 3), {"values": {10, -3, -7}}),
+        # these two were read as the bottom polynomial, and these two as a fan without rays
+        lambda: poly_from_json({"vars": 1, "terms": {}}),
+        lambda: poly_from_json({"vars": 1, "terms": ""}),
+        lambda: WeightedFan.from_json({"ambient_dim": 2, "rays": {}}),
+        lambda: WeightedFan.from_json({"ambient_dim": 2, "rays": ""}),
     ], ids=["matrix rows as strings", "matrix row as object", "matrix as string", "direction as string",
             "direction as object", "exponent as string", "values as string", "values as object",
-            "matrix rows as set", "values as set"])
+            "matrix rows as set", "values as set", "terms as object", "terms as string",
+            "rays as object", "rays as string"])
     def test_library_rejects(self, load):
         with pytest.raises(ParseError):
             load()

@@ -105,12 +105,32 @@ def test_cli_reads_no_private_attributes():
     assert not found, f"cli.py reads private attributes {found}"
 
 
+def test_cli_names_each_subcommand_once():
+    # cli._build_parser's table is the one home of the command line's wiring:
+    # one string spells the "<group>_command" dest rule, one call sets each
+    # leaf's handler, and _parse takes a leaf's starting namespace from the
+    # table, naming no namespace attribute itself
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef)) and ast.get_docstring(node) is not None}
+
+    def strings(top):
+        return [node.value for node in ast.walk(top) if isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and id(node) not in docstrings]
+
+    assert [text for text in strings(tree) if text.endswith("command")] == ["command"]
+    handlers = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "set_defaults" and any(kw.arg == "fn" for kw in node.keywords)]
+    assert len(handlers) == 1, f"cli.py sets fn at lines {handlers}"
+    parse = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_parse")
+    assert set(strings(parse)) == {"--="}
+
+
 def test_parse_errors_come_from_one_rule():
     # outside input is read under errors.malformed; the only other handlers
     # that raise ParseError are the JSON file reader's and the polynomial
-    # text parser's digit-limit ones, which name the file or the factor
-    allowed = {"errors.py:malformed", "cli.py:_load_json", "laurent.py:_var_index",
-               "laurent.py:_rational", "laurent.py:parse_poly_text"}
+    # text parser's exponent one, which name the file or the factor
+    allowed = {"errors.py:malformed", "cli.py:_load_json", "laurent.py:parse_poly_text"}
     found = set()
     for path in SRC.glob("*.py"):
         for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
