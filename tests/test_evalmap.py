@@ -657,6 +657,24 @@ class TestMembership:
         assert (records, dropping) == (1713, 1180)
         assert digest.hexdigest() == "3c33f15d6c7004f815d93f6d9e9f296f843c3dd1a84e31a01f30724f39b5ffd2"
 
+    def test_pinned_record_digest(self):
+        # the search record of every ray of 300 balanced, unbalanced and
+        # non-spanning fans: lift, kept and the plan are read off the column
+        # HNF, so a change to how that transform is read shows here.  The
+        # plan's guards come from a set and are hashed sorted
+        rng, records = random.Random(4343), 0
+        digest = hashlib.sha256()
+        for _ in range(300):
+            draw = rng.choice([rand_balanced_fan, rand_unbalanced_fan, rand_non_spanning_fan])
+            X = draw(rng, rng.randint(2, 4))
+            gens = tuple(ray.generator for ray in X.rays)
+            for a in range(len(gens)):
+                lift, kept, plan, dropped, free = evalmap._tight_search(gens, a)
+                digest.update(repr((lift, kept, sorted(plan.guards), plan.levels, dropped, free)).encode())
+                records += 1
+        assert records == 938
+        assert digest.hexdigest() == "dfc5cff76389955d3a12d3ed52f7310dcf7fa1872606d6b187c8e35122e40f86"
+
     def test_one_lp_decides_each_ray_of_a_three_ray_fan(self, monkeypatch):
         # at (-2,0) and (1,0) the LP drops (0,1), and the sum left lies along
         # g_a; at (0,1) one infeasible LP keeps both other rows at once
