@@ -5,8 +5,6 @@ machine-readable ``code`` so the CLI can emit structured errors and map
 them to exit status 1 (usage problems are argparse's exit 2).
 """
 
-import contextlib
-
 
 class TropfanError(Exception):
     """Base class for all structured errors raised by this package."""
@@ -83,11 +81,18 @@ class ParseError(TropfanError):
     code = "parse_error"
 
 
-@contextlib.contextmanager
-def malformed(what: str):
+class malformed:
     """Read outside input: a KeyError, TypeError, ValueError or ZeroDivisionError
     in the block becomes ParseError(f"{what}: {exc}").  Domain calls stay out."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{what}: {exc}") from exc
+
+    __slots__ = ("what",)
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (KeyError, TypeError, ValueError, ZeroDivisionError)):
+            raise ParseError(f"{self.what}: {exc}") from exc

@@ -28,7 +28,7 @@ from .errors import (
     malformed,
 )
 from .fan import WeightedFan, check_balancing, primitive
-from .intlat import IntMatrix, _hnf_core, _ident_list, hnf
+from .intlat import IntMatrix, _hnf_core, hnf
 from .laurent import LaurentPoly
 from .semiring import BOOL_ONE, NEG_INF, TropValue, as_index, as_int, as_ints, as_tuple, from_checked, is_bottom_text
 
@@ -226,10 +226,10 @@ def _tight_search(gens: tuple, a: int) -> tuple:
         kept = [b for b in kept if not sum(map(mul, gens[b], ys[-1]))]
     free = tuple([sum(col) for col in zip(*ys)]) or (0,) * n
     dropped = tuple([(b, -sum(map(mul, gens[b], free))) for b in others if b not in kept])
-    H, U = [list(g)] + [list(gens[b]) for b in kept], _ident_list(n)
-    rank = len(_hnf_core(H, U))  # row 0 of H is now (w_a, 0, ..., 0)
-    return (tuple([tuple(u[:rank]) for u in U]), tuple([(b, h[0]) for b, h in zip(kept, H[1:])]),
-            _lp._plan(tuple([tuple(h[1:rank]) for h in H[1:]])), dropped, free)
+    H, U = (M.data for M in hnf(IntMatrix((g, *[gens[b] for b in kept]))))  # H's row 0 is (w_a, 0, ..., 0)
+    rank = sum(map(any, zip(*H)))  # the zero columns of H come last
+    return (tuple([u[:rank] for u in U]), tuple([(b, h[0]) for b, h in zip(kept, H[1:])]),
+            _lp._plan(tuple([h[1:rank] for h in H[1:]])), dropped, free)
 
 
 def _tight_exponent(gens: tuple, values, a: int) -> Optional[tuple]:

@@ -12,9 +12,10 @@ keeps the unimodular transform that the answers are read from; its
 docstring gives the three rules that keep its work and entries small.
 The Smith form alternates the HNF on A and A^T, which keeps its
 transforms on random 24x24 matrices in [-9, 9] within about twice the bit
-length of the determinant; transport, completion and rank-deficient solves
-read their answers off HNF transforms.  Matrices are immutable values;
-every operation returns fresh objects.
+length of the determinant.  ``hnf`` is the one function that returns a
+Hermite transform; only ``evalmap.is_smooth`` (with no transform), the
+Smith form and transport run the kernel themselves.  Matrices are
+immutable values; every operation returns fresh objects.
 """
 
 from __future__ import annotations
@@ -305,14 +306,16 @@ def lattice_solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
     When A has full column rank the rational solution, if any, is unique,
     so z is the only answer; it is found by fraction-free elimination of
     [A | b], whose entries stay minors of [A | b].  Otherwise the column
-    HNF A.U = H answers: z = U.y with y solved on H by forward
-    substitution, the canonical Hermite solution.
+    HNF A.U = H answers z = U.y, with y substituted down the rows of H:
+    the first row r with H_rc != 0 is column c's pivot row, as the rows
+    above it are 0 from column c on, and gives the integer y_c =
+    (b_r - H_r.y) / H_rc; every other row needs b_r = H_r.y.
     """
     if len(b) != A.rows:
         raise DimensionMismatch(f"rhs of length {len(b)} against {A.rows}x{A.cols}")
-    resid = list(as_ints(b))
+    b = as_ints(b)
     m, n = A.rows, A.cols
-    a = [list(row) + [x] for row, x in zip(A.data, resid)]
+    a = [list(row) + [x] for row, x in zip(A.data, b)]
     if m >= n and _bareiss(a, n):
         # each row from n on now reads 0 = c, with c an (n+1)-minor of
         # [A | b]; b lies in the column space of A iff every such c is 0
@@ -329,24 +332,15 @@ def lattice_solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
         if any(v % d for v in x):
             return None
         return tuple(v // d for v in x)
-    a = [list(row) for row in A.data]
-    U = _ident_list(n)
-    pivots = _hnf_core(a, U)
-    y = [0] * n
-    pivot_by_row = dict(pivots)
-    for r in range(A.rows):
-        c = pivot_by_row.get(r)
-        if c is None:
-            if resid[r] != 0:
-                return None
-            continue
-        if resid[r] % a[r][c]:
+    H, U = hnf(A)
+    y = []  # y_c for the pivot columns c found so far
+    for row, x in zip(H.data, b):
+        x -= sum(h * v for h, v in zip(row, y))
+        if len(y) < n and row[len(y)] and x % row[len(y)] == 0:
+            y.append(x // row[len(y)])
+        elif x:  # a residual that no pivot takes up
             return None
-        y[c] = resid[r] // a[r][c]
-        if y[c]:
-            for i in range(r, A.rows):
-                resid[i] -= y[c] * a[i][c]
-    return tuple(sum(u * x for u, x in zip(row, y)) for row in U)
+    return U.apply(y + [0] * (n - len(y)))
 
 
 def complete_unimodular(A: IntMatrix) -> IntMatrix:

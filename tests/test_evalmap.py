@@ -693,17 +693,17 @@ class TestMembership:
         # the search record at ray a is read off one column HNF of g_a over
         # the kept rays, and holds the one plan of its rows, both built once
         # and then cached
-        hnf_core, plan, calls, plans, seen = evalmap._hnf_core, _lp._plan, [], [], set()
+        hnf, plan, calls, plans, seen = evalmap.hnf, _lp._plan, [], [], set()
 
-        def counted(a, U):
-            calls.append(a)
-            return hnf_core(a, U)
+        def counted(A):
+            calls.append(A)
+            return hnf(A)
 
         def counted_plan(rows):
             plans.append(rows)
             return plan(rows)
 
-        monkeypatch.setattr(evalmap, "_hnf_core", counted)
+        monkeypatch.setattr(evalmap, "hnf", counted)
         monkeypatch.setattr(_lp, "_plan", counted_plan)
         evalmap._tight_search.cache_clear()
         rng = random.Random(7373)

@@ -87,13 +87,19 @@ def test_digits_tested_by_hand_only_in_one_helper():
 
 def test_no_private_names_imported():
     # a module reaches another's underscore names only where the two share
-    # one algorithm: evalmap reads lattice answers off intlat's Hermite kernel
-    allowed = {("evalmap.py", "intlat", "_hnf_core"), ("evalmap.py", "intlat", "_ident_list")}
+    # one algorithm: evalmap.is_smooth reads intlat's Hermite kernel without
+    # a transform, and every transform it reads comes from intlat.hnf
+    allowed = {("evalmap.py", "intlat", "_hnf_core")}
     found = {(path.name, node.module, alias.name) for path in SRC.glob("*.py")
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.ImportFrom) and node.module
              for alias in node.names if alias.name.startswith("_") and not alias.name.startswith("__")}
     assert found == allowed
+    calls = [node for node in ast.walk(ast.parse((SRC / "evalmap.py").read_text(), filename="evalmap.py"))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_hnf_core"]
+    empty = ast.dump(ast.List(elts=[], ctx=ast.Load()))
+    assert calls and all(len(node.args) == 2 and ast.dump(node.args[1]) == empty for node in calls), \
+        "evalmap builds a Hermite transform besides intlat.hnf"
 
 
 def test_cli_reads_no_private_attributes():
@@ -127,19 +133,26 @@ def test_cli_names_each_subcommand_once():
 
 
 def test_parse_errors_come_from_one_rule():
-    # outside input is read under errors.malformed; the only other handlers
-    # that raise ParseError are the JSON file reader's and the polynomial
-    # text parser's exponent one, which name the file or the factor
+    # outside input is read under errors.malformed, whose __exit__ turns the
+    # block's errors into ParseError; the only handlers that raise ParseError
+    # are the JSON file reader's and the polynomial text parser's exponent
+    # one, which name the file or the factor
     allowed = {"errors.py:malformed", "cli.py:_load_json", "laurent.py:parse_poly_text"}
+
+    def raises_parse_error(top):
+        return any(isinstance(node, ast.Raise) and "ParseError" in ast.dump(node) for node in ast.walk(top))
+
     found = set()
     for path in SRC.glob("*.py"):
-        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for handler in ast.walk(func):
-                    if isinstance(handler, ast.ExceptHandler) and any(
-                        isinstance(node, ast.Raise) and "ParseError" in ast.dump(node) for node in ast.walk(handler)
-                    ):
-                        found.add(f"{path.name}:{func.name}")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(handler, ast.ExceptHandler) and raises_parse_error(handler)
+                       for handler in ast.walk(node)):
+                    found.add(f"{path.name}:{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                if any(isinstance(item, ast.FunctionDef) and item.name == "__exit__" and raises_parse_error(item)
+                       for item in node.body):
+                    found.add(f"{path.name}:{node.name}")
     assert found <= allowed, f"ParseError raised from a handler outside the one rule: {found - allowed}"
     assert "errors.py:malformed" in found
 
