@@ -19,21 +19,34 @@ dual ends optimal, or unbounded when the non-strict rows alone are
 infeasible.  At the optimum the simplex multipliers are a primal optimum
 ``(x, mu)``.
 
+The tableau keeps one unit column per dual row: one artificial per row of
+``sum y_i a_i = 0`` and one for the row of y_0, the last at cost 0 and
+never entering.  So it holds D B^-1 itself, and the image D B^-1 c of any
+column c is their combination with weights c.
+
 A primal row added to a solved system is a new dual column ``y`` at 0, so
 the basis stays feasible and Bland's rule resumes from it instead of
 solving from scratch (:meth:`Tableau.add_row`, then :func:`find_point` on
-the tableau).  The tableau holds D B^-1 times its columns, and the y_0
-and artificial columns began as unit columns, so the new column is their
-combination with weights ``(a; s)``.  An artificial still basic is the
-equality of a coordinate that the rows so far leave out; it is 0, and its
-row has no y entry.  The new row can give that row an entry, and Bland's
-rule could then move the artificial off 0, which drops the equality and
-can prove a feasible system infeasible.  So every run begins with the
-step that starts a fresh tableau: each basic artificial whose row has a y
-entry leaves through the first one.  Its row's right-hand side is 0, so
-any pivot sign keeps the basis feasible.  After a new row only its column
-can be that entry, and once one artificial has left through it the other
-such rows have none again.
+the tableau); its column is the image of ``(a; s)``.  An artificial still
+basic is the equality of a coordinate that the rows so far leave out; it
+is 0, and its row has no y entry.  The new row can give that row an
+entry, and Bland's rule could then move the artificial off 0, which drops
+the equality and can prove a feasible system infeasible.  So every run
+begins with the step that starts a fresh tableau: each basic unit column
+whose row has a y entry leaves through the first one.  Its row's
+right-hand side is 0, so any pivot sign keeps the basis feasible.  After a
+new row only its column can be that entry, and once one artificial has
+left through it the other such rows have none again.
+
+The same tableau can be asked about another term (:meth:`Tableau.retarget`).
+The strict rows ``(v - u) . x < a - b_v`` of a term (u, a) against lifted
+points (v, b_v) are the rows ``(v, -b_v)`` of the term (0, 0) seen through
+the unimodular map ``[[I, -u], [0, 1]]``.  In the dual only y_0's column
+and the right-hand side change, both to ``(u; 1)``, with y_0's cost
+``1 - a``, so the term column is rewritten as the image of ``(u; 1)`` and
+the basis of the last question is resumed.  When the old y_0 leaves
+through a unit column, that column is basic in the old y_0's row, which
+can be the last, so the first step above reads every row.
 
 :func:`integer_point_search` asks for an integer point x with
 ``rows[i] . x <= rhs[i]`` for every row i, all in Python ints: the
@@ -104,26 +117,31 @@ FM_MAX_VARS = 4
 
 class Tableau:
     """The Farkas dual of the margin LP of integer rows, solved by Bland's
-    rule on an integer-preserving tableau, that takes more rows as it goes.
+    rule on an integer-preserving tableau, that takes more rows as it goes
+    and can be asked about another term.
 
     ``rows`` holds the triples ``(a, b, strict)`` of :func:`find_point`,
     with ``a`` an int sequence of length ``nvars`` and ``b`` an int.
-    :meth:`run` goes to the optimum; :meth:`add_row` adds one primal row,
-    after which :meth:`run` resumes from the basis it left.  Its length is
-    its number of rows.
+    :meth:`run` goes to the optimum; :meth:`add_row` adds one primal row
+    and :meth:`retarget` rewrites the term column, y_0's, for another
+    term, after either of which :meth:`run` resumes from the basis it
+    left.  Both read D B^-1 off the unit columns, one for each of the
+    nvars + 1 rows, the last for y_0's row.  Its length is its number of
+    rows.
     """
 
     __slots__ = ("T", "basis", "D", "m", "n")
 
     def __init__(self, rows: Sequence[tuple], nvars: int):
         m, n = len(rows), nvars
-        # Columns: y_1..y_m, y_0, one artificial per row of sum y_i a_i = 0, rhs.
-        # T holds D times the true tableau, D the |determinant| of the basis;
-        # its last row holds the reduced costs and minus the dual value.
-        T = [[a[j] for a, _, _ in rows] + [0] + [int(k == j) for k in range(n)] + [0]
+        # Columns: y_1..y_m, y_0, one unit column per row of sum y_i a_i = 0
+        # and one for the row of y_0, rhs.  T holds D times the true tableau,
+        # D the |determinant| of the basis; its last row holds the reduced
+        # costs and minus the dual value.
+        T = [[a[j] for a, _, _ in rows] + [0] + [int(k == j) for k in range(n + 1)] + [0]
              for j in range(n)]
-        T.append([int(strict) for _, _, strict in rows] + [1] + [0] * n + [1])
-        T.append([b - int(strict) for _, b, strict in rows] + [0] * (n + 1) + [-1])
+        T.append([int(strict) for _, _, strict in rows] + [1] + [0] * n + [1, 1])
+        T.append([b - int(strict) for _, b, strict in rows] + [0] * (n + 1) + [-1, -1])
         self.T, self.D, self.m, self.n = T, 1, m, n
         self.basis = [m + 1 + j for j in range(n)] + [m]
 
@@ -159,13 +177,13 @@ class Tableau:
     def run(self) -> Optional[tuple[list[int], int]]:
         """Pivot to the optimum; the point of :func:`find_point`, or None
         when the system has no solution.  The multiplier x_j of row j is
-        minus the reduced cost of its artificial."""
+        minus the reduced cost of its unit column."""
         T, m, n, basis = self.T, self.m, self.n, self.basis
-        # First every artificial still basic leaves through the first y
+        # First every unit column still basic leaves through the first y
         # entry of its row.  Its row's rhs is 0, so the basis stays feasible
         # whatever the pivot's sign.  A row with no y entry is redundant for
-        # the rows so far and keeps its artificial basic at 0.
-        for j in range(n):
+        # the rows so far and keeps its unit column basic at 0.
+        for j in range(n + 1):
             if basis[j] > m:
                 c = next((k for k in range(m) if T[j][k]), None)
                 if c is not None:
@@ -194,19 +212,64 @@ class Tableau:
             self._pivot(r, c)
             obj = T[-1]
 
+    def _image(self, a: Sequence[int], s: int) -> list[int]:
+        """``D B^-1 (a; s)`` on each row, and minus D times its price on the
+        objective row: the unit columns hold D B^-1 times the unit vectors,
+        so this is their combination with weights ``(a; s)``."""
+        m, n = self.m, self.n
+        mul = operator.mul
+        return [sum(map(mul, a, row[m + 1 : m + 1 + n])) + s * row[m + 1 + n] for row in self.T]
+
     def add_row(self, a: Sequence[int], b: int, strict: bool):
         """Add the primal row ``a . x < b`` (``<=`` unless ``strict``) as a
-        new dual column."""
-        T, m, n, D = self.T, self.m, self.n, self.D
-        s = int(strict)
-        # The columns of y_0 and of the artificials hold D B^-1 times the unit
-        # columns, so D B^-1 (a; s) is their combination, and the objective
-        # row takes the same combination plus D times the cost b - s.
-        for i, row in enumerate(T):
-            v = s * row[m] + sum(map(operator.mul, a, row[m + 1 : m + 1 + n]))
-            row.insert(m, v + D * (b - s) if i == n + 1 else v)
+        new dual column, of cost b."""
+        m = self.m
+        col = self._image(a, int(strict))
+        col[-1] += self.D * b
+        for row, v in zip(self.T, col):
+            row.insert(m, v)
         self.basis = [k + 1 if k >= m else k for k in self.basis]
         self.m = m + 1
+
+    def retarget(self, u: Sequence[int], a: int):
+        """Ask the rows ``(c - u) . x < b + a`` in place of the strict rows
+        ``c . x < b`` the tableau was built and added with; each non-strict
+        row stays as it is.
+
+        The map ``[[I, -u], [0, 1]]`` takes the dual columns ``(c; 1)`` of
+        the strict rows to ``(c - u; 1)`` and fixes the others, so in the
+        coordinates of the rows the tableau holds only the question moves:
+        y_0's column and the right-hand side both become ``(u; 1)``, and
+        y_0's cost ``1 - a``, the dual value gaining the constant a.  The
+        basis of the last question is kept as far as it stays a basis and
+        feasible, and :meth:`run` resumes Bland's rule from it:
+
+        * y_0 basic, with an entry in its row: the new y_0 takes its place,
+          and ``y_0 = 1`` is the basic solution, which is feasible, since
+          y_0's column is the right-hand side.
+        * y_0 basic, with 0 in its row: the old y_0 first leaves, at rhs 0,
+          through its row's first other entry; then as below.
+        * y_0 nonbasic: the basis stays when its solution is feasible, every
+          unit column still basic at 0.  Otherwise y_0 enters at the row of
+          the least nonzero basic value, the most negative one as the dual
+          simplex method picks the row to leave, and again ``y_0 = 1`` is
+          the basic solution.
+        """
+        T, m, n, D, basis = self.T, self.m, self.n, self.D, self.basis
+        col = self._image(u, 1)
+        for row, v in zip(T, col):
+            row[m] = row[-1] = v
+        T[-1][m] += D * (1 - a)
+        T[-1][-1] -= D * a
+        r = basis.index(m) if m in basis else None
+        if r is not None and not T[r][m]:
+            self._pivot(r, next(k for k, x in enumerate(T[r]) if x and k != m))
+            r = None
+        if r is None:
+            if all(T[i][-1] >= 0 if basis[i] <= m else not T[i][-1] for i in range(n + 1)):
+                return
+            r = min((i for i in range(n + 1) if T[i][-1]), key=lambda i: T[i][-1])
+        self._pivot(r, m)
 
 
 def find_point(lp: Tableau, nvars: int) -> Optional[tuple[list[int], int]]:

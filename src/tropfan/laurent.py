@@ -24,23 +24,28 @@ the one with the lexicographically largest exponent strictly wins at
 p + (e, e^2, ..., e^n) for small e > 0, so it is kept.  If that is i, i is
 decided; otherwise that term joins E without an LP and i is asked again.
 It cannot already be in E, because i beats E strictly at p.  So every LP
-has at most as many rows as there are kept terms.  Asking about i again
-adds the new term's row to i's LP (``_lp.Tableau.add_row``), and
-``_lp.find_point`` resumes it from the basis it ended on rather than
-solving it from scratch; its witness, in integers, needs no Fraction.
+has at most as many rows as there are kept terms.  One tableau per call
+asks every question.  Its rows are E's written relative to the first
+term asked, (u_0, a_0): the rows (v - u_0, a_0 - b_v), that term's own
+question.  The rows of another term (u, a) are these seen through a
+unimodular map, so ``_lp.Tableau.retarget`` moves the tableau to it, and
+``_lp.find_point`` resumes Bland's rule from the basis of the last
+question rather than solving from scratch.  A newly kept term is a new
+row for this and every later question (``_lp.Tableau.add_row``), resumed
+the same way.  Its witness, in integers, needs no Fraction.
 Canonical forms are what germs are carried by.  Equality as functions needs
 none: a polynomial is the max of its terms, so P <= Q iff no term of P
 strictly beats every term of Q anywhere, one LP per term of P that Q's term
 of the same exponent does not dominate.
 
-Every LP here is a ``_lp.Tableau`` of integer rows, each the least
-integer multiple of its rational row (``_rival_row``).  :func:`canonicalize`
+Every LP here is a ``_lp.Tableau`` of integer rows.  :func:`canonicalize`
 starts E, with no LP, from the term that wins at p = 0 and, for each j and
 s = +-1, the term lex-largest in (s*u_j, u): a Newton polytope vertex, which
-strictly wins far out in its normal cone.  :func:`fn_witness` scales the
-coefficients of both sides to integers by one L, so that term (u, a) beats
-rival (v, b) where (v - u).p < (a - b) / L; times L // g, for
-g = gcd(a - b, L), that is the least integer row.
+strictly wins far out in its normal cone.  :func:`fn_witness` asks each
+term on a fresh tableau.  It scales the coefficients of both sides to
+integers by one L, so that term (u, a) beats rival (v, b) where
+(v - u).p < (a - b) / L; times L // g, for g = gcd(a - b, L), that is the
+least integer row (``_rival_row``).
 A germ's two parts, the Boolean initial form and the value, come from one
 evaluation.
 """
@@ -265,14 +270,14 @@ class CanonicalFn:
         return poly_to_text(self.poly)
 
 
-def _rival_row(term: Term, rival: Term, L: int = 1) -> tuple:
+def _rival_row(term: Term, rival: Term, L: int) -> tuple:
     """The least integer row ``(c, r)`` with ``c . p < r`` iff ``term``
     strictly beats ``rival`` at p, on coefficients scaled by L."""
     (u, a), (v, b) = term, rival
     # a + u.p > b + v.p  <=>  (v - u).p < (a - b) / L, times L // g
     g = math.gcd(a - b, L)
     c = tuple(map(operator.sub, v, u))
-    if g != L:  # never when L = 1, as for every row canonicalize builds
+    if g != L:
         s = L // g
         c = tuple([s * x for x in c])
     return c, (a - b) // g
@@ -289,7 +294,7 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
     """Drop exactly the terms dominated everywhere by the max of the rest."""
     rows, _ = _int_rows(P.terms)
     kept = [False] * len(rows)
-    confirmed = []  # the rows known to be kept
+    confirmed = []  # the rows kept without an LP
     if rows:
         # At p = 0, the point a tableau with no rows finds, the values are
         # the coefficients: that winner is kept without an LP, as are the
@@ -300,21 +305,28 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
         for w in dict.fromkeys(firsts):
             kept[w] = True
             confirmed.append(rows[w])
-    mul = operator.mul
-    for i, row in enumerate(rows):
+    mul, sub = operator.mul, operator.sub
+    lp = None
+    for i, (u, a) in enumerate(rows):
         if kept[i]:
             continue
-        lp = _lp.Tableau([(*_rival_row(row, v), True) for v in confirmed], P.num_vars)
+        if lp is None:
+            # The first question is posed on its own rows (v - u, a - b), and
+            # the tableau keeps its rows and terms relative to that term.
+            u0, a0 = u, a
+            lp = _lp.Tableau([(tuple(map(sub, v, u0)), a0 - b, True) for v, b in confirmed], P.num_vars)
+        else:
+            lp.retarget(tuple(map(sub, u, u0)), a - a0)
         while (found := _lp.find_point(lp, P.num_vars)) is not None:
             # The witness p = xs / D, with D > 0, in integers; the values
             # of the scaled rows at p, times D.
             xs, D = found
             w = _last_max([D * b + sum(map(mul, v, xs)) for v, b in rows])
             kept[w] = True
-            confirmed.append(rows[w])
+            v, b = rows[w]
+            lp.add_row(tuple(map(sub, v, u0)), a0 - b, True)
             if w == i:
                 break
-            lp.add_row(*_rival_row(row, rows[w]), True)
     return from_checked(CanonicalFn, P.num_vars, tuple(t for t, k in zip(P.terms, kept) if k))
 
 

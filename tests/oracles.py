@@ -323,6 +323,19 @@ def rand_canon_case(rng: random.Random, n, kind, max_terms=8, exp=3):
 CANON_KINDS = ("empty", "single", "boolean", "collinear", "tied", "lifted", "general")
 
 
+def rand_flat_poly(rng: random.Random, n, dim, boolean, max_terms=8):
+    """A polynomial in n variables whose exponents lie on a random affine
+    subspace of dimension at most dim, so that its Newton polytope is lower
+    dimensional; Boolean (every coefficient 0) or with rational ones."""
+    base, *steps = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(dim + 1)]
+    items = []
+    for _ in range(rng.randint(2, max_terms)):
+        ts = [rng.randint(-2, 2) for _ in steps]
+        u = tuple(b + sum(t * s[j] for t, s in zip(ts, steps)) for j, b in enumerate(base))
+        items.append((u, 0 if boolean else Fraction(rng.randint(-4, 4), rng.randint(1, 2))))
+    return LaurentPoly.make(n, items)
+
+
 # ------------------------------------------------------- brute lattice
 
 

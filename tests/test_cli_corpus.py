@@ -5,12 +5,16 @@ code of each request) are in ``cli_corpus.json``.  The answers were recorded
 from the nested argparse dispatch at commit 47ade0f, once under each of
 Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0, whose argparse differ in some
 usage text; an answer's key lists the versions that gave it.  So the test
-does not grade the parser against itself.
+does not grade the parser against itself.  Patch releases can change that
+text too: 3.13.13 no longer quotes the choices of an invalid choice.  So an
+answer keyed by a full release, recorded there only where it differs from
+its minor version's, is read before the minor version's.
 
 It runs under pytest, or without it::
 
-    PYTHONPATH=src python tests/test_cli_corpus.py            # run the tests
-    PYTHONPATH=src python tests/test_cli_corpus.py --record   # add this version's answers
+    PYTHONPATH=src python tests/test_cli_corpus.py                    # run the tests
+    PYTHONPATH=src python tests/test_cli_corpus.py --record           # add this version's answers
+    PYTHONPATH=src python tests/test_cli_corpus.py --record-release   # add this release's differences
 """
 
 import contextlib
@@ -27,6 +31,7 @@ from tropfan import cli
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 VERSION = "%d.%d" % sys.version_info[:2]
+RELEASE = "%d.%d.%d" % sys.version_info[:3]
 
 
 @contextlib.contextmanager
@@ -67,8 +72,13 @@ def answer(case) -> dict:
 
 
 def recorded(case):
-    """The answer recorded under this Python's version, or None."""
-    return next((a for key, a in case["answers"].items() if VERSION in key.split()), None)
+    """The answer recorded under this Python's release, else under its
+    version, or None."""
+    for version in (RELEASE, VERSION):
+        got = next((a for key, a in case["answers"].items() if version in key.split()), None)
+        if got is not None:
+            return got
+    return None
 
 
 def mismatches(corpus) -> list:
@@ -117,25 +127,33 @@ def test_leaf_parser_sets_what_nesting_sets():
             assert vars(cli._parse(case["argv"])) == vars(parser.parse_args(case["argv"])), case["argv"]
 
 
-def _record(corpus):
-    """Add this version's answers to the corpus: to the key of an equal
-    answer when there is one, else under a key of its own."""
+def _record(corpus, version):
+    """Add this interpreter's answers to the corpus under ``version``.  A
+    version's answer goes to the key of an equal answer when there is one,
+    else under a key of its own; a release's goes under its own key, and
+    only where it differs from the answer its version reads."""
     with _workdir(corpus["files"]):
         for case in corpus["cases"]:
             got = answer(case)
-            answers = {key: a for key, a in case.get("answers", {}).items() if VERSION not in key.split()}
+            answers = {key: a for key, a in case.get("answers", {}).items() if version not in key.split()}
+            case["answers"] = answers
+            if version == RELEASE:
+                if recorded(case) != got:
+                    answers[RELEASE] = got
+                continue
             same = next((key for key, a in answers.items() if a == got), None)
             if same is None:
                 answers[VERSION] = got
             else:
                 answers[" ".join(sorted({*same.split(), VERSION}))] = answers.pop(same)
-            case["answers"] = answers
     CORPUS.write_text(json.dumps(corpus, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--record"]:
-        _record(load())
+        _record(load(), VERSION)
+    elif sys.argv[1:] == ["--record-release"]:
+        _record(load(), RELEASE)
     else:
         bad = mismatches(load())
         for argv, want, got in bad:

@@ -16,6 +16,7 @@ from oracles import (
     hull_vertices,
     joint_denominator,
     rand_canon_case,
+    rand_flat_poly,
     rand_point,
     rand_poly,
     rand_scale_pair,
@@ -247,6 +248,14 @@ class TestCanonicalizeDifferential:
             assert got == all_rivals_canonicalize(P), (kind, P)
             dropped += len(got.terms) < len(P.terms)
         assert dropped > 400
+        # exponents on a line or a plane in n = 2..5, Boolean or not
+        dropped = 0
+        for k in range(1200):
+            P = rand_flat_poly(rng, 2 + k % 4, 1 + k // 4 % 2, k // 8 % 2 == 0)
+            got = canonicalize(P)
+            assert got == all_rivals_canonicalize(P), P
+            dropped += len(got.terms) < len(P.terms)
+        assert dropped > 400
 
     def test_pinned_rand_poly_digest(self):
         # The digest pins the canonical forms themselves: a change to the
@@ -469,6 +478,40 @@ class TestCanonicalizeLPCount:
             calls[0] = 0
             assert canonicalize(P).terms == tuple(P.terms[i] for i in kept)
             assert calls[0] == 1
+
+
+@pytest.fixture
+def lp_work(monkeypatch):
+    """The tableaux built and the pivots taken so far, counted by a
+    subclass of _lp.Tableau put in its place."""
+    work = {"tableaux": 0, "pivots": 0}
+
+    class Counted(_lp.Tableau):
+        __slots__ = ()
+
+        def __init__(self, rows, nvars):
+            work["tableaux"] += 1
+            super().__init__(rows, nvars)
+
+        def _pivot(self, r, c):
+            work["pivots"] += 1
+            super()._pivot(r, c)
+
+    monkeypatch.setattr(_lp, "Tableau", Counted)
+    return work
+
+
+def test_canonicalize_resumes_one_tableau(lp_work):
+    # Every undecided term is asked on one tableau per call, retargeted
+    # from the basis of the last question.  With a fresh tableau per term
+    # this corpus took 2,971 pivots; it must now take a quarter fewer.
+    rng = random.Random(4545)
+    for k in range(400):
+        P = rand_poly(rng, 1 + k % 5, max_terms=12)
+        before = lp_work["tableaux"]
+        canonicalize(P)
+        assert lp_work["tableaux"] - before <= 1, P
+    assert lp_work["pivots"] <= 0.75 * 2971, lp_work
 
 
 class TestEqualityLPCount:

@@ -20,10 +20,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import fm_integer_point_search, fm_point, tableau
+from oracles import fm_integer_point_search, fm_point, rand_flat_poly, rand_poly, tableau
 from tropfan import _lp
 from tropfan._lp import _plan, find_point, integer_point_search
 from tropfan.evalmap import _tight_exponent, _tight_search
+from tropfan.laurent import _rival_row
+from tropfan.semiring import as_scaled
 
 
 def satisfies(cons, x):
@@ -150,6 +152,59 @@ def test_resumed_tableau_matches_cold_solve():
             lp.add_row(a, b[-1], True)
             resumed += 1
     assert resumed > 1500
+
+
+def rand_terms(rng: random.Random, n):
+    """The integer terms (u, L*a) of a random polynomial in n variables, as
+    canonicalize scales them: general, or with the exponents on a line or a
+    plane, Boolean or not."""
+    if rng.random() < 0.4:
+        P = rand_poly(rng, n, max_terms=8)
+    else:
+        P = rand_flat_poly(rng, n, rng.randint(1, 2), rng.random() < 0.5)
+    coeffs, _ = as_scaled([c for _, c in P.terms])
+    return [(u, a) for (u, _), a in zip(P.terms, coeffs)]
+
+
+def test_retargeted_tableau_matches_fresh_rival_rows():
+    # One tableau on the rows (v, -b) of a kept set asks about term after
+    # term, with kept rows added in between, as canonicalize asks.  Each
+    # answer is that of a fresh tableau on the term's own rival rows, and
+    # each point has the term strictly beat every kept row.  Of the three
+    # ways retarget meets y_0, each is reached: basic with an entry in its
+    # row (swapped), basic with none there, and nonbasic; the last two both
+    # with the basis kept and with the new y_0 entered.
+    rng = random.Random(4444)
+    cases = dict.fromkeys(("swapped, entered", "zero entry, kept", "zero entry, entered",
+                           "nonbasic, kept", "nonbasic, entered"), 0)
+    for k in range(3000):
+        n = k % 6
+        terms = rand_terms(rng, n)
+        kept = rng.sample(terms, rng.randint(0, len(terms)))
+        lp = _lp.Tableau([(v, -b, True) for v, b in kept], n)
+        for step in range(rng.randint(1, 8)):
+            if step and rng.random() < 0.4:
+                v, b = rng.choice(terms)
+                kept.append((v, b))
+                lp.add_row(v, -b, True)
+            else:
+                u, a = term = rng.choice(terms)
+                m, basis = lp.m, lp.basis
+                if m not in basis:
+                    case = "nonbasic"
+                elif lp._image(u, 1)[basis.index(m)]:
+                    case = "swapped"
+                else:
+                    case = "zero entry"
+                lp.retarget(u, a)
+                cases[case + (", entered" if m in lp.basis else ", kept")] += 1
+            found = lp.run()
+            fresh = _lp.Tableau([(*_rival_row(term, rival, 1), True) for rival in kept], n)
+            assert (found is None) == (find_point(fresh, n) is None), (term, kept)
+            if found is not None:
+                xs, D = found
+                assert D > 0 and all(D * a + dot(u, xs) > D * b + dot(v, xs) for v, b in kept), (term, kept)
+    assert len(cases) == 5 and min(cases.values()) > 10, cases
 
 
 class TestEdgeCases:
