@@ -19,10 +19,12 @@ dual ends optimal, or unbounded when the non-strict rows alone are
 infeasible.  At the optimum the simplex multipliers are a primal optimum
 ``(x, mu)``.
 
-The tableau keeps one unit column per dual row: one artificial per row of
-``sum y_i a_i = 0`` and one for the row of y_0, the last at cost 0 and
-never entering.  So it holds D B^-1 itself, and the image D B^-1 c of any
-column c is their combination with weights c.
+The tableau is ``D B^-1 [A | I]``: the dual columns, then one unit column
+per dual row, one artificial per row of ``sum y_i a_i = 0`` and one for
+the row of y_0, the last at cost 0 and never entering.  So it holds
+D B^-1 itself, and the image D B^-1 c of any column c is their
+combination with weights c.  The right-hand side is y_0's column, so that
+column holds the basic values, and no copy of it is kept.
 
 A primal row added to a solved system is a new dual column ``y`` at 0, so
 the basis stays feasible and Bland's rule resumes from it instead of
@@ -41,10 +43,10 @@ left through it the other such rows have none again.
 The same tableau can be asked about another term (:meth:`Tableau.retarget`).
 The strict rows ``(v - u) . x < a - b_v`` of a term (u, a) against lifted
 points (v, b_v) are the rows ``(v, -b_v)`` of the term (0, 0) seen through
-the unimodular map ``[[I, -u], [0, 1]]``.  In the dual only y_0's column
-and the right-hand side change, both to ``(u; 1)``, with y_0's cost
-``1 - a``, so the term column is rewritten as the image of ``(u; 1)`` and
-the basis of the last question is resumed.  When the old y_0 leaves
+the unimodular map ``[[I, -u], [0, 1]]``.  In the dual only y_0's column,
+the right-hand side, changes, to ``(u; 1)``, with y_0's cost ``1 - a``,
+so the term column is rewritten as the image of ``(u; 1)`` and the basis
+of the last question is resumed.  When the old y_0 leaves
 through a unit column, that column is basic in the old y_0's row, which
 can be the last, so the first step above reads every row.
 
@@ -125,23 +127,23 @@ class Tableau:
     :meth:`run` goes to the optimum; :meth:`add_row` adds one primal row
     and :meth:`retarget` rewrites the term column, y_0's, for another
     term, after either of which :meth:`run` resumes from the basis it
-    left.  Both read D B^-1 off the unit columns, one for each of the
-    nvars + 1 rows, the last for y_0's row.  Its length is its number of
-    rows.
+    left.  Both read D B^-1 off the unit columns of ``D B^-1 [A | I]``,
+    one for each of the nvars + 1 rows, the last for y_0's row; y_0's
+    column is the right-hand side.  Its length is its number of rows.
     """
 
     __slots__ = ("T", "basis", "D", "m", "n")
 
     def __init__(self, rows: Sequence[tuple], nvars: int):
         m, n = len(rows), nvars
-        # Columns: y_1..y_m, y_0, one unit column per row of sum y_i a_i = 0
-        # and one for the row of y_0, rhs.  T holds D times the true tableau,
-        # D the |determinant| of the basis; its last row holds the reduced
-        # costs and minus the dual value.
-        T = [[a[j] for a, _, _ in rows] + [0] + [int(k == j) for k in range(n + 1)] + [0]
+        # Columns: y_1..y_m, y_0 (also the right-hand side), one unit column
+        # per row of sum y_i a_i = 0 and one for the row of y_0.  T holds D
+        # times the true tableau, D the |determinant| of the basis; its last
+        # row holds the reduced costs.
+        T = [[a[j] for a, _, _ in rows] + [0] + [int(k == j) for k in range(n + 1)]
              for j in range(n)]
-        T.append([int(strict) for _, _, strict in rows] + [1] + [0] * n + [1, 1])
-        T.append([b - int(strict) for _, b, strict in rows] + [0] * (n + 1) + [-1, -1])
+        T.append([int(strict) for _, _, strict in rows] + [1] + [0] * n + [1])
+        T.append([b - int(strict) for _, b, strict in rows] + [0] * (n + 1) + [-1])
         self.T, self.D, self.m, self.n = T, 1, m, n
         self.basis = [m + 1 + j for j in range(n)] + [m]
 
@@ -180,7 +182,7 @@ class Tableau:
         minus the reduced cost of its unit column."""
         T, m, n, basis = self.T, self.m, self.n, self.basis
         # First every unit column still basic leaves through the first y
-        # entry of its row.  Its row's rhs is 0, so the basis stays feasible
+        # entry of its row.  Its basic value is 0, so the basis stays feasible
         # whatever the pivot's sign.  A row with no y entry is redundant for
         # the rows so far and keeps its unit column basic at 0.
         for j in range(n + 1):
@@ -190,7 +192,7 @@ class Tableau:
                     self._pivot(j, c)
         obj = T[-1]
         while True:
-            if obj[-1] >= 0:
+            if obj[m] >= self.D:  # y_0's reduced cost is D (1 - the dual value)
                 return None  # the dual value bounds mu from above and is <= 0
             # Bland's rule: the first column that lowers the dual value enters ...
             c = next((k for k in range(m + 1) if obj[k] < 0), None)
@@ -204,7 +206,7 @@ class Tableau:
                     if r is None:
                         r = i
                         continue
-                    key = T[i][-1] * T[r][c] - T[r][-1] * a
+                    key = T[i][m] * T[r][c] - T[r][m] * a
                     if key < 0 or (key == 0 and basis[i] < basis[r]):
                         r = i
             if r is None:
@@ -212,21 +214,22 @@ class Tableau:
             self._pivot(r, c)
             obj = T[-1]
 
-    def _image(self, a: Sequence[int], s: int) -> list[int]:
-        """``D B^-1 (a; s)`` on each row, and minus D times its price on the
-        objective row: the unit columns hold D B^-1 times the unit vectors,
-        so this is their combination with weights ``(a; s)``."""
+    def _image(self, a: Sequence[int], s: int, cost: int) -> list[int]:
+        """The column of the dual column ``(a; s)`` of cost ``cost``: the unit
+        columns hold D B^-1 and minus D times the prices, so their sum with
+        weights ``(a; s)``, plus D times the cost on the objective row, is
+        ``D B^-1 (a; s)`` and D times its reduced cost."""
         m, n = self.m, self.n
         mul = operator.mul
-        return [sum(map(mul, a, row[m + 1 : m + 1 + n])) + s * row[m + 1 + n] for row in self.T]
+        col = [sum(map(mul, a, row[m + 1 : m + 1 + n])) + s * row[-1] for row in self.T]
+        col[-1] += self.D * cost
+        return col
 
     def add_row(self, a: Sequence[int], b: int, strict: bool):
         """Add the primal row ``a . x < b`` (``<=`` unless ``strict``) as a
         new dual column, of cost b."""
         m = self.m
-        col = self._image(a, int(strict))
-        col[-1] += self.D * b
-        for row, v in zip(self.T, col):
+        for row, v in zip(self.T, self._image(a, int(strict), b)):
             row.insert(m, v)
         self.basis = [k + 1 if k >= m else k for k in self.basis]
         self.m = m + 1
@@ -239,15 +242,16 @@ class Tableau:
         The map ``[[I, -u], [0, 1]]`` takes the dual columns ``(c; 1)`` of
         the strict rows to ``(c - u; 1)`` and fixes the others, so in the
         coordinates of the rows the tableau holds only the question moves:
-        y_0's column and the right-hand side both become ``(u; 1)``, and
-        y_0's cost ``1 - a``, the dual value gaining the constant a.  The
-        basis of the last question is kept as far as it stays a basis and
-        feasible, and :meth:`run` resumes Bland's rule from it:
+        y_0's column, the right-hand side, becomes ``(u; 1)``, written once
+        as its image, and y_0's cost ``1 - a``, the dual value gaining the
+        constant a.  The basis of the last question is kept as far as it
+        stays a basis and feasible, and :meth:`run` resumes Bland's rule
+        from it:
 
         * y_0 basic, with an entry in its row: the new y_0 takes its place,
           and ``y_0 = 1`` is the basic solution, which is feasible, since
           y_0's column is the right-hand side.
-        * y_0 basic, with 0 in its row: the old y_0 first leaves, at rhs 0,
+        * y_0 basic, with 0 in its row: the old y_0 first leaves, at value 0,
           through its row's first other entry; then as below.
         * y_0 nonbasic: the basis stays when its solution is feasible, every
           unit column still basic at 0.  Otherwise y_0 enters at the row of
@@ -255,20 +259,17 @@ class Tableau:
           simplex method picks the row to leave, and again ``y_0 = 1`` is
           the basic solution.
         """
-        T, m, n, D, basis = self.T, self.m, self.n, self.D, self.basis
-        col = self._image(u, 1)
-        for row, v in zip(T, col):
-            row[m] = row[-1] = v
-        T[-1][m] += D * (1 - a)
-        T[-1][-1] -= D * a
+        T, m, n, basis = self.T, self.m, self.n, self.basis
+        for row, v in zip(T, self._image(u, 1, 1 - a)):
+            row[m] = v
         r = basis.index(m) if m in basis else None
         if r is not None and not T[r][m]:
             self._pivot(r, next(k for k, x in enumerate(T[r]) if x and k != m))
             r = None
         if r is None:
-            if all(T[i][-1] >= 0 if basis[i] <= m else not T[i][-1] for i in range(n + 1)):
+            if all(T[i][m] >= 0 if basis[i] <= m else not T[i][m] for i in range(n + 1)):
                 return
-            r = min((i for i in range(n + 1) if T[i][-1]), key=lambda i: T[i][-1])
+            r = min((i for i in range(n + 1) if T[i][m]), key=lambda i: T[i][m])
         self._pivot(r, m)
 
 

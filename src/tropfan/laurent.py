@@ -294,17 +294,14 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
     """Drop exactly the terms dominated everywhere by the max of the rest."""
     rows, _ = _int_rows(P.terms)
     kept = [False] * len(rows)
-    confirmed = []  # the rows kept without an LP
     if rows:
         # At p = 0, the point a tableau with no rows finds, the values are
         # the coefficients: that winner is kept without an LP, as are the
-        # coordinate-extreme vertices (see the module docstring).
-        firsts = [_last_max([b for _, b in rows])]
+        # coordinate-extreme vertices (see the module docstring).  The
+        # tableau is built on these flags.
+        kept[_last_max([b for _, b in rows])] = True
         for col in zip(*[u for u, _ in rows]):
-            firsts += [_last_max(list(col)), _last_max([-x for x in col])]
-        for w in dict.fromkeys(firsts):
-            kept[w] = True
-            confirmed.append(rows[w])
+            kept[_last_max(list(col))] = kept[_last_max([-x for x in col])] = True
     mul, sub = operator.mul, operator.sub
     lp = None
     for i, (u, a) in enumerate(rows):
@@ -314,7 +311,8 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
             # The first question is posed on its own rows (v - u, a - b), and
             # the tableau keeps its rows and terms relative to that term.
             u0, a0 = u, a
-            lp = _lp.Tableau([(tuple(map(sub, v, u0)), a0 - b, True) for v, b in confirmed], P.num_vars)
+            lp = _lp.Tableau([(tuple(map(sub, v, u0)), a0 - b, True)
+                              for (v, b), k in zip(rows, kept) if k], P.num_vars)
         else:
             lp.retarget(tuple(map(sub, u, u0)), a - a0)
         while (found := _lp.find_point(lp, P.num_vars)) is not None:

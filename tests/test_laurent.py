@@ -514,6 +514,17 @@ def test_canonicalize_resumes_one_tableau(lp_work):
     assert lp_work["pivots"] <= 0.75 * 2971, lp_work
 
 
+def test_fn_witness_lp_work_pinned(lp_work):
+    # fn_witness asks each undominated term on a fresh tableau of its rival
+    # rows.  The counts pin that work, the baseline of any change that
+    # resumes one basis across its questions.
+    rng = random.Random(4646)
+    separated = 0
+    for k in range(400):
+        separated += fn_witness(*rand_scale_pair(rng, 1 + k % 5)) is not None
+    assert (lp_work["tableaux"], lp_work["pivots"], separated) == (315, 673, 303)
+
+
 class TestEqualityLPCount:
     """The number of LPs an equality question asks, counted by wrapping
     _lp.find_point: a term the other side has with no smaller coefficient

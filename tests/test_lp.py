@@ -166,6 +166,28 @@ def rand_terms(rng: random.Random, n):
     return [(u, a) for (u, _), a in zip(P.terms, coeffs)]
 
 
+def assert_basis_feasible(lp):
+    """The basic values, read off y_0's column, are >= 0 on the rows a y
+    column or y_0 holds and 0 on the rows a unit column holds."""
+    m = lp.m
+    for row, k in zip(lp.T, lp.basis):
+        assert row[m] >= 0 if k <= m else row[m] == 0, (lp.basis, [row[m] for row in lp.T])
+
+
+def ask(lp, term, kept, fixed, n) -> bool:
+    """Run ``lp``, retargeted to ``term``, and check its answer against a
+    fresh tableau of the term's rival rows over ``kept`` and the rows
+    ``fixed`` as they are; True when it finds a point."""
+    found = lp.run()
+    fresh = _lp.Tableau([(*_rival_row(term, rival, 1), True) for rival in kept] + fixed, n)
+    assert (found is None) == (find_point(fresh, n) is None), (term, kept, fixed)
+    if found is not None:
+        (u, a), (xs, D) = term, found
+        assert D > 0 and all(D * a + dot(u, xs) > D * b + dot(v, xs) for v, b in kept), (term, kept)
+        assert all(dot(v, xs) <= D * r for v, r, _ in fixed), (term, fixed)
+    return found is not None
+
+
 def test_retargeted_tableau_matches_fresh_rival_rows():
     # One tableau on the rows (v, -b) of a kept set asks about term after
     # term, with kept rows added in between, as canonicalize asks.  Each
@@ -173,7 +195,9 @@ def test_retargeted_tableau_matches_fresh_rival_rows():
     # each point has the term strictly beat every kept row.  Of the three
     # ways retarget meets y_0, each is reached: basic with an entry in its
     # row (swapped), basic with none there, and nonbasic; the last two both
-    # with the basis kept and with the new y_0 entered.
+    # with the basis kept and with the new y_0 entered.  Every retarget
+    # leaves a feasible basis.  Then some kept sets mix in non-strict rows
+    # (v, -b), which retarget leaves as they are.
     rng = random.Random(4444)
     cases = dict.fromkeys(("swapped, entered", "zero entry, kept", "zero entry, entered",
                            "nonbasic, kept", "nonbasic, entered"), 0)
@@ -192,19 +216,33 @@ def test_retargeted_tableau_matches_fresh_rival_rows():
                 m, basis = lp.m, lp.basis
                 if m not in basis:
                     case = "nonbasic"
-                elif lp._image(u, 1)[basis.index(m)]:
+                elif lp._image(u, 1, 1 - a)[basis.index(m)]:
                     case = "swapped"
                 else:
                     case = "zero entry"
                 lp.retarget(u, a)
+                assert_basis_feasible(lp)
                 cases[case + (", entered" if m in lp.basis else ", kept")] += 1
-            found = lp.run()
-            fresh = _lp.Tableau([(*_rival_row(term, rival, 1), True) for rival in kept], n)
-            assert (found is None) == (find_point(fresh, n) is None), (term, kept)
-            if found is not None:
-                xs, D = found
-                assert D > 0 and all(D * a + dot(u, xs) > D * b + dot(v, xs) for v, b in kept), (term, kept)
+            ask(lp, term, kept, [], n)
     assert len(cases) == 5 and min(cases.values()) > 10, cases
+    answers = [0, 0]
+    for k in range(1500):
+        n = k % 6
+        terms = rand_terms(rng, n)
+        kept = rng.sample(terms, rng.randint(0, len(terms)))
+        fixed = [(v, -b, False) for v, b in rng.sample(terms, rng.randint(1, min(3, len(terms))))]
+        lp = _lp.Tableau([(v, -b, True) for v, b in kept] + fixed, n)
+        for step in range(rng.randint(1, 6)):
+            if step and rng.random() < 0.4:
+                v, b = rng.choice(terms)
+                kept.append((v, b))
+                lp.add_row(v, -b, True)
+            else:
+                term = rng.choice(terms)
+                lp.retarget(*term)
+                assert_basis_feasible(lp)
+            answers[ask(lp, term, kept, fixed, n)] += 1
+    assert min(answers) > 500, answers
 
 
 class TestEdgeCases:
