@@ -8,9 +8,9 @@ bottom polynomial (the function identically NEG_INF); a stored coefficient
 is never NEG_INF.
 
 Evaluation is exact integer arithmetic: :func:`semiring.as_scaled` scales
-the point to its least common denominator d and the coefficients to
-theirs, L, so every term value L*d*(a_u + u.p) is an int, and only the
-answer becomes a Fraction.
+the point to its least common denominator d, and :func:`_int_rows` the
+checked coefficients to theirs, L, so every term value L*d*(a_u + u.p) is
+an int, and only the answer becomes a Fraction.
 
 Canonicalization removes exactly the terms that never strictly attain the
 maximum anywhere.  It searches for these extreme terms output-sensitively
@@ -41,11 +41,11 @@ of the same exponent does not dominate.
 Every LP here is a ``_lp.Tableau`` of integer rows.  :func:`canonicalize`
 starts E, with no LP, from the term that wins at p = 0 and, for each j and
 s = +-1, the term lex-largest in (s*u_j, u): a Newton polytope vertex, which
-strictly wins far out in its normal cone.  :func:`fn_witness` asks each
-term on a fresh tableau.  It scales the coefficients of both sides to
-integers by one L, so that term (u, a) beats rival (v, b) where
-(v - u).p < (a - b) / L; times L // g, for g = gcd(a - b, L), that is the
-least integer row (``_rival_row``).
+strictly wins far out in its normal cone.  :func:`fn_witness` scales both
+sides by one L and asks so on one tableau per side, first with no rows: a
+point where the term asked strictly beats all of the other side is the
+witness, else the rival winning there becomes a row.  A None shows the
+term dominated by some rivals, so by all of them.
 A germ's two parts, the Boolean initial form and the value, come from one
 evaluation.
 """
@@ -74,9 +74,12 @@ Term = tuple[tuple[int, ...], Fraction]
 
 def _int_rows(terms: Sequence[Term]) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """The rows (u, L*a_u) and L, the least common denominator of the
-    coefficients."""
-    coeffs, L = as_scaled([c for _, c in terms])
-    return [(u, a) for (u, _), a in zip(terms, coeffs)], L
+    coefficients, read straight off them: they are ints and Fractions,
+    checked when their polynomial was built."""
+    L = math.lcm(*[c.denominator for _, c in terms])
+    if L == 1:
+        return [(u, c.numerator) for u, c in terms], 1
+    return [(u, c.numerator * (L // c.denominator)) for u, c in terms], L
 
 
 def _exponent(u: Sequence[int], num_vars: int) -> tuple[int, ...]:
@@ -270,19 +273,6 @@ class CanonicalFn:
         return poly_to_text(self.poly)
 
 
-def _rival_row(term: Term, rival: Term, L: int) -> tuple:
-    """The least integer row ``(c, r)`` with ``c . p < r`` iff ``term``
-    strictly beats ``rival`` at p, on coefficients scaled by L."""
-    (u, a), (v, b) = term, rival
-    # a + u.p > b + v.p  <=>  (v - u).p < (a - b) / L, times L // g
-    g = math.gcd(a - b, L)
-    c = tuple(map(operator.sub, v, u))
-    if g != L:
-        s = L // g
-        c = tuple([s * x for x in c])
-    return c, (a - b) // g
-
-
 def _last_max(vals: list) -> int:
     """The index of the last largest value.  Of lex-sorted terms with these
     values at p, that term has the largest exponent, so it strictly wins at
@@ -338,18 +328,33 @@ def fn_witness(P: LaurentPoly, Q: LaurentPoly) -> Optional[tuple]:
     the first point found where a term of one side beats all of the other."""
     P._require_same_vars(Q)
     rows, L = _int_rows(P.terms + Q.terms)
-    k = len(P.terms)
+    found = next(filter(None, _beating_points(rows, len(P.terms), P.num_vars)), None)
+    return None if found is None else tuple(Fraction(x, found[1] * L) for x in found[0])
+
+
+def _beating_points(rows: list, k: int, nvars: int):
+    """For each term of P, the first k ``rows`` of :func:`_int_rows`, then
+    of Q, the rest, that the other side's term of the same exponent does not
+    dominate: ``(xs, D)`` with it strictly beating every term of the other
+    side at xs / D, or None.  One tableau per side asks them all."""
+    mul, sub = operator.mul, operator.sub
     for A, B in ((rows[:k], rows[k:]), (rows[k:], rows[:k])):
-        coeffs = dict(B)
+        coeffs, lp = dict(B), None
         for u, a in A:
             if u in coeffs and coeffs[u] >= a:  # dominated: no LP needed
                 continue
-            lp = _lp.Tableau([(*_rival_row((u, a), rival, L), True) for rival in B], P.num_vars)
-            found = _lp.find_point(lp, P.num_vars)
-            if found is not None:
+            if lp is None:  # rows relative to the first term asked
+                u0, a0, lp = u, a, _lp.Tableau([], nvars)
+            else:
+                lp.retarget(tuple(map(sub, u, u0)), a - a0)
+            while (found := _lp.find_point(lp, nvars)) is not None:
                 xs, D = found
-                return tuple(Fraction(x, D) for x in xs)
-    return None
+                vals = [D * b + sum(map(mul, v, xs)) for v, b in B]
+                if not vals or D * a + sum(map(mul, u, xs)) > max(vals):
+                    break
+                v, b = B[_last_max(vals)]  # not a row yet, as u beats every row at xs / D
+                lp.add_row(tuple(map(sub, v, u0)), a0 - b, True)
+            yield found
 
 
 def germ_localize(P: LaurentPoly, p: Sequence) -> TExt:

@@ -253,6 +253,24 @@ def all_rivals_canonicalize(P):
     return CanonicalFn(P.num_vars, tuple(kept))
 
 
+def rival_row(term, rival, L=1):
+    """The least integer row ``(c, r)`` with ``c . p < r`` iff ``term``
+    strictly beats ``rival`` at p, on coefficients scaled by L."""
+    (u, a), (v, b) = term, rival
+    # a + u.p > b + v.p  <=>  (v - u).p < (a - b) / L, times L // g
+    g = math.gcd(a - b, L)
+    return tuple((L // g) * (y - x) for x, y in zip(u, v)), (a - b) // g
+
+
+def all_rivals_point(term, rivals, L, nvars):
+    """``_lp.find_point`` on a fresh tableau of the least integer rows of
+    ``term`` against every one of ``rivals``, terms on coefficients scaled
+    by L: ``(xs, D)`` with ``term`` strictly beating them all at xs / D,
+    unscaled, or None."""
+    lp = _lp.Tableau([(*rival_row(term, rival, L), True) for rival in rivals], nvars)
+    return _lp.find_point(lp, nvars)
+
+
 def fraction_row_witness(P, Q):
     """fn_witness on rational rows: for each term (u, a) of one side that
     the other side's term of the same exponent does not dominate, the first

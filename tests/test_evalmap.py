@@ -44,6 +44,7 @@ from tropfan import (
     is_realizable,
     is_smooth,
     ker_eq,
+    lattice_solve,
     linear_relations,
     parse_poly_text,
     pullback_evalmap,
@@ -442,6 +443,47 @@ class TestSmoothnessAgainstMinors:
         fans = exhaustive_balanced_fans(n, box, max_rays, weighted_rays)
         assert len(fans) == count
         assert self.check(fans) == kinds
+
+
+def f3_non_member(X, reason):
+    """F3's non-member of the balanced fan X that is not smooth for
+    ``reason``: e_a - e_b for a ray a of weight other than 1, whose value 1
+    is off its weight; otherwise the first e_a - e_last, of degree 0,
+    outside the lattice L of the monomials' values, which by rank or index
+    is smaller than the degree-0 lattice these generate."""
+    k = len(X.rays)
+    if reason.startswith("weight"):
+        a = next(i for i, ray in enumerate(X.rays) if ray.weight != 1)
+        return tuple(int(i == a) - int(i == (a + 1) % k) for i in range(k))
+    values = generator_matrix(X).transpose()  # values . z: the ray values of x^z
+    for a in range(k - 1):
+        G = tuple(int(i == a) - int(i == k - 1) for i in range(k))
+        if lattice_solve(values, G) is None:
+            return G
+    raise AssertionError(f"{reason}, yet L is the degree-0 lattice")
+
+
+def test_smoothness_matches_membership():
+    # By F2 and F3 a balanced fan is smooth iff every integer ray function
+    # of degree >= 0 is a member; F3's non-members of a fan that is not
+    # smooth have degree 0 and entries in [-2, 2].  So is_smooth and
+    # image_membership, two engines, must agree on every fan about the
+    # functions of degree 0 or 1 in [-2, 2]^k, and F3's non-member for the
+    # reason is_smooth gives is refused.
+    rng = random.Random(2525)
+    reasons = {}
+    for k in range(1200):
+        X = rand_balanced_fan(rng, 1 + k % 4, max_weight=1)
+        rep = is_smooth(X)
+        box = (G for G in product(range(-2, 3), repeat=len(X.rays)) if sum(G) in (0, 1))
+        members = all(image_membership(X, RayFunction(X, G)) is not None for G in box)
+        assert members == rep.smooth, (X, rep)
+        if not rep.smooth:
+            G = f3_non_member(X, rep.reason)
+            assert image_membership(X, RayFunction(X, G)) is None, (X, rep, G)
+        kind = rep.reason.split()[0] if rep.reason else None
+        reasons[kind] = reasons.get(kind, 0) + 1
+    assert reasons.keys() == {None, "weight", "rank", "lattice"} and min(reasons.values()) > 50, reasons
 
 
 class TestMembership:

@@ -20,11 +20,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import fm_integer_point_search, fm_point, rand_flat_poly, rand_poly, tableau
+from oracles import fm_integer_point_search, fm_point, rand_flat_poly, rand_poly, rival_row, tableau
 from tropfan import _lp
 from tropfan._lp import _plan, find_point, integer_point_search
 from tropfan.evalmap import _tight_exponent, _tight_search
-from tropfan.laurent import _rival_row
 from tropfan.semiring import as_scaled
 
 
@@ -179,7 +178,7 @@ def ask(lp, term, kept, fixed, n) -> bool:
     fresh tableau of the term's rival rows over ``kept`` and the rows
     ``fixed`` as they are; True when it finds a point."""
     found = lp.run()
-    fresh = _lp.Tableau([(*_rival_row(term, rival, 1), True) for rival in kept] + fixed, n)
+    fresh = _lp.Tableau([(*rival_row(term, rival), True) for rival in kept] + fixed, n)
     assert (found is None) == (find_point(fresh, n) is None), (term, kept, fixed)
     if found is not None:
         (u, a), (xs, D) = term, found
