@@ -52,7 +52,6 @@ evaluation.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,19 +66,16 @@ from .errors import (
     malformed,
 )
 from .semiring import (BOOL_ONE, NEG_INF, RATIONAL_TEXT, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints,
-                       as_scaled, as_trop, as_tuple, from_checked, is_bottom_text, is_digits, text)
+                       as_scaled, as_trop, as_tuple, from_checked, is_bottom_text, is_digits, scale_checked, text)
 
 Term = tuple[tuple[int, ...], Fraction]
 
 
 def _int_rows(terms: Sequence[Term]) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """The rows (u, L*a_u) and L, the least common denominator of the
-    coefficients, read straight off them: they are ints and Fractions,
-    checked when their polynomial was built."""
-    L = math.lcm(*[c.denominator for _, c in terms])
-    if L == 1:
-        return [(u, c.numerator) for u, c in terms], 1
-    return [(u, c.numerator * (L // c.denominator)) for u, c in terms], L
+    coefficients, which were checked when their polynomial was built."""
+    coeffs, L = scale_checked([c for _, c in terms])
+    return [(u, a) for (u, _), a in zip(terms, coeffs)], L
 
 
 def _exponent(u: Sequence[int], num_vars: int) -> tuple[int, ...]:

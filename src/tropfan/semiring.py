@@ -191,6 +191,11 @@ def as_scaled(v) -> tuple[list[int], int]:
     q = [x if type(x) is int or type(x) is Fraction else as_trop(x) for x in as_tuple(v)]
     if any(x is NEG_INF for x in q):
         raise TypeError("-inf is not a point coordinate; points are rational")
+    return scale_checked(q)
+
+
+def scale_checked(q) -> tuple[list[int], int]:
+    """:func:`as_scaled` of q, whose rationals are checked: ints and Fractions."""
     d = math.lcm(*[x.denominator for x in q])
     return [x.numerator * (d // x.denominator) for x in q], d
 

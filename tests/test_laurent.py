@@ -456,13 +456,18 @@ class TestIntegerRowScale:
     def test_witness_digest(self):
         # Each witness has a term of one side strictly beat every term of
         # the other, checked in Fractions; the digest pins the points that
-        # one resumed tableau per side finds.
-        digest = hashlib.sha256()
+        # one resumed tableau per side finds.  Bland's rule returns whatever
+        # vertex it stops at, so the height of a witness (its largest
+        # numerator or denominator) is bounded too, at the largest these
+        # points reach, that a change cannot grow it unnoticed.
+        digest, height = hashlib.sha256(), 0
         for P, Q, _ in scale_cases():
             w = fn_witness(P, Q)
             assert w is None or beats(P, Q, w) or beats(Q, P, w), (P, Q, w)
             digest.update(repr(w).encode())
+            height = max([height, *[max(abs(x.numerator), x.denominator) for x in w or ()]])
         assert digest.hexdigest() == "d341d1f686bf5e2d3a69f7bb76228162be6d0ce2e1ed7ac68d7dc77ac383044b"
+        assert height <= 15540, height
 
 
 def test_resumed_side_matches_all_rivals():
