@@ -7,6 +7,9 @@ and lattice data are Python ints, and all decision procedures
 answers rather than floating-point approximations.
 """
 
+import importlib
+
+# errors and semiring, which every module needs, load with the package.
 from .errors import (
     BadParameters,
     CompositionMismatch,
@@ -26,144 +29,55 @@ from .errors import (
     TropfanError,
     ZeroVector,
 )
-from .semiring import (
-    BOOL_ONE,
-    NEG_INF,
-    TEXT_BOTTOM,
-    TExt,
-    text,
-    text_add,
-    text_mul,
-    trop_add,
-    trop_mul,
-    trop_sum,
-)
-from .intlat import (
-    IntMatrix,
-    complete_unimodular,
-    det,
-    hnf,
-    invariant_factors,
-    lattice_solve,
-    snf,
-    unimodular_transport,
-)
-from .laurent import (
-    CanonicalFn,
-    LaurentPoly,
-    canonicalize,
-    fn_eq,
-    fn_witness,
-    germ_eq,
-    germ_localize,
-    germ_safe_radius,
-    parse_point,
-    parse_poly_text,
-    poly_from_json,
-    poly_to_json,
-    poly_to_text,
-)
-from .fan import Ray, WeightedFan, check_balancing, primitive, standard_model, support_contains
-from .evalmap import (
-    RayFunction,
-    SmoothReport,
-    degree,
-    eval_map,
-    generator_matrix,
-    image_membership,
-    is_realizable,
-    is_smooth,
-    ker_eq,
-    linear_relations,
-    reconstruct_fan,
-)
-from .morphism import (
-    FanMorphism,
-    HomSpec,
-    check_geometric,
-    compose,
-    induced_homspec,
-    pullback_evalmap,
-    pullback_poly,
-    realize_morphism,
-    validate_morphism,
-)
+from .semiring import BOOL_ONE, NEG_INF, TEXT_BOTTOM, TExt, text, text_add, text_mul, trop_add, trop_mul, trop_sum
+
+# Every other public name under its home module, which loads on the first
+# look-up of one of its names or of the module itself (PEP 562's module
+# __getattr__), so that a request loads only the modules it uses.
+_LAZY = {
+    "intlat": (
+        "IntMatrix", "complete_unimodular", "det", "hnf", "invariant_factors", "lattice_solve", "snf",
+        "unimodular_transport",
+    ),
+    "laurent": (
+        "CanonicalFn", "LaurentPoly", "canonicalize", "fn_eq", "fn_witness", "germ_eq", "germ_localize",
+        "germ_safe_radius", "parse_point", "parse_poly_text", "poly_from_json", "poly_to_json", "poly_to_text",
+    ),
+    "fan": ("Ray", "WeightedFan", "check_balancing", "primitive", "standard_model", "support_contains"),
+    "evalmap": (
+        "RayFunction", "SmoothReport", "degree", "eval_map", "generator_matrix", "image_membership",
+        "is_realizable", "is_smooth", "ker_eq", "linear_relations", "reconstruct_fan",
+    ),
+    "morphism": (
+        "FanMorphism", "HomSpec", "check_geometric", "compose", "induced_homspec", "pullback_evalmap",
+        "pullback_poly", "realize_morphism", "validate_morphism",
+    ),
+}
+_HOMES = {name: home for home, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOOL_ONE",
-    "BadParameters",
-    "CanonicalFn",
-    "CompositionMismatch",
-    "DimensionMismatch",
-    "EmptyPolynomial",
-    "FanMorphism",
-    "HomSpec",
-    "Inconclusive",
-    "IntMatrix",
-    "InvalidMorphism",
-    "LaurentPoly",
-    "NEG_INF",
-    "NoIntegerSolution",
-    "NoMutualFactorization",
-    "NonBooleanInput",
-    "NotBalanced",
-    "NotGeometric",
-    "NotLeftInvertible",
-    "NotRealizable",
-    "ParseError",
-    "Ray",
-    "RayFunction",
-    "SmoothReport",
-    "SupportViolation",
-    "TEXT_BOTTOM",
-    "TExt",
-    "TropfanError",
-    "WeightedFan",
+    "BadParameters", "CompositionMismatch", "DimensionMismatch", "EmptyPolynomial", "Inconclusive",
+    "InvalidMorphism", "NoIntegerSolution", "NoMutualFactorization", "NonBooleanInput", "NotBalanced",
+    "NotGeometric", "NotLeftInvertible", "NotRealizable", "ParseError", "SupportViolation", "TropfanError",
     "ZeroVector",
-    "canonicalize",
-    "check_balancing",
-    "check_geometric",
-    "complete_unimodular",
-    "compose",
-    "degree",
-    "det",
-    "eval_map",
-    "fn_eq",
-    "fn_witness",
-    "generator_matrix",
-    "germ_eq",
-    "germ_localize",
-    "germ_safe_radius",
-    "hnf",
-    "image_membership",
-    "induced_homspec",
-    "invariant_factors",
-    "is_realizable",
-    "is_smooth",
-    "ker_eq",
-    "lattice_solve",
-    "linear_relations",
-    "parse_point",
-    "parse_poly_text",
-    "poly_from_json",
-    "poly_to_json",
-    "poly_to_text",
-    "primitive",
-    "pullback_evalmap",
-    "pullback_poly",
-    "realize_morphism",
-    "reconstruct_fan",
-    "snf",
-    "standard_model",
-    "support_contains",
-    "text",
-    "text_add",
-    "text_mul",
-    "trop_add",
-    "trop_mul",
-    "trop_sum",
-    "unimodular_transport",
-    "validate_morphism",
+    "BOOL_ONE", "NEG_INF", "TEXT_BOTTOM", "TExt", "text", "text_add", "text_mul", "trop_add", "trop_mul", "trop_sum",
+    *_HOMES,
 ]
+
+
+def __getattr__(name: str):
+    """A public name or a submodule, imported from its home module and
+    bound here on first use, so that later look-ups do not come back."""
+    home = _HOMES.get(name, name)
+    if home not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{home}", __name__)
+    value = globals()[name] = module if home == name else getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+

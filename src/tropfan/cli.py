@@ -22,13 +22,9 @@ import math
 import os
 import sys
 
-from . import evalmap as _evalmap
-from . import fan as _fan
-from . import intlat as _intlat
-from . import laurent as _laurent
-from . import morphism as _morphism
+import tropfan
+
 from .errors import DimensionMismatch, ParseError, TropfanError, malformed
-from .evalmap import DEFAULT_MEMBER_BOUND
 from .semiring import NEG_INF, as_int, as_tuple
 
 
@@ -43,17 +39,26 @@ def _load_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_fan(path: str) -> _fan.WeightedFan:
-    return _fan.WeightedFan.from_json(_load_json(path))
+# The helpers and handlers below reach the library's other modules as
+# attributes of the package, which imports each on first use, so that a
+# request loads only the modules it uses.
 
 
-def _fan_ref(ref, base_dir: str) -> _fan.WeightedFan:
+def _load_fan(path: str) -> tropfan.fan.WeightedFan:
+    return tropfan.fan.WeightedFan.from_json(_load_json(path))
+
+
+def _fan_ref(ref, base_dir: str) -> tropfan.fan.WeightedFan:
     """A fan given either inline or as a path relative to the referring file."""
     if isinstance(ref, dict):
-        return _fan.WeightedFan.from_json(ref)
+        return tropfan.fan.WeightedFan.from_json(ref)
     if isinstance(ref, str):
         return _load_fan(os.path.join(base_dir, ref))  # an absolute ref stays as it is
     raise ParseError("fan reference must be a path or an inline fan object")
+
+
+def _load_matrix(path: str) -> tropfan.intlat.IntMatrix:
+    return tropfan.intlat.IntMatrix.from_json(_load_json(path))
 
 
 def _dumps(obj, pretty: bool) -> str:
@@ -65,7 +70,7 @@ def _dumps(obj, pretty: bool) -> str:
 
 def _cmd_fan_check(args) -> dict:
     X = _load_fan(args.fan)
-    balanced = _fan.check_balancing(X)
+    balanced = tropfan.fan.check_balancing(X)
     out = {
         "ambient_dim": X.ambient_dim,
         "rays": X.ray_labels(),
@@ -75,12 +80,12 @@ def _cmd_fan_check(args) -> dict:
         "realizable": balanced,
     }
     if not balanced:
-        out["defect"] = [sum(row) for row in _evalmap.generator_matrix(X).data]
+        out["defect"] = [sum(row) for row in tropfan.evalmap.generator_matrix(X).data]
     return out
 
 
 def _cmd_fan_smooth(args) -> dict:
-    report = _evalmap.is_smooth(_load_fan(args.fan))
+    report = tropfan.evalmap.is_smooth(_load_fan(args.fan))
     if report.smooth:
         return {"smooth": True}
     return {"smooth": False, "reason": report.reason}
@@ -88,17 +93,16 @@ def _cmd_fan_smooth(args) -> dict:
 
 def _cmd_fan_evalmap(args) -> dict:
     X = _load_fan(args.fan)
-    f = _laurent.parse_poly_text(args.poly, X.ambient_dim)
-    return _evalmap.eval_map(X, f).to_json()
+    f = tropfan.laurent.parse_poly_text(args.poly, X.ambient_dim)
+    return tropfan.evalmap.eval_map(X, f).to_json()
 
 
 def _cmd_fan_generators(args) -> dict:
-    return _evalmap.generator_matrix(_load_fan(args.fan)).to_json()
+    return tropfan.evalmap.generator_matrix(_load_fan(args.fan)).to_json()
 
 
 def _cmd_fan_reconstruct(args) -> dict:
-    M = _intlat.IntMatrix.from_json(_load_json(args.matrix))
-    return _evalmap.reconstruct_fan(M).to_json()
+    return tropfan.evalmap.reconstruct_fan(_load_matrix(args.matrix)).to_json()
 
 
 def _cmd_fan_plot(args) -> str:
@@ -136,10 +140,10 @@ def _cmd_fan_plot(args) -> str:
 # ---------------------------------------------------------------- poly
 
 
-def _poly_at_point(args) -> tuple[_laurent.LaurentPoly, tuple]:
+def _poly_at_point(args) -> tuple[tropfan.laurent.LaurentPoly, tuple]:
     """The polynomial and the point of ``poly eval``, ``initial`` and ``germ``."""
-    P = _laurent.parse_poly_text(args.poly, args.vars)
-    return P, _laurent.parse_point(args.point, P.num_vars)
+    P = tropfan.laurent.parse_poly_text(args.poly, args.vars)
+    return P, tropfan.laurent.parse_point(args.point, P.num_vars)
 
 
 def _cmd_poly_eval(args) -> dict:
@@ -149,20 +153,20 @@ def _cmd_poly_eval(args) -> dict:
 
 def _cmd_poly_initial(args) -> str:
     P, p = _poly_at_point(args)
-    return _laurent.poly_to_text(P.initial_form(p))
+    return tropfan.laurent.poly_to_text(P.initial_form(p))
 
 
 def _cmd_poly_eq(args) -> dict:
-    P = _laurent.parse_poly_text(args.left, args.vars)
-    Q = _laurent.parse_poly_text(args.right, args.vars)
+    P = tropfan.laurent.parse_poly_text(args.left, args.vars)
+    Q = tropfan.laurent.parse_poly_text(args.right, args.vars)
     if P.num_vars != Q.num_vars:
         # pad the smaller side's exponents with zeros, which keeps lex order
         n = max(P.num_vars, Q.num_vars)
         P, Q = (
-            _laurent.LaurentPoly(n, tuple((u + (0,) * (n - R.num_vars), c) for u, c in R.terms))
+            tropfan.laurent.LaurentPoly(n, tuple((u + (0,) * (n - R.num_vars), c) for u, c in R.terms))
             for R in (P, Q)
         )
-    w = _laurent.fn_witness(P, Q)  # None exactly when fn_eq
+    w = tropfan.laurent.fn_witness(P, Q)  # None exactly when fn_eq
     if w is None:
         return {"equal": True}
     return {"equal": False, "witness": [str(c) for c in w]}
@@ -170,8 +174,8 @@ def _cmd_poly_eq(args) -> dict:
 
 def _cmd_poly_germ(args) -> dict:
     P, p = _poly_at_point(args)
-    g = _laurent.germ_localize(P, p)
-    part = str(NEG_INF) if g.is_bottom else _laurent.poly_to_text(g.part.poly)
+    g = tropfan.laurent.germ_localize(P, p)
+    part = str(NEG_INF) if g.is_bottom else tropfan.laurent.poly_to_text(g.part.poly)
     return {"part": part, "grade": str(g.grade)}
 
 
@@ -188,33 +192,33 @@ def _load_fan_file(path: str, kind: str, *keys: str) -> list:
     return [_fan_ref(e, base) if key in ("source", "target") else e for key, e in zip(keys, entries)]
 
 
-def _load_morphism(path: str) -> tuple[_fan.WeightedFan, _fan.WeightedFan, _intlat.IntMatrix]:
+def _load_morphism(path: str) -> tuple[tropfan.fan.WeightedFan, tropfan.fan.WeightedFan, tropfan.intlat.IntMatrix]:
     """The source fan, target fan and matrix of a morphism file."""
     matrix, X, Y = _load_fan_file(path, "morphism", "matrix", "source", "target")
-    return X, Y, _intlat.IntMatrix.from_json({"data": matrix})
+    return X, Y, tropfan.intlat.IntMatrix.from_json({"data": matrix})
 
 
 def _cmd_morphism_check(args) -> dict:
     X, Y, T = _load_morphism(args.morphism)
-    return {"valid": _morphism.validate_morphism(T, X, Y)}
+    return {"valid": tropfan.morphism.validate_morphism(T, X, Y)}
 
 
 def _cmd_morphism_pullback(args) -> dict:
-    mu = _morphism.FanMorphism(*_load_morphism(args.morphism))
-    Q = _laurent.parse_poly_text(args.poly, mu.target.ambient_dim)
-    return _laurent.poly_to_json(_morphism.pullback_poly(mu, Q))
+    mu = tropfan.morphism.FanMorphism(*_load_morphism(args.morphism))
+    Q = tropfan.laurent.parse_poly_text(args.poly, mu.target.ambient_dim)
+    return tropfan.laurent.poly_to_json(tropfan.morphism.pullback_poly(mu, Q))
 
 
 def _cmd_morphism_realize(args) -> dict:
     src, tgt, images = _load_fan_file(args.homspec, "homspec", "source", "target", "images")
     with malformed("homspec file needs source/target/images"):
         images = as_tuple(images)
-    images = tuple(_evalmap.RayFunction.from_json(tgt, {"values": vals}) for vals in images)
-    h = _morphism.HomSpec(src, tgt, images)
-    mu = _morphism.realize_morphism(h)
+    images = tuple(tropfan.evalmap.RayFunction.from_json(tgt, {"values": vals}) for vals in images)
+    h = tropfan.morphism.HomSpec(src, tgt, images)
+    mu = tropfan.morphism.realize_morphism(h)
     return {
         "matrix": [list(r) for r in mu.matrix.data],
-        "ray_map": _morphism.extract_ray_map(mu),
+        "ray_map": tropfan.morphism.extract_ray_map(mu),
     }
 
 
@@ -222,27 +226,23 @@ def _cmd_morphism_realize(args) -> dict:
 
 
 def _cmd_snf(args) -> dict:
-    A = _intlat.IntMatrix.from_json(_load_json(args.matrix))
-    P, D, Q = _intlat.snf(A)
+    P, D, Q = tropfan.intlat.snf(_load_matrix(args.matrix))
     return {
         "P": P.to_json(),
         "D": D.to_json(),
         "Q": Q.to_json(),
-        "invariant_factors": list(_intlat.invariant_factors(D)),
+        "invariant_factors": list(tropfan.intlat.invariant_factors(D)),
     }
 
 
 def _cmd_hnf(args) -> dict:
-    A = _intlat.IntMatrix.from_json(_load_json(args.matrix))
-    H, U = _intlat.hnf(A)
+    H, U = tropfan.intlat.hnf(_load_matrix(args.matrix))
     return {"H": H.to_json(), "U": U.to_json()}
 
 
 def _cmd_transport(args) -> dict:
-    A = _intlat.IntMatrix.from_json(_load_json(args.a))
-    B = _intlat.IntMatrix.from_json(_load_json(args.b))
-    T = _intlat.unimodular_transport(A, B)
-    return {"T": T.to_json(), "det": _intlat.det(T)}
+    T = tropfan.intlat.unimodular_transport(_load_matrix(args.a), _load_matrix(args.b))
+    return {"T": T.to_json(), "det": tropfan.intlat.det(T)}
 
 
 # -------------------------------------------------------------- member
@@ -250,15 +250,15 @@ def _cmd_transport(args) -> dict:
 
 def _cmd_member(args) -> dict:
     X = _load_fan(args.fan)
-    G = _evalmap.RayFunction.from_json(X, {"values": args.values.split(",")})
+    G = tropfan.evalmap.RayFunction.from_json(X, {"values": args.values.split(",")})
     bound = args.bound
     if bound is None:
         with malformed("bad TROPFAN_MEMBER_BOUND"):
-            bound = as_int(os.environ.get("TROPFAN_MEMBER_BOUND", DEFAULT_MEMBER_BOUND))
-    witness = _evalmap.image_membership(X, G, bound=bound)
+            bound = as_int(os.environ.get("TROPFAN_MEMBER_BOUND", tropfan.evalmap.DEFAULT_MEMBER_BOUND))
+    witness = tropfan.evalmap.image_membership(X, G, bound=bound)
     if witness is None:
         return {"member": False}
-    return {"member": True, "witness": _laurent.poly_to_text(witness)}
+    return {"member": True, "witness": tropfan.laurent.poly_to_text(witness)}
 
 
 # ------------------------------------------------------------- wiring

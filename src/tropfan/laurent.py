@@ -65,8 +65,9 @@ from .errors import (
     ParseError,
     malformed,
 )
-from .semiring import (BOOL_ONE, NEG_INF, RATIONAL_TEXT, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints,
-                       as_scaled, as_trop, as_tuple, from_checked, is_bottom_text, is_digits, scale_checked, text)
+from .semiring import (BOOL_ONE, NEG_INF, TEXT_BOTTOM, TExt, TropValue, as_index, as_int, as_ints,
+                       as_scaled, as_trop, as_tuple, from_checked, is_bottom_text, is_digits, rational_text,
+                       scale_checked, text)
 
 Term = tuple[tuple[int, ...], Fraction]
 
@@ -432,9 +433,9 @@ def _var_name(i: int, num_vars: int) -> str:
 
 
 def _rational(factor: str) -> Optional[tuple[int, int]]:
-    """``(p, q)`` for a factor ``p`` or ``p/q`` of ``RATIONAL_TEXT``, a sign
+    """``(p, q)`` for a factor ``p`` or ``p/q`` of :func:`rational_text`, a sign
     negating p; None for any other, a decimal included.  q may be 0."""
-    m = RATIONAL_TEXT.fullmatch(factor)
+    m = rational_text().fullmatch(factor)
     if m is None or m[4] is not None:
         return None
     with malformed("bad coefficient"):  # past sys.get_int_max_str_digits()

@@ -18,13 +18,14 @@ which refuses strings, dicts and sets; the integer rule :func:`as_index`,
 its vector form :func:`as_ints` and :func:`as_int` for outside text; the
 digit rule :func:`is_digits`, one set of decimal digits on every Python; the
 rational rule :func:`as_trop`, which refuses floats and reads text by
-``RATIONAL_TEXT``, the one grammar of rational text; and the bottom's text,
+:func:`rational_text`, the one grammar of rational text; and the bottom's text,
 :func:`is_bottom_text`.  Polynomial text reads its coefficients by the same
 grammar but takes less: ``p`` or ``p/q``, and a decimal there is refused.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -90,27 +91,33 @@ DIGIT_BLOCKS = (
     0x1D7E2, 0x1D7EC, 0x1D7F6, 0x1E140, 0x1E2F0, 0x1E950, 0x1FBF0,
 )
 _DIGIT = "[" + "".join(f"{chr(b)}-{chr(b + 9)}" for b in DIGIT_BLOCKS) + "]"
-_DIGITS = re.compile(_DIGIT + "+")
 
-# The one grammar of rational text: optional whitespace and sign, then p,
-# p/q or a decimal, in the digits of DIGIT_BLOCKS.  It is Fraction's on 3.10
-# less exponents, read in time that grows with them; later Fractions also
-# read underscores, spaces around '/' and later digits.  Groups: sign, p, q,
-# decimal part.
-RATIONAL_TEXT = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(\.\d*))?\s*".replace(r"\d", _DIGIT))
+
+@functools.cache  # compiled on first use: a process that reads no text never pays for it
+def rational_text() -> re.Pattern:
+    """The one grammar of rational text: optional whitespace and sign, then
+    p, p/q or a decimal, in the digits of DIGIT_BLOCKS.  It is Fraction's on
+    3.10 less exponents, read in time that grows with them; later Fractions
+    also read underscores, spaces around '/' and later digits.  Groups:
+    sign, p, q, decimal part."""
+    return re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(\.\d*))?\s*".replace(r"\d", _DIGIT))
 
 
 def is_digits(s: str) -> bool:
     """True iff s is one or more digits of ``DIGIT_BLOCKS``, which every
-    Python reads alike; ASCII text is decided without the table."""
-    return s.isdigit() if s.isascii() else _DIGITS.fullmatch(s) is not None
+    Python reads alike: ASCII text is decided without the table, other text
+    is exactly the p of :func:`rational_text`."""
+    if s.isascii():
+        return s.isdigit()
+    m = rational_text().fullmatch(s)
+    return m is not None and m[2] == s
 
 
 def as_trop(v) -> TropValue:
     """Coerce to an exact tropical value (Fraction or NEG_INF).  A Fraction
     is returned as it is, and every bottom element as NEG_INF, so the
     result is bottom iff it ``is NEG_INF``.  Text must match
-    ``RATIONAL_TEXT``: ``p``, ``p/q`` or a decimal, with no exponent and no
+    :func:`rational_text`: ``p``, ``p/q`` or a decimal, with no exponent and no
     underscore; other text raises ValueError on every Python version."""
     if type(v) is Fraction:
         return v
@@ -121,7 +128,7 @@ def as_trop(v) -> TropValue:
         raise TypeError("floats are not exact; pass Fraction, int, or a rational string")
     if isinstance(v, bool):
         raise TypeError(f"{v!r} is not a number")
-    if isinstance(v, str) and not RATIONAL_TEXT.fullmatch(v):
+    if isinstance(v, str) and not rational_text().fullmatch(v):
         raise ValueError(f"{v!r} is not rational text: p, p/q or a decimal, without exponent notation")
     return Fraction(v)
 

@@ -1,8 +1,9 @@
-"""Smoke tests of the survey scripts: each runs to exit 0 on a small trial
-count, and the counts it prints add up to the trials.  The README's
+"""Smoke tests of the scripts: each runs to exit 0 on a small trial count,
+and the counts a survey prints add up to the trials.  The README's
 examples run too, as written."""
 
 import io
+import json
 import os
 import re
 import shlex
@@ -59,6 +60,17 @@ def test_smoothness_survey():
         assert sum(tally.values()) == 20
 
 
+def test_cold_start():
+    # one process per request and checkout, against this same checkout
+    *table, last = run_script("cold_start.py", "-n", 1, "--against", ROOT).splitlines()
+    requests = ["import tropfan", "poly eval", "fan smooth", "member", "snf"]
+    assert [line[:16].strip() for line in table[1:]] == requests
+    assert all(line.endswith(" of 1") for line in table[1:])
+    seconds = json.loads(last)["seconds"]
+    assert list(seconds) == requests
+    assert all(len(times) == 1 and times[0] > 0 for sides in seconds.values() for times in sides.values())
+
+
 @pytest.mark.parametrize("name, args", [
     ("membership_probe.py", ["--trials", 0]),
     ("membership_probe.py", ["--span", -1]),
@@ -67,6 +79,8 @@ def test_smoothness_survey():
     ("membership_probe.py", ["--fan", "README.md"]),
     ("smoothness_survey.py", ["--max-weight", 0]),
     ("smoothness_survey.py", ["--trials", -1]),
+    ("cold_start.py", ["-n", 0]),
+    ("cold_start.py", ["--against", "fixtures"]),
 ])
 def test_bad_arguments_are_usage_errors(name, args):
     # argparse's exit 2 with its one error line, never a traceback

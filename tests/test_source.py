@@ -160,7 +160,8 @@ def test_parse_errors_come_from_one_rule():
 def test_every_definition_is_used():
     # a module-level function or class of the library is named, and a method
     # reached as an attribute, somewhere in the library, its tests, the
-    # benchmark or the scripts; dunder methods are reached by the language
+    # benchmark or the scripts; dunder methods, and a module's own __getattr__
+    # and __dir__ (PEP 562), are reached by the language
     trees = [ast.parse(path.read_text(), filename=str(path))
              for top in ("src", "tests", "bench", "scripts") for path in sorted((ROOT / top).rglob("*.py"))]
     nodes = [node for tree in trees for node in ast.walk(tree)]
@@ -171,7 +172,7 @@ def test_every_definition_is_used():
     defs = (ast.FunctionDef, ast.ClassDef)
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, defs) and node.name not in named | attributes:
+            if isinstance(node, defs) and node.name not in named | attributes | {"__getattr__", "__dir__"}:
                 unused.append(f"{path.name}:{node.name}")
             if isinstance(node, ast.ClassDef):
                 unused += [f"{path.name}:{node.name}.{item.name}" for item in node.body
