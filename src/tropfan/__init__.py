@@ -9,32 +9,21 @@ answers rather than floating-point approximations.
 
 import importlib
 
-# errors and semiring, which every module needs, load with the package.
-from .errors import (
-    BadParameters,
-    CompositionMismatch,
-    DimensionMismatch,
-    EmptyPolynomial,
-    Inconclusive,
-    InvalidMorphism,
-    NoIntegerSolution,
-    NoMutualFactorization,
-    NonBooleanInput,
-    NotBalanced,
-    NotGeometric,
-    NotLeftInvertible,
-    NotRealizable,
-    ParseError,
-    SupportViolation,
-    TropfanError,
-    ZeroVector,
-)
-from .semiring import BOOL_ONE, NEG_INF, TEXT_BOTTOM, TExt, text, text_add, text_mul, trop_add, trop_mul, trop_sum
-
-# Every other public name under its home module, which loads on the first
-# look-up of one of its names or of the module itself (PEP 562's module
-# __getattr__), so that a request loads only the modules it uses.
+# Every public name under its home module.  ``import tropfan`` loads none
+# of them: a home module loads on the first look-up of one of its names or
+# of the module itself (PEP 562's module __getattr__), so that a request
+# loads only the modules it uses.
 _LAZY = {
+    "errors": (
+        "BadParameters", "CompositionMismatch", "DimensionMismatch", "EmptyPolynomial", "Inconclusive",
+        "InvalidMorphism", "NoIntegerSolution", "NoMutualFactorization", "NonBooleanInput", "NotBalanced",
+        "NotGeometric", "NotLeftInvertible", "NotRealizable", "ParseError", "SupportViolation", "TropfanError",
+        "ZeroVector",
+    ),
+    "semiring": (
+        "BOOL_ONE", "NEG_INF", "TEXT_BOTTOM", "TExt", "text", "text_add", "text_mul", "trop_add", "trop_mul",
+        "trop_sum",
+    ),
     "intlat": (
         "IntMatrix", "complete_unimodular", "det", "hnf", "invariant_factors", "lattice_solve", "snf",
         "unimodular_transport",
@@ -57,14 +46,7 @@ _HOMES = {name: home for home, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadParameters", "CompositionMismatch", "DimensionMismatch", "EmptyPolynomial", "Inconclusive",
-    "InvalidMorphism", "NoIntegerSolution", "NoMutualFactorization", "NonBooleanInput", "NotBalanced",
-    "NotGeometric", "NotLeftInvertible", "NotRealizable", "ParseError", "SupportViolation", "TropfanError",
-    "ZeroVector",
-    "BOOL_ONE", "NEG_INF", "TEXT_BOTTOM", "TExt", "text", "text_add", "text_mul", "trop_add", "trop_mul", "trop_sum",
-    *_HOMES,
-]
+__all__ = [*_HOMES]
 
 
 def __getattr__(name: str):
@@ -80,4 +62,3 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted({*globals(), *__all__})
-

@@ -110,7 +110,8 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 # Only bench/spans.py reads this: it labels find_point calls in at most
 # this many variables as low dimensional.
@@ -176,7 +177,7 @@ class Tableau:
         self.D = p
         self.basis[r] = c
 
-    def run(self) -> Optional[tuple[list[int], int]]:
+    def run(self) -> tuple[list[int], int] | None:
         """Pivot to the optimum; the point of :func:`find_point`, or None
         when the system has no solution.  The multiplier x_j of row j is
         minus the reduced cost of its unit column."""
@@ -273,7 +274,7 @@ class Tableau:
         self._pivot(r, m)
 
 
-def find_point(lp: Tableau, nvars: int) -> Optional[tuple[list[int], int]]:
+def find_point(lp: Tableau, nvars: int) -> tuple[list[int], int] | None:
     """``(xs, D)``, ints with D > 0, such that the rational point xs / D
     satisfies every row of the :class:`Tableau` ``lp`` on ``nvars``
     variables, or None when there is no such point.  ``lp`` is run on from
@@ -288,17 +289,7 @@ def find_point(lp: Tableau, nvars: int) -> Optional[tuple[list[int], int]]:
 # ---------------------------------------------------------------------------
 
 
-class _Plan(NamedTuple):
-    """The chain of one system of rows.
-
-    ``guards`` holds the ``combo`` of each constant row ``0 <= r``, where
-    ``r`` is ``combo . rhs`` for the input right-hand sides ``rhs``.
-    ``levels[k-1]`` is ``(uppers, lowers)``, the rows ``c . x + a z <= r``
-    of the projection onto the first k variables, z the k-th, with
-    ``a > 0`` and ``a < 0``; each row is ``(c, combo, |a|)``."""
-
-    guards: tuple
-    levels: tuple
+_Plan = namedtuple("_Plan", "guards levels")
 
 
 def _reduce(rows, guards: set) -> list:
@@ -330,7 +321,13 @@ def _reduce(rows, guards: set) -> list:
 
 
 def _plan(rows: tuple) -> _Plan:
-    """The plan of the inequalities ``rows``."""
+    """The plan of the inequalities ``rows``, a ``_Plan(guards, levels)``.
+
+    ``guards`` holds the ``combo`` of each constant row ``0 <= r``, where
+    ``r`` is ``combo . rhs`` for the input right-hand sides ``rhs``.
+    ``levels[k-1]`` is ``(uppers, lowers)``, the rows ``c . x + a z <= r``
+    of the projection onto the first k variables, z the k-th, with
+    ``a > 0`` and ``a < 0``; each row is ``(c, combo, |a|)``."""
     m, n = len(rows), len(rows[0]) if rows else 0
     unit = [tuple([int(i == x) for i in range(m)]) for x in range(m)]
     guards: set = set()

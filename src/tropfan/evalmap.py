@@ -14,7 +14,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Union
 
 from . import _lp
 from .errors import (
@@ -42,7 +41,7 @@ class RayFunction:
     function (every ray at -inf)."""
 
     fan: WeightedFan
-    values: Optional[tuple[int, ...]]
+    values: tuple[int, ...] | None
 
     def __post_init__(self):
         if self.values is not None:
@@ -62,7 +61,7 @@ class RayFunction:
             return NEG_INF
         return sum(self.values)
 
-    def __getitem__(self, i: int) -> Union[int, object]:
+    def __getitem__(self, i: int) -> int | object:
         return ((NEG_INF,) * len(self.fan.rays) if self.values is None else self.values)[i]
 
     def to_json(self) -> dict:
@@ -163,7 +162,7 @@ def linear_relations(M: IntMatrix) -> list[tuple[int, ...]]:
 @dataclass(frozen=True)
 class SmoothReport:
     smooth: bool
-    reason: Optional[str] = None
+    reason: str | None = None
 
 
 def is_smooth(X: WeightedFan) -> SmoothReport:
@@ -232,13 +231,13 @@ def _tight_search(gens: tuple, a: int) -> tuple:
             _lp._plan(tuple([h[1:rank] for h in H[1:]])), dropped, free)
 
 
-def _tight_exponent(gens: tuple, values, a: int) -> Optional[tuple]:
+def _tight_exponent(gens: tuple, values, a: int) -> tuple | None:
     """An integer z with every ``gens[b] . z <= values[b]`` and equality at
-    b = a (``gens[a]`` not 0), or None when there is none."""
+    b = a (``gens[a]`` not 0), or None when there is none.  ``values[a]``
+    is a multiple of the gcd of ``gens[a]``, the ray's weight, as
+    :func:`image_membership`'s weight test has proved."""
     lift, kept, plan, dropped, free = _tight_search(gens, a)
-    q, rem = divmod(values[a], math.gcd(*gens[a]))
-    if rem:
-        return None
+    q = values[a] // math.gcd(*gens[a])
     w = _lp.integer_point_search(plan, [values[b] - q * c for b, c in kept])[0]
     if w is None:
         return None
@@ -252,7 +251,7 @@ def _tight_exponent(gens: tuple, values, a: int) -> Optional[tuple]:
 
 def image_membership(
     X: WeightedFan, G: RayFunction, bound: int = DEFAULT_MEMBER_BOUND
-) -> Optional[LaurentPoly]:
+) -> LaurentPoly | None:
     """Decide whether G is the weighted evaluation of some Boolean
     polynomial, returning such a polynomial or None for a proven
     non-member.  ``bound`` is checked and not read.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import BadParameters, DimensionMismatch, ZeroVector, malformed
 from .semiring import as_index, as_int, as_ints, as_scaled, as_tuple, from_checked
@@ -98,7 +98,7 @@ class WeightedFan:
         rays.sort(key=lambda r: r.direction)
         return cls(ambient_dim, tuple(rays))
 
-    def ray_of(self, v: Sequence) -> Optional[Ray]:
+    def ray_of(self, v: Sequence) -> Ray | None:
         """The ray whose direction is a positive rational multiple of v, or
         None when v is zero or lies on no ray.  A v of the wrong length
         raises DimensionMismatch.  The coordinates of v are ints or exact

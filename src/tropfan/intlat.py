@@ -21,7 +21,7 @@ immutable values; every operation returns fresh objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import (
     BadParameters,
@@ -300,7 +300,7 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return from_checked(IntMatrix, tuple(map(tuple, a))), from_checked(IntMatrix, tuple(map(tuple, U)))
 
 
-def lattice_solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
+def lattice_solve(A: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """Some integer z with A.z = b, or None when no such z exists.
 
     When A has full column rank the rational solution, if any, is unique,

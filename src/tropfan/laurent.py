@@ -55,7 +55,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import _lp
 from .errors import (
@@ -320,7 +320,7 @@ def fn_eq(P: LaurentPoly, Q: LaurentPoly) -> bool:
     return fn_witness(P, Q) is None
 
 
-def fn_witness(P: LaurentPoly, Q: LaurentPoly) -> Optional[tuple]:
+def fn_witness(P: LaurentPoly, Q: LaurentPoly) -> tuple | None:
     """None when fn_eq; otherwise a rational point where the values differ:
     the first point found where a term of one side beats all of the other."""
     P._require_same_vars(Q)
@@ -432,7 +432,7 @@ def _var_name(i: int, num_vars: int) -> str:
     return f"x{i + 1}"
 
 
-def _rational(factor: str) -> Optional[tuple[int, int]]:
+def _rational(factor: str) -> tuple[int, int] | None:
     """``(p, q)`` for a factor ``p`` or ``p/q`` of :func:`rational_text`, a sign
     negating p; None for any other, a decimal included.  q may be 0."""
     m = rational_text().fullmatch(factor)
@@ -443,7 +443,7 @@ def _rational(factor: str) -> Optional[tuple[int, int]]:
     return (-p if m[1] == "-" else p), q
 
 
-def parse_poly_text(text: str, num_vars: Optional[int] = None) -> LaurentPoly:
+def parse_poly_text(text: str, num_vars: int | None = None) -> LaurentPoly:
     """Parse ``c*x1^e1*...`` terms joined by '+'; '-inf' is the bottom
     polynomial.  An omitted coefficient means the tropical one (0).
 
@@ -536,7 +536,7 @@ def poly_from_json(obj: dict) -> LaurentPoly:
     return LaurentPoly.make(n, items)
 
 
-def parse_point(text: str, num_vars: Optional[int] = None) -> tuple[Fraction, ...]:
+def parse_point(text: str, num_vars: int | None = None) -> tuple[Fraction, ...]:
     """Comma-separated rational coordinates: ``p``, ``p/q`` or decimals,
     without exponents.  Empty or blank text is the point with no coordinates."""
     with malformed(f"bad point {text!r}"):

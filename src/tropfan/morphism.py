@@ -12,7 +12,6 @@ pullback(Q) at p equals Q at T.p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     BadParameters,
@@ -30,7 +29,7 @@ from .laurent import LaurentPoly
 from .semiring import as_tuple, from_checked
 
 
-def _leaving_ray(T: IntMatrix, X: WeightedFan, Y: WeightedFan) -> Optional[Ray]:
+def _leaving_ray(T: IntMatrix, X: WeightedFan, Y: WeightedFan) -> Ray | None:
     """The first ray of X that T maps off the support of Y, or None."""
     if T.cols != X.ambient_dim or T.rows != Y.ambient_dim:
         raise DimensionMismatch(
@@ -166,7 +165,7 @@ def realize_morphism(h: HomSpec) -> FanMorphism:
     return FanMorphism(X, Y, IntMatrix.from_rows(rows))
 
 
-def extract_ray_map(mu: FanMorphism) -> dict[str, Optional[str]]:
+def extract_ray_map(mu: FanMorphism) -> dict[str, str | None]:
     """For each source ray, the label of the target ray its image lies on
     (None when it collapses to the origin)."""
     out = {}

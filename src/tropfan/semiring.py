@@ -31,7 +31,6 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Union
 
 
 class _NegInf:
@@ -71,7 +70,7 @@ class _NegInf:
 
 NEG_INF = _NegInf()
 
-TropValue = Union[Fraction, int, _NegInf]
+TropValue = Fraction | int | _NegInf
 
 #: the Boolean subsemifield is {NEG_INF, BOOL_ONE}
 BOOL_ONE = Fraction(0)
@@ -228,7 +227,7 @@ class TExt:
     which the constructor coerces by :func:`as_trop`.
     """
 
-    part: Any
+    part: object
     grade: TropValue
 
     def __post_init__(self):

@@ -161,12 +161,16 @@ def test_every_definition_is_used():
     # a module-level function or class of the library is named, and a method
     # reached as an attribute, somewhere in the library, its tests, the
     # benchmark or the scripts; dunder methods, and a module's own __getattr__
-    # and __dir__ (PEP 562), are reached by the language
+    # and __dir__ (PEP 562), are reached by the language.  A name in the
+    # package's __all__ is named: that is how the package exports it
+    import tropfan
+
     trees = [ast.parse(path.read_text(), filename=str(path))
              for top in ("src", "tests", "bench", "scripts") for path in sorted((ROOT / top).rglob("*.py"))]
     nodes = [node for tree in trees for node in ast.walk(tree)]
     named = {node.id for node in nodes if isinstance(node, ast.Name)}
     named |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named |= set(tropfan.__all__)
     attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     unused = []
     defs = (ast.FunctionDef, ast.ClassDef)
@@ -199,6 +203,16 @@ def test_every_error_is_raised_or_inert():
                 silent.append(node.name)
     assert len(errors) > 15
     assert not silent, f"error classes neither raised nor documented as inert: {silent}"
+
+
+def test_no_module_imports_typing():
+    # annotations are never evaluated (every annotated module has
+    # ``from __future__ import annotations``), so the library needs no typing
+    found = sorted(f"{path.name}:{node.lineno}" for path in SRC.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                   if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "typing" for a in node.names)
+                   or isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "typing")
+    assert not found, f"imports of typing at {found}"
 
 
 def test_lp_imports_no_library_module():

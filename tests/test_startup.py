@@ -1,10 +1,9 @@
-"""What a fresh interpreter loads: ``import tropfan`` loads errors and
-semiring, and every other module of the library on first use, so that a
-request loads only the modules it uses.  Each check starts its own
+"""What a fresh interpreter loads: ``import tropfan`` loads no module of
+the library, and each one loads on first use, so that a request loads
+only the modules it uses.  Each check starts its own
 interpreter, since this one has long since loaded the whole library."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +16,11 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ("errors", "semiring", "intlat", "laurent", "fan", "evalmap", "morphism")
 
 
-def fresh(code: str):
-    """The JSON value that a fresh interpreter running code prints last,
-    with the library on its path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+def fresh(code: str, *flags: str):
+    """The JSON value that a fresh interpreter, started with flags, prints
+    last running code with the library first on its path."""
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n{code}"
+    proc = subprocess.run([sys.executable, *flags, "-c", code], cwd=ROOT, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -34,8 +32,40 @@ def loaded_after(code: str) -> set:
     return set(fresh(f"{code}\n{report}"))
 
 
-def test_bare_import_loads_errors_and_semiring():
-    assert loaded_after("import tropfan") == {"tropfan", "tropfan.errors", "tropfan.semiring"}
+def test_bare_import_loads_only_the_package():
+    assert loaded_after("import tropfan") == {"tropfan"}
+
+
+def test_a_request_loads_no_typing():
+    # every export and a member request, in a process that reads no site
+    # (-S), since a site's path hooks may load typing themselves, no
+    # environment (-I) and writes no bytecode (-B, which -I would otherwise
+    # turn back on); a finder first on the meta path names the module
+    # that first imports typing.  That is none, or on later 3.13 releases
+    # (3.13.13, not 3.13.0) the standard library's inspect, which
+    # dataclasses imports
+    request = '["member", "fixtures/Y.json", "--values", "0,0,0"]'
+    code = f"""
+class FirstImporter:
+    name = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "typing":
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"].startswith(("importlib", "_frozen_importlib")):
+                frame = frame.f_back
+            FirstImporter.name = frame.f_globals["__name__"]
+
+
+sys.meta_path.insert(0, FirstImporter())
+from tropfan import *
+from tropfan import cli
+status = cli.run({request})
+import json; print(json.dumps([status, FirstImporter.name]))
+"""
+    status, importer = fresh(code, "-S", "-I", "-B")
+    assert status == 0
+    assert importer in {None, "inspect"}
 
 
 def test_laurent_loads_no_lattice_fan_or_cli_module():
