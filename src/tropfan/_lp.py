@@ -29,26 +29,16 @@ column holds the basic values, and no copy of it is kept.
 A primal row added to a solved system is a new dual column ``y`` at 0, so
 the basis stays feasible and Bland's rule resumes from it instead of
 solving from scratch (:meth:`Tableau.add_row`, then :func:`find_point` on
-the tableau); its column is the image of ``(a; s)``.  An artificial still
-basic is the equality of a coordinate that the rows so far leave out; it
-is 0, and its row has no y entry.  The new row can give that row an
-entry, and Bland's rule could then move the artificial off 0, which drops
-the equality and can prove a feasible system infeasible.  So every run
-begins with the step that starts a fresh tableau: each basic unit column
-whose row has a y entry leaves through the first one.  Its row's
-right-hand side is 0, so any pivot sign keeps the basis feasible.  After a
-new row only its column can be that entry, and once one artificial has
-left through it the other such rows have none again.
-
-The same tableau can be asked about another term (:meth:`Tableau.retarget`).
-The strict rows ``(v - u) . x < a - b_v`` of a term (u, a) against lifted
-points (v, b_v) are the rows ``(v, -b_v)`` of the term (0, 0) seen through
-the unimodular map ``[[I, -u], [0, 1]]``.  In the dual only y_0's column,
-the right-hand side, changes, to ``(u; 1)``, with y_0's cost ``1 - a``,
-so the term column is rewritten as the image of ``(u; 1)`` and the basis
-of the last question is resumed.  When the old y_0 leaves
-through a unit column, that column is basic in the old y_0's row, which
-can be the last, so the first step above reads every row.
+the tableau).  An artificial still basic is the equality of a coordinate
+that the rows so far leave out; it is 0, and its row has no y entry.  The
+new row can give that row an entry, and Bland's rule could then move the
+artificial off 0, which drops the equality and can prove a feasible system
+infeasible.  So every run begins with the step that starts a fresh
+tableau: each basic unit column whose row has a y entry leaves through the
+first one.  Its row's right-hand side is 0, so any pivot sign keeps the
+basis feasible.  After a new row only its column can be that entry, and
+once one artificial has left through it the other such rows have none
+again.
 
 :func:`integer_point_search` asks for an integer point x with
 ``rows[i] . x <= rhs[i]`` for every row i, all in Python ints: the
@@ -123,28 +113,41 @@ class Tableau:
     rule on an integer-preserving tableau, that takes more rows as it goes
     and can be asked about another term.
 
-    ``rows`` holds the triples ``(a, b, strict)`` of :func:`find_point`,
-    with ``a`` an int sequence of length ``nvars`` and ``b`` an int.
-    :meth:`run` goes to the optimum; :meth:`add_row` adds one primal row
-    and :meth:`retarget` rewrites the term column, y_0's, for another
-    term, after either of which :meth:`run` resumes from the basis it
-    left.  Both read D B^-1 off the unit columns of ``D B^-1 [A | I]``,
-    one for each of the nvars + 1 rows, the last for y_0's row; y_0's
-    column is the right-hand side.  Its length is its number of rows.
+    ``rows`` holds the triples ``(c, b, strict)`` of :func:`find_point`,
+    with ``c`` an int sequence of length ``nvars`` and ``b`` an int.  The
+    tableau holds its rows as the caller gives them and asks about a term
+    ``(u, a)``, first the one it is built at, by default ``(0, 0)``: each
+    strict row ``c . x < b`` as ``(c - u) . x < b + a``, each non-strict
+    row as it is.  On the rows ``(v, -b_v)`` of lifted points (v, b_v)
+    that is where the term strictly beats every one of them.  The
+    unimodular map ``[[I, -u], [0, 1]]`` takes the dual column ``(c; 1)``
+    of a strict row to ``(c - u; 1)`` and fixes the others, so only y_0's
+    column, the right-hand side, carries the term: it is ``(u; 1)``, at
+    cost ``1 - a``, and the dual value gains the constant a.  The tableau
+    is built as if a fresh one had pivoted that column into the basis, so
+    its unit columns start as B^-1 = [[I, -u], [0, 1]], with D = 1.
+
+    :meth:`run` goes to the optimum; :meth:`add_row` adds one strict row
+    and :meth:`retarget` asks about another term, after either of which
+    :meth:`run` resumes from the basis it left.  Both read D B^-1 off the
+    unit columns of ``D B^-1 [A | I]``, one for each of the nvars + 1
+    rows, the last for y_0's row.  Its length is its number of rows.
     """
 
     __slots__ = ("T", "basis", "D", "m", "n")
 
-    def __init__(self, rows: Sequence[tuple], nvars: int):
+    def __init__(self, rows: Sequence[tuple], nvars: int, u: Sequence[int] = (), a: int = 0):
         m, n = len(rows), nvars
+        u = u or (0,) * n
         # Columns: y_1..y_m, y_0 (also the right-hand side), one unit column
         # per row of sum y_i a_i = 0 and one for the row of y_0.  T holds D
         # times the true tableau, D the |determinant| of the basis; its last
-        # row holds the reduced costs.
-        T = [[a[j] for a, _, _ in rows] + [0] + [int(k == j) for k in range(n + 1)]
+        # row holds the reduced costs.  At the basis of the unit columns and
+        # y_0, B^-1 (c; s) = (c - s u; s), and the prices are (0, 1 - a).
+        T = [[c[j] - u[j] * s for c, _, s in rows] + [0] + [int(k == j) for k in range(n)] + [-u[j]]
              for j in range(n)]
-        T.append([int(strict) for _, _, strict in rows] + [1] + [0] * n + [1])
-        T.append([b - int(strict) for _, b, strict in rows] + [0] * (n + 1) + [-1])
+        T.append([int(s) for _, _, s in rows] + [1] + [0] * n + [1])
+        T.append([b + (a - 1) * s for _, b, s in rows] + [0] * (n + 1) + [a - 1])
         self.T, self.D, self.m, self.n = T, 1, m, n
         self.basis = [m + 1 + j for j in range(n)] + [m]
 
@@ -215,45 +218,39 @@ class Tableau:
             self._pivot(r, c)
             obj = T[-1]
 
-    def _image(self, a: Sequence[int], s: int, cost: int) -> list[int]:
-        """The column of the dual column ``(a; s)`` of cost ``cost``: the unit
+    def _image(self, a: Sequence[int], cost: int) -> list[int]:
+        """The column of the dual column ``(a; 1)`` of cost ``cost``: the unit
         columns hold D B^-1 and minus D times the prices, so their sum with
-        weights ``(a; s)``, plus D times the cost on the objective row, is
-        ``D B^-1 (a; s)`` and D times its reduced cost."""
+        weights ``(a; 1)``, plus D times the cost on the objective row, is
+        ``D B^-1 (a; 1)`` and D times its reduced cost."""
         m, n = self.m, self.n
         mul = operator.mul
-        col = [sum(map(mul, a, row[m + 1 : m + 1 + n])) + s * row[-1] for row in self.T]
+        col = [sum(map(mul, a, row[m + 1 : m + 1 + n])) + row[-1] for row in self.T]
         col[-1] += self.D * cost
         return col
 
-    def add_row(self, a: Sequence[int], b: int, strict: bool):
-        """Add the primal row ``a . x < b`` (``<=`` unless ``strict``) as a
-        new dual column, of cost b."""
+    def add_row(self, a: Sequence[int], b: int):
+        """Add the strict row ``a . x < b`` as a new dual column, of cost b."""
         m = self.m
-        for row, v in zip(self.T, self._image(a, int(strict), b)):
+        for row, v in zip(self.T, self._image(a, b)):
             row.insert(m, v)
         self.basis = [k + 1 if k >= m else k for k in self.basis]
         self.m = m + 1
 
     def retarget(self, u: Sequence[int], a: int):
-        """Ask the rows ``(c - u) . x < b + a`` in place of the strict rows
-        ``c . x < b`` the tableau was built and added with; each non-strict
-        row stays as it is.
-
-        The map ``[[I, -u], [0, 1]]`` takes the dual columns ``(c; 1)`` of
-        the strict rows to ``(c - u; 1)`` and fixes the others, so in the
-        coordinates of the rows the tableau holds only the question moves:
-        y_0's column, the right-hand side, becomes ``(u; 1)``, written once
-        as its image, and y_0's cost ``1 - a``, the dual value gaining the
-        constant a.  The basis of the last question is kept as far as it
-        stays a basis and feasible, and :meth:`run` resumes Bland's rule
-        from it:
+        """Ask about the term ``(u, a)`` in place of the last one: y_0's
+        column, the right-hand side, becomes the image of ``(u; 1)`` at cost
+        ``1 - a`` (see the class docstring).  The basis of the last question
+        is kept as far as it stays a basis and feasible, and :meth:`run`
+        resumes Bland's rule from it:
 
         * y_0 basic, with an entry in its row: the new y_0 takes its place,
           and ``y_0 = 1`` is the basic solution, which is feasible, since
           y_0's column is the right-hand side.
         * y_0 basic, with 0 in its row: the old y_0 first leaves, at value 0,
-          through its row's first other entry; then as below.
+          through its row's first other entry; then as below.  That entry
+          can be a unit column's, basic in the old y_0's row, which can be
+          the last, so the first step of :meth:`run` reads every row.
         * y_0 nonbasic: the basis stays when its solution is feasible, every
           unit column still basic at 0.  Otherwise y_0 enters at the row of
           the least nonzero basic value, the most negative one as the dual
@@ -261,7 +258,7 @@ class Tableau:
           the basic solution.
         """
         T, m, n, basis = self.T, self.m, self.n, self.basis
-        for row, v in zip(T, self._image(u, 1, 1 - a)):
+        for row, v in zip(T, self._image(u, 1 - a)):
             row[m] = v
         r = basis.index(m) if m in basis else None
         if r is not None and not T[r][m]:

@@ -25,10 +25,8 @@ p + (e, e^2, ..., e^n) for small e > 0, so it is kept.  If that is i, i is
 decided; otherwise that term joins E without an LP and i is asked again.
 It cannot already be in E, because i beats E strictly at p.  So every LP
 has at most as many rows as there are kept terms.  One tableau per call
-asks every question.  Its rows are E's written relative to the first
-term asked, (u_0, a_0): the rows (v - u_0, a_0 - b_v), that term's own
-question.  The rows of another term (u, a) are these seen through a
-unimodular map, so ``_lp.Tableau.retarget`` moves the tableau to it, and
+asks every question, on E's rows (v, -b_v): it is built at the first term
+asked, ``_lp.Tableau.retarget`` moves it to the next, and
 ``_lp.find_point`` resumes Bland's rule from the basis of the last
 question rather than solving from scratch.  A newly kept term is a new
 row for this and every later question (``_lp.Tableau.add_row``), resumed
@@ -289,19 +287,15 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
         kept[_last_max([b for _, b in rows])] = True
         for col in zip(*[u for u, _ in rows]):
             kept[_last_max(list(col))] = kept[_last_max([-x for x in col])] = True
-    mul, sub = operator.mul, operator.sub
+    mul = operator.mul
     lp = None
     for i, (u, a) in enumerate(rows):
         if kept[i]:
             continue
         if lp is None:
-            # The first question is posed on its own rows (v - u, a - b), and
-            # the tableau keeps its rows and terms relative to that term.
-            u0, a0 = u, a
-            lp = _lp.Tableau([(tuple(map(sub, v, u0)), a0 - b, True)
-                              for (v, b), k in zip(rows, kept) if k], P.num_vars)
+            lp = _lp.Tableau([(v, -b, True) for (v, b), k in zip(rows, kept) if k], P.num_vars, u, a)
         else:
-            lp.retarget(tuple(map(sub, u, u0)), a - a0)
+            lp.retarget(u, a)
         while (found := _lp.find_point(lp, P.num_vars)) is not None:
             # The witness p = xs / D, with D > 0, in integers; the values
             # of the scaled rows at p, times D.
@@ -309,7 +303,7 @@ def canonicalize(P: LaurentPoly) -> CanonicalFn:
             w = _last_max([D * b + sum(map(mul, v, xs)) for v, b in rows])
             kept[w] = True
             v, b = rows[w]
-            lp.add_row(tuple(map(sub, v, u0)), a0 - b, True)
+            lp.add_row(v, -b)
             if w == i:
                 break
     return from_checked(CanonicalFn, P.num_vars, tuple(t for t, k in zip(P.terms, kept) if k))
@@ -334,23 +328,23 @@ def _beating_points(rows: list, k: int, nvars: int):
     of Q, the rest, that the other side's term of the same exponent does not
     dominate: ``(xs, D)`` with it strictly beating every term of the other
     side at xs / D, or None.  One tableau per side asks them all."""
-    mul, sub = operator.mul, operator.sub
+    mul = operator.mul
     for A, B in ((rows[:k], rows[k:]), (rows[k:], rows[:k])):
         coeffs, lp = dict(B), None
         for u, a in A:
             if u in coeffs and coeffs[u] >= a:  # dominated: no LP needed
                 continue
-            if lp is None:  # rows relative to the first term asked
-                u0, a0, lp = u, a, _lp.Tableau([], nvars)
+            if lp is None:
+                lp = _lp.Tableau([], nvars, u, a)
             else:
-                lp.retarget(tuple(map(sub, u, u0)), a - a0)
+                lp.retarget(u, a)
             while (found := _lp.find_point(lp, nvars)) is not None:
                 xs, D = found
                 vals = [D * b + sum(map(mul, v, xs)) for v, b in B]
                 if not vals or D * a + sum(map(mul, u, xs)) > max(vals):
                     break
                 v, b = B[_last_max(vals)]  # not a row yet, as u beats every row at xs / D
-                lp.add_row(tuple(map(sub, v, u0)), a0 - b, True)
+                lp.add_row(v, -b)
             yield found
 
 

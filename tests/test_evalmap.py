@@ -486,6 +486,37 @@ def test_smoothness_matches_membership():
     assert reasons.keys() == {None, "weight", "rank", "lattice"} and min(reasons.values()) > 50, reasons
 
 
+def test_smooth_fans_have_the_f2_witnesses():
+    # F2: on a smooth fan an integer ray function G of degree D >= 0 is the
+    # value of the max of the x^z, one for each ray a, where the values
+    # M^T z of x^z are G - D e_b for a ray b other than a: G at a and at
+    # most G everywhere.  Checked on the smooth fans of
+    # test_smoothness_matches_membership, for the functions of degree 0 to
+    # 2 in [-2, 2]^k; each such M^T z is solved once per fan.
+    rng = random.Random(2525)
+    fans = checked = 0
+    for k in range(1200):
+        X = rand_balanced_fan(rng, 1 + k % 4, max_weight=1)
+        if not is_smooth(X).smooth:
+            continue
+        fans += 1
+        values, rays, solved = generator_matrix(X).transpose(), len(X.rays), {}
+        for G in product(range(-2, 3), repeat=rays):
+            D = sum(G)
+            if D not in (0, 1, 2):
+                continue
+            exps = []
+            for a in range(rays):
+                ell = tuple(g - D * (i == (a + 1) % rays) for i, g in enumerate(G))
+                if ell not in solved:
+                    solved[ell] = lattice_solve(values, ell)
+                assert solved[ell] is not None, (X, G, ell)
+                exps.append(solved[ell])
+            assert eval_map(X, LaurentPoly.make(X.ambient_dim, [(z, 0) for z in exps])).values == G, (X, G)
+            checked += 1
+    assert fans > 300 and checked > 12000, (fans, checked)
+
+
 class TestMembership:
     def test_members_get_verified_witnesses(self):
         rng = random.Random(47)

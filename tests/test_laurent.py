@@ -547,13 +547,13 @@ def lp_work(monkeypatch):
     class Counted(_lp.Tableau):
         __slots__ = ()
 
-        def __init__(self, rows, nvars):
+        def __init__(self, rows, nvars, *term):
             work["tableaux"] += 1
-            super().__init__(rows, nvars)
+            super().__init__(rows, nvars, *term)
 
-        def add_row(self, a, b, strict):
+        def add_row(self, a, b):
             work["rows"] += 1
-            super().add_row(a, b, strict)
+            super().add_row(a, b)
 
         def _pivot(self, r, c):
             work["pivots"] += 1

@@ -148,7 +148,7 @@ def test_resumed_tableau_matches_cold_solve():
                 a = tuple(rng.randint(-3, 3) for _ in range(n))
             A.append(a)
             b.append(rng.randint(-4, 4))
-            lp.add_row(a, b[-1], True)
+            lp.add_row(a, b[-1])
             resumed += 1
     assert resumed > 1500
 
@@ -209,13 +209,13 @@ def test_retargeted_tableau_matches_fresh_rival_rows():
             if step and rng.random() < 0.4:
                 v, b = rng.choice(terms)
                 kept.append((v, b))
-                lp.add_row(v, -b, True)
+                lp.add_row(v, -b)
             else:
                 u, a = term = rng.choice(terms)
                 m, basis = lp.m, lp.basis
                 if m not in basis:
                     case = "nonbasic"
-                elif lp._image(u, 1, 1 - a)[basis.index(m)]:
+                elif lp._image(u, 1 - a)[basis.index(m)]:
                     case = "swapped"
                 else:
                     case = "zero entry"
@@ -235,13 +235,56 @@ def test_retargeted_tableau_matches_fresh_rival_rows():
             if step and rng.random() < 0.4:
                 v, b = rng.choice(terms)
                 kept.append((v, b))
-                lp.add_row(v, -b, True)
+                lp.add_row(v, -b)
             else:
                 term = rng.choice(terms)
                 lp.retarget(*term)
                 assert_basis_feasible(lp)
             answers[ask(lp, term, kept, fixed, n)] += 1
     assert min(answers) > 500, answers
+
+
+def test_tableau_built_at_a_term_matches_rows_relative_to_it():
+    # A tableau built at a term (u, a) on the caller's rows, and one built at
+    # (0, 0) on the rows relative to that term, (c - u, b + a) for a strict
+    # row and a non-strict row as it is, are taken through the same runs,
+    # retargets and added rows, each given in its own coordinates.  After
+    # every step they agree on the answer, the basis, D and every column but
+    # the last unit column, which in the relative one is the image of (u; 1)
+    # at cost -a in the other: their unit columns are D B^-1 and D B^-1
+    # [[I, u], [0, 1]].
+    rng = random.Random(4949)
+    steps = dict.fromkeys(("run", "retarget", "add_row"), 0)
+    answers = [0, 0]
+    for k in range(6000):
+        n = k % 6
+        terms = rand_terms(rng, n)
+        rows = [(v, -b, True) for v, b in rng.sample(terms, rng.randint(0, len(terms)))]
+        if rng.random() < 0.3:
+            rows += [(v, -b, False) for v, b in rng.sample(terms, rng.randint(1, min(2, len(terms))))]
+        u, a = rng.choice(terms)
+        lp = _lp.Tableau(rows, n, u, a)
+        rel = _lp.Tableau([(tuple(x - y for x, y in zip(c, u)), b + a, s) if s else (c, b, s)
+                           for c, b, s in rows], n)
+        for _ in range(rng.randint(1, 8)):
+            step = rng.choice(tuple(steps))
+            if step == "run":
+                found = lp.run()
+                assert found == rel.run(), (rows, u, a)
+                answers[found is not None] += 1
+            elif step == "retarget":
+                v, b = rng.choice(terms)
+                lp.retarget(v, b)
+                rel.retarget(tuple(x - y for x, y in zip(v, u)), b - a)
+            else:
+                v, b = rng.choice(terms)
+                lp.add_row(v, -b)
+                rel.add_row(tuple(x - y for x, y in zip(v, u)), a - b)
+            steps[step] += 1
+            assert (lp.basis, lp.D, len(lp)) == (rel.basis, rel.D, len(rel)), (rows, u, a)
+            assert [row[:-1] for row in lp.T] == [row[:-1] for row in rel.T], (rows, u, a)
+            assert [row[-1] for row in rel.T] == lp._image(u, -a), (rows, u, a)
+    assert min(steps.values()) > 8000 and min(answers) > 2000, (steps, answers)
 
 
 class TestEdgeCases:

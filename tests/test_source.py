@@ -76,7 +76,7 @@ def test_bottom_text_compared_only_in_semiring():
 
 def test_digits_tested_by_hand_only_in_one_helper():
     # semiring.is_digits is the one test of "is a digit string", by the
-    # digits that semiring.RATIONAL_TEXT reads too
+    # digits that semiring.rational_text() reads too
     users = sorted({(path.name, fn.name) for path in SRC.glob("*.py")
                     for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                     if isinstance(fn, ast.FunctionDef)
