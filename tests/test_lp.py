@@ -20,8 +20,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import fm_integer_point_search, fm_point, rand_flat_poly, rand_poly, rival_row, tableau
-from tropfan import _lp
+from oracles import (
+    fm_integer_point_search,
+    fm_point,
+    rand_flat_poly,
+    rand_poly,
+    rand_scale_pair,
+    rand_unbalanced_fan,
+    rival_row,
+    tableau,
+)
+from tropfan import RayFunction, _lp, canonicalize, fn_witness, image_membership
 from tropfan._lp import _plan, find_point, integer_point_search
 from tropfan.evalmap import _tight_exponent, _tight_search
 from tropfan.semiring import as_scaled
@@ -285,6 +294,46 @@ def test_tableau_built_at_a_term_matches_rows_relative_to_it():
             assert [row[:-1] for row in lp.T] == [row[:-1] for row in rel.T], (rows, u, a)
             assert [row[-1] for row in rel.T] == lp._image(u, -a), (rows, u, a)
     assert min(steps.values()) > 8000 and min(answers) > 2000, (steps, answers)
+
+
+def test_library_questions_end_at_the_optimum(monkeypatch):
+    # run() answers None at one of two exits: at the optimum, where the
+    # dual value bounds the margin by 0 and y_0's reduced cost T[-1][m] is
+    # >= D, or at an unbounded dual, where the non-strict rows alone are
+    # infeasible.  The library never poses such a system: laurent asks only
+    # strict rows, and evalmap's drop rounds ask homogeneous non-strict rows
+    # and one strict row.  So x = 0, with a low enough margin, is always
+    # feasible, and every None of canonicalize, fn_witness and
+    # image_membership is read at the optimum.
+    exits = []
+
+    class Recording(_lp.Tableau):
+        __slots__ = ()
+
+        def run(self):
+            found = super().run()
+            if found is None:
+                exits.append(self.T[-1][self.m] >= self.D)
+            return found
+
+    def member():
+        X = rand_unbalanced_fan(rng, rng.randint(2, 4))
+        image_membership(X, RayFunction(X, [ray.weight * rng.randint(-3, 3) for ray in X.rays]))
+
+    monkeypatch.setattr(_lp, "Tableau", Recording)
+    _tight_search.cache_clear()  # a cached search record asks no LP
+    rng = random.Random(5050)
+    families = (("canonicalize", lambda: canonicalize(rand_poly(rng, rng.randint(1, 4), max_terms=8)), 300),
+                ("fn_witness", lambda: fn_witness(*rand_scale_pair(rng, rng.randint(1, 4))), 3000),
+                ("image_membership", member, 400))
+    nones = {}
+    for name, ask, count in families:
+        exits.clear()
+        for _ in range(count):
+            ask()
+        assert all(exits), (name, exits.count(False))
+        nones[name] = len(exits)
+    assert min(nones.values()) >= 50, nones
 
 
 class TestEdgeCases:
